@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError, DivergenceError, ParameterError
+from .errors import ConfigurationError, DivergenceError, NumericsError, ParameterError
 from .linalg import lsqr, lu_factorize
 from .sparse import abs_vec, as_vector, sparse_add, spmv
 from .splittings import resolve_omega
@@ -102,7 +102,12 @@ class SolverConfig:
 
 @dataclass
 class SolveReport:
-    """Everything observable about one solve."""
+    """Everything observable about one solve.
+
+    ``wall_time_s`` covers the whole call after argument checks: shift
+    resolution, assembly of Omega+M and Omega+N, the LU factorization (exact
+    variant) and the outer iteration.
+    """
 
     converged: bool
     iterations: int
@@ -157,6 +162,8 @@ def _solver_omega(splitting, omega, n):
 
 
 def _guard(res, k):
+    if not math.isfinite(res):
+        raise NumericsError(f"non-finite relative residual {res} at outer step {k}")
     if res > _DIVERGENCE_GUARD:
         raise DivergenceError(
             f"relative residual {res:.3e} exceeded {_DIVERGENCE_GUARD:.0e} "
@@ -175,6 +182,7 @@ def nms_solve(problem, splitting, omega=None, config=None):
     config = config or SolverConfig()
     if config.inner != "direct":
         raise ConfigurationError("nms_solve requires config.inner == 'direct'")
+    t0 = time.perf_counter()
     n = problem.A.n_rows
     om = _solver_omega(splitting, omega, n)
     OM = sparse_add(om, splitting.M)
@@ -184,7 +192,6 @@ def nms_solve(problem, splitting, omega=None, config=None):
     if nb == 0.0:
         raise ParameterError("b is zero; the RES stopping rule is undefined")
 
-    t0 = time.perf_counter()
     factor = lu_factorize(OM)
     x = expand_x0(config.x0, n)
     res = _guard(float(np.linalg.norm(residual(problem, x))) / nb, 0)
@@ -219,6 +226,7 @@ def inms_solve(problem, splitting, omega=None, config=None):
     config = config or SolverConfig(inner="lsqr")
     if config.inner != "lsqr":
         raise ConfigurationError("inms_solve requires config.inner == 'lsqr'")
+    t0 = time.perf_counter()
     n = problem.A.n_rows
     om = _solver_omega(splitting, omega, n)
     OM = sparse_add(om, splitting.M)
@@ -231,7 +239,6 @@ def inms_solve(problem, splitting, omega=None, config=None):
     if max_inner is None:
         max_inner = int(math.ceil(10.0 * math.sqrt(n)))
 
-    t0 = time.perf_counter()
     x = expand_x0(config.x0, n)
     F = residual(problem, x)
     f_norm = float(np.linalg.norm(F))

@@ -2,10 +2,11 @@
 
 The :class:`SparseMatrix` type is immutable: every operation returns a new
 matrix. Within each row the stored column indices are strictly increasing,
-so duplicate entries cannot occur. Explicit zeros are allowed; addition
-keeps an explicit zero in the result only when both operands store the
-entry (cancellation), while a zero inherited from a single operand is
-dropped. This makes the structure of sums deterministic.
+so duplicate entries cannot occur. Explicit zeros are allowed in a stored
+matrix, but sums and differences run on scipy's compiled CSR kernels and
+never store an entry that is exactly zero, whether it came from one operand
+or from cancellation. Dropping a zero removes only ``0 * x_j`` terms, so
+products with finite vectors are unchanged.
 """
 
 from __future__ import annotations
@@ -282,29 +283,13 @@ def _require_same_shape(A, B):
 def sparse_add(A, B):
     """Entrywise sum.
 
-    The result structure is the union of both structures, except that an
-    exact zero coming from a single operand is dropped; a zero obtained by
-    cancellation of two stored entries stays explicit.
+    The result structure is the union of both structures minus every entry
+    whose sum is exactly zero: neither a zero stored in one operand nor a
+    zero from cancellation is kept.
     """
     _require_same_shape(A, B)
-    ra, ca, va = A.coo_arrays()
-    rb, cb, vb = B.coo_arrays()
-    rows = np.concatenate([ra, rb])
-    cols = np.concatenate([ca, cb])
-    vals = np.concatenate([va, vb])
-    if rows.size == 0:
-        return zeros(A.n_rows, A.n_cols)
-    key = rows * np.int64(A.n_cols) + cols
-    order = np.argsort(key, kind="stable")
-    key, vals = key[order], vals[order]
-    uniq, start = np.unique(key, return_index=True)
-    sums = np.add.reduceat(vals, start)
-    counts = np.diff(np.append(start, key.size))
-    keep = (sums != 0.0) | (counts == 2)
-    uniq, sums = uniq[keep], sums[keep]
-    return SparseMatrix.from_coo(
-        A.n_rows, A.n_cols, uniq // A.n_cols, uniq % A.n_cols, sums
-    )
+    s = A.to_scipy() + B.to_scipy()
+    return SparseMatrix(A.n_rows, A.n_cols, s.indptr, s.indices, s.data)
 
 
 def sparse_scale(c, A):

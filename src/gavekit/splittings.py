@@ -168,15 +168,17 @@ def triangular_parts(A):
     """
     if not A.is_square:
         raise DimensionError("triangular_parts requires a square matrix")
-    rows, cols, vals = A.coo_arrays()
-    on_diag = rows == cols
-    lower = rows > cols
-    upper = rows < cols
     n = A.n_rows
-    D = SparseMatrix.from_coo(n, n, rows[on_diag], cols[on_diag], vals[on_diag])
-    L = SparseMatrix.from_coo(n, n, rows[lower], cols[lower], -vals[lower])
-    U = SparseMatrix.from_coo(n, n, rows[upper], cols[upper], -vals[upper])
-    return D, L, U
+    rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(A.row_ptr))
+    cols = A.col_idx
+
+    def part(mask, sign):
+        # masking keeps the row-major order, so only the row counts change
+        row_ptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(rows[mask], minlength=n), out=row_ptr[1:])
+        return SparseMatrix(n, n, row_ptr, cols[mask], sign * A.values[mask])
+
+    return part(rows == cols, 1.0), part(rows > cols, -1.0), part(rows < cols, -1.0)
 
 
 def build_splitting(A, kind, omega=None):

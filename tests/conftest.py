@@ -23,6 +23,12 @@ def random_dominant(rng, n, shift=4.0, density=0.3):
     return SparseMatrix.from_dense(dense)
 
 
+def with_explicit_zeros(rng, A, frac=0.3):
+    """Copy of A with a random share of its stored values set to 0.0."""
+    vals = np.where(rng.random(A.nnz) < frac, 0.0, A.values)
+    return SparseMatrix(A.n_rows, A.n_cols, A.row_ptr, A.col_idx, vals)
+
+
 def tridiag(lo, mid, hi, n):
     """Dense tridiagonal matrix as a SparseMatrix."""
     dense = np.diag(np.full(n, float(mid)))

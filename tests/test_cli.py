@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from gavekit import GaveProblem, identity, save_problem, sparse_scale
+from gavekit import GaveProblem, identity, save_problem, sparse_scale, zeros
 from gavekit.cli import main
 
 
@@ -121,6 +121,15 @@ def test_numerical_failure_exits_3(tmp_path, capsys):
     code = main(["solve", "--problem", str(tmp_path / "div"), "--method", "picard"])
     assert code == 3
     assert "numerical failure" in capsys.readouterr().err
+
+
+def test_non_finite_input_exits_3(tmp_path, capsys):
+    b = np.ones(6)
+    b[2] = np.nan
+    save_problem(GaveProblem(A=identity(6), B=zeros(6), b=b), tmp_path / "nan")
+    code = main(["solve", "--problem", str(tmp_path / "nan"), "--method", "picard"])
+    assert code == 3
+    assert "non-finite" in capsys.readouterr().err
 
 
 def test_solve_save_x(tmp_path, capsys):

@@ -7,6 +7,7 @@ from gavekit import (
     ConfigurationError,
     DivergenceError,
     GaveProblem,
+    NumericsError,
     OmegaSpec,
     ParameterError,
     SingularMatrixError,
@@ -163,6 +164,14 @@ class TestNmsSolve:
         with pytest.raises(DivergenceError):
             nms_solve(prob, s)
 
+    def test_non_finite_start_raises(self, rng):
+        prob = _random_problem(rng, 10)
+        s = build_splitting(prob.A, "nj")
+        x0 = np.ones(10)
+        x0[3] = np.nan
+        with pytest.raises(NumericsError):
+            nms_solve(prob, s, None, SolverConfig(x0=x0))
+
     def test_singular_shifted_matrix(self):
         A = SparseMatrix.from_dense(np.array([[0.0, 1.0], [1.0, 0.0]]))
         prob = GaveProblem(A=A, B=zeros(2), b=np.ones(2))
@@ -218,6 +227,14 @@ class TestInmsSolve:
         )
         report = inms_solve(prob, s, None, config)
         assert any("max_iter" in w for w in report.warnings)
+
+    def test_non_finite_start_raises(self, rng):
+        prob = _random_problem(rng, 10)
+        s = build_splitting(prob.A, "nj")
+        x0 = np.ones(10)
+        x0[3] = np.nan
+        with pytest.raises(NumericsError):
+            inms_solve(prob, s, None, SolverConfig(inner="lsqr", x0=x0))
 
     def test_requires_lsqr_inner(self, rng):
         prob = _random_problem(rng, 6)

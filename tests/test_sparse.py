@@ -1,4 +1,4 @@
-"""CSR construction, kernels, merge arithmetic, and the symmetric split."""
+"""CSR construction, kernels, sum arithmetic, and the symmetric split."""
 
 import numpy as np
 import pytest
@@ -18,7 +18,7 @@ from gavekit import (
     zeros,
 )
 
-from conftest import random_sparse, tridiag
+from conftest import random_sparse, tridiag, with_explicit_zeros
 
 
 class TestConstruction:
@@ -127,19 +127,21 @@ class TestAddSubScale:
         for _ in range(20):
             A = random_sparse(rng, 9, 9)
             B = random_sparse(rng, 9, 9)
-            np.testing.assert_array_equal(
-                sparse_add(A, B).to_dense(), A.to_dense() + B.to_dense()
-            )
-            np.testing.assert_array_equal(
-                sparse_sub(A, B).to_dense(), A.to_dense() - B.to_dense()
-            )
+            # stored zeros in one operand, exact cancellation against -A
+            Z = with_explicit_zeros(rng, A)
+            for X, Y in ((A, B), (Z, sparse_scale(-1.0, A))):
+                for out, dense in (
+                    (sparse_add(X, Y), X.to_dense() + Y.to_dense()),
+                    (sparse_sub(X, Y), X.to_dense() - Y.to_dense()),
+                ):
+                    np.testing.assert_array_equal(out.to_dense(), dense)
+                    assert np.all(out.values != 0.0)
 
-    def test_cancellation_keeps_explicit_zero(self):
+    def test_cancellation_stores_no_zero(self):
         A = SparseMatrix.from_coo(2, 2, [0], [0], [5.0])
         B = SparseMatrix.from_coo(2, 2, [0], [0], [-5.0])
         out = sparse_add(A, B)
-        assert out.nnz == 1
-        assert out.values[0] == 0.0
+        assert out.nnz == 0
 
     def test_single_source_zero_dropped(self):
         A = SparseMatrix.from_coo(2, 2, [0], [0], [0.0])  # explicit zero

@@ -11,15 +11,18 @@ from gavekit import (
     SparseMatrix,
     SplittingKind,
     build_splitting,
+    diag_matrix,
+    gen_example41,
     identity,
     resolve_omega,
+    sparse_add,
     sparse_sub,
     spmv,
     triangular_parts,
     zeros,
 )
 
-from conftest import random_dominant, tridiag
+from conftest import random_dominant, tridiag, with_explicit_zeros
 
 EXACT_KINDS = ["picard", "mn", "nj", "ngs", "hss"]
 
@@ -47,17 +50,21 @@ class TestTriangularParts:
         np.testing.assert_array_equal(U.to_dense(), [[0.0, 1.0], [0.0, 0.0]])
 
     def test_diagonal_input(self):
-        A = SparseMatrix.from_dense(np.diag([1.0, 2.0, 3.0]))
-        D, L, U = triangular_parts(A)
-        np.testing.assert_array_equal(D.to_dense(), A.to_dense())
-        assert L.nnz == 0 and U.nnz == 0
+        # the second input stores a zero diagonal entry, which D keeps
+        for A in (SparseMatrix.from_dense(np.diag([1.0, 2.0, 3.0])),
+                  diag_matrix([1.0, 0.0, 3.0])):
+            D, L, U = triangular_parts(A)
+            np.testing.assert_array_equal(D.to_dense(), A.to_dense())
+            np.testing.assert_array_equal(D.values, A.values)
+            assert L.nnz == 0 and U.nnz == 0
 
     def test_reassembly_bit_exact(self, rng):
         for _ in range(10):
             A = random_dominant(rng, 12)
-            D, L, U = triangular_parts(A)
-            recombined = sparse_sub(sparse_sub(D, L), U)
-            np.testing.assert_array_equal(recombined.to_dense(), A.to_dense())
+            for X in (A, with_explicit_zeros(rng, A)):
+                D, L, U = triangular_parts(X)
+                recombined = sparse_sub(sparse_sub(D, L), U)
+                np.testing.assert_array_equal(recombined.to_dense(), X.to_dense())
 
 
 class TestBuildSplitting:
@@ -98,6 +105,14 @@ class TestBuildSplitting:
             (1 / alpha - 1) * D.to_dense() + U.to_dense(),
             atol=1e-13,
         )
+
+    def test_no_stored_zeros_on_example41(self):
+        for m, mu in ((6, 4.0), (7, -1.0)):
+            _, prob, hat = gen_example41(m, mu)
+            for kind in ("nj", "ngs", SplittingKind("nsor", alpha=0.9)):
+                N = build_splitting(prob.A, kind).N
+                assert np.all(N.values != 0.0)
+                assert np.all(sparse_add(hat, N).values != 0.0)
 
     def test_nsor_alpha_one_is_ngs(self, rng):
         A = random_dominant(rng, 15)
