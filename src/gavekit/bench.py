@@ -338,6 +338,11 @@ def tune_alpha(problem, omega, grid, tol=1e-6, k_max=500, x0="alt10"):
     Runs the exact solver once per grid point and returns
     ``(alpha, iterations)`` for the best converged point; ties break toward
     the smaller alpha. Non-converged or diverging points are skipped.
+
+    Once a best point is known, later points only need to beat it, so they
+    run with ``k_max = best - 1``; the search stops when that cap reaches 0
+    (the start residual does not depend on alpha). The result is the same
+    as running every point to ``k_max``.
     """
     grid = [float(a) for a in grid]
     if not grid:
@@ -345,16 +350,17 @@ def tune_alpha(problem, omega, grid, tol=1e-6, k_max=500, x0="alt10"):
     if any(not 0.0 < a < 2.0 for a in grid):
         raise SpecError("alpha grid values must lie in (0, 2)")
     best = None
-    config = SolverConfig(tol=tol, k_max=k_max, x0=x0, inner="direct")
     for alpha in sorted(grid):
+        cap = k_max if best is None else best[1] - 1
+        if cap < 1:
+            break
+        config = SolverConfig(tol=tol, k_max=cap, x0=x0, inner="direct")
         try:
             splitting = build_splitting(problem.A, SplittingKind("nsor", alpha=alpha))
             report = nms_solve(problem, splitting, omega, config)
         except (DivergenceError, SingularMatrixError):
             continue
-        if not report.converged:
-            continue
-        if best is None or report.iterations < best[1]:
+        if report.converged:  # within the cap, so it beats any earlier best
             best = (alpha, report.iterations)
     if best is None:
         raise ConvergenceFailure("no alpha on the grid produced a converged solve")

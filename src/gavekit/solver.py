@@ -187,20 +187,23 @@ def nms_solve(problem, splitting, omega=None, config=None):
     om = _solver_omega(splitting, omega, n)
     OM = sparse_add(om, splitting.M)
     ON = sparse_add(om, splitting.N)
-    B, b = problem.B, problem.b
+    A, B, b = problem.A, problem.B, problem.b
     nb = float(np.linalg.norm(b))
     if nb == 0.0:
         raise ParameterError("b is zero; the RES stopping rule is undefined")
 
     factor = lu_factorize(OM)
     x = expand_x0(config.x0, n)
-    res = _guard(float(np.linalg.norm(residual(problem, x))) / nb, 0)
+    # B|x| serves both the residual at x and the next right-hand side
+    bx = spmv(B, np.abs(x))
+    res = _guard(float(np.linalg.norm(spmv(A, x) - bx - b)) / nb, 0)
     history = [res]
     k = 0
     while res > config.tol and k < config.k_max:
-        x = factor.solve(spmv(ON, x) + spmv(B, np.abs(x)) + b)
+        x = factor.solve(spmv(ON, x) + bx + b)
         k += 1
-        res = _guard(float(np.linalg.norm(residual(problem, x))) / nb, k)
+        bx = spmv(B, np.abs(x))
+        res = _guard(float(np.linalg.norm(spmv(A, x) - bx - b)) / nb, k)
         history.append(res)
     elapsed = time.perf_counter() - t0
     return SolveReport(

@@ -22,6 +22,7 @@ from gavekit import (
     sparse_scale,
     tune_alpha,
 )
+from gavekit import bench as bench_module
 from gavekit.bench import parse_method_line, run_method
 
 SPEC_TEXT = """
@@ -176,6 +177,30 @@ class TestTuneAlpha:
         best_it = min(counts.values())
         assert it == best_it
         assert alpha == min(a for a, c in counts.items() if c == best_it)
+
+    @pytest.mark.parametrize("mu", [4.0, -1.0])
+    def test_capped_search_matches_uncapped_loop(self, mu, monkeypatch):
+        _, prob, hat = gen_example41(8, mu)
+        om = OmegaSpec.scaled(1.0, hat)
+        grid = [round(0.5 + 0.05 * i, 10) for i in range(29)]
+        best = None
+        uncapped_steps = 0
+        for a in grid:
+            rep = nms_solve(prob, build_splitting(prob.A, SplittingKind("nsor", alpha=a)), om)
+            uncapped_steps += rep.iterations
+            if rep.converged and (best is None or rep.iterations < best[1]):
+                best = (a, rep.iterations)
+
+        steps = []
+
+        def counting_solve(*args, **kwargs):
+            rep = nms_solve(*args, **kwargs)
+            steps.append(rep.iterations)
+            return rep
+
+        monkeypatch.setattr(bench_module, "nms_solve", counting_solve)
+        assert tune_alpha(prob, om, grid) == best
+        assert sum(steps) < uncapped_steps
 
     def test_grid_validation(self):
         _, prob, _ = gen_example41(3, 4.0)

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 
 from gavekit import (
     ConvergenceFailure,
@@ -10,13 +11,18 @@ from gavekit import (
     ParameterError,
     SingularMatrixError,
     SparseMatrix,
+    SplittingKind,
+    build_splitting,
     diag_matrix,
+    gen_example41,
+    hermitian_split,
     identity,
     lsqr,
     lu_factorize,
     min_singular_value,
     skew_spectral_radius,
     spectral_norm,
+    sparse_add,
     spmv,
     symmetric_eig_extremes,
     zeros,
@@ -73,6 +79,21 @@ class TestLu:
         b = rng.uniform(-1, 1, 12)
         x = lu_factorize(A).solve(b, transpose=True)
         np.testing.assert_allclose(A.to_dense().T @ x, b, atol=1e-11)
+
+    def test_pinned_ordering_fill_and_determinism(self, rng):
+        # Omega + M for ngs with Omega = hatM on example41, m = 30
+        _, prob, hat = gen_example41(30, 4.0)
+        OM = sparse_add(hat, build_splitting(prob.A, SplittingKind("ngs")).M)
+        f = lu_factorize(OM)
+        assert f.ordering == "MMD_AT_PLUS_A"
+        colamd = scipy.sparse.linalg.splu(
+            OM.to_scipy().tocsc(), permc_spec="COLAMD", diag_pivot_thresh=1.0
+        )
+        assert 0 < f.nnz <= colamd.L.nnz + colamd.U.nnz
+        rhs = rng.uniform(-1, 1, OM.n_rows)
+        x = f.solve(rhs)
+        np.testing.assert_array_equal(lu_factorize(OM).solve(rhs), x)
+        np.testing.assert_allclose(spmv(OM, x), rhs, atol=1e-12)
 
 
 class TestLsqr:
@@ -242,6 +263,36 @@ class TestSymmetricEigExtremes:
         A = random_sparse(rng, 6, 6)
         with pytest.raises(ParameterError, match="symmetric"):
             symmetric_eig_extremes(A)
+
+    @pytest.mark.parametrize("m", [600, 602])
+    def test_large_tridiagonal_both_parities(self, m):
+        A = tridiag(-1, 4, -1, m)
+        lo, hi = symmetric_eig_extremes(A)
+        c = 2 * np.cos(np.pi / (m + 1))
+        assert lo == pytest.approx(4 - c, rel=1e-10)
+        assert hi == pytest.approx(4 + c, rel=1e-10)
+
+
+@pytest.mark.parametrize("mu", [4.0, -1.0])
+@pytest.mark.parametrize("m", [24, 25, 30, 31, 40])
+class TestEstimatorsOnExample41:
+    """Sparse-path estimators against dense oracles on the paper's matrices.
+
+    At even m the grid Laplacian's smooth lowest mode is orthogonal to any
+    alternating-sign vector, so a structured start vector misses it.
+    """
+
+    def test_min_singular_value(self, m, mu):
+        A = gen_example41(m, mu)[1].A
+        want = np.linalg.svd(A.to_dense(), compute_uv=False)[-1]
+        assert min_singular_value(A, dense_cutoff=0) == pytest.approx(want, rel=1e-8)
+
+    def test_symmetric_eig_extremes(self, m, mu):
+        H, _ = hermitian_split(gen_example41(m, mu)[1].A)
+        eigs = np.linalg.eigvalsh(H.to_dense())
+        lo, hi = symmetric_eig_extremes(H, dense_cutoff=0)
+        assert lo == pytest.approx(eigs[0], rel=1e-8)
+        assert hi == pytest.approx(eigs[-1], rel=1e-8)
 
 
 class TestSkewSpectralRadius:
