@@ -18,7 +18,6 @@ import csv
 import io
 import statistics
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from .errors import (
@@ -242,13 +241,8 @@ def run_method(problem, method, hat_m=None, tol=1e-6, k_max=500, repeats=1):
     omega_spec = resolve_omega_token(method.omega_token, hat_m)
     if method.kind.name == "drs" and method.omega_token not in ("zero", "0"):
         raise SpecError("drs pins its own shift matrix; omit the omega option")
-    needs_omega_in_builder = method.kind.name in ("nmn", "picard")
-    splitting = build_splitting(
-        problem.A, method.kind, omega_spec if needs_omega_in_builder else None
-    )
-    solver_omega = None
-    if splitting.implied_omega is None and method.kind.name != "picard":
-        solver_omega = omega_spec
+    splitting = build_splitting(problem.A, method.kind, omega_spec)
+    solver_omega = omega_spec if splitting.implied_omega is None else None
     config = SolverConfig(
         tol=tol,
         k_max=k_max,
@@ -278,58 +272,54 @@ def _experiment_problems(spec):
         yield problem, None, problem.n, None
 
 
-def run_experiment(spec, threads=1):
-    """Run every (problem size, method) pair of the spec.
+def run_experiment(spec):
+    """Run every (problem size, method) pair of the spec, one after another.
 
     Numerical failures (divergence, singular shifts) produce a row with
     ``converged=False`` and a warning instead of aborting the experiment.
     """
-    tasks = []
-    for problem, hat, n, mu in _experiment_problems(spec):
-        for method in spec.methods:
-            tasks.append((problem, hat, n, mu, method))
+    return [
+        _result_row(spec, problem, hat, n, mu, method)
+        for problem, hat, n, mu in _experiment_problems(spec)
+        for method in spec.methods
+    ]
 
-    def run_one(task):
-        problem, hat, n, mu, method = task
-        try:
-            report, cpu = run_method(
-                problem,
-                method,
-                hat_m=hat,
-                tol=spec.tol,
-                k_max=spec.k_max,
-                repeats=spec.repeats,
-            )
-        except (DivergenceError, SingularMatrixError, NumericsError) as exc:
-            return ResultRow(
-                method=method.display_name(),
-                n=n,
-                mu=mu,
-                omega_tag=method.omega_token,
-                alpha=method.kind.alpha,
-                IT=0,
-                CPU_s=0.0,
-                RES=float("nan"),
-                converged=False,
-                warnings=f"{type(exc).__name__}: {exc}",
-            )
+
+def _result_row(spec, problem, hat, n, mu, method):
+    try:
+        report, cpu = run_method(
+            problem,
+            method,
+            hat_m=hat,
+            tol=spec.tol,
+            k_max=spec.k_max,
+            repeats=spec.repeats,
+        )
+    except (DivergenceError, SingularMatrixError, NumericsError) as exc:
         return ResultRow(
             method=method.display_name(),
             n=n,
             mu=mu,
             omega_tag=method.omega_token,
             alpha=method.kind.alpha,
-            IT=report.iterations,
-            CPU_s=cpu,
-            RES=report.final_res,
-            converged=report.converged,
-            warnings="; ".join(report.warnings),
+            IT=0,
+            CPU_s=0.0,
+            RES=float("nan"),
+            converged=False,
+            warnings=f"{type(exc).__name__}: {exc}",
         )
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(run_one, tasks))
-    return [run_one(task) for task in tasks]
+    return ResultRow(
+        method=method.display_name(),
+        n=n,
+        mu=mu,
+        omega_tag=method.omega_token,
+        alpha=method.kind.alpha,
+        IT=report.iterations,
+        CPU_s=cpu,
+        RES=report.final_res,
+        converged=report.converged,
+        warnings="; ".join(report.warnings),
+    )
 
 
 def tune_alpha(problem, omega, grid, tol=1e-6, k_max=500, x0="alt10"):

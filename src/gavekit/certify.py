@@ -16,6 +16,7 @@ import numpy as np
 
 from .errors import ParameterError
 from .linalg import (
+    DENSE_CUTOFF,
     min_singular_value,
     skew_spectral_radius,
     spectral_norm,
@@ -115,7 +116,7 @@ class _Norms:
 
     def inv_norm(self, X, label):
         s = min_singular_value(X)
-        method = "dense_svd" if X.n_rows <= 500 else "lu_inverse_iteration"
+        method = "dense_svd" if X.n_rows <= DENSE_CUTOFF else "lu_inverse_iteration"
         v = 1.0 / s
         self.details.append((label, v, method))
         return v
@@ -204,7 +205,7 @@ def check_scalar_omega(A, B, omega_scalar, theta):
         )
     norms = _Norms()
     n = A.n_rows
-    method = "dense_eigh" if n <= 500 else "shifted_power_iteration"
+    method = "dense_eigh" if n <= DENSE_CUTOFF else "shifted_power_iteration"
     norms.record("lambda_min(H)", lam_min, method)
     norms.record("lambda_max(H)", lam_max, method)
     mu_max = skew_spectral_radius(S, rel_tol=_NORM_RTOL)

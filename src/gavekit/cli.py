@@ -209,7 +209,7 @@ def _cmd_tune(args):
 def _cmd_bench(args):
     with open(args.spec, "r", encoding="utf-8") as fh:
         spec = bench_mod.parse_spec(fh.read())
-    rows = bench_mod.run_experiment(spec, threads=args.threads)
+    rows = bench_mod.run_experiment(spec)
     table = bench_mod.emit_table(rows, args.format)
     out = args.out or spec.output
     if out:
@@ -285,7 +285,6 @@ def build_parser():
     p_bench.add_argument("--spec", required=True)
     p_bench.add_argument("--format", choices=["csv", "markdown"], default="csv")
     p_bench.add_argument("--out")
-    p_bench.add_argument("--threads", type=int, default=1)
     p_bench.set_defaults(func=_cmd_bench)
 
     return parser

@@ -46,6 +46,10 @@ __all__ = [
 # block tridiagonal Omega + M it gives less fill than the COLAMD default.
 _ORDERING = "MMD_AT_PLUS_A"
 
+# Matrices of at most this order get exact dense LAPACK answers in
+# min_singular_value and symmetric_eig_extremes; larger ones are iterated.
+DENSE_CUTOFF = 500
+
 # Pivots smaller than this times the infinity norm count as singular.
 _PIVOT_TOL = 1e-14
 
@@ -60,7 +64,8 @@ class Factorization:
 
     Wraps a SuperLU factorization with partial pivoting; solves with the
     original matrix or its transpose. ``ordering`` names the pinned column
-    ordering and ``nnz`` is the fill, ``L.nnz + U.nnz``.
+    ordering and ``nnz`` is the fill as SuperLU counts it: the entries of
+    its supernodal storage of L and U, which can exceed ``L.nnz + U.nnz``.
     """
 
     __slots__ = ("_splu", "n")
@@ -72,7 +77,7 @@ class Factorization:
 
     @property
     def nnz(self):
-        return self._splu.L.nnz + self._splu.U.nnz
+        return self._splu.nnz
 
     def solve(self, rhs, transpose=False):
         rhs = as_vector(rhs, self.n, "rhs")
@@ -257,6 +262,43 @@ def _seeded_start(n):
     return v / np.linalg.norm(v)
 
 
+def _inverse_iteration(apply_inverse, n, rel_tol, max_iter, what):
+    """Power iteration on the inverse of a positive definite matrix.
+
+    ``apply_inverse(v)`` applies that inverse. Starts from
+    :func:`_seeded_start` and returns the top Rayleigh quotient once it has
+    changed by less than ``rel_tol`` (relatively) for 3 consecutive steps.
+
+    Raises
+    ------
+    ConvergenceFailure
+        If the budget runs out; carries the last Rayleigh quotient.
+    """
+    v = _seeded_start(n)
+    rho_prev = None
+    streak = 0
+    rho = 0.0
+    for _ in range(max_iter):
+        u = apply_inverse(v)
+        rho = float(v @ u)
+        if not np.isfinite(rho):
+            raise NumericsError(f"non-finite value in {what}")
+        nu = float(np.linalg.norm(u))
+        if nu == 0.0 or rho <= 0.0:
+            raise NumericsError(f"{what} collapsed")
+        v = u / nu
+        if rho_prev is not None and abs(rho - rho_prev) <= rel_tol * rho:
+            streak += 1
+            if streak >= 3:
+                return rho
+        else:
+            streak = 0
+        rho_prev = rho
+    raise ConvergenceFailure(
+        f"{what} did not converge in {max_iter} iterations", best_estimate=rho
+    )
+
+
 def _start_vector(n):
     """Deterministic alternating-sign start vector, unit norm."""
     v = np.ones(n)
@@ -324,7 +366,7 @@ def spectral_norm(A, rel_tol=1e-8, max_iter=10000):
     )
 
 
-def min_singular_value(A, rel_tol=1e-10, max_iter=10000, dense_cutoff=500):
+def min_singular_value(A, rel_tol=1e-10, max_iter=10000, dense_cutoff=DENSE_CUTOFF):
     """Smallest singular value of a square nonsingular matrix.
 
     Uses a dense SVD for ``n <= dense_cutoff`` and inverse power iteration
@@ -343,31 +385,19 @@ def min_singular_value(A, rel_tol=1e-10, max_iter=10000, dense_cutoff=500):
             )
         return smin
     factor = lu_factorize(A)  # raises SingularMatrixError when singular
-    v = _seeded_start(n)
-    rho_prev = None
-    streak = 0
-    rho = 0.0
-    for _ in range(max_iter):
-        t = factor.solve(v, transpose=True)
-        u = factor.solve(t)
-        rho = float(v @ u)
-        if not np.isfinite(rho):
-            raise NumericsError("non-finite value in inverse iteration")
-        nu = float(np.linalg.norm(u))
-        if nu == 0.0 or rho <= 0.0:
-            raise NumericsError("inverse iteration collapsed")
-        v = u / nu
-        if rho_prev is not None and abs(rho - rho_prev) <= rel_tol * rho:
-            streak += 1
-            if streak >= 3:
-                return float(1.0 / np.sqrt(rho))
-        else:
-            streak = 0
-        rho_prev = rho
-    raise ConvergenceFailure(
-        f"min_singular_value did not converge in {max_iter} iterations",
-        best_estimate=float(1.0 / np.sqrt(rho)),
-    )
+    try:
+        rho = _inverse_iteration(
+            lambda v: factor.solve(factor.solve(v, transpose=True)),
+            n,
+            rel_tol,
+            max_iter,
+            "min_singular_value",
+        )
+    except ConvergenceFailure as exc:
+        raise ConvergenceFailure(
+            str(exc), best_estimate=float(1.0 / np.sqrt(exc.best_estimate))
+        ) from None
+    return float(1.0 / np.sqrt(rho))
 
 
 def _check_symmetry(A, sign, rel_tol, what):
@@ -386,36 +416,7 @@ def _check_symmetry(A, sign, rel_tol, what):
         )
 
 
-def _inverse_rayleigh(shifted, rel_tol, max_iter, what):
-    """Inverse power iteration; returns the top Rayleigh quotient of the
-    inverse of a positive definite matrix."""
-    factor = lu_factorize(shifted)
-    v = _seeded_start(shifted.n_rows)
-    rho_prev = None
-    streak = 0
-    rho = 0.0
-    for _ in range(max_iter):
-        u = factor.solve(v)
-        rho = float(v @ u)
-        if not np.isfinite(rho):
-            raise NumericsError(f"non-finite value in {what}")
-        nu = float(np.linalg.norm(u))
-        if nu == 0.0 or rho <= 0.0:
-            raise NumericsError(f"{what} collapsed")
-        v = u / nu
-        if rho_prev is not None and abs(rho - rho_prev) <= rel_tol * rho:
-            streak += 1
-            if streak >= 3:
-                return rho
-        else:
-            streak = 0
-        rho_prev = rho
-    raise ConvergenceFailure(
-        f"{what} did not converge in {max_iter} iterations", best_estimate=rho
-    )
-
-
-def symmetric_eig_extremes(H, rel_tol=1e-11, max_iter=10000, dense_cutoff=500):
+def symmetric_eig_extremes(H, rel_tol=1e-11, max_iter=10000, dense_cutoff=DENSE_CUTOFF):
     """Extreme eigenvalues ``(lambda_min, lambda_max)`` of a symmetric matrix.
 
     Symmetry is checked to 1e-12 relative. Small matrices go through a
@@ -445,19 +446,15 @@ def symmetric_eig_extremes(H, rel_tol=1e-11, max_iter=10000, dense_cutoff=500):
     delta = 1e-9 * max(hi - lo, abs(hi), abs(lo)) + 1e-300
 
     sigma_hi = hi + delta
-    rho_hi = _inverse_rayleigh(
-        sparse_sub(diag_matrix(np.full(n, sigma_hi)), H),
-        rel_tol,
-        max_iter,
-        "symmetric_eig_extremes (max)",
+    upper = lu_factorize(sparse_sub(diag_matrix(np.full(n, sigma_hi)), H))
+    rho_hi = _inverse_iteration(
+        upper.solve, n, rel_tol, max_iter, "symmetric_eig_extremes (max)"
     )
     lam_max = sigma_hi - 1.0 / rho_hi
     sigma_lo = lo - delta
-    rho_lo = _inverse_rayleigh(
-        sparse_sub(H, diag_matrix(np.full(n, sigma_lo))),
-        rel_tol,
-        max_iter,
-        "symmetric_eig_extremes (min)",
+    lower = lu_factorize(sparse_sub(H, diag_matrix(np.full(n, sigma_lo))))
+    rho_lo = _inverse_iteration(
+        lower.solve, n, rel_tol, max_iter, "symmetric_eig_extremes (min)"
     )
     lam_min = sigma_lo + 1.0 / rho_lo
     return float(lam_min), float(lam_max)

@@ -1,12 +1,14 @@
 """Outer iterations for Ax - B|x| - b = 0 over a matrix splitting.
 
-``nms_solve`` runs the exact fixed-point iteration
+Both solvers run one loop,
 
-    x_{k+1} = (Omega + M)^{-1} [ (Omega + N) x_k + B |x_k| + b ]
+    x_{k+1} = (Omega + M)^{-1} [ (Omega + N) x_k + B |x_k| + b ],
 
-with a pre-computed LU factorization of Omega + M. ``inms_solve`` replaces
-the exact solve by LSQR run to the per-step residual target
-``theta_k * norm(F(x_k))``, warm-started at the current iterate.
+and differ only in the inner step that solves the linear system:
+``nms_solve`` applies an LU factorization of Omega + M computed once, and
+``inms_solve`` runs LSQR, warm-started at the current iterate, to the
+per-step residual target ``theta_k * norm(F(x_k))``. Omega is the shift the
+splitting pins, if it pins one, or else the ``omega`` argument.
 """
 
 from __future__ import annotations
@@ -146,19 +148,22 @@ def expand_x0(x0, n):
     return as_vector(x0, n, "x0").copy()
 
 
-def _solver_omega(splitting, omega, n):
-    """Resolve the shift matrix, honoring splittings that pin their own."""
+def _shifted_pair(splitting, omega, n):
+    """Assemble (Omega + M, Omega + N).
+
+    Omega is the splitting's pinned shift when it has one, and then a
+    supplied ``omega`` is an error; otherwise it is ``omega`` resolved.
+    """
     if splitting.implied_omega is not None:
         if omega is not None:
             raise ConfigurationError(
                 f"splitting {splitting.kind.name!r} pins its own shift matrix; "
                 "do not supply one"
             )
-        return splitting.implied_omega
-    om = resolve_omega(omega, n)
-    if splitting.kind.name == "picard" and om.max_abs() != 0.0:
-        raise ConfigurationError("picard requires a zero shift matrix")
-    return om
+        om = splitting.implied_omega
+    else:
+        om = resolve_omega(omega, n)
+    return sparse_add(om, splitting.M), sparse_add(om, splitting.N)
 
 
 def _guard(res, k):
@@ -172,106 +177,57 @@ def _guard(res, k):
     return res
 
 
-def nms_solve(problem, splitting, omega=None, config=None):
-    """Exact Newton-based matrix-splitting iteration.
+def _iterate(problem, splitting, omega, config):
+    """The outer iteration of both solvers; ``config.inner`` picks the step.
 
-    Pre-factorizes Omega + M once and iterates until the relative residual
-    drops to ``config.tol`` or ``config.k_max`` steps are taken. Requires
-    ``config.inner == "direct"``.
+    "direct" solves ``(Omega + M) y = c_k`` with an LU factored once;
+    "lsqr" runs LSQR warm-started at ``x_k`` to ``theta_k * norm(F(x_k))``.
     """
-    config = config or SolverConfig()
-    if config.inner != "direct":
-        raise ConfigurationError("nms_solve requires config.inner == 'direct'")
     t0 = time.perf_counter()
     n = problem.A.n_rows
-    om = _solver_omega(splitting, omega, n)
-    OM = sparse_add(om, splitting.M)
-    ON = sparse_add(om, splitting.N)
+    OM, ON = _shifted_pair(splitting, omega, n)
     A, B, b = problem.A, problem.B, problem.b
     nb = float(np.linalg.norm(b))
     if nb == 0.0:
         raise ParameterError("b is zero; the RES stopping rule is undefined")
-
-    factor = lu_factorize(OM)
-    x = expand_x0(config.x0, n)
-    # B|x| serves both the residual at x and the next right-hand side
-    bx = spmv(B, np.abs(x))
-    res = _guard(float(np.linalg.norm(spmv(A, x) - bx - b)) / nb, 0)
-    history = [res]
-    k = 0
-    while res > config.tol and k < config.k_max:
-        x = factor.solve(spmv(ON, x) + bx + b)
-        k += 1
-        bx = spmv(B, np.abs(x))
-        res = _guard(float(np.linalg.norm(spmv(A, x) - bx - b)) / nb, k)
-        history.append(res)
-    elapsed = time.perf_counter() - t0
-    return SolveReport(
-        converged=res <= config.tol,
-        iterations=k,
-        final_res=res,
-        res_history=np.array(history) if config.record_history else np.empty(0),
-        inner_iters=np.empty(0, dtype=int),
-        wall_time_s=elapsed,
-        x=x,
-        warnings=splitting.warnings,
-    )
-
-
-def inms_solve(problem, splitting, omega=None, config=None):
-    """Inexact Newton-based matrix-splitting iteration.
-
-    At outer step k the linear system ``(Omega + M) y = c_k`` with
-    ``c_k = (Omega + N) x_k + B |x_k| + b`` is solved by LSQR, warm-started
-    at ``x_k``, only until its residual drops below
-    ``theta_k * norm(F(x_k))``. Requires ``config.inner == "lsqr"``.
-    """
-    config = config or SolverConfig(inner="lsqr")
-    if config.inner != "lsqr":
-        raise ConfigurationError("inms_solve requires config.inner == 'lsqr'")
-    t0 = time.perf_counter()
-    n = problem.A.n_rows
-    om = _solver_omega(splitting, omega, n)
-    OM = sparse_add(om, splitting.M)
-    ON = sparse_add(om, splitting.N)
-    B, b = problem.B, problem.b
-    nb = float(np.linalg.norm(b))
-    if nb == 0.0:
-        raise ParameterError("b is zero; the RES stopping rule is undefined")
+    direct = config.inner == "direct"
+    if direct:
+        factor = lu_factorize(OM)
     max_inner = config.max_inner
     if max_inner is None:
         max_inner = int(math.ceil(10.0 * math.sqrt(n)))
 
     x = expand_x0(config.x0, n)
-    F = residual(problem, x)
-    f_norm = float(np.linalg.norm(F))
+    # B|x| serves both the residual at x and the next right-hand side
+    bx = spmv(B, np.abs(x))
+    f_norm = float(np.linalg.norm(spmv(A, x) - bx - b))
     res = _guard(f_norm / nb, 0)
     history = [res]
     inner_iters = []
     warnings = list(splitting.warnings)
     k = 0
     while res > config.tol and k < config.k_max:
-        if f_norm == 0.0:
-            break  # x is an exact solution
-        theta_k = theta_at(config.theta, k)
-        target = theta_k * f_norm
-        c = spmv(ON, x) + spmv(B, np.abs(x)) + b
-        out = lsqr(OM, c, target, max_inner, warm_start=x)
-        if out.stop_reason == "max_iter":
-            warnings.append(
-                f"inner lsqr hit max_iter={max_inner} at outer step {k} "
-                f"(residual {out.residual_norm:.3e}, target {target:.3e})"
-            )
-        elif target > 0.0 and out.residual_norm > target:
-            warnings.append(
-                f"inner lsqr stopped ({out.stop_reason}) above target at outer "
-                f"step {k} (residual {out.residual_norm:.3e}, target {target:.3e})"
-            )
-        x = out.x
-        inner_iters.append(out.iterations)
+        c = spmv(ON, x) + bx + b
+        if direct:
+            x = factor.solve(c)
+        else:
+            target = theta_at(config.theta, k) * f_norm
+            out = lsqr(OM, c, target, max_inner, warm_start=x)
+            if out.stop_reason == "max_iter":
+                warnings.append(
+                    f"inner lsqr hit max_iter={max_inner} at outer step {k} "
+                    f"(residual {out.residual_norm:.3e}, target {target:.3e})"
+                )
+            elif target > 0.0 and out.residual_norm > target:
+                warnings.append(
+                    f"inner lsqr stopped ({out.stop_reason}) above target at outer "
+                    f"step {k} (residual {out.residual_norm:.3e}, target {target:.3e})"
+                )
+            x = out.x
+            inner_iters.append(out.iterations)
         k += 1
-        F = residual(problem, x)
-        f_norm = float(np.linalg.norm(F))
+        bx = spmv(B, np.abs(x))
+        f_norm = float(np.linalg.norm(spmv(A, x) - bx - b))
         res = _guard(f_norm / nb, k)
         history.append(res)
     elapsed = time.perf_counter() - t0
@@ -287,6 +243,33 @@ def inms_solve(problem, splitting, omega=None, config=None):
     )
 
 
+def nms_solve(problem, splitting, omega=None, config=None):
+    """Exact Newton-based matrix-splitting iteration.
+
+    Pre-factorizes Omega + M once and iterates until the relative residual
+    drops to ``config.tol`` or ``config.k_max`` steps are taken. Requires
+    ``config.inner == "direct"``.
+    """
+    config = config or SolverConfig()
+    if config.inner != "direct":
+        raise ConfigurationError("nms_solve requires config.inner == 'direct'")
+    return _iterate(problem, splitting, omega, config)
+
+
+def inms_solve(problem, splitting, omega=None, config=None):
+    """Inexact Newton-based matrix-splitting iteration.
+
+    At outer step k the linear system ``(Omega + M) y = c_k`` with
+    ``c_k = (Omega + N) x_k + B |x_k| + b`` is solved by LSQR, warm-started
+    at ``x_k``, only until its residual drops below
+    ``theta_k * norm(F(x_k))``. Requires ``config.inner == "lsqr"``.
+    """
+    config = config or SolverConfig(inner="lsqr")
+    if config.inner != "lsqr":
+        raise ConfigurationError("inms_solve requires config.inner == 'lsqr'")
+    return _iterate(problem, splitting, omega, config)
+
+
 def verify_inexact_condition(problem, splitting, omega, x_prev, x_next, theta_k, f_norm):
     """Recompute the inexact-step inequality from scratch.
 
@@ -295,10 +278,7 @@ def verify_inexact_condition(problem, splitting, omega, x_prev, x_next, theta_k,
     <= theta_k * f_norm`` with ``f_norm = norm(F(x_prev))`` supplied by the
     caller.
     """
-    n = problem.A.n_rows
-    om = _solver_omega(splitting, omega, n)
-    OM = sparse_add(om, splitting.M)
-    ON = sparse_add(om, splitting.N)
+    OM, ON = _shifted_pair(splitting, omega, problem.A.n_rows)
     c = spmv(ON, x_prev) + spmv(problem.B, abs_vec(x_prev)) + problem.b
     lhs = float(np.linalg.norm(spmv(OM, x_next) - c))
     return lhs <= theta_k * f_norm

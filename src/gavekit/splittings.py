@@ -84,8 +84,11 @@ class SplittingKind:
 class Splitting:
     """An (M, N) pair with M - N = A, plus the shift the method implies.
 
-    ``implied_omega`` is set only for the nmn and drs kinds, whose
-    definition fixes the shift matrix.
+    ``implied_omega`` is set for the kinds whose definition fixes the shift
+    matrix: picard (zero), drs ((2/gamma - 1) * A) and nmn (the Omega it
+    was built with). The solvers use it and reject a supplied shift; for
+    the other kinds it is None and the solvers take the shift they are
+    given.
     """
 
     kind: SplittingKind
@@ -184,9 +187,10 @@ def triangular_parts(A):
 def build_splitting(A, kind, omega=None):
     """Construct the (M, N) pair for a named splitting of A.
 
-    ``omega`` is consulted only where the method definition needs it:
-    nmn requires a resolvable shift; picard accepts only a zero shift;
-    drs rejects a caller-supplied shift since it pins its own.
+    ``omega`` is consulted only by the kinds that pin their shift (see
+    :class:`Splitting`): nmn requires it and pins it; picard and drs pin
+    their own and accept only ``None`` or a zero shift. The other kinds
+    ignore it; their shift is passed to the solver instead.
     """
     if not A.is_square:
         raise DimensionError("build_splitting requires a square matrix")
@@ -196,20 +200,19 @@ def build_splitting(A, kind, omega=None):
     name = kind.name
     warnings = ()
 
-    if name in ("picard", "mn"):
-        if name == "picard" and omega is not None:
-            resolved = resolve_omega(omega, n)
-            if resolved.nnz and resolved.max_abs() != 0.0:
-                raise ConfigurationError("picard requires a zero shift matrix")
-        return Splitting(kind, M=A, N=zeros(n))
-
-    if name == "drs":
-        if omega is not None:
+    if name in ("picard", "drs"):
+        if omega is not None and resolve_omega(omega, n).max_abs() != 0.0:
             raise ConfigurationError(
-                "drs pins its own shift matrix (2/gamma - 1) * A; do not supply one"
+                f"{name} pins its own shift matrix; a supplied one must be zero"
             )
-        implied = sparse_scale(2.0 / kind.gamma - 1.0, A)
+        if name == "picard":
+            implied = zeros(n)
+        else:
+            implied = sparse_scale(2.0 / kind.gamma - 1.0, A)
         return Splitting(kind, M=A, N=zeros(n), implied_omega=implied)
+
+    if name == "mn":
+        return Splitting(kind, M=A, N=zeros(n))
 
     if name == "nmn":
         if omega is None:

@@ -10,12 +10,14 @@ from gavekit import (
     GaveProblem,
     OmegaSpec,
     ResultRow,
+    SolverConfig,
     SpecError,
     SplittingKind,
     build_splitting,
     emit_table,
     gen_example41,
     identity,
+    inms_solve,
     nms_solve,
     parse_spec,
     run_experiment,
@@ -116,13 +118,6 @@ class TestRunExperiment:
             assert row.converged
             assert row.RES <= 1e-6
 
-    def test_threaded_matches_serial(self):
-        spec = parse_spec(SPEC_TEXT)
-        serial = run_experiment(spec, threads=1)
-        threaded = run_experiment(spec, threads=3)
-        for a, b in zip(serial, threaded):
-            assert (a.method, a.n, a.IT, a.RES) == (b.method, b.n, b.IT, b.RES)
-
     def test_divergent_row_continues(self, tmp_path):
         from gavekit import save_problem
 
@@ -155,6 +150,27 @@ class TestRunMethod:
         method = parse_method_line("drs gamma=1.0 omega=mhat")
         with pytest.raises(SpecError, match="drs"):
             run_method(prob, method, hat_m=hat)
+
+    @pytest.mark.parametrize("inner", ["direct", "lsqr"])
+    @pytest.mark.parametrize(
+        "line",
+        ["picard omega=zero", "mn omega=mhat", "nmn omega=mhat", "drs gamma=1 omega=zero"],
+    )
+    def test_matches_library_calls(self, line, inner):
+        # the spec route reaches the same solve as building the splitting by hand
+        _, prob, hat = gen_example41(6, 4.0)
+        method = parse_method_line(f"{line} inner={inner}")
+        report, _ = run_method(prob, method, hat_m=hat)
+        omega = OmegaSpec.scaled(1.0, hat) if "mhat" in line else None
+        if method.kind.name == "nmn":
+            splitting, omega = build_splitting(prob.A, method.kind, omega), None
+        else:
+            splitting = build_splitting(prob.A, method.kind)
+        solve = nms_solve if inner == "direct" else inms_solve
+        want = solve(prob, splitting, omega, SolverConfig(inner=inner))
+        assert report.iterations == want.iterations
+        assert report.final_res == want.final_res
+        np.testing.assert_array_equal(report.x, want.x)
 
 
 class TestTuneAlpha:

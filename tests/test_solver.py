@@ -243,6 +243,14 @@ class TestInmsSolve:
             inms_solve(prob, s, None, SolverConfig(inner="direct"))
 
 
+@pytest.mark.parametrize("solve, inner", [(nms_solve, "direct"), (inms_solve, "lsqr")])
+def test_picard_rejects_nonzero_omega(rng, solve, inner):
+    prob = _random_problem(rng, 6)
+    s = build_splitting(prob.A, "picard")
+    with pytest.raises(ConfigurationError):
+        solve(prob, s, OmegaSpec.scalar(1.0), SolverConfig(inner=inner))
+
+
 class TestVerifyInexactCondition:
     def test_exact_step_passes_for_positive_theta(self, rng):
         # the LU residual is far below theta * ||F||, down to tiny theta

@@ -156,6 +156,19 @@ class TestBuildSplitting:
         with pytest.raises(ConfigurationError):
             build_splitting(A, SplittingKind("drs", gamma=gamma), OmegaSpec.scalar(1.0))
 
+    def test_drs_accepts_zero_omega(self, rng):
+        A = random_dominant(rng, 8)
+        kind = SplittingKind("drs", gamma=0.6)
+        s = build_splitting(A, kind, OmegaSpec.zero())
+        np.testing.assert_array_equal(
+            s.implied_omega.to_dense(), build_splitting(A, kind).implied_omega.to_dense()
+        )
+
+    def test_picard_pins_zero_omega(self, rng):
+        A = random_dominant(rng, 6)
+        s = build_splitting(A, "picard")
+        assert s.implied_omega.shape == (6, 6) and s.implied_omega.nnz == 0
+
     def test_picard_rejects_nonzero_omega(self, rng):
         A = random_dominant(rng, 6)
         build_splitting(A, "picard", OmegaSpec.zero())  # fine
