@@ -38,7 +38,7 @@ __all__ = [
 # Relative width of the band around lhs == rhs flagged as marginal.
 _MARGINAL_BAND = 1e-4
 
-# Stagnation tolerance for the power iterations behind certificate norms;
+# Relative Ritz residual for the Lanczos runs behind certificate norms;
 # tighter than the library default so the values track dense oracles.
 _NORM_RTOL = 1e-10
 
@@ -103,6 +103,11 @@ class Certificate:
         )
 
 
+def _method(X, dense, iterative):
+    """Name the estimator linalg runs on X: dense up to DENSE_CUTOFF."""
+    return dense if max(X.shape) <= DENSE_CUTOFF else iterative
+
+
 class _Norms:
     """Collects (label, value, method) triples while evaluating a condition."""
 
@@ -111,13 +116,12 @@ class _Norms:
 
     def norm(self, X, label):
         v = spectral_norm(X, rel_tol=_NORM_RTOL)
-        self.details.append((label, v, "power_iteration"))
+        self.details.append((label, v, _method(X, "dense_svd", "lanczos")))
         return v
 
     def inv_norm(self, X, label):
-        s = min_singular_value(X)
-        method = "dense_svd" if X.n_rows <= DENSE_CUTOFF else "lu_inverse_iteration"
-        v = 1.0 / s
+        v = 1.0 / min_singular_value(X)
+        method = _method(X, "dense_svd", "lu_shift_invert_lanczos")
         self.details.append((label, v, method))
         return v
 
@@ -204,12 +208,11 @@ def check_scalar_omega(A, B, omega_scalar, theta):
             f"symmetric part is not positive definite (lambda_min = {lam_min:.3e})"
         )
     norms = _Norms()
-    n = A.n_rows
-    method = "dense_eigh" if n <= DENSE_CUTOFF else "shifted_power_iteration"
+    method = _method(H, "dense_eigh", "lu_shift_invert_lanczos")
     norms.record("lambda_min(H)", lam_min, method)
     norms.record("lambda_max(H)", lam_max, method)
     mu_max = skew_spectral_radius(S, rel_tol=_NORM_RTOL)
-    norms.record("mu_max(S)", mu_max, "power_iteration")
+    norms.record("mu_max(S)", mu_max, _method(S, "dense_svd", "lanczos"))
     tau = norms.norm(B, "tau = norm(B)")
     norms.record("omega", w)
     norms.record("theta", theta)

@@ -6,13 +6,13 @@ results:
 - every LU comes from :func:`lu_factorize`, whose SuperLU call pins the
   column ordering to minimum degree on ``A.T + A`` (``MMD_AT_PLUS_A``) and
   the pivoting to row partial pivoting with threshold 1.0;
-- the inverse iterations (``min_singular_value`` on its sparse path and
-  ``symmetric_eig_extremes``) start from a seeded pseudo-random unit
-  vector. A structured start such as (1, -1, 1, ...) is exactly orthogonal
-  to the smooth lowest mode of a grid Laplacian with an even side, and the
-  iteration would then lock onto the next mode;
-- ``spectral_norm`` (and so ``skew_spectral_radius``) starts from the
-  alternating-sign vector, perturbed if that lies in the null space.
+- the norm and eigenvalue estimators give dense LAPACK answers for
+  matrices of order at most :data:`DENSE_CUTOFF`; above it all of them run
+  one Lanczos kernel (ARPACK ``eigsh``, stopping on the Ritz residual)
+  started from a seeded pseudo-random unit vector. No estimator uses a
+  structured start such as (1, -1, 1, ...): it is exactly orthogonal to
+  the smooth lowest mode of a grid Laplacian with an even side, and the
+  iteration would then lock onto the next mode.
 """
 
 from __future__ import annotations
@@ -46,8 +46,8 @@ __all__ = [
 # block tridiagonal Omega + M it gives less fill than the COLAMD default.
 _ORDERING = "MMD_AT_PLUS_A"
 
-# Matrices of at most this order get exact dense LAPACK answers in
-# min_singular_value and symmetric_eig_extremes; larger ones are iterated.
+# Matrices of at most this order get exact dense LAPACK answers from every
+# norm and eigenvalue estimator; larger ones go to the Lanczos kernel.
 DENSE_CUTOFF = 500
 
 # Pivots smaller than this times the infinity norm count as singular.
@@ -253,7 +253,7 @@ def lsqr(A, rhs, target_residual, max_iter, warm_start=None):
 
 
 def _seeded_start(n):
-    """Seeded pseudo-random unit vector for the inverse iterations.
+    """Seeded pseudo-random unit start vector for the Lanczos iteration.
 
     Unlike a structured vector it has, almost surely, a component along
     every eigenvector, so the iteration cannot miss the wanted mode.
@@ -262,115 +262,95 @@ def _seeded_start(n):
     return v / np.linalg.norm(v)
 
 
-def _inverse_iteration(apply_inverse, n, rel_tol, max_iter, what):
-    """Power iteration on the inverse of a positive definite matrix.
+def _lanczos_top(apply, n, rel_tol, max_iter, what, finish):
+    """``finish`` of the largest eigenvalue of a symmetric PSD operator.
 
-    ``apply_inverse(v)`` applies that inverse. Starts from
-    :func:`_seeded_start` and returns the top Rayleigh quotient once it has
-    changed by less than ``rel_tol`` (relatively) for 3 consecutive steps.
+    ``apply(v)`` applies the operator; ``finish`` maps its top eigenvalue to
+    the estimated quantity. Runs ARPACK's implicitly restarted Lanczos
+    (``eigsh``) from :func:`_seeded_start`; it stops once the Ritz residual
+    is at most ``rel_tol`` times the Ritz value, or after ``max_iter``
+    restarts.
 
     Raises
     ------
     ConvergenceFailure
-        If the budget runs out; carries the last Rayleigh quotient.
+        If the restart budget runs out. ``best_estimate`` is ``finish`` of
+        the top Ritz value when ARPACK reports one as converged, else
+        ``None``.
+    NumericsError
+        If the operator produces a non-finite value.
     """
-    v = _seeded_start(n)
-    rho_prev = None
-    streak = 0
-    rho = 0.0
-    for _ in range(max_iter):
-        u = apply_inverse(v)
-        rho = float(v @ u)
-        if not np.isfinite(rho):
+
+    def matvec(v):
+        w = apply(v)
+        if not np.all(np.isfinite(w)):
             raise NumericsError(f"non-finite value in {what}")
-        nu = float(np.linalg.norm(u))
-        if nu == 0.0 or rho <= 0.0:
-            raise NumericsError(f"{what} collapsed")
-        v = u / nu
-        if rho_prev is not None and abs(rho - rho_prev) <= rel_tol * rho:
-            streak += 1
-            if streak >= 3:
-                return rho
-        else:
-            streak = 0
-        rho_prev = rho
-    raise ConvergenceFailure(
-        f"{what} did not converge in {max_iter} iterations", best_estimate=rho
-    )
+        return w
 
-
-def _start_vector(n):
-    """Deterministic alternating-sign start vector, unit norm."""
-    v = np.ones(n)
-    v[1::2] = -1.0
-    return v / np.linalg.norm(v)
-
-
-def _perturbed_start(n):
-    """Fallback start when the alternating vector lies in a null direction."""
-    v = _start_vector(n) + 0.5 * (np.arange(1, n + 1) / n)
-    return v / np.linalg.norm(v)
+    if n == 1:
+        # ARPACK needs more than one dimension; a 1 x 1 operator is its value
+        return float(finish(matvec(np.ones(1))[0]))
+    op = scipy.sparse.linalg.LinearOperator((n, n), matvec=matvec, dtype=float)
+    try:
+        lam = scipy.sparse.linalg.eigsh(
+            op,
+            k=1,
+            which="LA",
+            v0=_seeded_start(n),
+            tol=rel_tol,
+            maxiter=max_iter,
+            return_eigenvectors=False,
+        )[0]
+    except scipy.sparse.linalg.ArpackNoConvergence as exc:
+        found = exc.eigenvalues
+        raise ConvergenceFailure(
+            f"{what} did not converge in {max_iter} restarts",
+            best_estimate=float(finish(found[0])) if len(found) else None,
+        ) from None
+    return float(finish(lam))
 
 
 def spectral_norm(A, rel_tol=1e-8, max_iter=10000):
-    """Largest singular value by power iteration on ``A.T @ A``.
+    """Largest singular value.
 
-    Convergence is declared once the squared-norm Rayleigh quotient changes
-    by less than ``rel_tol`` (relatively) over 3 consecutive iterations.
+    Uses a dense SVD when ``max(A.shape) <= DENSE_CUTOFF``, and otherwise
+    Lanczos on ``A.T @ A`` to relative Ritz residual ``rel_tol`` within
+    ``max_iter`` ARPACK restarts.
 
     Raises
     ------
     ConvergenceFailure
-        If the budget runs out; the best estimate rides along on the
-        exception.
+        If the restart budget runs out; ``best_estimate`` carries the
+        converged singular value if ARPACK reported one, else ``None``.
     """
     if rel_tol <= 0:
         raise ParameterError("rel_tol must be positive")
     if A.nnz == 0 or A.max_abs() == 0.0:
         return 0.0
-    v = _start_vector(A.n_cols)
-    if np.linalg.norm(spmv(A, v)) == 0.0:
-        v = _perturbed_start(A.n_cols)
-    s2_prev = None
-    streak = 0
-    s2 = 0.0
-    restarted = False
-    for _ in range(max_iter):
-        w = spmv(A, v)
-        s2 = float(w @ w)
-        if not np.isfinite(s2):
-            raise NumericsError("non-finite value in power iteration")
-        if s2 == 0.0:
-            # iterate fell into the null space; restart once, else give up
-            if not restarted:
-                restarted = True
-                v = _perturbed_start(A.n_cols)
-                s2_prev, streak = None, 0
-                continue
-            return 0.0
-        t = spmv_transpose(A, w)
-        nt = float(np.linalg.norm(t))
-        if nt == 0.0:
-            return float(np.sqrt(s2))
-        v = t / nt
-        if s2_prev is not None and abs(s2 - s2_prev) <= rel_tol * s2:
-            streak += 1
-            if streak >= 3:
-                return float(np.sqrt(s2))
-        else:
-            streak = 0
-        s2_prev = s2
-    raise ConvergenceFailure(
-        f"spectral_norm did not converge in {max_iter} iterations",
-        best_estimate=float(np.sqrt(s2)),
+    if max(A.shape) <= DENSE_CUTOFF:
+        return float(np.linalg.norm(A.to_dense(), 2))
+    return _lanczos_top(
+        lambda v: spmv_transpose(A, spmv(A, v)),
+        A.n_cols,
+        rel_tol,
+        max_iter,
+        "spectral_norm",
+        np.sqrt,
     )
 
 
 def min_singular_value(A, rel_tol=1e-10, max_iter=10000, dense_cutoff=DENSE_CUTOFF):
     """Smallest singular value of a square nonsingular matrix.
 
-    Uses a dense SVD for ``n <= dense_cutoff`` and inverse power iteration
-    on ``(A.T A)^{-1}`` through the LU factors otherwise.
+    Uses a dense SVD for ``n <= dense_cutoff`` and otherwise Lanczos on
+    ``(A.T A)^{-1}``, applied through the LU factors, to relative Ritz
+    residual ``rel_tol`` within ``max_iter`` ARPACK restarts.
+
+    Raises
+    ------
+    ConvergenceFailure
+        If the restart budget runs out; ``best_estimate`` carries the
+        converged sigma_min if ARPACK reported one, else ``None``.
     """
     if not A.is_square:
         raise DimensionError("min_singular_value requires a square matrix")
@@ -385,19 +365,14 @@ def min_singular_value(A, rel_tol=1e-10, max_iter=10000, dense_cutoff=DENSE_CUTO
             )
         return smin
     factor = lu_factorize(A)  # raises SingularMatrixError when singular
-    try:
-        rho = _inverse_iteration(
-            lambda v: factor.solve(factor.solve(v, transpose=True)),
-            n,
-            rel_tol,
-            max_iter,
-            "min_singular_value",
-        )
-    except ConvergenceFailure as exc:
-        raise ConvergenceFailure(
-            str(exc), best_estimate=float(1.0 / np.sqrt(exc.best_estimate))
-        ) from None
-    return float(1.0 / np.sqrt(rho))
+    return _lanczos_top(
+        lambda v: factor.solve(factor.solve(v, transpose=True)),
+        n,
+        rel_tol,
+        max_iter,
+        "min_singular_value",
+        lambda rho: 1.0 / np.sqrt(rho),
+    )
 
 
 def _check_symmetry(A, sign, rel_tol, what):
@@ -419,11 +394,20 @@ def _check_symmetry(A, sign, rel_tol, what):
 def symmetric_eig_extremes(H, rel_tol=1e-11, max_iter=10000, dense_cutoff=DENSE_CUTOFF):
     """Extreme eigenvalues ``(lambda_min, lambda_max)`` of a symmetric matrix.
 
-    Symmetry is checked to 1e-12 relative. Small matrices go through a
-    dense solver. Larger ones use shifted inverse iteration: with the
-    Gershgorin bound g >= spectral radius, ``sigma I - H`` and
-    ``H + sigma I`` (sigma just beyond g) are positive definite and their
-    inverses expose the extreme eigenvalues with a wide spectral gap.
+    Symmetry is checked to 1e-12 relative. Matrices of order at most
+    ``dense_cutoff`` go through a dense solver. Larger ones use Lanczos on
+    shifted inverses: with the Gershgorin interval [lo, hi] containing the
+    spectrum, ``sigma_hi I - H`` and ``H - sigma_lo I`` (shifts just
+    beyond it) are positive definite, and the top eigenvalue of each
+    inverse, applied through its LU, exposes one extreme eigenvalue with a
+    wide spectral gap. Each Lanczos run stops at relative Ritz residual
+    ``rel_tol`` or after ``max_iter`` ARPACK restarts.
+
+    Raises
+    ------
+    ConvergenceFailure
+        If a restart budget runs out; ``best_estimate`` carries that
+        extreme eigenvalue if ARPACK reported it converged, else ``None``.
     """
     _check_symmetry(H, 1.0, 1e-12, "symmetric_eig_extremes")
     n = H.n_rows
@@ -432,7 +416,7 @@ def symmetric_eig_extremes(H, rel_tol=1e-11, max_iter=10000, dense_cutoff=DENSE_
         return float(eigs[0]), float(eigs[-1])
     if H.nnz == 0 or H.max_abs() == 0.0:
         return 0.0, 0.0
-    from .sparse import diag_matrix, sparse_scale, sparse_sub
+    from .sparse import diag_matrix, sparse_sub
 
     # per-row Gershgorin interval [lo, hi] containing the whole spectrum
     rows, cols, vals = H.coo_arrays()
@@ -447,16 +431,24 @@ def symmetric_eig_extremes(H, rel_tol=1e-11, max_iter=10000, dense_cutoff=DENSE_
 
     sigma_hi = hi + delta
     upper = lu_factorize(sparse_sub(diag_matrix(np.full(n, sigma_hi)), H))
-    rho_hi = _inverse_iteration(
-        upper.solve, n, rel_tol, max_iter, "symmetric_eig_extremes (max)"
+    lam_max = _lanczos_top(
+        upper.solve,
+        n,
+        rel_tol,
+        max_iter,
+        "symmetric_eig_extremes (max)",
+        lambda rho: sigma_hi - 1.0 / rho,
     )
-    lam_max = sigma_hi - 1.0 / rho_hi
     sigma_lo = lo - delta
     lower = lu_factorize(sparse_sub(H, diag_matrix(np.full(n, sigma_lo))))
-    rho_lo = _inverse_iteration(
-        lower.solve, n, rel_tol, max_iter, "symmetric_eig_extremes (min)"
+    lam_min = _lanczos_top(
+        lower.solve,
+        n,
+        rel_tol,
+        max_iter,
+        "symmetric_eig_extremes (min)",
+        lambda rho: sigma_lo + 1.0 / rho,
     )
-    lam_min = sigma_lo + 1.0 / rho_lo
     return float(lam_min), float(lam_max)
 
 

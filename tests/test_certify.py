@@ -14,6 +14,7 @@ from gavekit import (
     check_m_inverse,
     check_scalar_omega,
     diag_matrix,
+    gen_example41,
     hermitian_split,
     identity,
     min_singular_value,
@@ -314,6 +315,39 @@ class TestVerdicts:
         line = cert.format_line()
         assert line.startswith("ExactEq6 lhs=")
         assert "holds=true" in line
+
+
+@pytest.mark.parametrize(
+    "m, dense", [(10, True), (24, False)]  # n = 100 and 576 around DENSE_CUTOFF
+)
+class TestNormDetailMethods:
+    """Every norm_details method names the estimator that actually ran."""
+
+    def test_scalar_omega(self, m, dense):
+        p = gen_example41(m, 4.0)[1]
+        cert = check_scalar_omega(p.A, p.B, 2.0, 0.1)
+        methods = {d[0]: d[2] for d in cert.norm_details}
+        eig = "dense_eigh" if dense else "lu_shift_invert_lanczos"
+        norm = "dense_svd" if dense else "lanczos"
+        assert methods["lambda_min(H)"] == eig
+        assert methods["lambda_max(H)"] == eig
+        assert methods["mu_max(S)"] == norm
+        assert methods["tau = norm(B)"] == norm
+
+    def test_inexact(self, m, dense):
+        _, p, hat = gen_example41(m, 4.0)
+        s = build_splitting(p.A, "ngs")
+        cert = check_inexact(p.A, p.B, s.M, s.N, hat, 0.5)
+        methods = {d[0]: d[2] for d in cert.norm_details}
+        norm = "dense_svd" if dense else "lanczos"
+        inv = "dense_svd" if dense else "lu_shift_invert_lanczos"
+        assert methods == {
+            "norm((Omega+M)^-1)": inv,
+            "norm(Omega+M)": norm,
+            "norm(Omega+N)": norm,
+            "norm(B)": norm,
+            "theta": "input",
+        }
 
 
 class TestNormOracles:
