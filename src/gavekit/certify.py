@@ -164,8 +164,9 @@ def check_inexact(A, B, M, N, omega, theta):
     """norm((Omega+M)^-1) < 1 / (theta*(sums of norms) + norm(Omega+N) + norm(B))."""
     theta = _check_theta(theta)
     norms = _Norms()
-    inv = norms.inv_norm(sparse_add(omega, M), "norm((Omega+M)^-1)")
-    n_om = norms.norm(sparse_add(omega, M), "norm(Omega+M)")
+    OM = sparse_add(omega, M)
+    inv = norms.inv_norm(OM, "norm((Omega+M)^-1)")
+    n_om = norms.norm(OM, "norm(Omega+M)")
     n_on = norms.norm(sparse_add(omega, N), "norm(Omega+N)")
     n_b = norms.norm(B, "norm(B)")
     norms.record("theta", theta)
@@ -250,10 +251,11 @@ def check_corollary(kind, A=None, B=None, M=None, N=None, omega=None, theta=0.0,
         need(A=A, B=B, omega=omega)
         n_b = norms.norm(B, "norm(B)")
         n_o = norms.norm(omega, "norm(Omega)")
-        n_oa = norms.norm(sparse_add(omega, A), "norm(Omega+A)")
+        OA = sparse_add(omega, A)
+        n_oa = norms.norm(OA, "norm(Omega+A)")
         norms.record("theta", theta)
         if kind is Condition.COR31:
-            lhs = norms.inv_norm(sparse_add(omega, A), "norm((Omega+A)^-1)")
+            lhs = norms.inv_norm(OA, "norm((Omega+A)^-1)")
             rhs = 1.0 / (n_b + n_o + theta * (n_oa + n_b + n_o))
         else:
             lhs = norms.inv_norm(A, "norm(A^-1)")
@@ -263,11 +265,12 @@ def check_corollary(kind, A=None, B=None, M=None, N=None, omega=None, theta=0.0,
     if kind in (Condition.COR33A, Condition.COR33B):
         need(A=A, B=B, omega=omega)
         n_b = norms.norm(B, "norm(B)")
-        n_oa = norms.norm(sparse_add(omega, A), "norm(Omega+A)")
+        OA = sparse_add(omega, A)
+        n_oa = norms.norm(OA, "norm(Omega+A)")
         n_oma = norms.norm(sparse_sub(omega, A), "norm(Omega-A)")
         norms.record("theta", theta)
         if kind is Condition.COR33A:
-            lhs = norms.inv_norm(sparse_add(omega, A), "norm((Omega+A)^-1)")
+            lhs = norms.inv_norm(OA, "norm((Omega+A)^-1)")
             rhs = 1.0 / (2.0 * n_b + n_oma + theta * (n_oa + 2.0 * n_b + n_oma))
         else:
             n_o = norms.norm(omega, "norm(Omega)")
@@ -288,11 +291,12 @@ def check_corollary(kind, A=None, B=None, M=None, N=None, omega=None, theta=0.0,
 
     if kind in (Condition.COR35A, Condition.COR35B):
         need(M=M, N=N, omega=omega)
-        n_om = norms.norm(sparse_add(omega, M), "norm(Omega+M)")
+        OM = sparse_add(omega, M)
+        n_om = norms.norm(OM, "norm(Omega+M)")
         n_on = norms.norm(sparse_add(omega, N), "norm(Omega+N)")
         norms.record("theta", theta)
         if kind is Condition.COR35A:
-            lhs = norms.inv_norm(sparse_add(omega, M), "norm((Omega+M)^-1)")
+            lhs = norms.inv_norm(OM, "norm((Omega+M)^-1)")
             rhs = 1.0 / (theta * (n_om + n_on + 1.0) + n_on + 1.0)
         else:
             n_o = norms.norm(omega, "norm(Omega)")

@@ -1,4 +1,4 @@
-"""Factorizations and iterative estimators on sparse matrices.
+"""Factorizations, the inner least-squares solve and iterative estimators.
 
 Everything here is deterministic, so repeated runs produce identical
 results:
@@ -6,6 +6,8 @@ results:
 - every LU comes from :func:`lu_factorize`, whose SuperLU call pins the
   column ordering to minimum degree on ``A.T + A`` (``MMD_AT_PLUS_A``) and
   the pivoting to row partial pivoting with threshold 1.0;
+- :func:`lsqr`, the inexact solver's inner solve, is scipy's
+  Paige-Saunders ``lsqr`` run on the warm-start-shifted system;
 - the norm and eigenvalue estimators give dense LAPACK answers for
   matrices of order at most :data:`DENSE_CUTOFF`; above it all of them run
   one Lanczos kernel (ARPACK ``eigsh``, stopping on the Ritz residual)
@@ -52,12 +54,6 @@ DENSE_CUTOFF = 500
 
 # Pivots smaller than this times the infinity norm count as singular.
 _PIVOT_TOL = 1e-14
-
-# Relative improvement below which an LSQR iteration counts as stalled,
-# and the number of consecutive stalled iterations that stop the solve.
-_LSQR_STALL_RTOL = 1e-14
-_LSQR_STALL_LIMIT = 20
-
 
 class Factorization:
     """Sparse LU decomposition reusable across right-hand sides.
@@ -131,125 +127,52 @@ class LsqrOutcome:
 
 
 def lsqr(A, rhs, target_residual, max_iter, warm_start=None):
-    """Golub-Kahan bidiagonalization least-squares solver.
+    """Least-squares solve of ``A x = rhs`` to an absolute residual target.
 
-    Iterates until ``norm(A @ x - rhs) <= target_residual``, the iteration
-    budget is exhausted, or the residual estimate stalls (no relative
-    improvement of 1e-14 over 20 consecutive iterations).
-
-    Parameters
-    ----------
-    A : SparseMatrix
-        System matrix, square or rectangular.
-    rhs : array
-        Right-hand side, length ``A.n_rows``.
-    target_residual : float
-        Absolute residual norm to reach; 0 means "as far as possible".
-    max_iter : int
-        Iteration budget.
-    warm_start : array, optional
-        Initial iterate; the solver works on the shifted system
-        ``A d = rhs - A @ warm_start`` and returns ``warm_start + d``.
-
-    Returns
-    -------
-    LsqrOutcome
-        Hitting ``max_iter`` is reported in ``stop_reason``, not raised.
+    Runs scipy's Paige-Saunders LSQR on the shifted system ``A d = r0``,
+    ``r0 = rhs - A @ warm_start`` (zero by default), with ``btol =
+    target_residual / norm(r0)`` and ``atol``, ``conlim`` off, and returns
+    ``warm_start + d``. ``A`` may be rectangular; a target of 0 means "as
+    far as possible". ``iterations`` is scipy's ``itn``; ``residual_norm``
+    is recomputed from the returned iterate. ``stop_reason`` is
+    "target_met" when that residual is at most the target, else "max_iter"
+    when scipy spent the ``max_iter`` budget (``istop == 7``), else
+    "stagnation". Hitting ``max_iter`` is reported, not raised.
     """
     if target_residual < 0:
         raise ParameterError("target_residual must be nonnegative")
     if max_iter < 0:
         raise ParameterError("max_iter must be nonnegative")
     rhs = as_vector(rhs, A.n_rows, "rhs")
-    n = A.n_cols
-    if warm_start is None:
-        x0 = np.zeros(n)
-        u = rhs.copy()
-    else:
-        x0 = as_vector(warm_start, n, "warm_start").copy()
-        u = rhs - spmv(A, x0)
-    if not np.all(np.isfinite(u)):
+    x0 = np.zeros(A.n_cols)
+    if warm_start is not None:
+        x0[:] = as_vector(warm_start, A.n_cols, "warm_start")
+    r0 = rhs - spmv(A, x0)
+    if not np.all(np.isfinite(r0)):
         raise NumericsError("non-finite values in lsqr inputs")
-
-    def _finish(d, iterations, reached_estimate):
-        x = x0 + d
-        actual = float(np.linalg.norm(spmv(A, x) - rhs))
-        if actual <= target_residual:
-            reason = "target_met"
-        else:
-            reason = reached_estimate
-        return LsqrOutcome(x, actual, iterations, reason)
-
-    beta = float(np.linalg.norm(u))
+    beta = float(np.linalg.norm(r0))
     if beta <= target_residual:
         return LsqrOutcome(x0, beta, 0, "target_met")
     if max_iter == 0:
         return LsqrOutcome(x0, beta, 0, "max_iter")
-    u = u / beta
-    v = spmv_transpose(A, u)
-    alpha = float(np.linalg.norm(v))
-    if alpha == 0.0:
-        # rhs orthogonal to the range: x0 is already least-squares optimal
-        return LsqrOutcome(x0, beta, 0, "stagnation")
-    v = v / alpha
-    w = v.copy()
-    d = np.zeros(n)
-    phibar, rhobar = beta, alpha
-    est_best = beta
-    est_stalled = 0
-    recheck_below = np.inf
-    # once the estimate claims progress below what float64 can represent for
-    # this system, only the recomputed residual can certify further progress
-    floor = np.finfo(float).eps * max(beta, float(np.linalg.norm(rhs)))
-    true_best = beta
-    true_stalled = 0
-    for it in range(1, max_iter + 1):
-        u = spmv(A, v) - alpha * u
-        beta = float(np.linalg.norm(u))
-        if beta > 0.0:
-            u /= beta
-        v = spmv_transpose(A, u) - beta * v
-        alpha = float(np.linalg.norm(v))
-        if alpha > 0.0:
-            v /= alpha
-        rho = float(np.hypot(rhobar, beta))
-        if rho == 0.0:
-            # Krylov breakdown: the recurrence cannot move further
-            return _finish(d, it, "stagnation")
-        c, s = rhobar / rho, beta / rho
-        theta = s * alpha
-        rhobar = -c * alpha
-        phi = c * phibar
-        phibar = s * phibar
-        d += (phi / rho) * w
-        w = v - (theta / rho) * w
-        if not np.isfinite(phibar) or not np.isfinite(alpha):
-            raise NumericsError(f"non-finite lsqr recurrence at iteration {it}")
-        if phibar <= target_residual and phibar <= recheck_below:
-            out = _finish(d, it, None)
-            if out.stop_reason == "target_met":
-                return out
-            # estimate was optimistic; demand real progress before retrying
-            recheck_below = phibar * 0.9
-        if phibar < est_best * (1.0 - _LSQR_STALL_RTOL):
-            est_best = phibar
-            est_stalled = 0
-        else:
-            est_stalled += 1
-            if est_stalled >= _LSQR_STALL_LIMIT:
-                return _finish(d, it, "stagnation")
-        if phibar <= floor:
-            actual = float(np.linalg.norm(spmv(A, x0 + d) - rhs))
-            if actual <= target_residual:
-                return LsqrOutcome(x0 + d, actual, it, "target_met")
-            if actual < true_best * (1.0 - _LSQR_STALL_RTOL):
-                true_best = actual
-                true_stalled = 0
-            else:
-                true_stalled += 1
-                if true_stalled >= _LSQR_STALL_LIMIT:
-                    return LsqrOutcome(x0 + d, actual, it, "stagnation")
-    return _finish(d, max_iter, "max_iter")
+    S = A.to_scipy()  # an operator, not S: scipy copies S.T.conj() per call
+    op = scipy.sparse.linalg.LinearOperator(
+        S.shape, matvec=S.dot, rmatvec=S.T.dot, dtype=float
+    )
+    d, istop, itn = scipy.sparse.linalg.lsqr(
+        op, r0, atol=0.0, btol=target_residual / beta, conlim=0.0, iter_lim=max_iter
+    )[:3]
+    x = x0 + d
+    if not np.all(np.isfinite(x)):
+        raise NumericsError(f"non-finite lsqr iterate after {itn} iterations")
+    actual = float(np.linalg.norm(spmv(A, x) - rhs))
+    if actual <= target_residual:
+        reason = "target_met"
+    elif istop == 7:
+        reason = "max_iter"
+    else:
+        reason = "stagnation"
+    return LsqrOutcome(x, actual, int(itn), reason)
 
 
 def _seeded_start(n):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import gavekit.certify
 from gavekit import (
     Condition,
     ParameterError,
@@ -18,6 +19,7 @@ from gavekit import (
     hermitian_split,
     identity,
     min_singular_value,
+    sparse_add,
     sparse_scale,
     spectral_norm,
     zeros,
@@ -121,6 +123,19 @@ class TestCheckInexact:
         A = random_dominant(rng, 5)
         with pytest.raises(ParameterError):
             check_inexact(A, zeros(5), A, zeros(5), zeros(5), 1.0)
+
+    def test_assembles_each_shifted_sum_once(self, monkeypatch):
+        _, p, hat = gen_example41(6, 4.0)
+        s = build_splitting(p.A, "ngs")
+        calls = []
+
+        def counting_add(X, Y):
+            calls.append((X, Y))
+            return sparse_add(X, Y)
+
+        monkeypatch.setattr(gavekit.certify, "sparse_add", counting_add)
+        check_inexact(p.A, p.B, s.M, s.N, hat, 0.5)
+        assert len(calls) == 2  # Omega+M and Omega+N
 
 
 class TestCheckMInverse:

@@ -135,12 +135,32 @@ class TestLsqr:
         assert out.residual_norm == pytest.approx(actual, rel=1e-12)
         assert out.residual_norm <= 1e-8
 
-    def test_max_iter_reported_not_raised(self, rng):
+    @pytest.mark.parametrize(
+        "max_iter, warm",
+        [(2, False), (0, True)],
+        ids=["budget2", "budget0-warm"],
+    )
+    def test_max_iter_reported_not_raised(self, rng, max_iter, warm):
         A = random_dominant(rng, 30)
         b = rng.uniform(-1, 1, 30)
-        out = lsqr(A, b, 1e-14, 2)
+        w = rng.uniform(-1, 1, 30) if warm else None
+        out = lsqr(A, b, 1e-14, max_iter, warm_start=w)
         assert out.stop_reason == "max_iter"
-        assert out.iterations == 2
+        assert out.iterations == max_iter
+        if warm:
+            np.testing.assert_array_equal(out.x, w)
+
+    def test_rectangular_least_squares(self, rng):
+        # inconsistent 60 x 25 system: the target lies below the least-squares
+        # residual, so the solve must end at the minimizer and say it stalled
+        A = random_sparse(rng, 60, 25, density=0.4)
+        b = rng.uniform(-1, 1, 60)
+        ref = np.linalg.lstsq(A.to_dense(), b, rcond=None)[0]
+        floor = np.linalg.norm(A.to_dense() @ ref - b)
+        out = lsqr(A, b, 0.5 * floor, 500)
+        np.testing.assert_allclose(out.x, ref, rtol=0, atol=1e-8)
+        assert out.stop_reason == "stagnation"
+        assert out.residual_norm == np.linalg.norm(spmv(A, out.x) - b)
 
     def test_warm_start_contract(self, rng):
         A = random_dominant(rng, 20)

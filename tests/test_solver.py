@@ -242,6 +242,27 @@ class TestInmsSolve:
         with pytest.raises(ConfigurationError):
             inms_solve(prob, s, None, SolverConfig(inner="direct"))
 
+    @pytest.mark.parametrize(
+        "method, inner",
+        [
+            (
+                "nj",
+                [1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 2, 1, 2, 1, 2, 1, 2, 1, 2, 1],
+            ),
+            ("ngs", [1, 1, 2, 1, 1, 1, 2, 2, 1, 1, 2, 1, 1, 2, 2, 3, 2]),
+        ],
+    )
+    def test_inner_iterations_pinned(self, method, inner):
+        # per-step LSQR counts on example41 m = 30, mu = 4, Omega = hatM
+        _, prob, hat = gen_example41(30, 4.0)
+        s = build_splitting(prob.A, method)
+        report = inms_solve(
+            prob, s, OmegaSpec.scaled(1.0, hat), SolverConfig(inner="lsqr")
+        )
+        assert report.converged
+        assert report.iterations == len(inner)
+        assert report.inner_iters.tolist() == inner
+
 
 @pytest.mark.parametrize("solve, inner", [(nms_solve, "direct"), (inms_solve, "lsqr")])
 def test_picard_rejects_nonzero_omega(rng, solve, inner):
