@@ -196,7 +196,7 @@ class SparseMatrix:
         return self.transpose()
 
     def coo_arrays(self):
-        """Return (rows, cols, values) in row-major order."""
+        """Return new (rows, cols, values) arrays, in row-major order."""
         rows = np.repeat(np.arange(self.n_rows, dtype=np.int64), np.diff(self.row_ptr))
         return rows, self.col_idx.copy(), self.values.copy()
 

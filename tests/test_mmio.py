@@ -1,5 +1,8 @@
 """Matrix Market and vector file round trips."""
 
+import pathlib
+import re
+
 import numpy as np
 import pytest
 
@@ -11,8 +14,13 @@ from gavekit import (
     write_matrix_market,
     write_vector,
 )
+from gavekit.mmio import _CHUNK
+from gavekit.problems import load_problem, save_problem
 
 from conftest import random_sparse
+
+_HEAD = "%%MatrixMarket matrix coordinate real general\n"
+_MM = _HEAD + "2 2 1\n"
 
 
 def test_matrix_round_trip_bit_exact(tmp_path, rng):
@@ -104,3 +112,63 @@ def test_vector_bad_value(tmp_path):
     path.write_text("1.0\nnot-a-number\n")
     with pytest.raises(FormatError):
         read_vector(path)
+
+
+@pytest.mark.filterwarnings("error")
+def test_empty_bodies_round_trip_without_warnings(tmp_path):
+    Z = SparseMatrix.from_coo(3, 3, [], [], [])
+    write_matrix_market(tmp_path / "z.mtx", Z)
+    B = read_matrix_market(tmp_path / "z.mtx")
+    assert B.shape == (3, 3) and B.nnz == 0
+    write_vector(tmp_path / "e.txt", np.array([]))
+    assert read_vector(tmp_path / "e.txt").shape == (0,)
+    # a body of only blank and comment lines is empty too
+    path = tmp_path / "c.mtx"
+    path.write_text(_HEAD + "2 2 0\n\n% c\n")
+    assert read_matrix_market(path).nnz == 0
+
+
+@pytest.mark.parametrize(
+    "reader, text",
+    [
+        pytest.param(read_matrix_market, _MM + "1 1 2.0 7\n", id="four-columns"),
+        pytest.param(read_matrix_market, _MM + "1 1 abc\n", id="non-numeric"),
+        pytest.param(read_matrix_market, _MM + "1.5 1 2.0\n", id="non-integer"),
+        pytest.param(read_matrix_market, _MM + "1 1 2.0\n2 2 3.0\n", id="too-many"),
+        pytest.param(read_vector, "1.0\nnot-a-number\n", id="vector-bad-line"),
+        pytest.param(read_vector, "1.0 2.0\n", id="vector-two-values"),
+    ],
+)
+def test_rejections_name_the_path(tmp_path, reader, text):
+    path = tmp_path / "bad"
+    path.write_text(text)
+    with pytest.raises(FormatError, match=re.escape(str(path))):
+        reader(path)
+
+
+def test_output_matches_per_line_reference_across_chunks(tmp_path, rng):
+    n = 2 * _CHUNK + 37
+    rows = rng.permutation(n)
+    cols = rng.integers(0, 50, n)
+    vals = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
+    vals[:3] = [0.0, -0.0, 5e-324]
+    A = SparseMatrix.from_coo(n, 50, rows, cols, vals)
+    write_matrix_market(tmp_path / "a.mtx", A)
+    r, c, v = A.coo_arrays()
+    expected = "".join(f"{i + 1} {j + 1} {x:.16e}\n" for i, j, x in zip(r, c, v))
+    text = (tmp_path / "a.mtx").read_text()
+    assert text == _HEAD + f"{n} 50 {n}\n" + expected
+    B = read_matrix_market(tmp_path / "a.mtx")
+    np.testing.assert_array_equal(B.row_ptr, A.row_ptr)
+    np.testing.assert_array_equal(B.col_idx, A.col_idx)
+    np.testing.assert_array_equal(B.values, A.values)
+    write_vector(tmp_path / "v.txt", vals)
+    assert (tmp_path / "v.txt").read_text() == "".join(f"{x:.16e}\n" for x in vals)
+    np.testing.assert_array_equal(read_vector(tmp_path / "v.txt"), vals)
+
+
+def test_resave_of_golden_problem_is_byte_identical(tmp_path):
+    golden = pathlib.Path(__file__).parent / "data" / "certified_n8_seed42"
+    save_problem(load_problem(golden), tmp_path / "p")
+    for name in ["A.mtx", "B.mtx", "b.txt", "xstar.txt"]:
+        assert (tmp_path / "p" / name).read_bytes() == (golden / name).read_bytes()
