@@ -242,7 +242,6 @@ def run_method(problem, method, hat_m=None, tol=1e-6, k_max=500, repeats=1):
     if method.kind.name == "drs" and method.omega_token not in ("zero", "0"):
         raise SpecError("drs pins its own shift matrix; omit the omega option")
     splitting = build_splitting(problem.A, method.kind, omega_spec)
-    solver_omega = omega_spec if splitting.implied_omega is None else None
     config = SolverConfig(
         tol=tol,
         k_max=k_max,
@@ -255,7 +254,7 @@ def run_method(problem, method, hat_m=None, tol=1e-6, k_max=500, repeats=1):
     times = []
     for _ in range(repeats):
         t0 = time.perf_counter()
-        out = solve(problem, splitting, solver_omega, config)
+        out = solve(problem, splitting, config=config)
         times.append(time.perf_counter() - t0)
         if report is None:
             report = out

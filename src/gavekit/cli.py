@@ -132,26 +132,19 @@ def _cmd_solve(args):
 def _cmd_certify(args):
     problem, hat = _load_problem_args(args)
     A, B = problem.A, problem.B
-    n = A.n_rows
-    omega = resolve_omega(bench_mod.resolve_omega_token(args.omega, hat), n)
-    conditions = args.condition
+    omega = resolve_omega(bench_mod.resolve_omega_token(args.omega, hat), A.n_rows)
+    # the conditions on (M, N, Omega) run with the shift solve would use
+    splitting = build_splitting(A, _method_kind(args), omega)
+    M, N, shift = splitting.M, splitting.N, splitting.omega
     lines = []
-    for name in conditions:
+    for name in args.condition:
         cond = certify_mod.Condition(name)
-        if cond in (
-            certify_mod.Condition.EXACT,
-            certify_mod.Condition.INEXACT,
-            certify_mod.Condition.M_INVERSE,
-        ):
-            kind = _method_kind(args)
-            splitting = build_splitting(A, kind)
-            M, N = splitting.M, splitting.N
-            if cond is certify_mod.Condition.EXACT:
-                cert = certify_mod.check_exact(A, B, M, N, omega)
-            elif cond is certify_mod.Condition.INEXACT:
-                cert = certify_mod.check_inexact(A, B, M, N, omega, args.theta_value)
-            else:
-                cert = certify_mod.check_m_inverse(A, B, M, N, omega, args.theta_value)
+        if cond is certify_mod.Condition.EXACT:
+            cert = certify_mod.check_exact(A, B, M, N, shift)
+        elif cond is certify_mod.Condition.INEXACT:
+            cert = certify_mod.check_inexact(A, B, M, N, shift, args.theta_value)
+        elif cond is certify_mod.Condition.M_INVERSE:
+            cert = certify_mod.check_m_inverse(A, B, M, N, shift, args.theta_value)
         elif cond is certify_mod.Condition.SCALAR_OMEGA:
             if args.omega_scalar is None:
                 raise SpecError("ScalarOmegaThm34 requires --omega-scalar")
@@ -159,14 +152,8 @@ def _cmd_certify(args):
                 A, B, args.omega_scalar, args.theta_value
             )
         elif cond in (certify_mod.Condition.COR35A, certify_mod.Condition.COR35B):
-            kind = _method_kind(args)
-            splitting = build_splitting(A, kind)
             cert = certify_mod.check_corollary(
-                cond,
-                M=splitting.M,
-                N=splitting.N,
-                omega=omega,
-                theta=args.theta_value,
+                cond, M=M, N=N, omega=shift, theta=args.theta_value
             )
         else:
             cert = certify_mod.check_corollary(

@@ -31,7 +31,14 @@ from .errors import (
     ParameterError,
     SingularMatrixError,
 )
-from .sparse import as_vector, spmv, spmv_transpose
+from .sparse import (
+    as_vector,
+    diag_matrix,
+    sparse_scale,
+    sparse_sub,
+    spmv,
+    spmv_transpose,
+)
 
 __all__ = [
     "Factorization",
@@ -302,8 +309,6 @@ def _check_symmetry(A, sign, rel_tol, what):
     """Require A.T == sign * A to within rel_tol of the largest entry."""
     if not A.is_square:
         raise DimensionError(f"{what} requires a square matrix")
-    from .sparse import sparse_scale, sparse_sub
-
     defect = sparse_sub(A.transpose(), sparse_scale(sign, A)).max_abs()
     scale = A.max_abs()
     if defect > rel_tol * max(scale, 1e-300):
@@ -339,8 +344,6 @@ def symmetric_eig_extremes(H, rel_tol=1e-11, max_iter=10000, dense_cutoff=DENSE_
         return float(eigs[0]), float(eigs[-1])
     if H.nnz == 0 or H.max_abs() == 0.0:
         return 0.0, 0.0
-    from .sparse import diag_matrix, sparse_sub
-
     # per-row Gershgorin interval [lo, hi] containing the whole spectrum
     rows, cols, vals = H.coo_arrays()
     diag = np.zeros(n)

@@ -7,8 +7,9 @@ Both solvers run one loop,
 and differ only in the inner step that solves the linear system:
 ``nms_solve`` applies an LU factorization of Omega + M computed once, and
 ``inms_solve`` runs LSQR, warm-started at the current iterate, to the
-per-step residual target ``theta_k * norm(F(x_k))``. Omega is the shift the
-splitting pins, if it pins one, or else the ``omega`` argument.
+per-step residual target ``theta_k * norm(F(x_k))``. Omega is the
+splitting's own shift (``Splitting.shifted``) unless an ``omega`` argument
+overrides it, which only the kinds that do not pin their shift allow.
 """
 
 from __future__ import annotations
@@ -21,8 +22,7 @@ import numpy as np
 
 from .errors import ConfigurationError, DivergenceError, NumericsError, ParameterError
 from .linalg import lsqr, lu_factorize
-from .sparse import abs_vec, as_vector, sparse_add, spmv
-from .splittings import resolve_omega
+from .sparse import abs_vec, as_vector, spmv
 
 __all__ = [
     "ThetaSchedule",
@@ -106,9 +106,9 @@ class SolverConfig:
 class SolveReport:
     """Everything observable about one solve.
 
-    ``wall_time_s`` covers the whole call after argument checks: shift
-    resolution, assembly of Omega+M and Omega+N, the LU factorization (exact
-    variant) and the outer iteration.
+    ``wall_time_s`` covers the whole call after argument checks: resolution
+    of a supplied shift, assembly of Omega+M and Omega+N, the LU
+    factorization (exact variant) and the outer iteration.
     """
 
     converged: bool
@@ -148,24 +148,6 @@ def expand_x0(x0, n):
     return as_vector(x0, n, "x0").copy()
 
 
-def _shifted_pair(splitting, omega, n):
-    """Assemble (Omega + M, Omega + N).
-
-    Omega is the splitting's pinned shift when it has one, and then a
-    supplied ``omega`` is an error; otherwise it is ``omega`` resolved.
-    """
-    if splitting.implied_omega is not None:
-        if omega is not None:
-            raise ConfigurationError(
-                f"splitting {splitting.kind.name!r} pins its own shift matrix; "
-                "do not supply one"
-            )
-        om = splitting.implied_omega
-    else:
-        om = resolve_omega(omega, n)
-    return sparse_add(om, splitting.M), sparse_add(om, splitting.N)
-
-
 def _guard(res, k):
     if not math.isfinite(res):
         raise NumericsError(f"non-finite relative residual {res} at outer step {k}")
@@ -185,7 +167,7 @@ def _iterate(problem, splitting, omega, config):
     """
     t0 = time.perf_counter()
     n = problem.A.n_rows
-    OM, ON = _shifted_pair(splitting, omega, n)
+    _, OM, ON = splitting.shifted(omega)
     A, B, b = problem.A, problem.B, problem.b
     nb = float(np.linalg.norm(b))
     if nb == 0.0:
@@ -247,7 +229,9 @@ def nms_solve(problem, splitting, omega=None, config=None):
     """Exact Newton-based matrix-splitting iteration.
 
     Pre-factorizes Omega + M once and iterates until the relative residual
-    drops to ``config.tol`` or ``config.k_max`` steps are taken. Requires
+    drops to ``config.tol`` or ``config.k_max`` steps are taken. Omega is
+    ``splitting.omega`` unless ``omega`` overrides it, which the kinds that
+    pin their shift reject (see ``Splitting.shifted``). Requires
     ``config.inner == "direct"``.
     """
     config = config or SolverConfig()
@@ -262,7 +246,8 @@ def inms_solve(problem, splitting, omega=None, config=None):
     At outer step k the linear system ``(Omega + M) y = c_k`` with
     ``c_k = (Omega + N) x_k + B |x_k| + b`` is solved by LSQR, warm-started
     at ``x_k``, only until its residual drops below
-    ``theta_k * norm(F(x_k))``. Requires ``config.inner == "lsqr"``.
+    ``theta_k * norm(F(x_k))``. Omega is chosen as in :func:`nms_solve`.
+    Requires ``config.inner == "lsqr"``.
     """
     config = config or SolverConfig(inner="lsqr")
     if config.inner != "lsqr":
@@ -276,9 +261,9 @@ def verify_inexact_condition(problem, splitting, omega, x_prev, x_next, theta_k,
     Returns True when
     ``norm((Omega+M) x_next - [(Omega+N) x_prev + B |x_prev| + b])
     <= theta_k * f_norm`` with ``f_norm = norm(F(x_prev))`` supplied by the
-    caller.
+    caller. Omega is chosen as in :func:`nms_solve`.
     """
-    OM, ON = _shifted_pair(splitting, omega, problem.A.n_rows)
+    _, OM, ON = splitting.shifted(omega)
     c = spmv(ON, x_prev) + spmv(problem.B, abs_vec(x_prev)) + problem.b
     lhs = float(np.linalg.norm(spmv(OM, x_next) - c))
     return lhs <= theta_k * f_norm

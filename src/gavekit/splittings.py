@@ -1,9 +1,9 @@
 """Matrix splittings A = M - N and the shift matrix specifications.
 
-Each named splitting pins an (M, N) pair; some also pin the shift matrix
-used by the outer iteration. N is always constructed as ``M - A`` so the
-splitting identity holds entrywise in floating point, while M follows the
-defining formula for the method.
+Each named splitting pins an (M, N) pair and carries the shift matrix Omega
+the outer iteration runs with; picard, drs and nmn pin theirs. N is always
+constructed as ``M - A`` so the splitting identity holds entrywise in
+floating point, while M follows the defining formula for the method.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ from .sparse import (
     SparseMatrix,
     diag_matrix,
     hermitian_split,
+    sparse_add,
     sparse_scale,
     sparse_sub,
     zeros,
@@ -82,20 +83,42 @@ class SplittingKind:
 
 @dataclass(frozen=True)
 class Splitting:
-    """An (M, N) pair with M - N = A, plus the shift the method implies.
+    """An (M, N) pair with M - N = A, and the shift Omega the iteration runs with.
 
-    ``implied_omega`` is set for the kinds whose definition fixes the shift
-    matrix: picard (zero), drs ((2/gamma - 1) * A) and nmn (the Omega it
-    was built with). The solvers use it and reject a supplied shift; for
-    the other kinds it is None and the solvers take the shift they are
-    given.
+    ``omega`` is the n-by-n shift matrix. picard (zero), drs
+    ((2/gamma - 1) * A) and nmn (the Omega it was built with) pin it, and
+    the solvers reject a supplied shift for them; for the other kinds it is
+    the shift :func:`build_splitting` was given (zero by default), which a
+    shift supplied to a solver overrides.
     """
 
     kind: SplittingKind
     M: SparseMatrix
     N: SparseMatrix
-    implied_omega: SparseMatrix | None = None
+    omega: SparseMatrix
     warnings: tuple = ()
+
+    @property
+    def implied_omega(self):
+        """The pinned shift of picard, drs and nmn; None for the other kinds."""
+        return self.omega if self.kind.name in ("picard", "drs", "nmn") else None
+
+    def shifted(self, omega=None):
+        """Return ``(Omega, Omega + M, Omega + N)`` for one iteration.
+
+        Omega is the splitting's own shift unless ``omega`` (an OmegaSpec or
+        matrix) is supplied, which is an error for the kinds that pin theirs.
+        """
+        if omega is None:
+            om = self.omega
+        elif self.implied_omega is not None:
+            raise ConfigurationError(
+                f"splitting {self.kind.name!r} pins its own shift matrix; "
+                "do not supply one"
+            )
+        else:
+            om = resolve_omega(omega, self.M.n_rows)
+        return om, sparse_add(om, self.M), sparse_add(om, self.N)
 
 
 @dataclass(frozen=True)
@@ -185,12 +208,12 @@ def triangular_parts(A):
 
 
 def build_splitting(A, kind, omega=None):
-    """Construct the (M, N) pair for a named splitting of A.
+    """Construct the (M, N) pair for a named splitting of A and its shift.
 
-    ``omega`` is consulted only by the kinds that pin their shift (see
-    :class:`Splitting`): nmn requires it and pins it; picard and drs pin
-    their own and accept only ``None`` or a zero shift. The other kinds
-    ignore it; their shift is passed to the solver instead.
+    The shift is resolved once and stored as ``Splitting.omega``. nmn
+    requires ``omega`` and pins it; picard and drs pin their own and accept
+    only ``None`` or a zero shift. The other kinds run with ``omega``
+    resolved (zero when it is None).
     """
     if not A.is_square:
         raise DimensionError("build_splitting requires a square matrix")
@@ -206,25 +229,26 @@ def build_splitting(A, kind, omega=None):
                 f"{name} pins its own shift matrix; a supplied one must be zero"
             )
         if name == "picard":
-            implied = zeros(n)
+            om = zeros(n)
         else:
-            implied = sparse_scale(2.0 / kind.gamma - 1.0, A)
-        return Splitting(kind, M=A, N=zeros(n), implied_omega=implied)
+            om = sparse_scale(2.0 / kind.gamma - 1.0, A)
+        return Splitting(kind, M=A, N=zeros(n), omega=om)
+
+    if name == "nmn" and omega is None:
+        raise ConfigurationError("nmn requires an explicit shift matrix")
+    om = resolve_omega(omega, n)
 
     if name == "mn":
-        return Splitting(kind, M=A, N=zeros(n))
+        return Splitting(kind, M=A, N=zeros(n), omega=om)
 
     if name == "nmn":
-        if omega is None:
-            raise ConfigurationError("nmn requires an explicit shift matrix")
-        om = resolve_omega(omega, n)
         M = sparse_scale(0.5, sparse_sub(A, om))
         N = sparse_sub(M, A)
-        return Splitting(kind, M=M, N=N, implied_omega=om)
+        return Splitting(kind, M=M, N=N, omega=om)
 
     if name == "hss":
         H, S = hermitian_split(A)
-        return Splitting(kind, M=H, N=sparse_scale(-1.0, S))
+        return Splitting(kind, M=H, N=sparse_scale(-1.0, S), omega=om)
 
     D, L, U = triangular_parts(A)
     if name == "nj":
@@ -248,4 +272,4 @@ def build_splitting(A, kind, omega=None):
     else:  # pragma: no cover - KINDS is exhaustive
         raise ParameterError(f"unhandled splitting kind {name!r}")
     N = sparse_sub(M, A)
-    return Splitting(kind, M=M, N=N, warnings=warnings)
+    return Splitting(kind, M=M, N=N, omega=om, warnings=warnings)

@@ -2,7 +2,18 @@
 
 import numpy as np
 
-from gavekit import GaveProblem, identity, save_problem, sparse_scale, zeros
+from gavekit import (
+    GaveProblem,
+    OmegaSpec,
+    SparseMatrix,
+    build_splitting,
+    check_inexact,
+    gen_example41,
+    identity,
+    save_problem,
+    sparse_scale,
+    zeros,
+)
 from gavekit.cli import main
 
 
@@ -144,3 +155,58 @@ def test_solve_save_x(tmp_path, capsys):
 
     x = read_vector(out)
     np.testing.assert_allclose(x, np.full(36, -0.6), atol=1e-5)
+
+
+def _certify_lines(capsys, *args):
+    code = main(["certify", "--example41", "6", "4", *args])
+    return code, capsys.readouterr().out.strip().splitlines()
+
+
+def test_certify_nmn_uses_the_pinned_shift(capsys):
+    code, lines = _certify_lines(
+        capsys, "--method", "nmn", "--omega", "mhat", "--condition", "InexactEq15",
+        "--theta-value", "0.5",
+    )
+    assert code == 0
+    _, prob, hat = gen_example41(6, 4.0)
+    s = build_splitting(prob.A, "nmn", OmegaSpec.scaled(1.0, hat))
+    want = check_inexact(prob.A, prob.B, s.M, s.N, s.implied_omega, 0.5)
+    assert lines == [want.format_line()]
+
+
+def test_certify_drs_uses_the_shift_solve_runs(capsys):
+    # gamma = 1 pins Omega = (2/gamma - 1) A = A, not the zero --omega default
+    code, lines = _certify_lines(
+        capsys, "--method", "drs", "--gamma", "1", "--condition", "InexactEq15",
+        "--condition", "Cor35a",
+    )
+    assert code == 0
+    assert [line.split()[1] for line in lines] == ["lhs=9.2659092163158652e-02"] * 2
+
+
+def test_certify_rejects_a_shift_the_method_pins(capsys):
+    code, _ = _certify_lines(
+        capsys, "--method", "picard", "--omega", "mhat", "--condition", "InexactEq15"
+    )
+    assert code == 2
+    assert main(["solve", "--example41", "6", "4", "--method", "picard",
+                 "--omega", "mhat"]) == 2
+    assert "pins its own shift" in capsys.readouterr().err
+
+
+def test_tune_without_converged_alpha_exits_3(capsys):
+    code = main(
+        ["tune", "--example41", "6", "4", "--omega", "mhat", "--grid", "0.9", "--kmax", "1"]
+    )
+    assert code == 3
+    assert "no alpha on the grid" in capsys.readouterr().err
+
+
+def test_certify_singular_shift_exits_3(tmp_path, capsys):
+    # nj takes M = diag(A), which is empty for this A
+    A = SparseMatrix.from_dense(np.array([[0.0, 1.0], [1.0, 0.0]]))
+    save_problem(GaveProblem(A=A, B=zeros(2), b=np.ones(2)), tmp_path / "swap")
+    code = main(["certify", "--problem", str(tmp_path / "swap"), "--method", "nj",
+                 "--condition", "ExactEq6"])
+    assert code == 3
+    assert "singular" in capsys.readouterr().err

@@ -272,6 +272,35 @@ def test_picard_rejects_nonzero_omega(rng, solve, inner):
         solve(prob, s, OmegaSpec.scalar(1.0), SolverConfig(inner=inner))
 
 
+def test_splitting_runs_with_the_shift_it_was_built_with():
+    # a shift given to build_splitting and the same shift given to the solver
+    # are one iteration
+    _, prob, hat = gen_example41(8, 4.0)
+    om = OmegaSpec.scaled(1.0, hat)
+    built = build_splitting(prob.A, "ngs", om)
+    plain = build_splitting(prob.A, "ngs")
+    for solve, inner in ((nms_solve, "direct"), (inms_solve, "lsqr")):
+        got = solve(prob, built, config=SolverConfig(inner=inner))
+        want = solve(prob, plain, om, SolverConfig(inner=inner))
+        assert got.iterations == want.iterations
+        assert got.final_res == want.final_res
+        np.testing.assert_array_equal(got.x, want.x)
+    # one inexact step has ||(Omega+M) x_1 - c_0|| / ||F(x_0)|| = 0.379 with
+    # Omega = hatM (0.310 with Omega = 0): thetas on both sides of it
+    x_prev = expand_x0("alt10", prob.n)
+    config = SolverConfig(
+        inner="lsqr", theta=ThetaSchedule.constant(0.5), x0=x_prev, k_max=1, tol=1e-300
+    )
+    x_next = inms_solve(prob, plain, om, config).x
+    f_norm = np.linalg.norm(residual(prob, x_prev))
+    thetas = (0.3, 0.35, 0.4)
+    got = [verify_inexact_condition(prob, built, None, x_prev, x_next, t, f_norm)
+           for t in thetas]
+    want = [verify_inexact_condition(prob, plain, om, x_prev, x_next, t, f_norm)
+            for t in thetas]
+    assert got == want == [False, False, True]
+
+
 class TestVerifyInexactCondition:
     def test_exact_step_passes_for_positive_theta(self, rng):
         # the LU residual is far below theta * ||F||, down to tiny theta
