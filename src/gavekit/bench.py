@@ -239,8 +239,6 @@ def run_method(problem, method, hat_m=None, tol=1e-6, k_max=500, repeats=1):
     factorization work.
     """
     omega_spec = resolve_omega_token(method.omega_token, hat_m)
-    if method.kind.name == "drs" and method.omega_token not in ("zero", "0"):
-        raise SpecError("drs pins its own shift matrix; omit the omega option")
     splitting = build_splitting(problem.A, method.kind, omega_spec)
     config = SolverConfig(
         tol=tol,

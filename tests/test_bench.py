@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from gavekit import (
+    ConfigurationError,
     ConvergenceFailure,
     GaveProblem,
     OmegaSpec,
@@ -148,13 +149,20 @@ class TestRunMethod:
     def test_drs_rejects_omega_token(self):
         _, prob, hat = gen_example41(3, 4.0)
         method = parse_method_line("drs gamma=1.0 omega=mhat")
-        with pytest.raises(SpecError, match="drs"):
+        with pytest.raises(ConfigurationError, match="drs"):
             run_method(prob, method, hat_m=hat)
 
     @pytest.mark.parametrize("inner", ["direct", "lsqr"])
     @pytest.mark.parametrize(
         "line",
-        ["picard omega=zero", "mn omega=mhat", "nmn omega=mhat", "drs gamma=1 omega=zero"],
+        [
+            "picard omega=zero",
+            "mn omega=mhat",
+            "nmn omega=mhat",
+            "drs gamma=1 omega=zero",
+            # a token naming a zero shift runs drs's own shift, as omega=zero does
+            "drs gamma=1 omega=identity:0",
+        ],
     )
     def test_matches_library_calls(self, line, inner):
         # the spec route reaches the same solve as building the splitting by hand

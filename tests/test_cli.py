@@ -1,6 +1,7 @@
 """End-to-end CLI runs (in-process) and exit-code contracts."""
 
 import numpy as np
+import scipy.sparse.linalg
 
 from gavekit import (
     GaveProblem,
@@ -192,6 +193,27 @@ def test_certify_rejects_a_shift_the_method_pins(capsys):
     assert main(["solve", "--example41", "6", "4", "--method", "picard",
                  "--omega", "mhat"]) == 2
     assert "pins its own shift" in capsys.readouterr().err
+
+
+def test_solve_drs_accepts_a_zero_shift(capsys):
+    # build_splitting alone decides: a zero shift is drs's default, mhat is not
+    args = ["solve", "--example41", "6", "4", "--method", "drs", "--gamma", "1"]
+    assert main([*args, "--omega", "identity:0"]) == 0
+    assert "converged  : yes" in capsys.readouterr().out
+    assert main([*args, "--omega", "mhat"]) == 2
+    assert "pins its own shift" in capsys.readouterr().err
+
+
+def test_certify_estimator_without_convergence_exits_3(monkeypatch, capsys):
+    # no option reaches the ARPACK restart budget, so the failure is injected
+    def no_convergence(*args, **kwargs):
+        raise scipy.sparse.linalg.ArpackNoConvergence("no convergence", [], [])
+
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", no_convergence)
+    code = main(["certify", "--example41", "24", "4", "--method", "ngs",
+                 "--omega", "mhat", "--condition", "Cor34"])
+    assert code == 3
+    assert "numerical failure" in capsys.readouterr().err
 
 
 def test_tune_without_converged_alpha_exits_3(capsys):

@@ -8,6 +8,7 @@ from gavekit import (
     ConvergenceFailure,
     DimensionError,
     NumericsError,
+    OmegaSpec,
     ParameterError,
     SingularMatrixError,
     SparseMatrix,
@@ -24,9 +25,11 @@ from gavekit import (
     spectral_norm,
     sparse_add,
     spmv,
+    spmv_transpose,
     symmetric_eig_extremes,
     zeros,
 )
+from gavekit.linalg import DENSE_CUTOFF, _lanczos_top
 
 from conftest import random_dominant, random_sparse, tridiag
 
@@ -221,6 +224,42 @@ class TestSpectralNorm:
         # ARPACK hands back only Ritz values that have converged
         est = info.value.best_estimate
         assert est is None or est == pytest.approx(1.0, rel=1e-3)
+
+
+def _above_cutoff(name):
+    _, p, hat = gen_example41(24, 4.0)  # n = 576
+    if name == "Omega+M":
+        return build_splitting(p.A, "ngs", OmegaSpec.scaled(1.0, hat)).shifted()[1]
+    if name == "rectangular":
+        return random_sparse(np.random.default_rng(7), 700, 300, density=0.02)
+    return getattr(p, name)
+
+
+@pytest.mark.parametrize("name", ["A", "B", "Omega+M", "rectangular"])
+class TestSpectralNormOperator:
+    """The explicit-transpose operator against products on scipy's transposed view."""
+
+    def test_products_bit_identical(self, name):
+        X = _above_cutoff(name)
+        assert max(X.shape) > DENSE_CUTOFF
+        S = X.to_scipy()
+        ST = S.T.tocsr()
+        rng = np.random.default_rng(11)
+        for _ in range(5):
+            v = rng.standard_normal(X.n_cols)
+            np.testing.assert_array_equal(ST @ (S @ v), spmv_transpose(X, spmv(X, v)))
+
+    def test_estimate_bit_identical(self, name):
+        X = _above_cutoff(name)
+        want = _lanczos_top(
+            lambda v: spmv_transpose(X, spmv(X, v)),
+            X.n_cols,
+            1e-10,
+            10000,
+            "spectral_norm",
+            np.sqrt,
+        )
+        assert spectral_norm(X, rel_tol=1e-10) == want
 
 
 class TestMinSingularValue:
