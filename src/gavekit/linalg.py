@@ -7,7 +7,8 @@ results:
   column ordering to minimum degree on ``A.T + A`` (``MMD_AT_PLUS_A``) and
   the pivoting to row partial pivoting with threshold 1.0;
 - :func:`lsqr`, the inexact solver's inner solve, is scipy's
-  Paige-Saunders ``lsqr`` run on the warm-start-shifted system;
+  Paige-Saunders ``lsqr``, which the solver runs from zero on the
+  correction system ``(Omega + M) d = -F(x_k)``;
 - the norm and eigenvalue estimators give dense LAPACK answers for
   matrices of order at most :data:`DENSE_CUTOFF`; above it all of them run
   one Lanczos kernel (ARPACK ``eigsh``, stopping on the Ritz residual)
@@ -15,11 +16,12 @@ results:
   structured start such as (1, -1, 1, ...): it is exactly orthogonal to
   the smooth lowest mode of a grid Laplacian with an even side, and the
   iteration would then lock onto the next mode;
-- :func:`spectral_norm` applies ``A.T @ A`` as two CSR products, with
-  ``A.T`` materialized once per call. Each entry of a product on the
-  explicit transpose sums the same terms in the same order as a product
-  on scipy's transposed (CSC) view, so the estimates are bit-identical to
-  that view's.
+- products with ``A.T`` (LSQR's adjoint, and the second factor of
+  ``A.T @ A`` in :func:`spectral_norm`) run on the CSR transpose the
+  matrix caches (``SparseMatrix.to_scipy_transpose``). Each entry of a
+  product on it sums the same terms in the same order as a product on
+  scipy's transposed (CSC) view, so the results are bit-identical to that
+  view's.
 """
 
 from __future__ import annotations
@@ -141,11 +143,13 @@ def lsqr(A, rhs, target_residual, max_iter, warm_start=None):
     """Least-squares solve of ``A x = rhs`` to an absolute residual target.
 
     Runs scipy's Paige-Saunders LSQR on the shifted system ``A d = r0``,
-    ``r0 = rhs - A @ warm_start`` (zero by default), with ``btol =
-    target_residual / norm(r0)`` and ``atol``, ``conlim`` off, and returns
-    ``warm_start + d``. ``A`` may be rectangular; a target of 0 means "as
-    far as possible". ``iterations`` is scipy's ``itn``; ``residual_norm``
-    is recomputed from the returned iterate. ``stop_reason`` is
+    ``r0 = rhs - A @ warm_start`` (``r0 = rhs``, with no product, when
+    there is no warm start), with ``btol = target_residual / norm(r0)`` and
+    ``atol``, ``conlim`` off, and returns ``warm_start + d`` as a new
+    array. The adjoint products run on ``A``'s cached CSR transpose. ``A``
+    may be rectangular; a target of 0 means "as far as possible".
+    ``iterations`` is scipy's ``itn``; ``residual_norm`` is recomputed
+    from the returned iterate. ``stop_reason`` is
     "target_met" when that residual is at most the target, else "max_iter"
     when scipy spent the ``max_iter`` budget (``istop == 7``), else
     "stagnation". Hitting ``max_iter`` is reported, not raised.
@@ -155,10 +159,11 @@ def lsqr(A, rhs, target_residual, max_iter, warm_start=None):
     if max_iter < 0:
         raise ParameterError("max_iter must be nonnegative")
     rhs = as_vector(rhs, A.n_rows, "rhs")
-    x0 = np.zeros(A.n_cols)
-    if warm_start is not None:
-        x0[:] = as_vector(warm_start, A.n_cols, "warm_start")
-    r0 = rhs - spmv(A, x0)
+    if warm_start is None:
+        x0, r0 = np.zeros(A.n_cols), rhs.copy()
+    else:
+        x0 = as_vector(warm_start, A.n_cols, "warm_start").copy()
+        r0 = rhs - spmv(A, x0)
     if not np.all(np.isfinite(r0)):
         raise NumericsError("non-finite values in lsqr inputs")
     beta = float(np.linalg.norm(r0))
@@ -168,7 +173,7 @@ def lsqr(A, rhs, target_residual, max_iter, warm_start=None):
         return LsqrOutcome(x0, beta, 0, "max_iter")
     S = A.to_scipy()  # an operator, not S: scipy copies S.T.conj() per call
     op = scipy.sparse.linalg.LinearOperator(
-        S.shape, matvec=S.dot, rmatvec=S.T.dot, dtype=float
+        S.shape, matvec=S.dot, rmatvec=A.to_scipy_transpose().dot, dtype=float
     )
     d, istop, itn = scipy.sparse.linalg.lsqr(
         op, r0, atol=0.0, btol=target_residual / beta, conlim=0.0, iter_lim=max_iter
@@ -250,7 +255,7 @@ def spectral_norm(A, rel_tol=1e-8, max_iter=10000):
     Uses a dense SVD when ``max(A.shape) <= DENSE_CUTOFF``, and otherwise
     Lanczos on ``A.T @ A`` to relative Ritz residual ``rel_tol`` within
     ``max_iter`` ARPACK restarts. ``A.T @ A`` is applied as two CSR
-    products, with ``A.T`` built once per call.
+    products, the second on ``A``'s cached transpose.
 
     Raises
     ------
@@ -264,8 +269,7 @@ def spectral_norm(A, rel_tol=1e-8, max_iter=10000):
         return 0.0
     if max(A.shape) <= DENSE_CUTOFF:
         return float(np.linalg.norm(A.to_dense(), 2))
-    S = A.to_scipy()
-    ST = S.T.tocsr()
+    S, ST = A.to_scipy(), A.to_scipy_transpose()
     return _lanczos_top(
         lambda v: ST @ (S @ v),
         A.n_cols,

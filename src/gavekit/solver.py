@@ -4,12 +4,14 @@ Both solvers run one loop,
 
     x_{k+1} = (Omega + M)^{-1} [ (Omega + N) x_k + B |x_k| + b ],
 
-and differ only in the inner step that solves the linear system:
-``nms_solve`` applies an LU factorization of Omega + M computed once, and
-``inms_solve`` runs LSQR, warm-started at the current iterate, to the
-per-step residual target ``theta_k * norm(F(x_k))``. Omega is the
-splitting's own shift (``Splitting.shifted``) unless an ``omega`` argument
-overrides it, which only the kinds that do not pin their shift allow.
+in the correction form ``x_{k+1} = x_k - (Omega + M)^{-1} F(x_k)`` (the
+same step, as ``M - N = A``): the residual of the stopping rule is the next
+right-hand side, and Omega + N is never assembled. They differ only in the
+inner step: ``nms_solve`` applies an LU factorization of Omega + M computed
+once, and ``inms_solve`` runs LSQR from zero to the per-step residual
+target ``theta_k * norm(F(x_k))``. Omega is the splitting's own shift
+(``Splitting.shift``) unless an ``omega`` argument overrides it, which only
+the kinds that do not pin their shift allow.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import numpy as np
 
 from .errors import ConfigurationError, DivergenceError, NumericsError, ParameterError
 from .linalg import lsqr, lu_factorize
-from .sparse import abs_vec, as_vector, spmv
+from .sparse import abs_vec, as_vector, sparse_add, spmv
 
 __all__ = [
     "ThetaSchedule",
@@ -107,8 +109,8 @@ class SolveReport:
     """Everything observable about one solve.
 
     ``wall_time_s`` covers the whole call after argument checks: resolution
-    of a supplied shift, assembly of Omega+M and Omega+N, the LU
-    factorization (exact variant) and the outer iteration.
+    of a supplied shift, assembly of Omega+M, the LU factorization (exact
+    variant) and the outer iteration.
     """
 
     converged: bool
@@ -162,14 +164,14 @@ def _guard(res, k):
 def _iterate(problem, splitting, omega, config):
     """The outer iteration of both solvers; ``config.inner`` picks the step.
 
-    "direct" solves ``(Omega + M) y = c_k`` with an LU factored once;
-    "lsqr" runs LSQR warm-started at ``x_k`` to ``theta_k * norm(F(x_k))``.
+    Each step solves ``(Omega + M) d = -F(x_k)`` and moves to ``x_k + d``:
+    "direct" with an LU factored once, "lsqr" with LSQR from zero to
+    ``theta_k * norm(F(x_k))``.
     """
     t0 = time.perf_counter()
     n = problem.A.n_rows
-    _, OM, ON = splitting.shifted(omega)
-    A, B, b = problem.A, problem.B, problem.b
-    nb = float(np.linalg.norm(b))
+    OM = sparse_add(splitting.shift(omega), splitting.M)
+    nb = float(np.linalg.norm(problem.b))
     if nb == 0.0:
         raise ParameterError("b is zero; the RES stopping rule is undefined")
     direct = config.inner == "direct"
@@ -180,21 +182,20 @@ def _iterate(problem, splitting, omega, config):
         max_inner = int(math.ceil(10.0 * math.sqrt(n)))
 
     x = expand_x0(config.x0, n)
-    # B|x| serves both the residual at x and the next right-hand side
-    bx = spmv(B, np.abs(x))
-    f_norm = float(np.linalg.norm(spmv(A, x) - bx - b))
+    # F(x_k) serves both the stopping rule and the next step
+    F = residual(problem, x)
+    f_norm = float(np.linalg.norm(F))
     res = _guard(f_norm / nb, 0)
     history = [res]
     inner_iters = []
     warnings = list(splitting.warnings)
     k = 0
     while res > config.tol and k < config.k_max:
-        c = spmv(ON, x) + bx + b
         if direct:
-            x = factor.solve(c)
+            x = x - factor.solve(F)
         else:
             target = theta_at(config.theta, k) * f_norm
-            out = lsqr(OM, c, target, max_inner, warm_start=x)
+            out = lsqr(OM, -F, target, max_inner)
             if out.stop_reason == "max_iter":
                 warnings.append(
                     f"inner lsqr hit max_iter={max_inner} at outer step {k} "
@@ -205,11 +206,11 @@ def _iterate(problem, splitting, omega, config):
                     f"inner lsqr stopped ({out.stop_reason}) above target at outer "
                     f"step {k} (residual {out.residual_norm:.3e}, target {target:.3e})"
                 )
-            x = out.x
+            x = x + out.x
             inner_iters.append(out.iterations)
         k += 1
-        bx = spmv(B, np.abs(x))
-        f_norm = float(np.linalg.norm(spmv(A, x) - bx - b))
+        F = residual(problem, x)
+        f_norm = float(np.linalg.norm(F))
         res = _guard(f_norm / nb, k)
         history.append(res)
     elapsed = time.perf_counter() - t0
@@ -231,7 +232,7 @@ def nms_solve(problem, splitting, omega=None, config=None):
     Pre-factorizes Omega + M once and iterates until the relative residual
     drops to ``config.tol`` or ``config.k_max`` steps are taken. Omega is
     ``splitting.omega`` unless ``omega`` overrides it, which the kinds that
-    pin their shift reject (see ``Splitting.shifted``). Requires
+    pin their shift reject (see ``Splitting.shift``). Requires
     ``config.inner == "direct"``.
     """
     config = config or SolverConfig()
@@ -246,8 +247,9 @@ def inms_solve(problem, splitting, omega=None, config=None):
     At outer step k the linear system ``(Omega + M) y = c_k`` with
     ``c_k = (Omega + N) x_k + B |x_k| + b`` is solved by LSQR, warm-started
     at ``x_k``, only until its residual drops below
-    ``theta_k * norm(F(x_k))``. Omega is chosen as in :func:`nms_solve`.
-    Requires ``config.inner == "lsqr"``.
+    ``theta_k * norm(F(x_k))``, run as LSQR from zero on the correction
+    system ``(Omega + M) d = c_k - (Omega + M) x_k = -F(x_k)``. Omega is
+    chosen as in :func:`nms_solve`. Requires ``config.inner == "lsqr"``.
     """
     config = config or SolverConfig(inner="lsqr")
     if config.inner != "lsqr":
@@ -261,7 +263,8 @@ def verify_inexact_condition(problem, splitting, omega, x_prev, x_next, theta_k,
     Returns True when
     ``norm((Omega+M) x_next - [(Omega+N) x_prev + B |x_prev| + b])
     <= theta_k * f_norm`` with ``f_norm = norm(F(x_prev))`` supplied by the
-    caller. Omega is chosen as in :func:`nms_solve`.
+    caller. Omega is chosen as in :func:`nms_solve`. The paper's form, with
+    Omega + N, keeps this independent of the solvers' correction form.
     """
     _, OM, ON = splitting.shifted(omega)
     c = spmv(ON, x_prev) + spmv(problem.B, abs_vec(x_prev)) + problem.b

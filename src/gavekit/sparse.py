@@ -57,7 +57,7 @@ class SparseMatrix:
         Stored entries, parallel to ``col_idx``.
     """
 
-    __slots__ = ("n_rows", "n_cols", "row_ptr", "col_idx", "values", "_csr")
+    __slots__ = ("n_rows", "n_cols", "row_ptr", "col_idx", "values", "_csr", "_csr_t")
 
     def __init__(self, n_rows, n_cols, row_ptr, col_idx, values, validate=True):
         row_ptr = np.ascontiguousarray(row_ptr, dtype=np.int64)
@@ -73,6 +73,7 @@ class SparseMatrix:
         object.__setattr__(self, "col_idx", col_idx)
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "_csr", None)
+        object.__setattr__(self, "_csr_t", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("SparseMatrix is immutable")
@@ -180,6 +181,16 @@ class SparseMatrix:
             object.__setattr__(self, "_csr", csr)
         return self._csr
 
+    def to_scipy_transpose(self):
+        """Return (and cache) ``A.T`` as scipy CSR, the one place it is built.
+
+        Products on it are bit-identical to products on scipy's transposed
+        (CSC) view: each entry sums the same terms in the same order.
+        """
+        if self._csr_t is None:
+            object.__setattr__(self, "_csr_t", self.to_scipy().T.tocsr())
+        return self._csr_t
+
     def to_dense(self):
         return self.to_scipy().toarray()
 
@@ -187,8 +198,7 @@ class SparseMatrix:
         return self.to_scipy().diagonal()
 
     def transpose(self):
-        t = self.to_scipy().T.tocsr()
-        t.sort_indices()
+        t = self.to_scipy_transpose()
         return SparseMatrix(t.shape[0], t.shape[1], t.indptr, t.indices, t.data, validate=False)
 
     @property

@@ -103,21 +103,24 @@ class Splitting:
         """The pinned shift of picard, drs and nmn; None for the other kinds."""
         return self.omega if self.kind.name in ("picard", "drs", "nmn") else None
 
-    def shifted(self, omega=None):
-        """Return ``(Omega, Omega + M, Omega + N)`` for one iteration.
+    def shift(self, omega=None):
+        """The shift Omega one iteration runs with.
 
-        Omega is the splitting's own shift unless ``omega`` (an OmegaSpec or
+        It is the splitting's own shift unless ``omega`` (an OmegaSpec or
         matrix) is supplied, which is an error for the kinds that pin theirs.
         """
         if omega is None:
-            om = self.omega
-        elif self.implied_omega is not None:
+            return self.omega
+        if self.implied_omega is not None:
             raise ConfigurationError(
                 f"splitting {self.kind.name!r} pins its own shift matrix; "
                 "do not supply one"
             )
-        else:
-            om = resolve_omega(omega, self.M.n_rows)
+        return resolve_omega(omega, self.M.n_rows)
+
+    def shifted(self, omega=None):
+        """Return ``(Omega, Omega + M, Omega + N)`` with Omega from :meth:`shift`."""
+        om = self.shift(omega)
         return om, sparse_add(om, self.M), sparse_add(om, self.N)
 
 

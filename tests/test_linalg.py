@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg
 
+import gavekit.linalg
 from gavekit import (
     ConvergenceFailure,
     DimensionError,
@@ -21,6 +22,7 @@ from gavekit import (
     lsqr,
     lu_factorize,
     min_singular_value,
+    residual,
     skew_spectral_radius,
     spectral_norm,
     sparse_add,
@@ -171,6 +173,45 @@ class TestLsqr:
         w = rng.uniform(-1, 1, 20)
         out = lsqr(A, b, 1e-10, 200, warm_start=w)
         assert np.linalg.norm(spmv(A, out.x) - b) <= 1e-10
+
+    def test_no_warm_start_costs_one_product(self, rng, monkeypatch):
+        # r0 = rhs needs no product; only the true-residual recompute remains
+        A = random_dominant(rng, 20)
+        b = rng.uniform(-1, 1, 20)
+        b_before = b.copy()
+        calls = []
+
+        def counting_spmv(M, x):
+            calls.append(M)
+            return spmv(M, x)
+
+        monkeypatch.setattr(gavekit.linalg, "spmv", counting_spmv)
+        out = lsqr(A, b, 1e-10, 200)
+        assert len(calls) == 1
+        assert not np.shares_memory(out.x, b)
+        np.testing.assert_array_equal(b, b_before)
+        lsqr(A, b, 1e-10, 200, warm_start=np.zeros(20))
+        assert len(calls) == 3
+
+    def test_adjoint_on_cached_transpose_is_bit_identical(self, monkeypatch):
+        # the adjoint on the cached CSR transpose against scipy's CSC view
+        _, prob, hat = gen_example41(24, 4.0)
+        s = build_splitting(prob.A, "ngs")
+        x0 = np.zeros(prob.n)
+        x0[0::2] = 1.0
+        rhs = -residual(prob, x0)
+        f_norm = np.linalg.norm(rhs)
+        cases = [(0.5 * f_norm, 40), (1e-6 * f_norm, 200), (0.0, 60)]
+        with monkeypatch.context() as mp:
+            mp.setattr(SparseMatrix, "to_scipy_transpose", lambda A: A.to_scipy().T)
+            view = [lsqr(sparse_add(hat, s.M), rhs, t, k) for t, k in cases]
+        cached = [lsqr(sparse_add(hat, s.M), rhs, t, k) for t, k in cases]
+        for v, c in zip(view, cached):
+            assert (c.x == v.x).all()
+            assert c.iterations == v.iterations
+            assert c.stop_reason == v.stop_reason
+            assert c.residual_norm == v.residual_norm
+        assert all(c.iterations > 0 for c in cached)  # the adjoint ran
 
     def test_nan_input_raises(self):
         b = np.array([np.nan, 1.0])

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+import gavekit.solver
+import gavekit.splittings
 from gavekit import (
     ConfigurationError,
     DivergenceError,
@@ -23,7 +25,9 @@ from gavekit import (
     nms_solve,
     relative_res,
     residual,
+    sparse_add,
     sparse_scale,
+    spmv,
     theta_at,
     verify_inexact_condition,
     zeros,
@@ -299,6 +303,96 @@ def test_splitting_runs_with_the_shift_it_was_built_with():
     want = [verify_inexact_condition(prob, plain, om, x_prev, x_next, t, f_norm)
             for t in thetas]
     assert got == want == [False, False, True]
+
+
+def _paper_step_cases(rng):
+    """(problem, splitting, omega, x0) for every kind, on two problems."""
+    rand = _random_problem(rng, 12)
+    _, ex41, hat = gen_example41(6, 4.0)
+    x_alt = expand_x0("alt10", ex41.n)
+    cases = []
+    for prob, om, x0 in (
+        (rand, OmegaSpec.scalar(2.0), rng.uniform(-1, 1, rand.n)),
+        (ex41, OmegaSpec.scaled(1.0, hat), x_alt),
+    ):
+        for kind in (
+            SplittingKind("picard"),
+            SplittingKind("mn"),
+            SplittingKind("nj"),
+            SplittingKind("ngs"),
+            SplittingKind("nsor", alpha=0.9),
+            SplittingKind("naor", alpha=1.1, beta=0.7),
+            SplittingKind("hss"),
+            SplittingKind("nmn"),
+            SplittingKind("drs", gamma=1.0),
+        ):
+            if kind.name in ("picard", "drs"):
+                cases.append((prob, build_splitting(prob.A, kind), None, x0))
+            elif kind.name == "nmn":
+                cases.append((prob, build_splitting(prob.A, kind, om), None, x0))
+            else:
+                cases.append((prob, build_splitting(prob.A, kind), om, x0))
+    return cases
+
+
+class TestCorrectionForm:
+    """The solvers' step x - (Omega+M)^-1 F(x) is the paper's step."""
+
+    @pytest.mark.parametrize("inner", ["direct", "lsqr"])
+    def test_one_step_is_the_papers_step(self, rng, inner):
+        cases = _paper_step_cases(rng)
+        assert len({c[1].kind.name for c in cases}) == 9
+        for prob, s, om, x0 in cases:
+            omega = s.shift(om).to_dense()
+            OM = omega + s.M.to_dense()
+            ON = omega + s.N.to_dense()
+            c = ON @ x0 + prob.B.to_dense() @ np.abs(x0) + prob.b
+            want = np.linalg.solve(OM, c)
+            config = SolverConfig(
+                inner=inner,
+                theta=ThetaSchedule.constant(0.0),
+                max_inner=prob.n,
+                x0=x0,
+                k_max=1,
+                tol=1e-300,
+            )
+            solve = nms_solve if inner == "direct" else inms_solve
+            got = solve(prob, s, om, config).x
+            err = np.linalg.norm(got - want) / np.linalg.norm(want)
+            assert err <= 1e-12, (s.kind.label(), prob.n, err)
+
+    def test_assembles_only_omega_plus_m(self, monkeypatch):
+        _, prob, hat = gen_example41(6, 4.0)
+        s = build_splitting(prob.A, "ngs")
+        calls = []
+
+        def counting_add(X, Y):
+            calls.append((X, Y))
+            return sparse_add(X, Y)
+
+        monkeypatch.setattr(gavekit.solver, "sparse_add", counting_add)
+        monkeypatch.setattr(gavekit.splittings, "sparse_add", counting_add)
+        om = OmegaSpec.scaled(1.0, hat)
+        for solve, inner in ((nms_solve, "direct"), (inms_solve, "lsqr")):
+            calls.clear()
+            assert solve(prob, s, om, SolverConfig(inner=inner)).converged
+            assert len(calls) == 1  # Omega+M; no Omega+N
+            assert calls[0][1] is s.M
+
+    def test_exact_step_costs_two_products(self, monkeypatch):
+        # only F(x_k) = A x_k - B|x_k| - b, once per step and once at x_0
+        _, prob, hat = gen_example41(8, 4.0)
+        s = build_splitting(prob.A, "ngs")
+        calls = []
+
+        def counting_spmv(A, x):
+            calls.append(A)
+            return spmv(A, x)
+
+        monkeypatch.setattr(gavekit.solver, "spmv", counting_spmv)
+        report = nms_solve(prob, s, OmegaSpec.scaled(1.0, hat))
+        assert report.converged and report.iterations > 1
+        assert len(calls) == 2 * (report.iterations + 1)
 
 
 class TestVerifyInexactCondition:

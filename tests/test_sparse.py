@@ -105,6 +105,15 @@ class TestSpmvTranspose:
             rhs = x @ spmv_transpose(A, y)
             assert abs(lhs - rhs) <= 1e-10 * max(abs(lhs), abs(rhs), 1e-30)
 
+    def test_cached_transpose_matches_the_view(self, rng):
+        # built once per matrix; products on it equal the CSC view's bit for bit
+        A = random_sparse(rng, 30, 17)
+        AT = A.to_scipy_transpose()
+        assert A.to_scipy_transpose() is AT
+        np.testing.assert_array_equal(AT.toarray(), A.to_dense().T)
+        y = rng.uniform(-1, 1, 30)
+        np.testing.assert_array_equal(AT @ y, A.to_scipy().T @ y)
+
 
 class TestAbsVec:
     def test_definition(self):
