@@ -14,6 +14,7 @@ from .certify import (
     check_inexact,
     check_m_inverse,
     check_scalar_omega,
+    evaluate,
 )
 from .errors import (
     ConfigurationError,

@@ -5,6 +5,12 @@ inequality, a strict ``holds`` verdict, and a ``marginal`` flag raised when
 the sides are within 1e-4 relative of each other (norm estimates carry
 iteration error, so knife-edge verdicts are not reproducible). Inverse
 norms are evaluated as ``1 / sigma_min``; no inverse is ever formed.
+
+Each condition is a formula over named quantities such as ``norm(Omega+N)``
+and ``norm((Omega+M)^-1)``, and each quantity has one label in
+``norm_details``. One :func:`evaluate` call assembles each shifted sum and
+estimates each quantity at most once, however many of its conditions read
+it; nothing is kept from one call to the next.
 """
 
 from __future__ import annotations
@@ -27,6 +33,7 @@ from .sparse import hermitian_split, sparse_add, sparse_sub
 __all__ = [
     "Condition",
     "Certificate",
+    "evaluate",
     "check_exact",
     "check_inexact",
     "check_m_inverse",
@@ -108,85 +115,177 @@ def _method(X, dense, iterative):
     return dense if max(X.shape) <= DENSE_CUTOFF else iterative
 
 
-class _Norms:
-    """Collects (label, value, method) triples while evaluating a condition."""
+class _Quantities:
+    """The inputs of one :func:`evaluate` call and the quantities read from them.
 
-    def __init__(self):
-        self.details = []
+    A sum ``Omega+X`` or ``Omega-X`` is assembled, and a norm estimated, at
+    its first use. ``details`` collects the (label, value, method) triples
+    of the certificate being evaluated.
+    """
 
-    def norm(self, X, label):
-        v = spectral_norm(X, rel_tol=_NORM_RTOL)
-        self.details.append((label, v, _method(X, "dense_svd", "lanczos")))
-        return v
+    def __init__(self, inputs):
+        self.inputs = inputs
+        self.matrices = {name: inputs[name] for name in ("A", "B", "M", "N")}
+        self.matrices["Omega"] = inputs["omega"]
+        self.estimates = {}
+        self.details = {}
 
-    def inv_norm(self, X, label):
-        v = 1.0 / min_singular_value(X)
-        method = _method(X, "dense_svd", "lu_shift_invert_lanczos")
-        self.details.append((label, v, method))
-        return v
+    def matrix(self, name):
+        if name not in self.matrices:  # "Omega+X" or "Omega-X"
+            combine = sparse_add if name[5] == "+" else sparse_sub
+            self.matrices[name] = combine(self.matrices["Omega"], self.matrices[name[6:]])
+        return self.matrices[name]
+
+    def norm(self, name):
+        label = f"norm({name})"
+        if label not in self.estimates:
+            X = self.matrix(name)
+            value = spectral_norm(X, rel_tol=_NORM_RTOL)
+            self.estimates[label] = value, _method(X, "dense_svd", "lanczos")
+        return self.record(label, *self.estimates[label])
+
+    def inv_norm(self, name):
+        label = f"norm(({name})^-1)" if len(name) > 1 else f"norm({name}^-1)"
+        if label not in self.estimates:
+            X = self.matrix(name)
+            value = 1.0 / min_singular_value(X)
+            self.estimates[label] = value, _method(X, "dense_svd", "lu_shift_invert_lanczos")
+        return self.record(label, *self.estimates[label])
 
     def record(self, label, value, method="input"):
-        self.details.append((label, float(value), method))
+        self.details[label] = (float(value), method)
         return float(value)
 
 
-def _certificate(condition, lhs, rhs, factor, norms):
-    holds = lhs < rhs
-    marginal = abs(lhs - rhs) <= _MARGINAL_BAND * (abs(lhs) + abs(rhs))
-    return Certificate(
-        condition=condition,
-        lhs=float(lhs),
-        rhs=float(rhs),
-        holds=bool(holds),
-        marginal=bool(marginal),
-        contraction_factor=factor,
-        norm_details=tuple(norms.details),
-    )
+def _exact(q):
+    lhs = q.inv_norm("Omega+M") * (q.norm("Omega+N") + q.norm("B"))
+    return lhs, 1.0, lhs
 
 
-def _check_theta(theta):
-    if not 0.0 <= theta < 1.0:
-        raise ParameterError("theta must lie in [0, 1)")
-    return float(theta)
+def _scalar_omega(q):
+    """See :func:`check_scalar_omega`."""
+    H, S = hermitian_split(q.matrix("A"))
+    lam_min, lam_max = symmetric_eig_extremes(H)
+    if lam_min <= 0.0:
+        raise ParameterError(
+            f"symmetric part is not positive definite (lambda_min = {lam_min:.3e})"
+        )
+    method = _method(H, "dense_eigh", "lu_shift_invert_lanczos")
+    q.record("lambda_min(H)", lam_min, method)
+    q.record("lambda_max(H)", lam_max, method)
+    mu_max = skew_spectral_radius(S, rel_tol=_NORM_RTOL)
+    q.record("mu_max(S)", mu_max, _method(S, "dense_svd", "lanczos"))
+    tau = q.norm("B")
+    w = q.record("omega", q.inputs["omega_scalar"])
+    theta = q.inputs["theta"]
+    root = float(np.sqrt(w * w + mu_max * mu_max))
+    lhs = root + theta * (w + lam_max + tau + root)
+    rhs = w + lam_min - tau
+    factor = (theta * (w + lam_max + root + tau) + root + tau) / (w + lam_min)
+    return lhs, rhs, factor
+
+
+# The two conditions with a formula of their own: (the evaluate() inputs
+# each reads, the formula giving lhs, rhs and the contraction factor).
+_OWN_FORMULAS = {
+    Condition.EXACT: ("B M N omega", _exact),
+    Condition.SCALAR_OMEGA: ("A B omega_scalar theta", _scalar_omega),
+}
+
+# The conditions norm(X^-1) < 1/den: (the evaluate() inputs each reads, X,
+# the norms den reads, den(theta, gamma, *norms)). Cor35a/b: norm(B) = 1.
+_BOUNDS = {
+    Condition.INEXACT: ("B M N omega theta", "Omega+M", "Omega+M Omega+N B",
+                        lambda t, g, om, on, b: t * (om + on + b) + on + b),
+    Condition.M_INVERSE: ("B M N omega theta", "M", "Omega+M Omega+N B Omega",
+                          lambda t, g, om, on, b, o: t * (om + on + b) + on + b + o),
+    Condition.COR31: ("A B omega theta", "Omega+A", "B Omega Omega+A",
+                      lambda t, g, b, o, oa: b + o + t * (oa + b + o)),
+    Condition.COR32: ("A B omega theta", "A", "B Omega Omega+A",
+                      lambda t, g, b, o, oa: b + 2.0 * o + t * (oa + b + o)),
+    Condition.COR33A: ("A B omega theta", "Omega+A", "B Omega-A Omega+A",
+                       lambda t, g, b, oma, oa: 2.0 * b + oma + t * (oa + 2.0 * b + oma)),
+    Condition.COR33B: ("A B omega theta", "A", "B Omega Omega-A Omega+A",
+                       lambda t, g, b, o, oma, oa: 2.0 * b + o + oma
+                       + t * (oa + 2.0 * b + oma)),
+    Condition.COR34: ("A B theta", "A", "B A", lambda t, g, b, a: b + t * (a + b)),
+    Condition.COR35A: ("M N omega theta", "Omega+M", "Omega+M Omega+N",
+                       lambda t, g, om, on: t * (om + on + 1.0) + on + 1.0),
+    Condition.COR35B: ("M N omega theta", "M", "Omega+M Omega+N Omega",
+                       lambda t, g, om, on, o: t * (om + on + 1.0) + on + o + 1.0),
+    Condition.COR36A: ("A gamma theta", "A", "A",
+                       lambda t, g, a: t * ((2.0 - g / 2.0) * a + 1.0)
+                       + 2.0 * (1.0 - g / 2.0) * a + 1.0),
+    Condition.COR36B: ("A gamma theta", "A", "A",
+                       lambda t, g, a: t * ((4.0 / g - 1.0) * a + 1.0)
+                       + 2.0 * (2.0 / g - 1.0) * a + 1.0),
+}
+
+_INPUTS = {c: row[0].split() for c, row in {**_OWN_FORMULAS, **_BOUNDS}.items()}
+
+
+def evaluate(
+    conditions, A=None, B=None, M=None, N=None, omega=None, theta=0.0, gamma=None,
+    omega_scalar=None,
+):
+    """Evaluate ``conditions`` on one set of inputs; one Certificate each, in order.
+
+    Every condition's inputs are checked before any estimate runs. A shifted
+    sum or norm that several conditions read is assembled or estimated once.
+    """
+    conditions = [Condition(c) for c in conditions]
+    inputs = dict(A=A, B=B, M=M, N=N, omega=omega, theta=theta, gamma=gamma,
+                  omega_scalar=omega_scalar)
+    for condition in conditions:
+        names = _INPUTS[condition]
+        missing = [name for name in names if inputs[name] is None]
+        if missing:
+            raise ParameterError(
+                f"{condition.value} requires arguments: {', '.join(missing)}"
+            )
+        if "theta" in names and not 0.0 <= theta < 1.0:
+            raise ParameterError("theta must lie in [0, 1)")
+        if "gamma" in names and not 0.0 < gamma < 2.0:
+            raise ParameterError("gamma must lie in (0, 2)")
+        if "omega_scalar" in names and float(omega_scalar) <= 0.0:
+            raise ParameterError("the scalar shift must be positive")
+    q = _Quantities(inputs)
+    certificates = []
+    for condition in conditions:
+        q.details = {}
+        if condition in _BOUNDS:
+            _, X, norms, den = _BOUNDS[condition]
+            lhs = q.inv_norm(X)
+            d = den(theta, gamma, *map(q.norm, norms.split()))
+            # of these bounds, only eq. (15) reports norm(X^-1) * den as a factor
+            rhs, factor = 1.0 / d, lhs * d if condition is Condition.INEXACT else None
+        else:
+            lhs, rhs, factor = _OWN_FORMULAS[condition][1](q)
+        for name in ("gamma", "theta"):
+            if name in _INPUTS[condition]:
+                q.record(name, inputs[name])
+        marginal = abs(lhs - rhs) <= _MARGINAL_BAND * (abs(lhs) + abs(rhs))
+        details = tuple((label, v, method) for label, (v, method) in q.details.items())
+        certificates.append(
+            Certificate(condition, float(lhs), float(rhs), bool(lhs < rhs),
+                        bool(marginal), factor, details)
+        )
+    return certificates
 
 
 def check_exact(A, B, M, N, omega):
-    """norm((M+Omega)^-1) * (norm(N+Omega) + norm(B)) < 1."""
-    norms = _Norms()
-    inv = norms.inv_norm(sparse_add(M, omega), "norm((M+Omega)^-1)")
-    n_no = norms.norm(sparse_add(N, omega), "norm(N+Omega)")
-    n_b = norms.norm(B, "norm(B)")
-    lhs = inv * (n_no + n_b)
-    return _certificate(Condition.EXACT, lhs, 1.0, lhs, norms)
+    """norm((Omega+M)^-1) * (norm(Omega+N) + norm(B)) < 1."""
+    return evaluate([Condition.EXACT], A=A, B=B, M=M, N=N, omega=omega)[0]
 
 
 def check_inexact(A, B, M, N, omega, theta):
     """norm((Omega+M)^-1) < 1 / (theta*(sums of norms) + norm(Omega+N) + norm(B))."""
-    theta = _check_theta(theta)
-    norms = _Norms()
-    OM = sparse_add(omega, M)
-    inv = norms.inv_norm(OM, "norm((Omega+M)^-1)")
-    n_om = norms.norm(OM, "norm(Omega+M)")
-    n_on = norms.norm(sparse_add(omega, N), "norm(Omega+N)")
-    n_b = norms.norm(B, "norm(B)")
-    norms.record("theta", theta)
-    rhs = 1.0 / (theta * (n_om + n_on + n_b) + n_on + n_b)
-    factor = inv * (theta * (n_om + n_on + n_b) + n_on + n_b)
-    return _certificate(Condition.INEXACT, inv, rhs, factor, norms)
+    return evaluate([Condition.INEXACT], A=A, B=B, M=M, N=N, omega=omega, theta=theta)[0]
 
 
 def check_m_inverse(A, B, M, N, omega, theta):
     """norm(M^-1) bound that avoids factoring Omega+M."""
-    theta = _check_theta(theta)
-    norms = _Norms()
-    inv = norms.inv_norm(M, "norm(M^-1)")
-    n_om = norms.norm(sparse_add(omega, M), "norm(Omega+M)")
-    n_on = norms.norm(sparse_add(omega, N), "norm(Omega+N)")
-    n_b = norms.norm(B, "norm(B)")
-    n_o = norms.norm(omega, "norm(Omega)")
-    norms.record("theta", theta)
-    rhs = 1.0 / (theta * (n_om + n_on + n_b) + n_on + n_b + n_o)
-    return _certificate(Condition.M_INVERSE, inv, rhs, None, norms)
+    return evaluate([Condition.M_INVERSE], A=A, B=B, M=M, N=N, omega=omega, theta=theta)[0]
 
 
 def check_scalar_omega(A, B, omega_scalar, theta):
@@ -198,30 +297,9 @@ def check_scalar_omega(A, B, omega_scalar, theta):
     (...)``; it is stored here with lhs = its right side and rhs = its left
     side, so the usual ``holds = lhs < rhs`` keeps the direction.
     """
-    theta = _check_theta(theta)
-    w = float(omega_scalar)
-    if w <= 0.0:
-        raise ParameterError("the scalar shift must be positive")
-    H, S = hermitian_split(A)
-    lam_min, lam_max = symmetric_eig_extremes(H)
-    if lam_min <= 0.0:
-        raise ParameterError(
-            f"symmetric part is not positive definite (lambda_min = {lam_min:.3e})"
-        )
-    norms = _Norms()
-    method = _method(H, "dense_eigh", "lu_shift_invert_lanczos")
-    norms.record("lambda_min(H)", lam_min, method)
-    norms.record("lambda_max(H)", lam_max, method)
-    mu_max = skew_spectral_radius(S, rel_tol=_NORM_RTOL)
-    norms.record("mu_max(S)", mu_max, _method(S, "dense_svd", "lanczos"))
-    tau = norms.norm(B, "tau = norm(B)")
-    norms.record("omega", w)
-    norms.record("theta", theta)
-    root = float(np.sqrt(w * w + mu_max * mu_max))
-    lhs = root + theta * (w + lam_max + tau + root)
-    rhs = w + lam_min - tau
-    factor = (theta * (w + lam_max + root + tau) + root + tau) / (w + lam_min)
-    return _certificate(Condition.SCALAR_OMEGA, lhs, rhs, factor, norms)
+    return evaluate(
+        [Condition.SCALAR_OMEGA], A=A, B=B, theta=theta, omega_scalar=omega_scalar
+    )[0]
 
 
 def check_corollary(kind, A=None, B=None, M=None, N=None, omega=None, theta=0.0, gamma=None):
@@ -237,93 +315,6 @@ def check_corollary(kind, A=None, B=None, M=None, N=None, omega=None, theta=0.0,
     - Cor36a/Cor36b: A, gamma   (DRS on the AVE)
     """
     kind = Condition(kind)
-    theta = _check_theta(theta)
-    norms = _Norms()
-
-    def need(**kwargs):
-        missing = [name for name, val in kwargs.items() if val is None]
-        if missing:
-            raise ParameterError(
-                f"{kind.value} requires arguments: {', '.join(missing)}"
-            )
-
-    if kind in (Condition.COR31, Condition.COR32):
-        need(A=A, B=B, omega=omega)
-        n_b = norms.norm(B, "norm(B)")
-        n_o = norms.norm(omega, "norm(Omega)")
-        OA = sparse_add(omega, A)
-        n_oa = norms.norm(OA, "norm(Omega+A)")
-        norms.record("theta", theta)
-        if kind is Condition.COR31:
-            lhs = norms.inv_norm(OA, "norm((Omega+A)^-1)")
-            rhs = 1.0 / (n_b + n_o + theta * (n_oa + n_b + n_o))
-        else:
-            lhs = norms.inv_norm(A, "norm(A^-1)")
-            rhs = 1.0 / (n_b + 2.0 * n_o + theta * (n_oa + n_b + n_o))
-        return _certificate(kind, lhs, rhs, None, norms)
-
-    if kind in (Condition.COR33A, Condition.COR33B):
-        need(A=A, B=B, omega=omega)
-        n_b = norms.norm(B, "norm(B)")
-        OA = sparse_add(omega, A)
-        n_oa = norms.norm(OA, "norm(Omega+A)")
-        n_oma = norms.norm(sparse_sub(omega, A), "norm(Omega-A)")
-        norms.record("theta", theta)
-        if kind is Condition.COR33A:
-            lhs = norms.inv_norm(OA, "norm((Omega+A)^-1)")
-            rhs = 1.0 / (2.0 * n_b + n_oma + theta * (n_oa + 2.0 * n_b + n_oma))
-        else:
-            n_o = norms.norm(omega, "norm(Omega)")
-            lhs = norms.inv_norm(A, "norm(A^-1)")
-            rhs = 1.0 / (
-                2.0 * n_b + n_o + n_oma + theta * (n_oa + 2.0 * n_b + n_oma)
-            )
-        return _certificate(kind, lhs, rhs, None, norms)
-
-    if kind is Condition.COR34:
-        need(A=A, B=B)
-        n_b = norms.norm(B, "norm(B)")
-        n_a = norms.norm(A, "norm(A)")
-        norms.record("theta", theta)
-        lhs = norms.inv_norm(A, "norm(A^-1)")
-        rhs = 1.0 / (n_b + theta * (n_a + n_b))
-        return _certificate(kind, lhs, rhs, None, norms)
-
-    if kind in (Condition.COR35A, Condition.COR35B):
-        need(M=M, N=N, omega=omega)
-        OM = sparse_add(omega, M)
-        n_om = norms.norm(OM, "norm(Omega+M)")
-        n_on = norms.norm(sparse_add(omega, N), "norm(Omega+N)")
-        norms.record("theta", theta)
-        if kind is Condition.COR35A:
-            lhs = norms.inv_norm(OM, "norm((Omega+M)^-1)")
-            rhs = 1.0 / (theta * (n_om + n_on + 1.0) + n_on + 1.0)
-        else:
-            n_o = norms.norm(omega, "norm(Omega)")
-            lhs = norms.inv_norm(M, "norm(M^-1)")
-            rhs = 1.0 / (theta * (n_om + n_on + 1.0) + n_on + n_o + 1.0)
-        return _certificate(kind, lhs, rhs, None, norms)
-
-    if kind in (Condition.COR36A, Condition.COR36B):
-        need(A=A, gamma=gamma)
-        if not 0.0 < gamma < 2.0:
-            raise ParameterError("gamma must lie in (0, 2)")
-        n_a = norms.norm(A, "norm(A)")
-        norms.record("gamma", gamma)
-        norms.record("theta", theta)
-        lhs = norms.inv_norm(A, "norm(A^-1)")
-        if kind is Condition.COR36A:
-            rhs = 1.0 / (
-                theta * ((2.0 - gamma / 2.0) * n_a + 1.0)
-                + 2.0 * (1.0 - gamma / 2.0) * n_a
-                + 1.0
-            )
-        else:
-            rhs = 1.0 / (
-                theta * ((4.0 / gamma - 1.0) * n_a + 1.0)
-                + 2.0 * (2.0 / gamma - 1.0) * n_a
-                + 1.0
-            )
-        return _certificate(kind, lhs, rhs, None, norms)
-
-    raise ParameterError(f"{kind.value} is not a corollary condition")
+    if kind not in COROLLARY_CONDITIONS:
+        raise ParameterError(f"{kind.value} is not a corollary condition")
+    return evaluate([kind], A=A, B=B, M=M, N=N, omega=omega, theta=theta, gamma=gamma)[0]

@@ -131,41 +131,21 @@ def _cmd_solve(args):
 
 def _cmd_certify(args):
     problem, hat = _load_problem_args(args)
-    A, B = problem.A, problem.B
-    omega = resolve_omega(bench_mod.resolve_omega_token(args.omega, hat), A.n_rows)
-    # the conditions on (M, N, Omega) run with the shift solve would use
-    splitting = build_splitting(A, _method_kind(args), omega)
-    M, N, shift = splitting.M, splitting.N, splitting.omega
-    lines = []
-    for name in args.condition:
-        cond = certify_mod.Condition(name)
-        if cond is certify_mod.Condition.EXACT:
-            cert = certify_mod.check_exact(A, B, M, N, shift)
-        elif cond is certify_mod.Condition.INEXACT:
-            cert = certify_mod.check_inexact(A, B, M, N, shift, args.theta_value)
-        elif cond is certify_mod.Condition.M_INVERSE:
-            cert = certify_mod.check_m_inverse(A, B, M, N, shift, args.theta_value)
-        elif cond is certify_mod.Condition.SCALAR_OMEGA:
-            if args.omega_scalar is None:
-                raise SpecError("ScalarOmegaThm34 requires --omega-scalar")
-            cert = certify_mod.check_scalar_omega(
-                A, B, args.omega_scalar, args.theta_value
-            )
-        elif cond in (certify_mod.Condition.COR35A, certify_mod.Condition.COR35B):
-            cert = certify_mod.check_corollary(
-                cond, M=M, N=N, omega=shift, theta=args.theta_value
-            )
-        else:
-            cert = certify_mod.check_corollary(
-                cond,
-                A=A,
-                B=B,
-                omega=omega,
-                theta=args.theta_value,
-                gamma=args.gamma,
-            )
-        lines.append(cert.format_line())
-    print("\n".join(lines))
+    omega = resolve_omega(bench_mod.resolve_omega_token(args.omega, hat), problem.n)
+    # every condition runs with the shift solve would use
+    splitting = build_splitting(problem.A, _method_kind(args), omega)
+    certificates = certify_mod.evaluate(
+        args.condition,
+        A=problem.A,
+        B=problem.B,
+        M=splitting.M,
+        N=splitting.N,
+        omega=splitting.omega,
+        theta=args.theta_value,
+        gamma=args.gamma,
+        omega_scalar=args.omega_scalar,
+    )
+    print("\n".join(cert.format_line() for cert in certificates))
     return 0
 
 

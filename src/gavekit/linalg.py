@@ -139,17 +139,15 @@ class LsqrOutcome:
     stop_reason: str  # "target_met" | "max_iter" | "stagnation"
 
 
-def lsqr(A, rhs, target_residual, max_iter, warm_start=None):
+def lsqr(A, rhs, target_residual, max_iter):
     """Least-squares solve of ``A x = rhs`` to an absolute residual target.
 
-    Runs scipy's Paige-Saunders LSQR on the shifted system ``A d = r0``,
-    ``r0 = rhs - A @ warm_start`` (``r0 = rhs``, with no product, when
-    there is no warm start), with ``btol = target_residual / norm(r0)`` and
-    ``atol``, ``conlim`` off, and returns ``warm_start + d`` as a new
-    array. The adjoint products run on ``A``'s cached CSR transpose. ``A``
-    may be rectangular; a target of 0 means "as far as possible".
-    ``iterations`` is scipy's ``itn``; ``residual_norm`` is recomputed
-    from the returned iterate. ``stop_reason`` is
+    Runs scipy's Paige-Saunders LSQR from zero, with ``btol =
+    target_residual / norm(rhs)`` and ``atol``, ``conlim`` off, and returns
+    the iterate as a new array. The adjoint products run on ``A``'s cached
+    CSR transpose. ``A`` may be rectangular; a target of 0 means "as far as
+    possible". ``iterations`` is scipy's ``itn``; ``residual_norm`` is
+    recomputed from the returned iterate. ``stop_reason`` is
     "target_met" when that residual is at most the target, else "max_iter"
     when scipy spent the ``max_iter`` budget (``istop == 7``), else
     "stagnation". Hitting ``max_iter`` is reported, not raised.
@@ -159,26 +157,20 @@ def lsqr(A, rhs, target_residual, max_iter, warm_start=None):
     if max_iter < 0:
         raise ParameterError("max_iter must be nonnegative")
     rhs = as_vector(rhs, A.n_rows, "rhs")
-    if warm_start is None:
-        x0, r0 = np.zeros(A.n_cols), rhs.copy()
-    else:
-        x0 = as_vector(warm_start, A.n_cols, "warm_start").copy()
-        r0 = rhs - spmv(A, x0)
-    if not np.all(np.isfinite(r0)):
+    if not np.all(np.isfinite(rhs)):
         raise NumericsError("non-finite values in lsqr inputs")
-    beta = float(np.linalg.norm(r0))
+    beta = float(np.linalg.norm(rhs))
     if beta <= target_residual:
-        return LsqrOutcome(x0, beta, 0, "target_met")
+        return LsqrOutcome(np.zeros(A.n_cols), beta, 0, "target_met")
     if max_iter == 0:
-        return LsqrOutcome(x0, beta, 0, "max_iter")
+        return LsqrOutcome(np.zeros(A.n_cols), beta, 0, "max_iter")
     S = A.to_scipy()  # an operator, not S: scipy copies S.T.conj() per call
     op = scipy.sparse.linalg.LinearOperator(
         S.shape, matvec=S.dot, rmatvec=A.to_scipy_transpose().dot, dtype=float
     )
-    d, istop, itn = scipy.sparse.linalg.lsqr(
-        op, r0, atol=0.0, btol=target_residual / beta, conlim=0.0, iter_lim=max_iter
+    x, istop, itn = scipy.sparse.linalg.lsqr(
+        op, rhs, atol=0.0, btol=target_residual / beta, conlim=0.0, iter_lim=max_iter
     )[:3]
-    x = x0 + d
     if not np.all(np.isfinite(x)):
         raise NumericsError(f"non-finite lsqr iterate after {itn} iterations")
     actual = float(np.linalg.norm(spmv(A, x) - rhs))

@@ -266,7 +266,8 @@ def verify_inexact_condition(problem, splitting, omega, x_prev, x_next, theta_k,
     caller. Omega is chosen as in :func:`nms_solve`. The paper's form, with
     Omega + N, keeps this independent of the solvers' correction form.
     """
-    _, OM, ON = splitting.shifted(omega)
+    om = splitting.shift(omega)
+    OM, ON = sparse_add(om, splitting.M), sparse_add(om, splitting.N)
     c = spmv(ON, x_prev) + spmv(problem.B, abs_vec(x_prev)) + problem.b
     lhs = float(np.linalg.norm(spmv(OM, x_next) - c))
     return lhs <= theta_k * f_norm

@@ -17,7 +17,6 @@ from .sparse import (
     SparseMatrix,
     diag_matrix,
     hermitian_split,
-    sparse_add,
     sparse_scale,
     sparse_sub,
     zeros,
@@ -117,11 +116,6 @@ class Splitting:
                 "do not supply one"
             )
         return resolve_omega(omega, self.M.n_rows)
-
-    def shifted(self, omega=None):
-        """Return ``(Omega, Omega + M, Omega + N)`` with Omega from :meth:`shift`."""
-        om = self.shift(omega)
-        return om, sparse_add(om, self.M), sparse_add(om, self.N)
 
 
 @dataclass(frozen=True)

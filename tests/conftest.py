@@ -29,6 +29,20 @@ def with_explicit_zeros(rng, A, frac=0.3):
     return SparseMatrix(A.n_rows, A.n_cols, A.row_ptr, A.col_idx, vals)
 
 
+def count_calls(monkeypatch, module, names):
+    """Count the calls of ``module``'s functions ``names``, by name."""
+    calls = {}
+    for name in names:
+        fn = getattr(module, name)
+
+        def counted(*args, _name=name, _fn=fn, **kwargs):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
 def tridiag(lo, mid, hi, n):
     """Dense tridiagonal matrix as a SparseMatrix."""
     dense = np.diag(np.full(n, float(mid)))

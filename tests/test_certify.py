@@ -6,6 +6,7 @@ import pytest
 import gavekit.certify
 from gavekit import (
     Condition,
+    OmegaSpec,
     ParameterError,
     SparseMatrix,
     build_splitting,
@@ -15,6 +16,7 @@ from gavekit import (
     check_m_inverse,
     check_scalar_omega,
     diag_matrix,
+    evaluate,
     gen_example41,
     hermitian_split,
     identity,
@@ -25,7 +27,7 @@ from gavekit import (
     zeros,
 )
 
-from conftest import random_dominant, random_sparse, scaled_identity, tridiag
+from conftest import count_calls, random_dominant, random_sparse, scaled_identity, tridiag
 
 
 def _dense_norm(X):
@@ -136,6 +138,50 @@ class TestCheckInexact:
         monkeypatch.setattr(gavekit.certify, "sparse_add", counting_add)
         check_inexact(p.A, p.B, s.M, s.N, hat, 0.5)
         assert len(calls) == 2  # Omega+M and Omega+N
+
+
+class TestEvaluate:
+    def test_estimates_and_sums_shared_across_conditions(self, monkeypatch):
+        _, p, hat = gen_example41(6, 4.0)
+        s = build_splitting(p.A, "ngs", OmegaSpec.scaled(1.0, hat))
+        calls = count_calls(monkeypatch, gavekit.certify, (
+            "spectral_norm", "min_singular_value", "symmetric_eig_extremes",
+            "skew_spectral_radius", "sparse_add", "sparse_sub",
+        ))
+        certs = evaluate(list(Condition), A=p.A, B=p.B, M=s.M, N=s.N, omega=s.omega,
+                         theta=0.3, gamma=1.0, omega_scalar=2.0)
+        assert [c.condition for c in certs] == list(Condition)
+        # norms of A, B, Omega, Omega+M, Omega+N, Omega+A, Omega-A; inverse
+        # norms of A, M, Omega+M, Omega+A; sums Omega+M, Omega+N, Omega+A, Omega-A
+        assert calls == {
+            "spectral_norm": 7,
+            "min_singular_value": 4,
+            "symmetric_eig_extremes": 1,
+            "skew_spectral_radius": 1,
+            "sparse_add": 3,
+            "sparse_sub": 1,
+        }
+
+    def test_shared_estimates_match_separate_calls(self):
+        _, p, hat = gen_example41(6, 4.0)
+        s = build_splitting(p.A, "ngs", OmegaSpec.scaled(1.0, hat))
+        inputs = dict(A=p.A, B=p.B, M=s.M, N=s.N, omega=s.omega, theta=0.3, gamma=1.0,
+                      omega_scalar=2.0)
+        together = evaluate(list(Condition), **inputs)
+        apart = [evaluate([c], **inputs)[0] for c in Condition]
+        assert together == apart
+
+    def test_inputs_checked_before_any_estimate(self, monkeypatch):
+        def no_estimate(*args, **kwargs):
+            raise AssertionError("estimated before the inputs were checked")
+
+        monkeypatch.setattr(gavekit.certify, "spectral_norm", no_estimate)
+        monkeypatch.setattr(gavekit.certify, "min_singular_value", no_estimate)
+        A = random_dominant(np.random.default_rng(0), 4)
+        with pytest.raises(ParameterError, match="Cor36a requires arguments: gamma"):
+            evaluate([Condition.COR34, Condition.COR36A], A=A, B=zeros(4))
+        with pytest.raises(ParameterError, match="theta"):
+            evaluate([Condition.COR34], A=A, B=zeros(4), theta=1.0)
 
 
 class TestCheckMInverse:
@@ -347,7 +393,7 @@ class TestNormDetailMethods:
         assert methods["lambda_min(H)"] == eig
         assert methods["lambda_max(H)"] == eig
         assert methods["mu_max(S)"] == norm
-        assert methods["tau = norm(B)"] == norm
+        assert methods["norm(B)"] == norm
 
     def test_inexact(self, m, dense):
         _, p, hat = gen_example41(m, 4.0)
@@ -365,7 +411,57 @@ class TestNormDetailMethods:
         }
 
 
+def _dense_sides(condition, A, B, M, N, Om, t, g, w):
+    """lhs and rhs of each condition recomputed from dense SVDs and eigvalsh."""
+
+    def n(X):
+        return np.linalg.svd(X, compute_uv=False)[0]
+
+    def inv(X):
+        return 1.0 / np.linalg.svd(X, compute_uv=False)[-1]
+
+    a, b, o, om, on = n(A), n(B), n(Om), n(Om + M), n(Om + N)
+    oa, oma = n(Om + A), n(Om - A)
+    if condition is Condition.EXACT:
+        return inv(Om + M) * (on + b), 1.0
+    if condition is Condition.SCALAR_OMEGA:
+        lam = np.linalg.eigvalsh((A + A.T) / 2)
+        root = np.hypot(w, n((A - A.T) / 2))
+        return root + t * (w + lam[-1] + b + root), w + lam[0] - b
+    X, den = {
+        Condition.INEXACT: (Om + M, t * (om + on + b) + on + b),
+        Condition.M_INVERSE: (M, t * (om + on + b) + on + b + o),
+        Condition.COR31: (Om + A, b + o + t * (oa + b + o)),
+        Condition.COR32: (A, b + 2 * o + t * (oa + b + o)),
+        Condition.COR33A: (Om + A, 2 * b + oma + t * (oa + 2 * b + oma)),
+        Condition.COR33B: (A, 2 * b + o + oma + t * (oa + 2 * b + oma)),
+        Condition.COR34: (A, b + t * (a + b)),
+        Condition.COR35A: (Om + M, t * (om + on + 1) + on + 1),
+        Condition.COR35B: (M, t * (om + on + 1) + on + o + 1),
+        Condition.COR36A: (A, t * ((2 - g / 2) * a + 1) + 2 * (1 - g / 2) * a + 1),
+        Condition.COR36B: (A, t * ((4 / g - 1) * a + 1) + 2 * (2 / g - 1) * a + 1),
+    }[condition]
+    return inv(X), 1.0 / den
+
+
 class TestNormOracles:
+    @pytest.mark.parametrize("condition", list(Condition), ids=lambda c: c.value)
+    def test_every_formula_matches_dense(self, condition):
+        rng = np.random.default_rng(11)
+        n = 24
+        A = random_dominant(rng, n, shift=8.0)
+        B = sparse_scale(0.5, random_sparse(rng, n))
+        s = build_splitting(A, "ngs")
+        om = diag_matrix(rng.uniform(0.0, 1.0, n))
+        cert = evaluate([condition], A=A, B=B, M=s.M, N=s.N, omega=om, theta=0.3,
+                        gamma=1.2, omega_scalar=1.5)[0]
+        lhs, rhs = _dense_sides(
+            condition, *(X.to_dense() for X in (A, B, s.M, s.N, om)), 0.3, 1.2, 1.5
+        )
+        assert cert.lhs == pytest.approx(lhs, rel=1e-9)
+        assert cert.rhs == pytest.approx(rhs, rel=1e-9)
+        assert cert.holds == (cert.lhs < cert.rhs)
+
     def test_certificate_norms_match_dense(self, rng):
         for _ in range(15):
             n = int(rng.integers(4, 40))

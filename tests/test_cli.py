@@ -1,13 +1,18 @@
 """End-to-end CLI runs (in-process) and exit-code contracts."""
 
 import numpy as np
+import pytest
 import scipy.sparse.linalg
 
+import gavekit.certify
 from gavekit import (
+    Condition,
     GaveProblem,
     OmegaSpec,
     SparseMatrix,
+    SplittingKind,
     build_splitting,
+    check_corollary,
     check_inexact,
     gen_example41,
     identity,
@@ -16,6 +21,8 @@ from gavekit import (
     zeros,
 )
 from gavekit.cli import main
+
+from conftest import count_calls
 
 
 def test_gen_and_solve_round_trip(tmp_path, capsys):
@@ -183,6 +190,60 @@ def test_certify_drs_uses_the_shift_solve_runs(capsys):
     )
     assert code == 0
     assert [line.split()[1] for line in lines] == ["lhs=9.2659092163158652e-02"] * 2
+
+
+def test_certify_drs_corollaries_use_the_pinned_shift(capsys):
+    # every condition runs with Omega = (2/gamma - 1) A, not the zero --omega
+    corollaries = ("Cor31", "Cor32", "Cor33a", "Cor33b")
+    args = [arg for name in corollaries for arg in ("--condition", name)]
+    code, lines = _certify_lines(capsys, "--method", "drs", "--gamma", "1", *args)
+    assert code == 0
+    _, prob, _ = gen_example41(6, 4.0)
+    s = build_splitting(prob.A, SplittingKind("drs", gamma=1.0))
+    want = [
+        check_corollary(name, A=prob.A, B=prob.B, omega=s.omega).format_line()
+        for name in corollaries
+    ]
+    assert lines == want
+
+
+@pytest.fixture
+def estimator_calls(monkeypatch):
+    """Counts the estimator calls certify makes, by estimator name."""
+    return count_calls(monkeypatch, gavekit.certify, (
+        "spectral_norm", "min_singular_value", "symmetric_eig_extremes",
+        "skew_spectral_radius",
+    ))
+
+
+def test_certify_shares_estimates_between_conditions(estimator_calls, capsys):
+    # norm(B) serves both conditions; Omega+M, Omega+N and A are estimated once
+    code = main(["certify", "--example41", "24", "4", "--method", "ngs", "--omega", "mhat",
+                 "--condition", "InexactEq15", "--theta-value", "0.5", "--condition", "Cor34"])
+    assert code == 0
+    assert estimator_calls == {"spectral_norm": 4, "min_singular_value": 2}
+
+
+def test_certify_all_conditions_share_one_set_of_estimates(estimator_calls, capsys):
+    args = [arg for c in Condition for arg in ("--condition", c.value)]
+    code = main(["certify", "--example41", "6", "4", "--method", "ngs", "--omega", "mhat",
+                 "--theta-value", "0.3", "--omega-scalar", "2", "--gamma", "1", *args])
+    assert code == 0
+    assert len(capsys.readouterr().out.splitlines()) == len(Condition)
+    assert estimator_calls == {
+        "spectral_norm": 7,
+        "min_singular_value": 4,
+        "symmetric_eig_extremes": 1,
+        "skew_spectral_radius": 1,
+    }
+
+
+def test_certify_missing_input_exits_2_before_any_estimate(estimator_calls, capsys):
+    code = main(["certify", "--example41", "24", "4", "--method", "ngs", "--omega", "mhat",
+                 "--condition", "InexactEq15", "--condition", "ScalarOmegaThm34"])
+    assert code == 2
+    assert "ScalarOmegaThm34 requires arguments: omega_scalar" in capsys.readouterr().err
+    assert estimator_calls == {}
 
 
 def test_certify_rejects_a_shift_the_method_pins(capsys):

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 import gavekit.solver
-import gavekit.splittings
 from gavekit import (
     ConfigurationError,
     DivergenceError,
@@ -371,7 +370,6 @@ class TestCorrectionForm:
             return sparse_add(X, Y)
 
         monkeypatch.setattr(gavekit.solver, "sparse_add", counting_add)
-        monkeypatch.setattr(gavekit.splittings, "sparse_add", counting_add)
         om = OmegaSpec.scaled(1.0, hat)
         for solve, inner in ((nms_solve, "direct"), (inms_solve, "lsqr")):
             calls.clear()
