@@ -234,6 +234,8 @@ def build_parser():
         "--condition",
         action="append",
         required=True,
+        choices=[c.value for c in certify_mod.Condition],
+        metavar="NAME",
         help="condition name (repeatable), e.g. InexactEq15",
     )
     p_cert.add_argument("--theta-value", type=float, default=0.0)

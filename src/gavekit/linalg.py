@@ -347,13 +347,10 @@ def symmetric_eig_extremes(H, rel_tol=1e-11, max_iter=10000, dense_cutoff=DENSE_
         return float(eigs[0]), float(eigs[-1])
     if H.nnz == 0 or H.max_abs() == 0.0:
         return 0.0, 0.0
-    # per-row Gershgorin interval [lo, hi] containing the whole spectrum
-    rows, cols, vals = H.coo_arrays()
-    diag = np.zeros(n)
-    radius = np.zeros(n)
-    on_diag = rows == cols
-    diag[rows[on_diag]] = vals[on_diag]
-    np.add.at(radius, rows[~on_diag], np.abs(vals[~on_diag]))
+    # per-row Gershgorin interval [lo, hi] containing the whole spectrum;
+    # the radius is the row sums of |H - diag(H)|, left to right
+    diag = H.diagonal()
+    radius = abs(sparse_sub(H, diag_matrix(diag)).to_scipy()) @ np.ones(n)
     hi = float(np.max(diag + radius))
     lo = float(np.min(diag - radius))
     delta = 1e-9 * max(hi - lo, abs(hi), abs(lo)) + 1e-300

@@ -1,9 +1,10 @@
 """Compressed sparse row matrices and the elementwise kernels built on them.
 
-The :class:`SparseMatrix` type is immutable: every operation returns a new
-matrix. Within each row the stored column indices are strictly increasing,
-so duplicate entries cannot occur. Explicit zeros are allowed in a stored
-matrix, but sums and differences run on scipy's compiled CSR kernels and
+A :class:`SparseMatrix` is an immutable handle on one canonical scipy CSR
+matrix, whose index dtype scipy chooses; every operation returns a new
+matrix. Within each row the column indices are strictly increasing (scipy's
+checks verify it), so duplicate entries cannot occur. Explicit zeros may be
+stored, but sums and differences run on scipy's compiled CSR kernels and
 never store an entry that is exactly zero, whether it came from one operand
 or from cancellation. Dropping a zero removes only ``0 * x_j`` terms, so
 products with finite vectors are unchanged.
@@ -42,7 +43,7 @@ def as_vector(x, n, what="vector"):
 
 
 class SparseMatrix:
-    """Immutable CSR matrix.
+    """Immutable CSR matrix: a read-only handle on one scipy CSR matrix.
 
     Parameters
     ----------
@@ -55,55 +56,54 @@ class SparseMatrix:
         Column indices, strictly increasing within each row.
     values : array of float
         Stored entries, parallel to ``col_idx``.
+    validate : bool
+        Check the arrays with scipy's ``check_format(full_check=True)`` and
+        ``has_canonical_format``; a violation raises ``ParameterError``.
+
+    ``row_ptr``, ``col_idx`` and ``values`` are the read-only arrays of
+    :meth:`to_scipy`, with the index dtype scipy chose (int32 when it fits).
     """
 
-    __slots__ = ("n_rows", "n_cols", "row_ptr", "col_idx", "values", "_csr", "_csr_t")
+    __slots__ = ("_csr", "_csr_t")
 
     def __init__(self, n_rows, n_cols, row_ptr, col_idx, values, validate=True):
-        row_ptr = np.ascontiguousarray(row_ptr, dtype=np.int64)
-        col_idx = np.ascontiguousarray(col_idx, dtype=np.int64)
         values = np.ascontiguousarray(values, dtype=np.float64)
         if validate:
-            self._validate(n_rows, n_cols, row_ptr, col_idx, values)
-        for arr in (row_ptr, col_idx, values):
+            if n_rows < 0 or n_cols < 0:
+                raise DimensionError("matrix dimensions must be nonnegative")
+            row_ptr, col_idx = np.asarray(row_ptr), np.asarray(col_idx)
+            if row_ptr.shape != (n_rows + 1,):
+                raise ParameterError(f"row_ptr must have length {n_rows + 1}")
+            # scipy silently drops entries beyond row_ptr[-1]
+            if not col_idx.shape == values.shape == (row_ptr[-1],):
+                raise ParameterError("col_idx/values length must equal row_ptr[-1]")
+        try:
+            csr = scipy.sparse.csr_matrix((values, col_idx, row_ptr), shape=(n_rows, n_cols))
+            if validate:
+                csr.check_format(full_check=True)
+        except ValueError as exc:
+            raise ParameterError(str(exc)) from exc
+        if validate and not csr.has_canonical_format:
+            raise ParameterError(
+                "column indices must be strictly increasing within each row "
+                "(duplicate entries are forbidden)"
+            )
+        self._hold(csr)
+
+    def _hold(self, csr):
+        for arr in (csr.indptr, csr.indices, csr.data):
             arr.flags.writeable = False
-        object.__setattr__(self, "n_rows", int(n_rows))
-        object.__setattr__(self, "n_cols", int(n_cols))
-        object.__setattr__(self, "row_ptr", row_ptr)
-        object.__setattr__(self, "col_idx", col_idx)
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "_csr", None)
+        object.__setattr__(self, "_csr", csr)
         object.__setattr__(self, "_csr_t", None)
+        return self
+
+    @classmethod
+    def _wrap(cls, csr):
+        """Hold a canonical float64 scipy CSR matrix without copying it."""
+        return object.__new__(cls)._hold(csr)
 
     def __setattr__(self, name, value):
         raise AttributeError("SparseMatrix is immutable")
-
-    @staticmethod
-    def _validate(n_rows, n_cols, row_ptr, col_idx, values):
-        if n_rows < 0 or n_cols < 0:
-            raise DimensionError("matrix dimensions must be nonnegative")
-        if row_ptr.shape != (n_rows + 1,):
-            raise ParameterError(f"row_ptr must have length {n_rows + 1}")
-        if row_ptr[0] != 0:
-            raise ParameterError("row_ptr[0] must be 0")
-        if np.any(np.diff(row_ptr) < 0):
-            raise ParameterError("row_ptr must be nondecreasing")
-        nnz = int(row_ptr[-1])
-        if col_idx.shape != (nnz,) or values.shape != (nnz,):
-            raise ParameterError("col_idx/values length must equal row_ptr[-1]")
-        if nnz:
-            if col_idx.min() < 0 or col_idx.max() >= n_cols:
-                raise ParameterError("column index out of range")
-            # strict increase inside every row; row starts may go backwards
-            increasing = np.diff(col_idx) > 0
-            new_row = np.zeros(nnz, dtype=bool)
-            starts = row_ptr[1:-1]
-            new_row[starts[starts < nnz]] = True
-            if not np.all(increasing | new_row[1:]):
-                raise ParameterError(
-                    "column indices must be strictly increasing within each row "
-                    "(duplicate entries are forbidden)"
-                )
 
     # -- constructors ------------------------------------------------------
 
@@ -120,19 +120,16 @@ class SparseMatrix:
                 raise ParameterError("row index out of range")
             if cols.min() < 0 or cols.max() >= n_cols:
                 raise ParameterError("column index out of range")
-        order = np.lexsort((cols, rows))
-        rows, cols, vals = rows[order], cols[order], vals[order]
-        if rows.size > 1:
-            same = (np.diff(rows) == 0) & (np.diff(cols) == 0)
-            if np.any(same):
-                i = int(np.flatnonzero(same)[0])
-                raise ParameterError(
-                    f"duplicate entry at ({rows[i]}, {cols[i]})"
-                )
-        row_ptr = np.zeros(n_rows + 1, dtype=np.int64)
-        np.add.at(row_ptr, rows + 1, 1)
-        np.cumsum(row_ptr, out=row_ptr)
-        return cls(n_rows, n_cols, row_ptr, cols, vals, validate=False)
+        shape = (n_rows, n_cols)
+        csr = scipy.sparse.coo_matrix((vals, (rows, cols)), shape=shape).tocsr()
+        # scipy sums duplicate pairs and keeps stored zeros: fewer entries
+        # means a duplicate; name the first in row-major order
+        if csr.nnz < rows.size:
+            ones = np.ones(rows.size)
+            counts = scipy.sparse.csr_matrix((ones, (rows, cols)), shape=shape).tocoo()
+            i = int(np.argmax(counts.data > 1))
+            raise ParameterError(f"duplicate entry at ({counts.row[i]}, {counts.col[i]})")
+        return cls._wrap(csr)
 
     @classmethod
     def from_dense(cls, arr):
@@ -140,45 +137,31 @@ class SparseMatrix:
         arr = np.asarray(arr, dtype=float)
         if arr.ndim != 2:
             raise DimensionError("dense input must be 2-D")
-        rows, cols = np.nonzero(arr)
-        return cls.from_coo(arr.shape[0], arr.shape[1], rows, cols, arr[rows, cols])
+        return cls._wrap(scipy.sparse.csr_matrix(arr))
 
     @classmethod
     def from_scipy(cls, mat):
-        """Wrap a scipy sparse matrix (canonicalized, explicit zeros kept)."""
-        csr = scipy.sparse.csr_matrix(mat).copy()
-        csr.sort_indices()
-        return cls(
-            csr.shape[0],
-            csr.shape[1],
-            csr.indptr,
-            csr.indices,
-            csr.data,
-            validate=False,
-        )
+        """Copy a scipy sparse matrix, canonicalized: duplicates summed, zeros kept."""
+        csr = scipy.sparse.csr_matrix(mat).astype(np.float64)  # astype copies
+        csr.sum_duplicates()
+        return cls._wrap(csr)
 
-    # -- basic queries -----------------------------------------------------
+    # -- basic queries: all read off the one scipy CSR matrix ---------------
 
-    @property
-    def shape(self):
-        return (self.n_rows, self.n_cols)
-
-    @property
-    def nnz(self):
-        return int(self.row_ptr[-1])
+    n_rows = property(lambda self: self._csr.shape[0])
+    n_cols = property(lambda self: self._csr.shape[1])
+    shape = property(lambda self: self._csr.shape)
+    nnz = property(lambda self: self._csr.nnz)
+    row_ptr = property(lambda self: self._csr.indptr)
+    col_idx = property(lambda self: self._csr.indices)
+    values = property(lambda self: self._csr.data)
 
     @property
     def is_square(self):
         return self.n_rows == self.n_cols
 
     def to_scipy(self):
-        """Return (and cache) the scipy CSR view used by the compute kernels."""
-        if self._csr is None:
-            csr = scipy.sparse.csr_matrix(
-                (self.values, self.col_idx, self.row_ptr),
-                shape=(self.n_rows, self.n_cols),
-            )
-            object.__setattr__(self, "_csr", csr)
+        """Return the scipy CSR matrix this handle holds (do not modify it)."""
         return self._csr
 
     def to_scipy_transpose(self):
@@ -188,18 +171,17 @@ class SparseMatrix:
         (CSC) view: each entry sums the same terms in the same order.
         """
         if self._csr_t is None:
-            object.__setattr__(self, "_csr_t", self.to_scipy().T.tocsr())
+            object.__setattr__(self, "_csr_t", self._csr.T.tocsr())
         return self._csr_t
 
     def to_dense(self):
-        return self.to_scipy().toarray()
+        return self._csr.toarray()
 
     def diagonal(self):
-        return self.to_scipy().diagonal()
+        return self._csr.diagonal()
 
     def transpose(self):
-        t = self.to_scipy_transpose()
-        return SparseMatrix(t.shape[0], t.shape[1], t.indptr, t.indices, t.data, validate=False)
+        return SparseMatrix._wrap(self.to_scipy_transpose())
 
     @property
     def T(self):
@@ -207,17 +189,16 @@ class SparseMatrix:
 
     def coo_arrays(self):
         """Return new (rows, cols, values) arrays, in row-major order."""
-        rows = np.repeat(np.arange(self.n_rows, dtype=np.int64), np.diff(self.row_ptr))
-        return rows, self.col_idx.copy(), self.values.copy()
+        coo = self._csr.tocoo()  # its row array is new; col and data may be shared
+        return coo.row, coo.col.copy(), coo.data.copy()
 
     def inf_norm(self):
         """Maximum absolute row sum."""
         if self.nnz == 0:
             return 0.0
-        sums = np.zeros(self.n_rows)
-        rows = np.repeat(np.arange(self.n_rows), np.diff(self.row_ptr))
-        np.add.at(sums, rows, np.abs(self.values))
-        return float(sums.max())
+        # a product with ones sums each row left to right; scipy's
+        # sum(axis=1) sums rows of 8 or more entries pairwise
+        return float((abs(self._csr) @ np.ones(self.n_cols)).max())
 
     def max_abs(self):
         return float(np.abs(self.values).max()) if self.nnz else 0.0
@@ -298,8 +279,7 @@ def sparse_add(A, B):
     zero from cancellation is kept.
     """
     _require_same_shape(A, B)
-    s = A.to_scipy() + B.to_scipy()
-    return SparseMatrix(A.n_rows, A.n_cols, s.indptr, s.indices, s.data)
+    return SparseMatrix._wrap(A.to_scipy() + B.to_scipy())
 
 
 def sparse_scale(c, A):

@@ -85,10 +85,10 @@ class Splitting:
     """An (M, N) pair with M - N = A, and the shift Omega the iteration runs with.
 
     ``omega`` is the n-by-n shift matrix. picard (zero), drs
-    ((2/gamma - 1) * A) and nmn (the Omega it was built with) pin it, and
-    the solvers reject a supplied shift for them; for the other kinds it is
-    the shift :func:`build_splitting` was given (zero by default), which a
-    shift supplied to a solver overrides.
+    ((2/gamma - 1) * A) and nmn (the Omega it was built with) pin it: a
+    shift supplied for picard or drs must be zero, and nmn rejects any. For
+    the other kinds it is the shift :func:`build_splitting` was given (zero
+    by default), which a shift supplied to a solver overrides.
     """
 
     kind: SplittingKind
@@ -106,16 +106,19 @@ class Splitting:
         """The shift Omega one iteration runs with.
 
         It is the splitting's own shift unless ``omega`` (an OmegaSpec or
-        matrix) is supplied, which is an error for the kinds that pin theirs.
+        matrix) is supplied. For the kinds that pin theirs, a supplied shift
+        is an error, except a zero one for picard and drs.
         """
-        if omega is None:
-            return self.omega
-        if self.implied_omega is not None:
+        name = self.kind.name
+        if name in ("picard", "drs"):
+            _require_zero_shift(name, omega, self.M.n_rows)
+        elif name == "nmn" and omega is not None:
             raise ConfigurationError(
-                f"splitting {self.kind.name!r} pins its own shift matrix; "
-                "do not supply one"
+                "splitting 'nmn' pins its own shift matrix; do not supply one"
             )
-        return resolve_omega(omega, self.M.n_rows)
+        elif omega is not None:
+            return resolve_omega(omega, self.M.n_rows)
+        return self.omega
 
 
 @dataclass(frozen=True)
@@ -183,6 +186,14 @@ def resolve_omega(spec, n):
     raise ParameterError(f"unknown omega kind {spec.kind!r}")
 
 
+def _require_zero_shift(name, omega, n):
+    """picard and drs pin their shift: a supplied one must be None or zero."""
+    if omega is not None and resolve_omega(omega, n).max_abs() != 0.0:
+        raise ConfigurationError(
+            f"{name} pins its own shift matrix; a supplied one must be zero"
+        )
+
+
 def triangular_parts(A):
     """Split A = D - L - U into diagonal and negated strict triangles.
 
@@ -199,7 +210,7 @@ def triangular_parts(A):
         # masking keeps the row-major order, so only the row counts change
         row_ptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(np.bincount(rows[mask], minlength=n), out=row_ptr[1:])
-        return SparseMatrix(n, n, row_ptr, cols[mask], sign * A.values[mask])
+        return SparseMatrix(n, n, row_ptr, cols[mask], sign * A.values[mask], validate=False)
 
     return part(rows == cols, 1.0), part(rows > cols, -1.0), part(rows < cols, -1.0)
 
@@ -221,10 +232,7 @@ def build_splitting(A, kind, omega=None):
     warnings = ()
 
     if name in ("picard", "drs"):
-        if omega is not None and resolve_omega(omega, n).max_abs() != 0.0:
-            raise ConfigurationError(
-                f"{name} pins its own shift matrix; a supplied one must be zero"
-            )
+        _require_zero_shift(name, omega, n)
         if name == "picard":
             om = zeros(n)
         else:

@@ -265,6 +265,14 @@ def test_solve_drs_accepts_a_zero_shift(capsys):
     assert "pins its own shift" in capsys.readouterr().err
 
 
+def test_certify_unknown_condition_exits_2(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["certify", "--example41", "6", "4", "--condition", "Bogus"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "invalid choice" in err and "Bogus" in err
+
+
 def test_certify_estimator_without_convergence_exits_3(monkeypatch, capsys):
     # no option reaches the ARPACK restart budget, so the failure is injected
     def no_convergence(*args, **kwargs):

@@ -275,6 +275,28 @@ def test_picard_rejects_nonzero_omega(rng, solve, inner):
         solve(prob, s, OmegaSpec.scalar(1.0), SolverConfig(inner=inner))
 
 
+@pytest.mark.parametrize("solve, inner", [(nms_solve, "direct"), (inms_solve, "lsqr")])
+@pytest.mark.parametrize("kind", ["picard", SplittingKind("drs", gamma=1.2)], ids=["picard", "drs"])
+def test_zero_shift_is_the_pinned_shift(rng, solve, inner, kind):
+    # the solvers and build_splitting share one rule: zero is allowed
+    prob = _random_problem(rng, 8)
+    s = build_splitting(prob.A, kind)
+    want = solve(prob, s, None, SolverConfig(inner=inner))
+    for zero in (OmegaSpec.zero(), OmegaSpec.scalar(0.0), zeros(8)):
+        got = solve(prob, s, zero, SolverConfig(inner=inner))
+        assert got.iterations == want.iterations
+        assert got.final_res == want.final_res
+        np.testing.assert_array_equal(got.x, want.x)
+
+
+@pytest.mark.parametrize("solve, inner", [(nms_solve, "direct"), (inms_solve, "lsqr")])
+def test_nmn_rejects_any_supplied_shift(rng, solve, inner):
+    prob = _random_problem(rng, 6)
+    s = build_splitting(prob.A, "nmn", OmegaSpec.scalar(1.0))
+    with pytest.raises(ConfigurationError):
+        solve(prob, s, OmegaSpec.zero(), SolverConfig(inner=inner))
+
+
 def test_splitting_runs_with_the_shift_it_was_built_with():
     # a shift given to build_splitting and the same shift given to the solver
     # are one iteration

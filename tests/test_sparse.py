@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.sparse
 
 from gavekit import (
     DimensionError,
@@ -37,6 +38,42 @@ class TestConstruction:
     def test_rejects_unsorted_columns(self):
         with pytest.raises(ParameterError):
             SparseMatrix(1, 3, [0, 2], [2, 0], [1.0, 2.0])
+
+    @pytest.mark.parametrize(
+        "row_ptr, col_idx, values",
+        [([0, 1, 1], [0, 1], [1.0, 2.0]), ([0, 1, 1], [0], [1.0, 2.0])],
+    )
+    def test_rejects_lengths_other_than_row_ptr_end(self, row_ptr, col_idx, values):
+        # scipy alone would keep the first row_ptr[-1] entries and drop the rest
+        with pytest.raises(ParameterError):
+            SparseMatrix(2, 2, row_ptr, col_idx, values)
+
+    def test_arrays_are_the_read_only_scipy_arrays(self, rng):
+        A = random_sparse(rng, 6, 5)
+        S = A.to_scipy()
+        assert A.row_ptr is S.indptr and A.col_idx is S.indices and A.values is S.data
+        for arr in (A.row_ptr, A.col_idx, A.values):
+            assert not arr.flags.writeable
+        # coo_arrays hands out new, writable arrays: the 1-based shift of
+        # the Matrix Market writer must not reach the matrix
+        rows, cols, vals = A.coo_arrays()
+        for arr in (rows, cols, vals):
+            assert arr.flags.writeable
+        cols += 1
+        vals *= 2.0
+        np.testing.assert_array_equal(A.col_idx, S.indices)
+        np.testing.assert_array_equal(A.to_dense()[rows, cols - 1], vals / 2.0)
+
+    def test_from_scipy_sums_duplicates(self):
+        dup = scipy.sparse.csr_matrix(
+            (np.array([1.0, 2.0, 0.0]), np.array([1, 1, 0]), np.array([0, 2, 3])),
+            shape=(2, 2),
+        )
+        A = SparseMatrix.from_scipy(dup)
+        assert A.nnz == 2  # the duplicate pair summed, the stored zero kept
+        np.testing.assert_array_equal(A.col_idx, [1, 0])
+        np.testing.assert_array_equal(A.values, [3.0, 0.0])
+        np.testing.assert_array_equal(A.to_dense(), dup.toarray())
 
     def test_from_coo_rejects_duplicates(self):
         with pytest.raises(ParameterError, match="duplicate"):
