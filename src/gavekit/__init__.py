@@ -62,7 +62,6 @@ from .solver import (
 )
 from .sparse import (
     SparseMatrix,
-    abs_vec,
     diag_matrix,
     hermitian_split,
     identity,
@@ -70,7 +69,6 @@ from .sparse import (
     sparse_scale,
     sparse_sub,
     spmv,
-    spmv_transpose,
     zeros,
 )
 from .splittings import (

@@ -17,7 +17,6 @@ from __future__ import annotations
 import csv
 import io
 import statistics
-import time
 from dataclasses import dataclass, field
 
 from .errors import (
@@ -117,6 +116,14 @@ class ResultRow:
     warnings: str = ""
 
 
+def parse_number(token, what, convert=float):
+    """``convert(token)``; a malformed number raises SpecError naming ``what``."""
+    try:
+        return convert(token)
+    except ValueError:
+        raise SpecError(f"bad {what} value {token!r}") from None
+
+
 def parse_theta(token, l_max=10):
     if token == "paper":
         return ThetaSchedule.paper(l_max)
@@ -152,9 +159,9 @@ def parse_method_line(value):
     inner = opts.get("inner", "direct").lower()
     if inner not in ("direct", "lsqr"):
         raise SpecError(f"unknown inner solver {inner!r}")
-    l_max = int(opts.get("lmax", 10))
+    l_max = parse_number(opts.get("lmax", "10"), "lmax", int)
     theta = parse_theta(opts.get("theta", "paper"), l_max)
-    max_inner = int(opts["maxinner"]) if "maxinner" in opts else None
+    max_inner = parse_number(opts["maxinner"], "maxinner", int) if "maxinner" in opts else None
     return MethodSpec(
         kind=kind,
         omega_token=opts.get("omega", "zero"),
@@ -184,34 +191,29 @@ def parse_spec(text):
         else:
             values[key] = value
     problem = values.get("problem", "")
+    if problem != "example41" and not problem.startswith("dir:"):
+        raise SpecError(
+            f"problem must be 'example41' or 'dir:<path>', got {problem!r}"
+        )
     try:
-        if problem.startswith("dir:"):
-            return ExperimentSpec(
-                problem_kind="dir",
-                directory=problem[4:].strip(),
-                methods=tuple(methods),
-                repeats=int(values.get("repeats", 10)),
-                tol=float(values.get("tol", 1e-6)),
-                k_max=int(values.get("kmax", 500)),
-                output=values.get("output"),
-            )
         if problem == "example41":
-            m_values = tuple(int(tok) for tok in values.get("m", "").split())
-            return ExperimentSpec(
+            source = dict(
                 problem_kind="example41",
-                m_values=m_values,
+                m_values=tuple(int(tok) for tok in values.get("m", "").split()),
                 mu=float(values["mu"]) if "mu" in values else None,
-                methods=tuple(methods),
-                repeats=int(values.get("repeats", 10)),
-                tol=float(values.get("tol", 1e-6)),
-                k_max=int(values.get("kmax", 500)),
-                output=values.get("output"),
             )
-    except (ValueError, KeyError) as exc:
+        else:
+            source = dict(problem_kind="dir", directory=problem[4:].strip())
+        return ExperimentSpec(
+            **source,
+            methods=tuple(methods),
+            repeats=int(values.get("repeats", 10)),
+            tol=float(values.get("tol", 1e-6)),
+            k_max=int(values.get("kmax", 500)),
+            output=values.get("output"),
+        )
+    except ValueError as exc:
         raise SpecError(f"bad spec value: {exc}") from exc
-    raise SpecError(
-        f"problem must be 'example41' or 'dir:<path>', got {problem!r}"
-    )
 
 
 def resolve_omega_token(token, hat_m=None):
@@ -220,11 +222,11 @@ def resolve_omega_token(token, hat_m=None):
     if token in ("zero", "0"):
         return OmegaSpec.zero()
     if token.startswith("identity:"):
-        return OmegaSpec.scalar(float(token.split(":", 1)[1]))
+        return OmegaSpec.scalar(parse_number(token.split(":", 1)[1], "omega"))
     if token == "mhat" or token.startswith("mhat:"):
         if hat_m is None:
             raise SpecError("omega 'mhat' is only available for example41 problems")
-        scale = 1.0 if token == "mhat" else float(token.split(":", 1)[1])
+        scale = 1.0 if token == "mhat" else parse_number(token.split(":", 1)[1], "omega")
         return OmegaSpec.scaled(scale, hat_m)
     if token.startswith("file:"):
         return OmegaSpec.explicit(read_matrix_market(token.split(":", 1)[1]))
@@ -235,8 +237,8 @@ def run_method(problem, method, hat_m=None, tol=1e-6, k_max=500, repeats=1):
     """Run one method on one problem; returns (report, mean_cpu_seconds).
 
     The reported iterate data comes from the first (deterministic) run;
-    the wall time is averaged over all repeats, each of which re-does the
-    factorization work.
+    the time is the mean of ``SolveReport.wall_time_s`` over all repeats,
+    each of which re-does the factorization work.
     """
     omega_spec = resolve_omega_token(method.omega_token, hat_m)
     splitting = build_splitting(problem.A, method.kind, omega_spec)
@@ -248,15 +250,8 @@ def run_method(problem, method, hat_m=None, tol=1e-6, k_max=500, repeats=1):
         max_inner=method.max_inner,
     )
     solve = nms_solve if method.inner == "direct" else inms_solve
-    report = None
-    times = []
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        out = solve(problem, splitting, config=config)
-        times.append(time.perf_counter() - t0)
-        if report is None:
-            report = out
-    return report, statistics.fmean(times)
+    reports = [solve(problem, splitting, config=config) for _ in range(repeats)]
+    return reports[0], statistics.fmean(r.wall_time_s for r in reports)
 
 
 def _experiment_problems(spec):
@@ -319,7 +314,7 @@ def _result_row(spec, problem, hat, n, mu, method):
     )
 
 
-def tune_alpha(problem, omega, grid, tol=1e-6, k_max=500, x0="alt10"):
+def tune_alpha(problem, omega, grid, tol=1e-6, k_max=500):
     """Grid-search the nsor relaxation parameter for the fewest iterations.
 
     Runs the exact solver once per grid point and returns
@@ -341,7 +336,7 @@ def tune_alpha(problem, omega, grid, tol=1e-6, k_max=500, x0="alt10"):
         cap = k_max if best is None else best[1] - 1
         if cap < 1:
             break
-        config = SolverConfig(tol=tol, k_max=cap, x0=x0, inner="direct")
+        config = SolverConfig(tol=tol, k_max=cap, inner="direct")
         try:
             splitting = build_splitting(problem.A, SplittingKind("nsor", alpha=alpha))
             report = nms_solve(problem, splitting, omega, config)

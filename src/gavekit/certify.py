@@ -22,11 +22,11 @@ import numpy as np
 
 from .errors import ParameterError
 from .linalg import (
-    DENSE_CUTOFF,
     min_singular_value,
     skew_spectral_radius,
     spectral_norm,
     symmetric_eig_extremes,
+    uses_dense,
 )
 from .sparse import hermitian_split, sparse_add, sparse_sub
 
@@ -111,8 +111,8 @@ class Certificate:
 
 
 def _method(X, dense, iterative):
-    """Name the estimator linalg runs on X: dense up to DENSE_CUTOFF."""
-    return dense if max(X.shape) <= DENSE_CUTOFF else iterative
+    """Name the estimator linalg runs on X, as ``linalg.uses_dense`` decides."""
+    return dense if uses_dense(X) else iterative
 
 
 class _Quantities:

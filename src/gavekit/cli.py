@@ -60,7 +60,8 @@ def _load_problem_args(args):
     """Returns (problem, hat_m); hat_m is None for directory problems."""
     if args.problem:
         return load_problem(args.problem), None
-    m, mu = int(args.example41[0]), float(args.example41[1])
+    m = bench_mod.parse_number(args.example41[0], "M", int)
+    mu = bench_mod.parse_number(args.example41[1], "MU")
     _, problem, hat = gen_example41(m, mu)
     return problem, hat
 
@@ -151,10 +152,11 @@ def _cmd_certify(args):
 
 def _parse_grid(token):
     parts = token.split(":")
+    values = [bench_mod.parse_number(p, "grid") for p in parts]
     if len(parts) == 1:
-        return [float(parts[0])]
+        return values
     if len(parts) == 3:
-        lo, hi, step = (float(p) for p in parts)
+        lo, hi, step = values
         if step <= 0:
             raise SpecError("grid step must be positive")
         count = int(round((hi - lo) / step))

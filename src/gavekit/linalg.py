@@ -10,7 +10,8 @@ results:
   Paige-Saunders ``lsqr``, which the solver runs from zero on the
   correction system ``(Omega + M) d = -F(x_k)``;
 - the norm and eigenvalue estimators give dense LAPACK answers for
-  matrices of order at most :data:`DENSE_CUTOFF`; above it all of them run
+  matrices of order at most :data:`DENSE_CUTOFF`, as :func:`uses_dense`
+  decides at call time; above it all of them run
   one Lanczos kernel (ARPACK ``eigsh``, stopping on the Ritz residual)
   started from a seeded pseudo-random unit vector. No estimator uses a
   structured start such as (1, -1, 1, ...): it is exactly orthogonal to
@@ -67,6 +68,16 @@ DENSE_CUTOFF = 500
 
 # Pivots smaller than this times the infinity norm count as singular.
 _PIVOT_TOL = 1e-14
+
+
+def uses_dense(A):
+    """True when the estimators take the dense LAPACK path for ``A``.
+
+    The one comparison with :data:`DENSE_CUTOFF`, read at call time;
+    certify's method labels use it too.
+    """
+    return max(A.shape) <= DENSE_CUTOFF
+
 
 class Factorization:
     """Sparse LU decomposition reusable across right-hand sides.
@@ -259,7 +270,7 @@ def spectral_norm(A, rel_tol=1e-8, max_iter=10000):
         raise ParameterError("rel_tol must be positive")
     if A.nnz == 0 or A.max_abs() == 0.0:
         return 0.0
-    if max(A.shape) <= DENSE_CUTOFF:
+    if uses_dense(A):
         return float(np.linalg.norm(A.to_dense(), 2))
     S, ST = A.to_scipy(), A.to_scipy_transpose()
     return _lanczos_top(
@@ -272,10 +283,10 @@ def spectral_norm(A, rel_tol=1e-8, max_iter=10000):
     )
 
 
-def min_singular_value(A, rel_tol=1e-10, max_iter=10000, dense_cutoff=DENSE_CUTOFF):
+def min_singular_value(A, rel_tol=1e-10, max_iter=10000):
     """Smallest singular value of a square nonsingular matrix.
 
-    Uses a dense SVD for ``n <= dense_cutoff`` and otherwise Lanczos on
+    Uses a dense SVD for ``n <= DENSE_CUTOFF`` and otherwise Lanczos on
     ``(A.T A)^{-1}``, applied through the LU factors, to relative Ritz
     residual ``rel_tol`` within ``max_iter`` ARPACK restarts.
 
@@ -288,7 +299,7 @@ def min_singular_value(A, rel_tol=1e-10, max_iter=10000, dense_cutoff=DENSE_CUTO
     if not A.is_square:
         raise DimensionError("min_singular_value requires a square matrix")
     n = A.n_rows
-    if n <= dense_cutoff:
+    if uses_dense(A):
         svals = np.linalg.svd(A.to_dense(), compute_uv=False)
         smin = float(svals[-1]) if svals.size else 0.0
         smax = float(svals[0]) if svals.size else 0.0
@@ -322,11 +333,11 @@ def _check_symmetry(A, sign, rel_tol, what):
         )
 
 
-def symmetric_eig_extremes(H, rel_tol=1e-11, max_iter=10000, dense_cutoff=DENSE_CUTOFF):
+def symmetric_eig_extremes(H, rel_tol=1e-11, max_iter=10000):
     """Extreme eigenvalues ``(lambda_min, lambda_max)`` of a symmetric matrix.
 
     Symmetry is checked to 1e-12 relative. Matrices of order at most
-    ``dense_cutoff`` go through a dense solver. Larger ones use Lanczos on
+    ``DENSE_CUTOFF`` go through a dense solver. Larger ones use Lanczos on
     shifted inverses: with the Gershgorin interval [lo, hi] containing the
     spectrum, ``sigma_hi I - H`` and ``H - sigma_lo I`` (shifts just
     beyond it) are positive definite, and the top eigenvalue of each
@@ -342,7 +353,7 @@ def symmetric_eig_extremes(H, rel_tol=1e-11, max_iter=10000, dense_cutoff=DENSE_
     """
     _check_symmetry(H, 1.0, 1e-12, "symmetric_eig_extremes")
     n = H.n_rows
-    if n <= dense_cutoff:
+    if uses_dense(H):
         eigs = np.linalg.eigvalsh(H.to_dense())
         return float(eigs[0]), float(eigs[-1])
     if H.nnz == 0 or H.max_abs() == 0.0:

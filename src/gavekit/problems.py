@@ -17,7 +17,7 @@ import numpy as np
 from .errors import DimensionError, FormatError, ParameterError
 from .linalg import min_singular_value, spectral_norm
 from .mmio import read_matrix_market, read_vector, write_matrix_market, write_vector
-from .sparse import SparseMatrix, abs_vec, identity, sparse_add, sparse_scale, sparse_sub, spmv
+from .sparse import SparseMatrix, identity, sparse_add, sparse_scale, sparse_sub, spmv
 
 __all__ = [
     "GaveProblem",
@@ -164,8 +164,9 @@ def gave_to_lcp(problem, x):
         raise ParameterError(
             "problem does not carry the LCP reduction provenance tag"
         )
-    ax = abs_vec(x)
-    return ax - np.asarray(x, dtype=float), ax + np.asarray(x, dtype=float)
+    x = np.asarray(x, dtype=float)
+    ax = np.abs(x)
+    return ax - x, ax + x
 
 
 def gen_example41(m, mu):

@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import ConfigurationError, DivergenceError, NumericsError, ParameterError
 from .linalg import lsqr, lu_factorize
-from .sparse import abs_vec, as_vector, sparse_add, spmv
+from .sparse import as_vector, sparse_add, spmv
 
 __all__ = [
     "ThetaSchedule",
@@ -84,7 +84,8 @@ class SolverConfig:
     """Stopping rule, start vector, and inner-solver selection.
 
     ``x0`` is either a vector or the token "alt10" for (1,0,1,0,...).
-    ``max_inner`` of None means ceil(10 * sqrt(n)) for the lsqr inner solver.
+    ``max_inner``, the lsqr inner solver's iteration budget per outer step,
+    is at least 1; None means ceil(10 * sqrt(n)).
     """
 
     tol: float = 1e-6
@@ -93,7 +94,6 @@ class SolverConfig:
     theta: ThetaSchedule = field(default_factory=ThetaSchedule.paper)
     inner: str = "direct"  # "direct" | "lsqr"
     max_inner: int | None = None
-    record_history: bool = True
 
     def __post_init__(self):
         if self.tol <= 0:
@@ -102,6 +102,8 @@ class SolverConfig:
             raise ParameterError("k_max must be at least 1")
         if self.inner not in ("direct", "lsqr"):
             raise ParameterError(f"unknown inner solver {self.inner!r}")
+        if self.max_inner is not None and self.max_inner < 1:
+            raise ParameterError("max_inner must be at least 1")
 
 
 @dataclass
@@ -218,7 +220,7 @@ def _iterate(problem, splitting, omega, config):
         converged=res <= config.tol,
         iterations=k,
         final_res=res,
-        res_history=np.array(history) if config.record_history else np.empty(0),
+        res_history=np.array(history),
         inner_iters=np.array(inner_iters, dtype=int),
         wall_time_s=elapsed,
         x=x,
@@ -268,6 +270,6 @@ def verify_inexact_condition(problem, splitting, omega, x_prev, x_next, theta_k,
     """
     om = splitting.shift(omega)
     OM, ON = sparse_add(om, splitting.M), sparse_add(om, splitting.N)
-    c = spmv(ON, x_prev) + spmv(problem.B, abs_vec(x_prev)) + problem.b
+    c = spmv(ON, x_prev) + spmv(problem.B, np.abs(x_prev)) + problem.b
     lhs = float(np.linalg.norm(spmv(OM, x_next) - c))
     return lhs <= theta_k * f_norm

@@ -1,9 +1,12 @@
 """Matrix splittings A = M - N and the shift matrix specifications.
 
 Each named splitting pins an (M, N) pair and carries the shift matrix Omega
-the outer iteration runs with; picard, drs and nmn pin theirs. N is always
-constructed as ``M - A`` so the splitting identity holds entrywise in
-floating point, while M follows the defining formula for the method.
+the outer iteration runs with; picard, drs and nmn pin theirs. M follows
+the defining formula for the method, and N is ``M - A``, except for hss,
+whose N is ``-S`` from :func:`~gavekit.sparse.hermitian_split`. So ``M - N
+== A`` holds bitwise for picard, mn, drs, nj and ngs, and up to rounding for
+the others: for nsor, naor and nmn ``M - A`` is rounded (nsor with alpha =
+0.3, for one), and for hss ``H + S`` is.
 """
 
 from __future__ import annotations
@@ -96,11 +99,6 @@ class Splitting:
     N: SparseMatrix
     omega: SparseMatrix
     warnings: tuple = ()
-
-    @property
-    def implied_omega(self):
-        """The pinned shift of picard, drs and nmn; None for the other kinds."""
-        return self.omega if self.kind.name in ("picard", "drs", "nmn") else None
 
     def shift(self, omega=None):
         """The shift Omega one iteration runs with.

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import gavekit.certify
+import gavekit.linalg
 from gavekit import (
     Condition,
     OmegaSpec,
@@ -409,6 +410,25 @@ class TestNormDetailMethods:
             "norm(B)": norm,
             "theta": "input",
         }
+
+
+def test_cutoff_decided_in_linalg_alone(monkeypatch):
+    # certify's labels follow the cutoff linalg reads at call time
+    _, p, hat = gen_example41(6, 4.0)  # n = 36
+    s = build_splitting(p.A, "ngs")
+    dense = check_inexact(p.A, p.B, s.M, s.N, hat, 0.5)
+    monkeypatch.setattr(gavekit.linalg, "DENSE_CUTOFF", 0)
+    lanczos = check_inexact(p.A, p.B, s.M, s.N, hat, 0.5)
+    assert {label: method for label, _, method in lanczos.norm_details} == {
+        "norm((Omega+M)^-1)": "lu_shift_invert_lanczos",
+        "norm(Omega+M)": "lanczos",
+        "norm(Omega+N)": "lanczos",
+        "norm(B)": "lanczos",
+        "theta": "input",
+    }
+    values = {label: value for label, value, _ in lanczos.norm_details}
+    for label, value, _ in dense.norm_details:
+        assert values[label] == pytest.approx(value, rel=1e-8, abs=1e-8)
 
 
 def _dense_sides(condition, A, B, M, N, Om, t, g, w):

@@ -133,6 +133,38 @@ def test_validation_error_exits_2(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "method_line, argv",
+    [
+        ("nj lmax=abc", None),
+        ("nj maxinner=abc", None),
+        ("nj omega=identity:abc", None),
+        ("nj omega=mhat:x", None),
+        (None, ["solve", "--example41", "6", "4", "--omega", "identity:abc"]),
+        (None, ["certify", "--example41", "6", "4", "--omega", "mhat:x",
+                "--condition", "Cor34"]),
+        (None, ["tune", "--example41", "6", "4", "--grid", "0.5:1.5:abc"]),
+        (None, ["solve", "--example41", "6", "abc"]),
+    ],
+    ids=["spec-lmax", "spec-maxinner", "spec-identity", "spec-mhat", "omega-identity",
+         "omega-mhat", "tune-grid", "example41-mu"],
+)
+def test_malformed_number_exits_2(tmp_path, capsys, method_line, argv):
+    # a spec line when argv is None, else a command line
+    if argv is None:
+        spec = tmp_path / "spec.txt"
+        spec.write_text(f"problem = example41\nm = 4\nmu = 4\nmethod = {method_line}\n")
+        argv = ["bench", "--spec", str(spec)]
+    assert main(argv) == 2
+    assert "error: bad" in capsys.readouterr().err
+
+
+def test_max_inner_below_one_exits_2(capsys):
+    code = main(["solve", "--example41", "6", "4", "--inexact", "--max-inner", "0"])
+    assert code == 2
+    assert "max_inner must be at least 1" in capsys.readouterr().err
+
+
 def test_numerical_failure_exits_3(tmp_path, capsys):
     A = identity(6)
     B = sparse_scale(3.0, identity(6))
@@ -178,7 +210,7 @@ def test_certify_nmn_uses_the_pinned_shift(capsys):
     assert code == 0
     _, prob, hat = gen_example41(6, 4.0)
     s = build_splitting(prob.A, "nmn", OmegaSpec.scaled(1.0, hat))
-    want = check_inexact(prob.A, prob.B, s.M, s.N, s.implied_omega, 0.5)
+    want = check_inexact(prob.A, prob.B, s.M, s.N, s.omega, 0.5)
     assert lines == [want.format_line()]
 
 

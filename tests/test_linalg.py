@@ -27,7 +27,6 @@ from gavekit import (
     spectral_norm,
     sparse_add,
     spmv,
-    spmv_transpose,
     symmetric_eig_extremes,
     zeros,
 )
@@ -275,12 +274,13 @@ class TestSpectralNormOperator:
         rng = np.random.default_rng(11)
         for _ in range(5):
             v = rng.standard_normal(X.n_cols)
-            np.testing.assert_array_equal(ST @ (S @ v), spmv_transpose(X, spmv(X, v)))
+            np.testing.assert_array_equal(ST @ (S @ v), S.T @ spmv(X, v))
 
     def test_estimate_bit_identical(self, name):
         X = _above_cutoff(name)
+        S = X.to_scipy()
         want = _lanczos_top(
-            lambda v: spmv_transpose(X, spmv(X, v)),
+            lambda v: S.T @ spmv(X, v),
             X.n_cols,
             1e-10,
             10000,
@@ -298,10 +298,11 @@ class TestMinSingularValue:
         P = SparseMatrix.from_coo(3, 3, [0, 1, 2], [1, 2, 0], [1.0, 1.0, 1.0])
         assert min_singular_value(P) == pytest.approx(1.0)
 
-    def test_dense_and_iterative_paths_agree(self, rng):
+    def test_dense_and_iterative_paths_agree(self, rng, monkeypatch):
         A = random_dominant(rng, 100)
         dense = min_singular_value(A)
-        iterative = min_singular_value(A, dense_cutoff=0)
+        monkeypatch.setattr(gavekit.linalg, "DENSE_CUTOFF", 0)
+        iterative = min_singular_value(A)
         assert iterative == pytest.approx(dense, rel=1e-6)
 
     def test_singular_raises(self):
@@ -310,9 +311,9 @@ class TestMinSingularValue:
             min_singular_value(A)
 
     def test_budget_exhaustion_carries_estimate(self):
-        A = diag_matrix(1.0 / np.r_[1.0, np.linspace(0.999999, 0.5, 599)])
+        A = diag_matrix(1.0 / np.r_[1.0, np.linspace(0.999999, 0.5, 599)])  # n = 600
         with pytest.raises(ConvergenceFailure) as info:
-            min_singular_value(A, rel_tol=1e-15, max_iter=1, dense_cutoff=0)
+            min_singular_value(A, rel_tol=1e-15, max_iter=1)
         est = info.value.best_estimate
         assert est is None or est == pytest.approx(1.0, rel=1e-3)
 
@@ -343,13 +344,14 @@ class TestSymmetricEigExtremes:
         assert lo == pytest.approx(4 - c, rel=1e-10)
         assert hi == pytest.approx(4 + c, rel=1e-10)
 
-    def test_iterative_path_matches_dense(self, rng):
+    def test_iterative_path_matches_dense(self, rng, monkeypatch):
         dense = np.zeros((120, 120))
         r = rng.uniform(-1, 1, (120, 120))
         dense = (r + r.T) / 2 + np.diag(rng.uniform(3, 6, 120))
         H = SparseMatrix.from_dense(dense)
         lo_d, hi_d = symmetric_eig_extremes(H)
-        lo_i, hi_i = symmetric_eig_extremes(H, dense_cutoff=0)
+        monkeypatch.setattr(gavekit.linalg, "DENSE_CUTOFF", 0)
+        lo_i, hi_i = symmetric_eig_extremes(H)
         assert lo_i == pytest.approx(lo_d, rel=1e-7)
         assert hi_i == pytest.approx(hi_d, rel=1e-7)
 
@@ -387,12 +389,12 @@ class TestEstimatorsOnExample41:
     def test_min_singular_value(self, m, mu):
         A = gen_example41(m, mu)[1].A
         want = np.linalg.svd(A.to_dense(), compute_uv=False)[-1]
-        assert min_singular_value(A, dense_cutoff=0) == pytest.approx(want, rel=1e-8)
+        assert min_singular_value(A) == pytest.approx(want, rel=1e-8)
 
     def test_symmetric_eig_extremes(self, m, mu):
         H, _ = hermitian_split(gen_example41(m, mu)[1].A)
         eigs = np.linalg.eigvalsh(H.to_dense())
-        lo, hi = symmetric_eig_extremes(H, dense_cutoff=0)
+        lo, hi = symmetric_eig_extremes(H)
         assert lo == pytest.approx(eigs[0], rel=1e-8)
         assert hi == pytest.approx(eigs[-1], rel=1e-8)
 

@@ -144,14 +144,14 @@ class TestBuildSplitting:
         omega = resolve_omega(om, 8).to_dense()
         np.testing.assert_allclose(s.M.to_dense(), (A.to_dense() - omega) / 2, rtol=1e-15)
         np.testing.assert_allclose(s.N.to_dense(), -(A.to_dense() + omega) / 2, atol=1e-14)
-        np.testing.assert_array_equal(s.implied_omega.to_dense(), omega)
+        np.testing.assert_array_equal(s.omega.to_dense(), omega)
 
     def test_drs_pins_omega(self, rng):
         A = random_dominant(rng, 8)
         gamma = 0.6
         s = build_splitting(A, SplittingKind("drs", gamma=gamma))
         np.testing.assert_allclose(
-            s.implied_omega.to_dense(), (2 / gamma - 1) * A.to_dense(), rtol=1e-15
+            s.omega.to_dense(), (2 / gamma - 1) * A.to_dense(), rtol=1e-15
         )
         with pytest.raises(ConfigurationError):
             build_splitting(A, SplittingKind("drs", gamma=gamma), OmegaSpec.scalar(1.0))
@@ -161,13 +161,13 @@ class TestBuildSplitting:
         kind = SplittingKind("drs", gamma=0.6)
         s = build_splitting(A, kind, OmegaSpec.zero())
         np.testing.assert_array_equal(
-            s.implied_omega.to_dense(), build_splitting(A, kind).implied_omega.to_dense()
+            s.omega.to_dense(), build_splitting(A, kind).omega.to_dense()
         )
 
     def test_picard_pins_zero_omega(self, rng):
         A = random_dominant(rng, 6)
         s = build_splitting(A, "picard")
-        assert s.implied_omega.shape == (6, 6) and s.implied_omega.nnz == 0
+        assert s.omega.shape == (6, 6) and s.omega.nnz == 0
 
     def test_picard_rejects_nonzero_omega(self, rng):
         A = random_dominant(rng, 6)
