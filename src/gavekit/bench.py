@@ -44,20 +44,23 @@ __all__ = [
 
 @dataclass(frozen=True)
 class MethodSpec:
-    """One solver configuration to benchmark."""
+    """One method of a spec line or of ``gavekit solve``, as it runs.
+
+    ``kind`` names the splitting, ``omega_token`` the shift it is built with
+    (see :func:`build_method`), and ``config`` the solve's settings: inner
+    solver, theta schedule, inner budget and the spec's stopping rule.
+    """
 
     kind: SplittingKind
     omega_token: str = "zero"  # zero | identity:<w> | mhat | mhat:<c> | file:<path>
-    inner: str = "direct"
-    theta: ThetaSchedule = field(default_factory=ThetaSchedule.paper)
-    max_inner: int | None = None
+    config: SolverConfig = field(default_factory=SolverConfig)
     label: str = ""
 
     def display_name(self):
         if self.label:
             return self.label
         name = self.kind.name
-        if self.inner == "lsqr":
+        if self.config.inner == "lsqr":
             name = "i" + name
         if self.kind.alpha is not None:
             name += f"({self.kind.alpha:g}"
@@ -79,8 +82,6 @@ class ExperimentSpec:
     directory: str | None = None
     methods: tuple = ()
     repeats: int = 10
-    tol: float = 1e-6
-    k_max: int = 500
     output: str | None = None
 
     def __post_init__(self):
@@ -116,6 +117,12 @@ class ResultRow:
     warnings: str = ""
 
 
+_SPEC_KEYS = ("problem", "m", "mu", "repeats", "tol", "kmax", "output", "method")
+_METHOD_OPTIONS = (
+    "alpha", "beta", "gamma", "omega", "inner", "theta", "lmax", "maxinner", "label",
+)
+
+
 def parse_number(token, what, convert=float):
     """``convert(token)``; a malformed number raises SpecError naming ``what``."""
     try:
@@ -127,14 +134,15 @@ def parse_number(token, what, convert=float):
 def parse_theta(token, l_max=10):
     if token == "paper":
         return ThetaSchedule.paper(l_max)
-    try:
-        return ThetaSchedule.constant(float(token))
-    except ValueError as exc:
-        raise SpecError(f"bad theta value {token!r}") from exc
+    return ThetaSchedule.constant(parse_number(token, "theta"))
 
 
-def parse_method_line(value):
-    """Parse a 'method =' line: kind token followed by key=value options."""
+def parse_method_line(value, tol=1e-6, k_max=500):
+    """Parse a 'method =' line: kind token followed by key=value options.
+
+    ``tol`` and ``k_max`` are the spec's stopping rule; they and the line's
+    options make the method's SolverConfig, whose checks run here.
+    """
     tokens = value.split()
     if not tokens:
         raise SpecError("empty method line")
@@ -146,36 +154,39 @@ def parse_method_line(value):
         if "=" not in tok:
             raise SpecError(f"malformed method option {tok!r}")
         key, _, val = tok.partition("=")
-        opts[key.strip().lower()] = val.strip()
-    try:
-        kind = SplittingKind(
-            kind_name,
-            alpha=float(opts["alpha"]) if "alpha" in opts else None,
-            beta=float(opts["beta"]) if "beta" in opts else None,
-            gamma=float(opts["gamma"]) if "gamma" in opts else None,
-        )
-    except ValueError as exc:
-        raise SpecError(str(exc)) from exc
-    inner = opts.get("inner", "direct").lower()
-    if inner not in ("direct", "lsqr"):
-        raise SpecError(f"unknown inner solver {inner!r}")
-    l_max = parse_number(opts.get("lmax", "10"), "lmax", int)
-    theta = parse_theta(opts.get("theta", "paper"), l_max)
-    max_inner = parse_number(opts["maxinner"], "maxinner", int) if "maxinner" in opts else None
+        key = key.strip().lower()
+        if key not in _METHOD_OPTIONS:
+            raise SpecError(f"unknown method option {key!r} in {value!r}")
+        opts[key] = val.strip()
+
+    def number(key, convert=float, default=None):
+        return parse_number(opts[key], key, convert) if key in opts else default
+
+    config = SolverConfig(
+        tol=tol,
+        k_max=k_max,
+        inner=opts.get("inner", "direct").lower(),
+        theta=parse_theta(opts.get("theta", "paper"), number("lmax", int, 10)),
+        max_inner=number("maxinner", int),
+    )
     return MethodSpec(
-        kind=kind,
+        kind=SplittingKind(
+            kind_name, alpha=number("alpha"), beta=number("beta"), gamma=number("gamma")
+        ),
         omega_token=opts.get("omega", "zero"),
-        inner=inner,
-        theta=theta,
-        max_inner=max_inner,
+        config=config,
         label=opts.get("label", ""),
     )
 
 
 def parse_spec(text):
-    """Parse the experiment spec text into an ExperimentSpec."""
+    """Parse the experiment spec text into an ExperimentSpec.
+
+    Method lines are parsed after every key is read, since ``tol`` and
+    ``kmax`` may follow them.
+    """
     values = {}
-    methods = []
+    method_lines = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -184,36 +195,35 @@ def parse_spec(text):
             raise SpecError(f"line {lineno}: expected 'key = value', got {raw!r}")
         key, _, value = line.partition("=")
         key, value = key.strip().lower(), value.strip()
+        if key not in _SPEC_KEYS:
+            raise SpecError(f"line {lineno}: unknown key {key!r}")
         if key == "method":
-            methods.append(parse_method_line(value))
+            method_lines.append(value)
         elif key in values:
             raise SpecError(f"line {lineno}: duplicate key {key!r}")
         else:
             values[key] = value
     problem = values.get("problem", "")
-    if problem != "example41" and not problem.startswith("dir:"):
+    if problem == "example41":
+        source = dict(
+            problem_kind="example41",
+            m_values=tuple(parse_number(tok, "m", int) for tok in values.get("m", "").split()),
+            mu=parse_number(values["mu"], "mu") if "mu" in values else None,
+        )
+    elif problem.startswith("dir:"):
+        source = dict(problem_kind="dir", directory=problem[4:].strip())
+    else:
         raise SpecError(
             f"problem must be 'example41' or 'dir:<path>', got {problem!r}"
         )
-    try:
-        if problem == "example41":
-            source = dict(
-                problem_kind="example41",
-                m_values=tuple(int(tok) for tok in values.get("m", "").split()),
-                mu=float(values["mu"]) if "mu" in values else None,
-            )
-        else:
-            source = dict(problem_kind="dir", directory=problem[4:].strip())
-        return ExperimentSpec(
-            **source,
-            methods=tuple(methods),
-            repeats=int(values.get("repeats", 10)),
-            tol=float(values.get("tol", 1e-6)),
-            k_max=int(values.get("kmax", 500)),
-            output=values.get("output"),
-        )
-    except ValueError as exc:
-        raise SpecError(f"bad spec value: {exc}") from exc
+    tol = parse_number(values.get("tol", 1e-6), "tol")
+    k_max = parse_number(values.get("kmax", 500), "kmax", int)
+    return ExperimentSpec(
+        **source,
+        methods=tuple(parse_method_line(line, tol, k_max) for line in method_lines),
+        repeats=parse_number(values.get("repeats", 10), "repeats", int),
+        output=values.get("output"),
+    )
 
 
 def resolve_omega_token(token, hat_m=None):
@@ -233,24 +243,28 @@ def resolve_omega_token(token, hat_m=None):
     raise SpecError(f"unknown omega token {token!r}")
 
 
-def run_method(problem, method, hat_m=None, tol=1e-6, k_max=500, repeats=1):
-    """Run one method on one problem; returns (report, mean_cpu_seconds).
+def build_method(problem, method, hat_m=None):
+    """The splitting of ``problem.A`` that ``method`` runs with, and its shift.
 
-    The reported iterate data comes from the first (deterministic) run;
-    the time is the mean of ``SolveReport.wall_time_s`` over all repeats,
-    each of which re-does the factorization work.
+    The shift is the one ``method.omega_token`` names; ``hat_m`` is the
+    example41 block matrix that ``mhat`` tokens scale (None for directory
+    problems). :func:`~gavekit.splittings.build_splitting` checks it against
+    the kinds that pin their own shift.
     """
-    omega_spec = resolve_omega_token(method.omega_token, hat_m)
-    splitting = build_splitting(problem.A, method.kind, omega_spec)
-    config = SolverConfig(
-        tol=tol,
-        k_max=k_max,
-        inner=method.inner,
-        theta=method.theta,
-        max_inner=method.max_inner,
-    )
-    solve = nms_solve if method.inner == "direct" else inms_solve
-    reports = [solve(problem, splitting, config=config) for _ in range(repeats)]
+    omega = resolve_omega_token(method.omega_token, hat_m)
+    return build_splitting(problem.A, method.kind, omega)
+
+
+def run_method(problem, method, splitting, repeats=1):
+    """Solve ``problem`` with ``method.config`` on ``splitting`` (from :func:`build_method`).
+
+    Returns ``(report, mean_cpu_seconds)``. The reported iterate data comes
+    from the first (deterministic) run; the time is the mean of
+    ``SolveReport.wall_time_s`` over all repeats, each of which re-does the
+    factorization work.
+    """
+    solve = nms_solve if method.config.inner == "direct" else inms_solve
+    reports = [solve(problem, splitting, config=method.config) for _ in range(repeats)]
     return reports[0], statistics.fmean(r.wall_time_s for r in reports)
 
 
@@ -267,51 +281,25 @@ def _experiment_problems(spec):
 def run_experiment(spec):
     """Run every (problem size, method) pair of the spec, one after another.
 
+    Every method's splitting for a problem is built before that problem's
+    first solve, so a bad omega token or a shift that a kind's pin rule
+    rejects stops the run before that problem's first row.
     Numerical failures (divergence, singular shifts) produce a row with
     ``converged=False`` and a warning instead of aborting the experiment.
     """
-    return [
-        _result_row(spec, problem, hat, n, mu, method)
-        for problem, hat, n, mu in _experiment_problems(spec)
-        for method in spec.methods
-    ]
-
-
-def _result_row(spec, problem, hat, n, mu, method):
-    try:
-        report, cpu = run_method(
-            problem,
-            method,
-            hat_m=hat,
-            tol=spec.tol,
-            k_max=spec.k_max,
-            repeats=spec.repeats,
-        )
-    except (DivergenceError, SingularMatrixError, NumericsError) as exc:
-        return ResultRow(
-            method=method.display_name(),
-            n=n,
-            mu=mu,
-            omega_tag=method.omega_token,
-            alpha=method.kind.alpha,
-            IT=0,
-            CPU_s=0.0,
-            RES=float("nan"),
-            converged=False,
-            warnings=f"{type(exc).__name__}: {exc}",
-        )
-    return ResultRow(
-        method=method.display_name(),
-        n=n,
-        mu=mu,
-        omega_tag=method.omega_token,
-        alpha=method.kind.alpha,
-        IT=report.iterations,
-        CPU_s=cpu,
-        RES=report.final_res,
-        converged=report.converged,
-        warnings="; ".join(report.warnings),
-    )
+    rows = []
+    for problem, hat, n, mu in _experiment_problems(spec):
+        splittings = [build_method(problem, method, hat) for method in spec.methods]
+        for method, splitting in zip(spec.methods, splittings):
+            try:
+                report, cpu = run_method(problem, method, splitting, spec.repeats)
+                outcome = (report.iterations, cpu, report.final_res, report.converged,
+                           "; ".join(report.warnings))
+            except (DivergenceError, SingularMatrixError, NumericsError) as exc:
+                outcome = (0, 0.0, float("nan"), False, f"{type(exc).__name__}: {exc}")
+            rows.append(ResultRow(method.display_name(), n, mu, method.omega_token,
+                                  method.kind.alpha, *outcome))
+    return rows
 
 
 def tune_alpha(problem, omega, grid, tol=1e-6, k_max=500):

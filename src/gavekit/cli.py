@@ -27,7 +27,8 @@ from .errors import (
     SpecError,
 )
 from .problems import gen_certified, gen_example41, load_problem, save_problem
-from .splittings import SplittingKind, build_splitting, resolve_omega
+from .solver import SolverConfig
+from .splittings import SplittingKind
 
 _VALIDATION_ERRORS = (
     SpecError,
@@ -100,18 +101,16 @@ def _cmd_gen(args):
 
 def _cmd_solve(args):
     problem, hat = _load_problem_args(args)
-    kind = _method_kind(args)
-    theta = bench_mod.parse_theta(args.theta, args.lmax)
-    method = bench_mod.MethodSpec(
-        kind=kind,
-        omega_token=args.omega,
+    config = SolverConfig(
+        tol=args.tol,
+        k_max=args.kmax,
         inner="lsqr" if args.inexact else "direct",
-        theta=theta,
+        theta=bench_mod.parse_theta(args.theta, args.lmax),
         max_inner=args.max_inner,
     )
-    report, cpu = bench_mod.run_method(
-        problem, method, hat_m=hat, tol=args.tol, k_max=args.kmax, repeats=1
-    )
+    method = bench_mod.MethodSpec(_method_kind(args), args.omega, config)
+    splitting = bench_mod.build_method(problem, method, hat)
+    report, cpu = bench_mod.run_method(problem, method, splitting)
     print(f"method     : {method.display_name()}")
     print(f"n          : {problem.n}")
     print(f"converged  : {'yes' if report.converged else 'no'}")
@@ -132,9 +131,9 @@ def _cmd_solve(args):
 
 def _cmd_certify(args):
     problem, hat = _load_problem_args(args)
-    omega = resolve_omega(bench_mod.resolve_omega_token(args.omega, hat), problem.n)
     # every condition runs with the shift solve would use
-    splitting = build_splitting(problem.A, _method_kind(args), omega)
+    method = bench_mod.MethodSpec(_method_kind(args), args.omega)
+    splitting = bench_mod.build_method(problem, method, hat)
     certificates = certify_mod.evaluate(
         args.condition,
         A=problem.A,

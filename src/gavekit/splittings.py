@@ -73,15 +73,6 @@ class SplittingKind:
             return False
         return not (0.0 < self.alpha < 2.0 and 0.0 <= self.beta <= self.alpha)
 
-    def label(self):
-        if self.name == "nsor":
-            return f"nsor(alpha={self.alpha:g})"
-        if self.name == "naor":
-            return f"naor(alpha={self.alpha:g}, beta={self.beta:g})"
-        if self.name == "drs":
-            return f"drs(gamma={self.gamma:g})"
-        return self.name
-
 
 @dataclass(frozen=True)
 class Splitting:
@@ -148,15 +139,6 @@ class OmegaSpec:
     @classmethod
     def explicit(cls, matrix):
         return cls("explicit", matrix=matrix)
-
-    def label(self):
-        if self.kind == "zero":
-            return "0"
-        if self.kind == "scalar":
-            return f"{self.omega:g}*I"
-        if self.kind == "scaled":
-            return f"{self.scale:g}*base"
-        return "explicit"
 
 
 def resolve_omega(spec, n):

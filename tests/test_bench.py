@@ -26,7 +26,7 @@ from gavekit import (
     tune_alpha,
 )
 from gavekit import bench as bench_module
-from gavekit.bench import parse_method_line, run_method
+from gavekit.bench import build_method, parse_method_line, run_method
 
 SPEC_TEXT = """
 # exercise the example41 generator
@@ -49,7 +49,7 @@ class TestParseSpec:
         assert spec.mu == 4.0
         assert spec.repeats == 2
         assert len(spec.methods) == 3
-        assert spec.methods[1].inner == "lsqr"
+        assert spec.methods[1].config.inner == "lsqr"
         assert spec.methods[2].label == "relaxed"
 
     def test_dir_problem(self):
@@ -73,6 +73,25 @@ class TestParseSpec:
         with pytest.raises(SpecError, match="problem"):
             parse_spec("problem = nope\nmethod = nj\n")
 
+    @pytest.mark.parametrize(
+        "text, match",
+        [
+            ("repeat = 1\n", "line 5: unknown key 'repeat'"),
+            ("k_max = 3\n", "line 5: unknown key 'k_max'"),
+            ("method = nj maxiner=0\n", "unknown method option 'maxiner'"),
+            ("method = nj thetaa=0.3\n", "unknown method option 'thetaa'"),
+        ],
+    )
+    def test_rejects_unknown_keys_and_options(self, text, match):
+        # any spelling outside the grammar is an error, not a silent default
+        with pytest.raises(SpecError, match=match):
+            parse_spec("problem = example41\nm = 4\nmu = 4\nmethod = nj\n" + text)
+
+    def test_settings_after_method_lines(self):
+        spec = parse_spec("method = nj inner=lsqr\nproblem = example41\nm = 4\nmu = 4\n"
+                          "tol = 1e-8\nkmax = 7\n")
+        assert (spec.methods[0].config.tol, spec.methods[0].config.k_max) == (1e-8, 7)
+
     def test_rejects_malformed_line(self):
         with pytest.raises(SpecError, match="key = value"):
             parse_spec("problem example41\n")
@@ -81,16 +100,16 @@ class TestParseSpec:
 class TestParseMethodLine:
     def test_defaults(self):
         m = parse_method_line("nj")
-        assert m.kind.name == "nj" and m.inner == "direct"
+        assert m.kind.name == "nj" and m.config.inner == "direct"
         assert m.omega_token == "zero"
-        assert m.theta.kind == "paper"
+        assert m.config.theta.kind == "paper"
 
     def test_options(self):
         m = parse_method_line("nsor alpha=0.9 omega=mhat:1.5 inner=lsqr theta=0.3 maxinner=40")
         assert m.kind.alpha == 0.9
         assert m.omega_token == "mhat:1.5"
-        assert m.theta.kind == "constant" and m.theta.theta == 0.3
-        assert m.max_inner == 40
+        assert m.config.theta.kind == "constant" and m.config.theta.theta == 0.3
+        assert m.config.max_inner == 40
 
     def test_display_names(self):
         assert parse_method_line("nj").display_name() == "nj"
@@ -144,13 +163,13 @@ class TestRunMethod:
         )
         method = parse_method_line("nj omega=mhat")
         with pytest.raises(SpecError, match="mhat"):
-            run_method(prob, method, hat_m=None)
+            build_method(prob, method, hat_m=None)
 
     def test_drs_rejects_omega_token(self):
         _, prob, hat = gen_example41(3, 4.0)
         method = parse_method_line("drs gamma=1.0 omega=mhat")
         with pytest.raises(ConfigurationError, match="drs"):
-            run_method(prob, method, hat_m=hat)
+            build_method(prob, method, hat_m=hat)
 
     @pytest.mark.parametrize("inner", ["direct", "lsqr"])
     @pytest.mark.parametrize(
@@ -168,7 +187,7 @@ class TestRunMethod:
         # the spec route reaches the same solve as building the splitting by hand
         _, prob, hat = gen_example41(6, 4.0)
         method = parse_method_line(f"{line} inner={inner}")
-        report, _ = run_method(prob, method, hat_m=hat)
+        report, _ = run_method(prob, method, build_method(prob, method, hat))
         omega = OmegaSpec.scaled(1.0, hat) if "mhat" in line else None
         if method.kind.name == "nmn":
             splitting, omega = build_splitting(prob.A, method.kind, omega), None

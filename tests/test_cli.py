@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg
 
+import gavekit.bench
 import gavekit.certify
 from gavekit import (
     Condition,
@@ -157,6 +158,30 @@ def test_malformed_number_exits_2(tmp_path, capsys, method_line, argv):
         argv = ["bench", "--spec", str(spec)]
     assert main(argv) == 2
     assert "error: bad" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "method_line",
+    [
+        "nj omega=identity:abc",
+        "nj maxinner=0 inner=lsqr",
+        "drs gamma=1 omega=mhat",
+        "nj omega=file:/nonexistent.mtx",
+        "nsor alpha=x",
+        "nj inner=bogus",
+    ],
+)
+def test_bad_late_method_line_runs_no_solve(tmp_path, capsys, monkeypatch, method_line):
+    # every method line is checked, and every splitting built, before the first solve
+    spec = tmp_path / "spec.txt"
+    spec.write_text(
+        "problem = example41\nm = 6\nmu = 4\nrepeats = 2\n"
+        f"method = ngs omega=mhat\nmethod = {method_line}\n"
+    )
+    calls = count_calls(monkeypatch, gavekit.bench, ("nms_solve", "inms_solve"))
+    assert main(["bench", "--spec", str(spec)]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert calls == {}
 
 
 def test_max_inner_below_one_exits_2(capsys):

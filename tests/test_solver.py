@@ -381,7 +381,7 @@ class TestCorrectionForm:
             solve = nms_solve if inner == "direct" else inms_solve
             got = solve(prob, s, om, config).x
             err = np.linalg.norm(got - want) / np.linalg.norm(want)
-            assert err <= 1e-12, (s.kind.label(), prob.n, err)
+            assert err <= 1e-12, (s.kind, prob.n, err)
 
     def test_assembles_only_omega_plus_m(self, monkeypatch):
         _, prob, hat = gen_example41(6, 4.0)
