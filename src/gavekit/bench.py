@@ -29,7 +29,7 @@ from .errors import (
 from .mmio import read_matrix_market
 from .problems import gen_example41, load_problem
 from .solver import SolverConfig, ThetaSchedule, inms_solve, nms_solve
-from .splittings import KINDS, OmegaSpec, SplittingKind, build_splitting
+from .splittings import KINDS, OmegaSpec, SplittingKind, build_splitting, resolve_omega
 
 __all__ = [
     "MethodSpec",
@@ -157,6 +157,8 @@ def parse_method_line(value, tol=1e-6, k_max=500):
         key = key.strip().lower()
         if key not in _METHOD_OPTIONS:
             raise SpecError(f"unknown method option {key!r} in {value!r}")
+        if key in opts:
+            raise SpecError(f"duplicate method option {key!r} in {value!r}")
         opts[key] = val.strip()
 
     def number(key, convert=float, default=None):
@@ -283,10 +285,17 @@ def run_experiment(spec):
 
     Every method's splitting for a problem is built before that problem's
     first solve, so a bad omega token or a shift that a kind's pin rule
-    rejects stops the run before that problem's first row.
+    rejects stops the run before that problem's first row; a ``file:``
+    shift is checked against every ``m`` before the first problem's.
     Numerical failures (divergence, singular shifts) produce a row with
     ``converged=False`` and a warning instead of aborting the experiment.
     """
+    if spec.problem_kind == "example41":
+        for method in spec.methods:
+            if method.omega_token.strip().startswith("file:"):
+                omega = resolve_omega_token(method.omega_token)
+                for m in spec.m_values:
+                    resolve_omega(omega, m * m)  # DimensionError on a size mismatch
     rows = []
     for problem, hat, n, mu in _experiment_problems(spec):
         splittings = [build_method(problem, method, hat) for method in spec.methods]

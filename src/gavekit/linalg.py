@@ -6,8 +6,9 @@ results:
 - every LU comes from :func:`lu_factorize`, whose SuperLU call pins the
   column ordering to minimum degree on ``A.T + A`` (``MMD_AT_PLUS_A``) and
   the pivoting to row partial pivoting with threshold 1.0;
-- :func:`lsqr`, the inexact solver's inner solve, is scipy's
-  Paige-Saunders ``lsqr``, which the solver runs from zero on the
+- :func:`lsqr`, the inexact solver's inner solve, runs scipy's LSQR
+  recurrences on reused work vectors, bitwise equal to
+  ``scipy.sparse.linalg.lsqr``; the solver runs it from zero on the
   correction system ``(Omega + M) d = -F(x_k)``;
 - the norm and eigenvalue estimators give dense LAPACK answers for
   matrices of order at most :data:`DENSE_CUTOFF`, as :func:`uses_dense`
@@ -28,6 +29,7 @@ results:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import sqrt
 
 import numpy as np
 import scipy.sparse.linalg
@@ -153,15 +155,16 @@ class LsqrOutcome:
 def lsqr(A, rhs, target_residual, max_iter):
     """Least-squares solve of ``A x = rhs`` to an absolute residual target.
 
-    Runs scipy's Paige-Saunders LSQR from zero, with ``btol =
-    target_residual / norm(rhs)`` and ``atol``, ``conlim`` off, and returns
-    the iterate as a new array. The adjoint products run on ``A``'s cached
-    CSR transpose. ``A`` may be rectangular; a target of 0 means "as far as
-    possible". ``iterations`` is scipy's ``itn``; ``residual_norm`` is
-    recomputed from the returned iterate. ``stop_reason`` is
-    "target_met" when that residual is at most the target, else "max_iter"
-    when scipy spent the ``max_iter`` budget (``istop == 7``), else
-    "stagnation". Hitting ``max_iter`` is reported, not raised.
+    Runs scipy's Paige-Saunders LSQR bit for bit (:func:`_lsqr_run`) from
+    zero, with ``btol = target_residual / norm(rhs)`` and ``atol``,
+    ``conlim`` off, and returns the iterate as a new array. The adjoint
+    products run on ``A``'s cached CSR transpose. ``A`` may be rectangular;
+    a target of 0 means "as far as possible". ``iterations`` is scipy's
+    ``itn``; ``residual_norm`` is recomputed from the returned iterate.
+    ``stop_reason`` is "target_met" when that residual is at most the
+    target, else "max_iter" when the ``max_iter`` budget was spent
+    (``istop == 7``), else "stagnation". Hitting ``max_iter`` is reported,
+    not raised.
     """
     if target_residual < 0:
         raise ParameterError("target_residual must be nonnegative")
@@ -175,13 +178,9 @@ def lsqr(A, rhs, target_residual, max_iter):
         return LsqrOutcome(np.zeros(A.n_cols), beta, 0, "target_met")
     if max_iter == 0:
         return LsqrOutcome(np.zeros(A.n_cols), beta, 0, "max_iter")
-    S = A.to_scipy()  # an operator, not S: scipy copies S.T.conj() per call
-    op = scipy.sparse.linalg.LinearOperator(
-        S.shape, matvec=S.dot, rmatvec=A.to_scipy_transpose().dot, dtype=float
+    x, istop, itn = _lsqr_run(
+        A.to_scipy(), A.to_scipy_transpose(), rhs, beta, target_residual / beta, max_iter
     )
-    x, istop, itn = scipy.sparse.linalg.lsqr(
-        op, rhs, atol=0.0, btol=target_residual / beta, conlim=0.0, iter_lim=max_iter
-    )[:3]
     if not np.all(np.isfinite(x)):
         raise NumericsError(f"non-finite lsqr iterate after {itn} iterations")
     actual = float(np.linalg.norm(spmv(A, x) - rhs))
@@ -192,6 +191,86 @@ def lsqr(A, rhs, target_residual, max_iter):
     else:
         reason = "stagnation"
     return LsqrOutcome(x, actual, int(itn), reason)
+
+
+def _sym_ortho(a, b):
+    """Stable Givens rotation ``(c, s, r)``, scipy's ``lsqr._sym_ortho``."""
+    if b == 0:
+        return np.sign(a), 0, abs(a)
+    elif a == 0:
+        return 0, np.sign(b), abs(b)
+    elif abs(b) > abs(a):
+        tau = a / b
+        s = np.sign(b) / sqrt(1 + tau * tau)
+        c = s * tau
+        r = b / s
+    else:
+        tau = b / a
+        c = np.sign(a) / sqrt(1 + tau * tau)
+        s = c * tau
+        r = a / c
+    return c, s, r
+
+
+def _lsqr_run(S, ST, b, bnorm, btol, iter_lim):
+    """``x, istop, itn`` of scipy's ``lsqr(S, b, atol=0, btol=btol, conlim=0,
+    iter_lim=iter_lim)``, for ``bnorm = norm(b) > 0`` and ``ST = S.T`` as CSR:
+    scipy's loop on ``u``, ``v``, ``w`` and ``x`` updated in place, each
+    operation with scipy's operands in scipy's order (so scipy's rounding)."""
+    eps = np.finfo(np.float64).eps
+    u = b * (1 / bnorm)
+    v = ST @ u
+    alfa = np.linalg.norm(v)
+    if alfa > 0:
+        v *= 1 / alfa
+    x = np.zeros(S.shape[1])
+    if alfa * bnorm == 0:
+        return x, 0, 0
+    w, tmp = v.copy(), np.empty_like(x)
+    itn = istop = anorm = ddnorm = xxnorm = z = sn2 = 0
+    cs2, rhobar, phibar = -1, alfa, bnorm
+    while itn < iter_lim:
+        itn += 1
+        u *= alfa  # u = S v - alfa u
+        np.subtract(S @ v, u, out=u)
+        beta = np.linalg.norm(u)
+        if beta > 0:
+            u *= 1 / beta
+            anorm = sqrt(anorm**2 + alfa**2 + beta**2)
+            v *= beta  # v = S.T u - beta v
+            np.subtract(ST @ u, v, out=v)
+            alfa = np.linalg.norm(v)
+            if alfa > 0:
+                v *= 1 / alfa
+        cs, sn, rho = _sym_ortho(rhobar, beta)
+        theta = sn * alfa
+        rhobar = -cs * alfa
+        phi, phibar = cs * phibar, sn * phibar
+        np.multiply(w, 1 / rho, out=tmp)  # dk = (1 / rho) w
+        ddnorm = ddnorm + np.linalg.norm(tmp) ** 2
+        np.multiply(w, phi / rho, out=tmp)  # x = x + t1 w
+        x += tmp
+        w *= -theta / rho  # w = v + t2 w
+        w += v
+        gambar = -cs2 * rho
+        rhs = phi - sn2 * rho * z
+        xnorm = sqrt(xxnorm + (rhs / gambar) ** 2)
+        gamma = sqrt(gambar**2 + theta**2)
+        cs2, sn2 = gambar / gamma, theta / gamma
+        z = rhs / gamma
+        xxnorm = xxnorm + z**2
+        rnorm = sqrt(phibar**2)  # not abs(phibar): they differ on underflow
+        test1 = rnorm / bnorm
+        test2 = alfa * abs(sn * phi) / (anorm * rnorm + eps)
+        test3 = 1 / (anorm * sqrt(ddnorm) + eps)
+        t1 = test1 / (1 + anorm * xnorm / bnorm)
+        # scipy's istop is the first test that holds; 3 (conlim) is off
+        stops = (test1 <= btol, test2 <= 0, 1 + t1 <= 1, 1 + test2 <= 1,
+                 1 + test3 <= 1, itn >= iter_lim)
+        if any(stops):
+            istop = (1, 2, 4, 5, 6, 7)[stops.index(True)]
+            break
+    return x, istop, itn
 
 
 def _seeded_start(n):

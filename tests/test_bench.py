@@ -124,6 +124,20 @@ class TestParseMethodLine:
         with pytest.raises(SpecError):
             parse_method_line("nj omega")
 
+    @pytest.mark.parametrize(
+        "line, key",
+        [
+            ("nsor alpha=0.9 alpha=1.1", "alpha"),
+            ("nj inner=lsqr inner=direct", "inner"),
+            ("nj omega=mhat theta=0.3 omega=identity:1", "omega"),
+            ("nj label=a LABEL=b", "label"),
+        ],
+    )
+    def test_repeated_option(self, line, key):
+        # a second spelling of an option is an error, not an override
+        with pytest.raises(SpecError, match=f"duplicate method option '{key}'"):
+            parse_method_line(line)
+
 
 class TestRunExperiment:
     def test_rows_and_determinism(self):

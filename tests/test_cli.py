@@ -19,6 +19,7 @@ from gavekit import (
     identity,
     save_problem,
     sparse_scale,
+    write_matrix_market,
     zeros,
 )
 from gavekit.cli import main
@@ -181,6 +182,20 @@ def test_bad_late_method_line_runs_no_solve(tmp_path, capsys, monkeypatch, metho
     calls = count_calls(monkeypatch, gavekit.bench, ("nms_solve", "inms_solve"))
     assert main(["bench", "--spec", str(spec)]) == 2
     assert "error:" in capsys.readouterr().err
+    assert calls == {}
+
+
+def test_file_shift_checked_against_every_m_before_any_solve(tmp_path, capsys, monkeypatch):
+    # a 16 x 16 shift fits m = 4 but not m = 5; no row runs
+    write_matrix_market(tmp_path / "omega.mtx", identity(16))
+    spec = tmp_path / "spec.txt"
+    spec.write_text(
+        "problem = example41\nm = 4 5\nmu = 4\nrepeats = 1\n"
+        f"method = nj omega=file:{tmp_path / 'omega.mtx'}\n"
+    )
+    calls = count_calls(monkeypatch, gavekit.bench, ("nms_solve", "inms_solve"))
+    assert main(["bench", "--spec", str(spec)]) == 2
+    assert "(25, 25)" in capsys.readouterr().err
     assert calls == {}
 
 

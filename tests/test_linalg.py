@@ -198,6 +198,58 @@ class TestLsqr:
             assert c.residual_norm == v.residual_norm
         assert all(c.iterations > 0 for c in cached)  # the adjoint ran
 
+    @staticmethod
+    def _scipy_lsqr(A, rhs, target, max_iter):
+        # the oracle: scipy's lsqr with lsqr()'s options and its outcome rules
+        S, ST = A.to_scipy(), A.to_scipy_transpose()
+        op = scipy.sparse.linalg.LinearOperator(
+            S.shape, matvec=S.dot, rmatvec=ST.dot, dtype=float
+        )
+        x, istop, itn = scipy.sparse.linalg.lsqr(
+            op, rhs, atol=0, btol=target / np.linalg.norm(rhs), conlim=0,
+            iter_lim=max_iter,
+        )[:3]
+        actual = float(np.linalg.norm(spmv(A, x) - rhs))
+        reason = ("target_met" if actual <= target
+                  else "max_iter" if istop == 7 else "stagnation")
+        return x, itn, reason, actual, istop
+
+    @pytest.mark.parametrize(
+        "case, istop",
+        [
+            ("half", 1),
+            ("tight", 1),
+            ("zero", 4),
+            ("budget2", 7),
+            ("rectangular", 5),
+            ("identity", 1),
+        ],
+    )
+    def test_bitwise_equal_to_scipy_lsqr(self, rng, case, istop):
+        if case == "rectangular":  # the system of test_rectangular_least_squares
+            A = random_sparse(rng, 60, 25, density=0.4)
+            b = rng.uniform(-1, 1, 60)
+            ref = np.linalg.lstsq(A.to_dense(), b, rcond=None)[0]
+            target = 0.5 * np.linalg.norm(A.to_dense() @ ref - b)
+            args = (A, b, target, 500)
+        elif case == "identity":
+            args = (identity(3), np.array([1.0, 2.0, -3.0]), 0.0, 10)
+        else:  # example41 m = 24, ngs Omega+M with Omega = hatM
+            scale, budget = {"half": (0.5, 40), "tight": (1e-6, 200),
+                             "zero": (0.0, 60), "budget2": (1e-6, 2)}[case]
+            _, prob, hat = gen_example41(24, 4.0)
+            x0 = np.zeros(prob.n)
+            x0[0::2] = 1.0
+            rhs = -residual(prob, x0)
+            OM = sparse_add(hat, build_splitting(prob.A, "ngs").M)
+            args = (OM, rhs, scale * np.linalg.norm(rhs), budget)
+        out = lsqr(*args)
+        x, itn, reason, actual, scipy_istop = self._scipy_lsqr(*args)
+        assert (out.x == x).all()
+        assert (out.iterations, out.stop_reason, out.residual_norm) == (itn, reason, actual)
+        assert out.iterations > 0
+        assert scipy_istop == istop  # the stop test each case reaches
+
     def test_nan_input_raises(self):
         b = np.array([np.nan, 1.0])
         with pytest.raises(NumericsError):
