@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 import statistics
 from dataclasses import dataclass, field
 
@@ -124,11 +125,14 @@ _METHOD_OPTIONS = (
 
 
 def parse_number(token, what, convert=float):
-    """``convert(token)``; a malformed number raises SpecError naming ``what``."""
+    """``convert(token)``; a malformed or non-finite number raises SpecError naming ``what``."""
     try:
-        return convert(token)
+        value = convert(token)
     except ValueError:
         raise SpecError(f"bad {what} value {token!r}") from None
+    if not math.isfinite(value):
+        raise SpecError(f"non-finite {what} value {token!r}")
+    return value
 
 
 def parse_theta(token, l_max=10):

@@ -1,5 +1,7 @@
 """Certificates against dense oracles and the closed-form identities."""
 
+import functools
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,7 @@ from gavekit import (
     check_scalar_omega,
     diag_matrix,
     evaluate,
+    gen_certified,
     gen_example41,
     hermitian_split,
     identity,
@@ -519,3 +522,84 @@ class TestNormOracles:
                 assert cert.holds == (lhs < rhs)
                 checked += 1
         assert checked > 0
+
+
+_LANCZOS = ("lanczos", "lu_shift_invert_lanczos")
+
+
+@functools.lru_cache(maxsize=None)
+def _example41_case(m, mu, scale):
+    """ngs on example41 with Omega = scale * hatM, and the dense singular
+    values of every matrix InexactEq15 and Cor34 read, computed once."""
+    _, p, hat = gen_example41(m, mu)
+    s = build_splitting(p.A, "ngs")
+    om = sparse_scale(scale, hat)
+    svals = {
+        label: np.linalg.svd(X.to_dense(), compute_uv=False)
+        for label, X in (("Omega+M", sparse_add(om, s.M)), ("Omega+N", sparse_add(om, s.N)),
+                         ("A", p.A), ("B", p.B))
+    }
+    return p, s, om, svals
+
+
+class TestLanczosAgainstDenseOnExample41:
+    """Above DENSE_CUTOFF, on the paper's family, every certificate quantity is
+    within _NORM_RTOL / 2 of the dense SVD and every verdict is the dense one."""
+
+    @pytest.mark.parametrize("m", [24, 25], ids=["even-m", "odd-m"])
+    @pytest.mark.parametrize("mu, scale", [(4.0, 1.0), (-1.0, 1.5)],
+                             ids=["mu4-hatM", "mu-1-1.5hatM"])
+    def test_quantities_and_verdicts(self, m, mu, scale):
+        p, s, om, sv = _example41_case(m, mu, scale)
+        assert not gavekit.linalg.uses_dense(p.A)
+        theta = 0.3
+        inexact, cor34 = evaluate([Condition.INEXACT, Condition.COR34], A=p.A, B=p.B,
+                                  M=s.M, N=s.N, omega=om, theta=theta)
+        oracle = {f"norm({name})": v[0] for name, v in sv.items()}
+        oracle["norm((Omega+M)^-1)"] = 1.0 / sv["Omega+M"][-1]
+        oracle["norm(A^-1)"] = 1.0 / sv["A"][-1]
+        checked = set()
+        for cert in (inexact, cor34):
+            for label, value, method in cert.norm_details:
+                if method in _LANCZOS:
+                    assert value == pytest.approx(
+                        oracle[label], rel=gavekit.certify._NORM_RTOL / 2
+                    ), label
+                    checked.add(label)
+        assert checked == set(oracle)
+        b = oracle["norm(B)"]
+        on = oracle["norm(Omega+N)"]
+        dense = {
+            inexact: (oracle["norm((Omega+M)^-1)"],
+                      1.0 / (theta * (oracle["norm(Omega+M)"] + on + b) + on + b)),
+            cor34: (oracle["norm(A^-1)"], 1.0 / (b + theta * (oracle["norm(A)"] + b))),
+        }
+        for cert, (lhs, rhs) in dense.items():
+            assert abs(lhs - rhs) > 1e-4 * (lhs + rhs)  # a verdict outside the band
+            assert cert.holds == (lhs < rhs)
+
+    @pytest.mark.parametrize("kind", ["nj", "ngs", "mn"])
+    def test_gen_certified_holds_clear_of_the_band(self, kind):
+        p = gen_certified(600, seed=1)
+        s = build_splitting(p.A, kind)
+        cert = check_inexact(p.A, p.B, s.M, s.N, zeros(600), 0.3)
+        assert cert.holds and not cert.marginal
+
+    def test_every_estimate_runs_at_the_certificate_tolerance(self, monkeypatch):
+        seen = []
+        for name in ("spectral_norm", "min_singular_value", "skew_spectral_radius"):
+            fn = getattr(gavekit.certify, name)
+
+            def spy(X, *args, _name=name, _fn=fn, **kwargs):
+                seen.append((_name, kwargs.get("rel_tol")))
+                return _fn(X, *args, **kwargs)
+
+            monkeypatch.setattr(gavekit.certify, name, spy)
+        _, p, hat = gen_example41(6, 4.0)
+        s = build_splitting(p.A, "ngs")
+        evaluate(list(Condition), A=p.A, B=p.B, M=s.M, N=s.N, omega=hat, theta=0.3,
+                 gamma=1.0, omega_scalar=2.0)
+        assert {name for name, _ in seen} == {
+            "spectral_norm", "min_singular_value", "skew_spectral_radius"
+        }
+        assert all(tol == gavekit.certify._NORM_RTOL for _, tol in seen), seen

@@ -162,6 +162,32 @@ def test_malformed_number_exits_2(tmp_path, capsys, method_line, argv):
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [
+        ["certify", "--example41", "6", "4", "--method", "ngs", "--omega", "identity:nan",
+         "--condition", "InexactEq15", "--theta-value", "0.3"],
+        ["tune", "--example41", "6", "4", "--grid", "0.5:nan:0.1"],
+        ["solve", "--example41", "6", "4", "--omega", "identity:inf"],
+    ],
+    ids=["certify-omega-nan", "tune-grid-nan", "solve-omega-inf"],
+)
+def test_non_finite_number_exits_2(capsys, argv):
+    # parameters must be finite; non-finite data keeps exit 3 (below)
+    assert main(argv) == 2
+    assert "error: non-finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_certify_non_finite_scalar_shift_exits_2(capsys, value):
+    code = main(["certify", "--example41", "6", "4", "--condition", "ScalarOmegaThm34",
+                 "--omega-scalar", value, "--theta-value", "0.3"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "finite and positive" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
     "method_line",
     [
         "nj omega=identity:abc",
