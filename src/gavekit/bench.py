@@ -135,17 +135,11 @@ def parse_number(token, what, convert=float):
     return value
 
 
-def parse_theta(token, l_max=10):
-    if token == "paper":
-        return ThetaSchedule.paper(l_max)
-    return ThetaSchedule.constant(parse_number(token, "theta"))
-
-
 def parse_method_line(value, tol=1e-6, k_max=500):
     """Parse a 'method =' line: kind token followed by key=value options.
 
-    ``tol`` and ``k_max`` are the spec's stopping rule; they and the line's
-    options make the method's SolverConfig, whose checks run here.
+    ``tol`` and ``k_max`` are the spec's stopping rule; the tokens go to
+    :func:`method_spec`.
     """
     tokens = value.split()
     if not tokens:
@@ -164,24 +158,38 @@ def parse_method_line(value, tol=1e-6, k_max=500):
         if key in opts:
             raise SpecError(f"duplicate method option {key!r} in {value!r}")
         opts[key] = val.strip()
+    return method_spec(kind_name, opts, tol, k_max)
+
+
+def method_spec(kind, options, tol=1e-6, k_max=500):
+    """The MethodSpec of splitting ``kind`` with its method options, checked.
+
+    ``options`` maps method-option names (``alpha``, ``theta``, ``maxinner``,
+    ...) to their text, as a spec line or the parsed arguments of ``gavekit
+    solve``/``certify`` hold them; other keys are ignored, and an absent or
+    None option takes its default. ``tol`` and ``k_max`` are the stopping rule.
+    """
+
+    def text(key, default):
+        return default if options.get(key) is None else options[key]
 
     def number(key, convert=float, default=None):
-        return parse_number(opts[key], key, convert) if key in opts else default
+        return default if options.get(key) is None else parse_number(options[key], key, convert)
 
+    l_max, theta = number("lmax", int, 10), text("theta", "paper")
     config = SolverConfig(
         tol=tol,
         k_max=k_max,
-        inner=opts.get("inner", "direct").lower(),
-        theta=parse_theta(opts.get("theta", "paper"), number("lmax", int, 10)),
+        inner=text("inner", "direct").lower(),
+        theta=ThetaSchedule.paper(l_max) if theta == "paper"
+        else ThetaSchedule.constant(parse_number(theta, "theta")),
         max_inner=number("maxinner", int),
     )
     return MethodSpec(
-        kind=SplittingKind(
-            kind_name, alpha=number("alpha"), beta=number("beta"), gamma=number("gamma")
-        ),
-        omega_token=opts.get("omega", "zero"),
+        SplittingKind(kind, alpha=number("alpha"), beta=number("beta"), gamma=number("gamma")),
+        omega_token=text("omega", "zero"),
         config=config,
-        label=opts.get("label", ""),
+        label=text("label", ""),
     )
 
 

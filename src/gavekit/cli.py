@@ -27,8 +27,6 @@ from .errors import (
     SpecError,
 )
 from .problems import gen_certified, gen_example41, load_problem, save_problem
-from .solver import SolverConfig
-from .splittings import SplittingKind
 
 _VALIDATION_ERRORS = (
     SpecError,
@@ -44,6 +42,9 @@ _NUMERICAL_ERRORS = (
     NumericsError,
     ConvergenceFailure,
 )
+# options read with bench.parse_number, as a spec reads its numbers
+_NUMBERS = dict(m=int, mu=float, n=int, seed=int, dominance=float, b_scale=float,
+                tol=float, kmax=int, theta_value=float, omega_scalar=float)
 
 
 def _add_problem_args(parser):
@@ -65,15 +66,6 @@ def _load_problem_args(args):
     mu = bench_mod.parse_number(args.example41[1], "MU")
     _, problem, hat = gen_example41(m, mu)
     return problem, hat
-
-
-def _method_kind(args):
-    return SplittingKind(
-        args.method,
-        alpha=args.alpha,
-        beta=args.beta,
-        gamma=args.gamma,
-    )
 
 
 def _cmd_gen(args):
@@ -101,14 +93,8 @@ def _cmd_gen(args):
 
 def _cmd_solve(args):
     problem, hat = _load_problem_args(args)
-    config = SolverConfig(
-        tol=args.tol,
-        k_max=args.kmax,
-        inner="lsqr" if args.inexact else "direct",
-        theta=bench_mod.parse_theta(args.theta, args.lmax),
-        max_inner=args.max_inner,
-    )
-    method = bench_mod.MethodSpec(_method_kind(args), args.omega, config)
+    # the method options' dests are their spec names, so a spec line's builder reads them
+    method = bench_mod.method_spec(args.method, vars(args), args.tol, args.kmax)
     splitting = bench_mod.build_method(problem, method, hat)
     report, cpu = bench_mod.run_method(problem, method, splitting)
     print(f"method     : {method.display_name()}")
@@ -132,7 +118,7 @@ def _cmd_solve(args):
 def _cmd_certify(args):
     problem, hat = _load_problem_args(args)
     # every condition runs with the shift solve would use
-    method = bench_mod.MethodSpec(_method_kind(args), args.omega)
+    method = bench_mod.method_spec(args.method, vars(args))
     splitting = bench_mod.build_method(problem, method, hat)
     certificates = certify_mod.evaluate(
         args.condition,
@@ -142,7 +128,7 @@ def _cmd_certify(args):
         N=splitting.N,
         omega=splitting.omega,
         theta=args.theta_value,
-        gamma=args.gamma,
+        gamma=method.kind.gamma,
         omega_scalar=args.omega_scalar,
     )
     print("\n".join(cert.format_line() for cert in certificates))
@@ -199,32 +185,33 @@ def build_parser():
 
     p_gen = sub.add_parser("gen", help="write a problem directory")
     p_gen.add_argument("--kind", choices=["example41", "certified"], default="example41")
-    p_gen.add_argument("--m", type=int, help="grid size (n = m^2) for example41")
-    p_gen.add_argument("--mu", type=float, help="diagonal shift for example41")
-    p_gen.add_argument("--n", type=int, help="dimension for certified problems")
-    p_gen.add_argument("--seed", type=int, default=0)
-    p_gen.add_argument("--dominance", type=float, default=10.0)
-    p_gen.add_argument("--b-scale", type=float, default=1.0)
+    p_gen.add_argument("--m", help="grid size (n = m^2) for example41")
+    p_gen.add_argument("--mu", help="diagonal shift for example41")
+    p_gen.add_argument("--n", help="dimension for certified problems")
+    p_gen.add_argument("--seed", default=0)
+    p_gen.add_argument("--dominance", default=10.0)
+    p_gen.add_argument("--b-scale", default=1.0)
     p_gen.add_argument("--out", required=True)
     p_gen.set_defaults(func=_cmd_gen)
 
     def add_method_args(p):
         p.add_argument("--method", default="nj", help="splitting kind token")
-        p.add_argument("--alpha", type=float)
-        p.add_argument("--beta", type=float)
-        p.add_argument("--gamma", type=float)
-        p.add_argument("--omega", default="zero",
-                       help="zero | identity:<w> | mhat | mhat:<c> | file:<path>")
+        p.add_argument("--alpha")
+        p.add_argument("--beta")
+        p.add_argument("--gamma")
+        p.add_argument("--omega",
+                       help="zero (default) | identity:<w> | mhat | mhat:<c> | file:<path>")
 
     p_solve = sub.add_parser("solve", help="run a single solve and print the report")
     _add_problem_args(p_solve)
     add_method_args(p_solve)
-    p_solve.add_argument("--inexact", action="store_true", help="use the lsqr inner solver")
-    p_solve.add_argument("--theta", default="paper", help="'paper' or a constant in [0,1)")
-    p_solve.add_argument("--lmax", type=int, default=10)
-    p_solve.add_argument("--max-inner", type=int, dest="max_inner")
-    p_solve.add_argument("--tol", type=float, default=1e-6)
-    p_solve.add_argument("--kmax", type=int, default=500)
+    p_solve.add_argument("--inexact", dest="inner", action="store_const", const="lsqr",
+                         help="use the lsqr inner solver")
+    p_solve.add_argument("--theta", help="'paper' (default) or a constant in [0,1)")
+    p_solve.add_argument("--lmax", help="schedule cutoff for --theta paper (default 10)")
+    p_solve.add_argument("--max-inner", dest="maxinner")
+    p_solve.add_argument("--tol", default=1e-6)
+    p_solve.add_argument("--kmax", default=500)
     p_solve.add_argument("--save-x", help="write the final iterate to this file")
     p_solve.set_defaults(func=_cmd_solve)
 
@@ -239,16 +226,16 @@ def build_parser():
         metavar="NAME",
         help="condition name (repeatable), e.g. InexactEq15",
     )
-    p_cert.add_argument("--theta-value", type=float, default=0.0)
-    p_cert.add_argument("--omega-scalar", type=float)
+    p_cert.add_argument("--theta-value", default=0.0)
+    p_cert.add_argument("--omega-scalar")
     p_cert.set_defaults(func=_cmd_certify)
 
     p_tune = sub.add_parser("tune", help="grid-search the nsor relaxation parameter")
     _add_problem_args(p_tune)
     p_tune.add_argument("--omega", default="zero")
     p_tune.add_argument("--grid", default="0.5:1.5:0.01", help="lo:hi:step")
-    p_tune.add_argument("--tol", type=float, default=1e-6)
-    p_tune.add_argument("--kmax", type=int, default=500)
+    p_tune.add_argument("--tol", default=1e-6)
+    p_tune.add_argument("--kmax", default=500)
     p_tune.set_defaults(func=_cmd_tune)
 
     p_bench = sub.add_parser("bench", help="run an experiment spec")
@@ -261,9 +248,12 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
+        for dest, convert in _NUMBERS.items():
+            if getattr(args, dest, None) is not None:
+                flag = "--" + dest.replace("_", "-")
+                setattr(args, dest, bench_mod.parse_number(getattr(args, dest), flag, convert))
         return args.func(args)
     except _VALIDATION_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -177,6 +177,8 @@ def gen_example41(m, mu):
     Returns ``(lcp, gave, hat_m)``; the last entry is handed back so the
     caller can form shift matrices from it.
     """
+    if not np.isfinite(mu):
+        raise ParameterError("mu must be finite")
     hat = build_hat_m(m)
     n = m * m
     M = sparse_add(hat, sparse_scale(mu, identity(n)))
@@ -204,10 +206,14 @@ def gen_certified(n, seed, b_norm_scale=1.0, dominance=10.0):
     B is rescaled to spectral norm ``b_norm_scale``. The solution is a
     deterministic sign vector and b is constructed from it.
     """
-    if dominance <= 1.0:
-        raise ParameterError("dominance must exceed 1")
+    if not 1.0 < dominance < np.inf:
+        raise ParameterError("dominance must be finite and exceed 1")
+    if not np.isfinite(b_norm_scale):
+        raise ParameterError("b_norm_scale must be finite")
     if n < 2:
         raise ParameterError("n must be at least 2")
+    if seed < 0:
+        raise ParameterError("seed must be nonnegative")
     rng = np.random.default_rng(seed)
     per_row = min(4, n - 1)
 

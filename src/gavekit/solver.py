@@ -96,7 +96,7 @@ class SolverConfig:
     max_inner: int | None = None
 
     def __post_init__(self):
-        if self.tol <= 0:
+        if not self.tol > 0:
             raise ParameterError("tol must be positive")
         if self.k_max < 1:
             raise ParameterError("k_max must be at least 1")

@@ -54,34 +54,31 @@ class SparseMatrix:
         Column indices, strictly increasing within each row.
     values : array of float
         Stored entries, parallel to ``col_idx``.
-    validate : bool
-        Check the arrays with scipy's ``check_format(full_check=True)`` and
-        ``has_canonical_format``; a violation raises ``ParameterError``.
 
+    The arrays are checked with scipy's ``check_format(full_check=True)`` and
+    ``has_canonical_format``; a violation raises ``ParameterError``.
     ``row_ptr``, ``col_idx`` and ``values`` are the read-only arrays of
     :meth:`to_scipy`, with the index dtype scipy chose (int32 when it fits).
     """
 
     __slots__ = ("_csr", "_csr_t")
 
-    def __init__(self, n_rows, n_cols, row_ptr, col_idx, values, validate=True):
+    def __init__(self, n_rows, n_cols, row_ptr, col_idx, values):
         values = np.ascontiguousarray(values, dtype=np.float64)
-        if validate:
-            if n_rows < 0 or n_cols < 0:
-                raise DimensionError("matrix dimensions must be nonnegative")
-            row_ptr, col_idx = np.asarray(row_ptr), np.asarray(col_idx)
-            if row_ptr.shape != (n_rows + 1,):
-                raise ParameterError(f"row_ptr must have length {n_rows + 1}")
-            # scipy silently drops entries beyond row_ptr[-1]
-            if not col_idx.shape == values.shape == (row_ptr[-1],):
-                raise ParameterError("col_idx/values length must equal row_ptr[-1]")
+        if n_rows < 0 or n_cols < 0:
+            raise DimensionError("matrix dimensions must be nonnegative")
+        row_ptr, col_idx = np.asarray(row_ptr), np.asarray(col_idx)
+        if row_ptr.shape != (n_rows + 1,):
+            raise ParameterError(f"row_ptr must have length {n_rows + 1}")
+        # scipy silently drops entries beyond row_ptr[-1]
+        if not col_idx.shape == values.shape == (row_ptr[-1],):
+            raise ParameterError("col_idx/values length must equal row_ptr[-1]")
         try:
             csr = scipy.sparse.csr_matrix((values, col_idx, row_ptr), shape=(n_rows, n_cols))
-            if validate:
-                csr.check_format(full_check=True)
+            csr.check_format(full_check=True)
         except ValueError as exc:
             raise ParameterError(str(exc)) from exc
-        if validate and not csr.has_canonical_format:
+        if not csr.has_canonical_format:
             raise ParameterError(
                 "column indices must be strictly increasing within each row "
                 "(duplicate entries are forbidden)"
@@ -212,17 +209,16 @@ def diag_matrix(d):
     if d.ndim != 1:
         raise DimensionError("diagonal must be 1-D")
     n = d.shape[0]
-    idx = np.arange(n, dtype=np.int64)
-    return SparseMatrix(n, n, np.arange(n + 1), idx, d, validate=False)
+    csr = (np.ascontiguousarray(d), np.arange(n, dtype=np.int64), np.arange(n + 1))
+    return SparseMatrix._wrap(scipy.sparse.csr_matrix(csr, shape=(n, n)))
 
 
 def zeros(n_rows, n_cols=None):
     """Matrix with no stored entries."""
     if n_cols is None:
         n_cols = n_rows
-    return SparseMatrix(
-        n_rows, n_cols, np.zeros(n_rows + 1, dtype=np.int64), [], [], validate=False
-    )
+    empty = (np.zeros(0), np.zeros(0, dtype=np.int64), np.zeros(n_rows + 1, dtype=np.int64))
+    return SparseMatrix._wrap(scipy.sparse.csr_matrix(empty, shape=(n_rows, n_cols)))
 
 
 def spmv(A, x):
@@ -249,9 +245,8 @@ def sparse_add(A, B):
 
 def sparse_scale(c, A):
     """Scalar multiple ``c * A``; the stored structure is preserved."""
-    return SparseMatrix(
-        A.n_rows, A.n_cols, A.row_ptr, A.col_idx, float(c) * A.values, validate=False
-    )
+    csr = (float(c) * A.values, A.col_idx, A.row_ptr)
+    return SparseMatrix._wrap(scipy.sparse.csr_matrix(csr, shape=A.shape))
 
 
 def sparse_sub(A, B):

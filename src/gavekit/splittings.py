@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse
 
 from .errors import ConfigurationError, DimensionError, ParameterError
 from .sparse import (
@@ -60,6 +61,8 @@ class SplittingKind:
         elif self.name == "naor":
             if self.alpha is None or self.beta is None:
                 raise ParameterError("naor requires alpha and beta")
+            if not (np.isfinite(self.alpha) and np.isfinite(self.beta)):
+                raise ParameterError("naor requires finite alpha and beta")
             if self.alpha == 0.0:
                 raise ParameterError("naor requires alpha != 0")
         elif self.name == "drs":
@@ -190,7 +193,8 @@ def triangular_parts(A):
         # masking keeps the row-major order, so only the row counts change
         row_ptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(np.bincount(rows[mask], minlength=n), out=row_ptr[1:])
-        return SparseMatrix(n, n, row_ptr, cols[mask], sign * A.values[mask], validate=False)
+        csr = (sign * A.values[mask], cols[mask], row_ptr)
+        return SparseMatrix._wrap(scipy.sparse.csr_matrix(csr, shape=(n, n)))
 
     return part(rows == cols, 1.0), part(rows > cols, -1.0), part(rows < cols, -1.0)
 

@@ -183,8 +183,71 @@ def test_certify_non_finite_scalar_shift_exits_2(capsys, value):
                  "--omega-scalar", value, "--theta-value", "0.3"])
     captured = capsys.readouterr()
     assert code == 2
-    assert "finite and positive" in captured.err
+    assert "non-finite --omega-scalar value" in captured.err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["solve", "--example41", "6", "4", "--tol", "nan"], "non-finite --tol value 'nan'"),
+        (["solve", "--example41", "6", "4", "--kmax", "1e3"], "bad --kmax value '1e3'"),
+        (["solve", "--example41", "6", "4", "--method", "naor", "--alpha", "nan",
+          "--beta", "0.5"], "non-finite alpha value 'nan'"),
+        (["certify", "--example41", "6", "4", "--condition", "InexactEq15",
+          "--theta-value", "inf"], "non-finite --theta-value value 'inf'"),
+        (["tune", "--example41", "6", "4", "--tol", "x"], "bad --tol value 'x'"),
+        (["gen", "--kind", "example41", "--m", "6", "--mu", "nan"], "non-finite --mu value 'nan'"),
+        (["gen", "--kind", "certified", "--n", "10", "--dominance", "nan"],
+         "non-finite --dominance value 'nan'"),
+        (["gen", "--kind", "certified", "--n", "10", "--b-scale", "nan"],
+         "non-finite --b-scale value 'nan'"),
+        (["gen", "--kind", "certified", "--n", "10", "--b-scale", "inf"],
+         "non-finite --b-scale value 'inf'"),
+        (["gen", "--kind", "certified", "--n", "10", "--seed", "-1"],
+         "seed must be nonnegative"),
+        (["gen", "--kind", "certified", "--n", "1.5"], "bad --n value '1.5'"),
+    ],
+)
+def test_command_line_numbers_parse_like_spec_numbers(tmp_path, capsys, argv, message):
+    # every number goes through bench.parse_number inside main, so a bad one
+    # is a validation error (exit 2), not an argparse exit or a traceback
+    if argv[0] == "gen":
+        argv = [*argv, "--out", str(tmp_path / "p")]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert f"error: {message}" in captured.err
+    assert captured.out == ""
+    assert not (tmp_path / "p").exists()
+
+
+@pytest.mark.parametrize(
+    "line, args",
+    [
+        ("nj", []),
+        ("nsor alpha=0.9 omega=mhat:1.5", ["--method", "nsor", "--alpha", "0.9",
+                                           "--omega", "mhat:1.5"]),
+        ("naor alpha=1.1 beta=0.7 inner=lsqr theta=0.3 lmax=4 maxinner=40",
+         ["--method", "naor", "--alpha", "1.1", "--beta", "0.7", "--inexact",
+          "--theta", "0.3", "--lmax", "4", "--max-inner", "40"]),
+        ("drs gamma=1", ["--method", "drs", "--gamma", "1"]),
+    ],
+)
+def test_solve_builds_the_method_a_spec_line_builds(monkeypatch, capsys, line, args):
+    built = []
+
+    def record(problem, method, hat_m=None):
+        built.append(method)
+        return build_splitting(problem.A, method.kind)
+
+    monkeypatch.setattr(gavekit.bench, "build_method", record)
+    main(["solve", "--example41", "4", "4", "--tol", "1e-5", "--kmax", "50", *args])
+    main(["certify", "--example41", "4", "4", "--condition", "Cor34", *args[:6]])
+    capsys.readouterr()
+    solve_method, certify_method = built
+    assert solve_method == gavekit.bench.parse_method_line(line, 1e-5, 50)
+    assert certify_method.kind == solve_method.kind
+    assert certify_method.omega_token == solve_method.omega_token
 
 
 @pytest.mark.parametrize(

@@ -88,6 +88,12 @@ class TestExample41:
         assert w.min() >= -1e-10
         assert abs(z @ w) <= 1e-10 * z.size
 
+    @pytest.mark.parametrize("mu", [np.nan, np.inf, -np.inf])
+    def test_non_finite_mu_rejected(self, mu):
+        # a NaN mu used to give an A whose entries were NaN
+        with pytest.raises(ParameterError, match="mu"):
+            gen_example41(4, mu)
+
 
 class TestLcpReduction:
     def test_example_mapping(self):
@@ -163,6 +169,18 @@ class TestGenCertified:
             gen_certified(20, seed=0, dominance=1.0)
         with pytest.raises(ParameterError):
             gen_certified(20, seed=0, b_norm_scale=50.0, dominance=2.0)
+
+    @pytest.mark.parametrize("kwargs, match", [
+        (dict(dominance=np.nan), "dominance"),
+        (dict(dominance=np.inf), "dominance"),
+        (dict(b_norm_scale=np.nan), "b_norm_scale"),
+        (dict(b_norm_scale=np.inf), "b_norm_scale"),
+        (dict(seed=-1), "seed"),
+    ])
+    def test_non_finite_or_negative_parameters(self, kwargs, match):
+        # these ended in numpy tracebacks, or (b_norm_scale = inf) in inf entries
+        with pytest.raises(ParameterError, match=match):
+            gen_certified(20, **{"seed": 0, **kwargs})
 
 
 class TestProblemValidation:

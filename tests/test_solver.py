@@ -183,6 +183,13 @@ class TestNmsSolve:
             nms_solve(prob, s, None, SolverConfig(inner="lsqr"))
 
 
+@pytest.mark.parametrize("tol", [0.0, -1e-6, np.nan])
+def test_tol_must_be_positive(tol):
+    # tol <= 0 let NaN through; the solve then stopped at IT 0, unconverged
+    with pytest.raises(ParameterError, match="tol"):
+        SolverConfig(tol=tol)
+
+
 @pytest.mark.parametrize("max_inner", [0, -1])
 def test_max_inner_below_one_rejected(max_inner):
     # 0 used to run every outer step without progress; -1 failed only in lsqr

@@ -73,6 +73,13 @@ class TestConstruction:
         np.testing.assert_array_equal(A.values, [3.0, 0.0])
         np.testing.assert_array_equal(A.to_dense(), dup.toarray())
 
+    def test_constructor_always_validates(self):
+        # no flag lets the constructor hold a duplicate entry
+        with pytest.raises(TypeError):
+            SparseMatrix(2, 2, [0, 2, 2], [1, 1], [1.0, 2.0], validate=False)
+        with pytest.raises(ParameterError, match="duplicate"):
+            SparseMatrix(2, 2, [0, 2, 2], [1, 1], [1.0, 2.0])
+
     def test_from_coo_rejects_duplicates(self):
         with pytest.raises(ParameterError, match="duplicate"):
             SparseMatrix.from_coo(2, 2, [0, 0], [1, 1], [1.0, 2.0])

@@ -200,6 +200,14 @@ class TestBuildSplitting:
         with pytest.raises(ParameterError):
             SplittingKind("nope")
 
+    @pytest.mark.parametrize("alpha, beta", [
+        (np.nan, 0.5), (0.5, np.nan), (np.inf, 0.5), (1.0, -np.inf),
+    ])
+    def test_naor_requires_finite_parameters(self, alpha, beta):
+        # a NaN alpha used to reach the LU and fail there (exit 3)
+        with pytest.raises(ParameterError, match="finite"):
+            SplittingKind("naor", alpha=alpha, beta=beta)
+
 
 class TestResolveOmega:
     def test_zero(self):
