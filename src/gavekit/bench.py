@@ -28,7 +28,7 @@ from .errors import (
     SpecError,
 )
 from .mmio import read_matrix_market
-from .problems import gen_example41, load_problem
+from .problems import check_grid_size, gen_example41, load_problem
 from .solver import SolverConfig, ThetaSchedule, inms_solve, nms_solve
 from .splittings import KINDS, OmegaSpec, SplittingKind, build_splitting, resolve_omega
 
@@ -93,8 +93,8 @@ class ExperimentSpec:
         if self.problem_kind == "example41":
             if not self.m_values or self.mu is None:
                 raise SpecError("example41 problems need 'm' and 'mu'")
-            if any(m < 2 for m in self.m_values):
-                raise SpecError("m values must be at least 2")
+            for m in self.m_values:
+                check_grid_size(m)  # before anything is allocated
         elif self.problem_kind == "dir":
             if not self.directory:
                 raise SpecError("directory problems need a path")
@@ -130,44 +130,48 @@ def parse_number(token, what, convert=float):
         value = convert(token)
     except ValueError:
         raise SpecError(f"bad {what} value {token!r}") from None
-    if not math.isfinite(value):
+    if isinstance(value, float) and not math.isfinite(value):  # an int is finite at any size
         raise SpecError(f"non-finite {what} value {token!r}")
     return value
 
 
-def parse_method_line(value, tol=1e-6, k_max=500):
-    """Parse a 'method =' line: kind token followed by key=value options.
-
-    ``tol`` and ``k_max`` are the spec's stopping rule; the tokens go to
-    :func:`method_spec`.
-    """
+def _method_tokens(value):
+    """The kind and the option map of a 'method =' line, checked but not yet built."""
     tokens = value.split()
     if not tokens:
         raise SpecError("empty method line")
-    kind_name = tokens[0].lower()
-    if kind_name not in KINDS:
-        raise SpecError(f"unknown method kind {kind_name!r}")
+    if tokens[0] not in KINDS:
+        raise SpecError(f"unknown method kind {tokens[0]!r}")
     opts = {}
     for tok in tokens[1:]:
         if "=" not in tok:
             raise SpecError(f"malformed method option {tok!r}")
         key, _, val = tok.partition("=")
-        key = key.strip().lower()
         if key not in _METHOD_OPTIONS:
             raise SpecError(f"unknown method option {key!r} in {value!r}")
         if key in opts:
             raise SpecError(f"duplicate method option {key!r} in {value!r}")
-        opts[key] = val.strip()
-    return method_spec(kind_name, opts, tol, k_max)
+        opts[key] = val
+    return tokens[0], opts
 
 
-def method_spec(kind, options, tol=1e-6, k_max=500):
+def parse_method_line(value):
+    """Parse a 'method =' line: kind token followed by key=value options.
+
+    Kinds, option names and values are exact lowercase text; the stopping
+    rule is :class:`SolverConfig`'s default (a spec's ``tol``/``kmax`` keys
+    reach :func:`method_spec` through :func:`parse_spec`).
+    """
+    return method_spec(*_method_tokens(value))
+
+
+def method_spec(kind, options):
     """The MethodSpec of splitting ``kind`` with its method options, checked.
 
     ``options`` maps method-option names (``alpha``, ``theta``, ``maxinner``,
-    ...) to their text, as a spec line or the parsed arguments of ``gavekit
-    solve``/``certify`` hold them; other keys are ignored, and an absent or
-    None option takes its default. ``tol`` and ``k_max`` are the stopping rule.
+    ...) and the stopping rule's ``tol`` and ``kmax`` to their text, as a
+    spec or the parsed arguments of ``gavekit solve``/``certify`` hold them;
+    other keys are ignored, and an absent or None option takes its default.
     """
 
     def text(key, default):
@@ -177,13 +181,13 @@ def method_spec(kind, options, tol=1e-6, k_max=500):
         return default if options.get(key) is None else parse_number(options[key], key, convert)
 
     l_max, theta = number("lmax", int, 10), text("theta", "paper")
+    stopping = dict(tol=number("tol"), k_max=number("kmax", int))
     config = SolverConfig(
-        tol=tol,
-        k_max=k_max,
-        inner=text("inner", "direct").lower(),
+        inner=text("inner", "direct"),
         theta=ThetaSchedule.paper(l_max) if theta == "paper"
         else ThetaSchedule.constant(parse_number(theta, "theta")),
         max_inner=number("maxinner", int),
+        **{key: value for key, value in stopping.items() if value is not None},
     )
     return MethodSpec(
         SplittingKind(kind, alpha=number("alpha"), beta=number("beta"), gamma=number("gamma")),
@@ -196,8 +200,8 @@ def method_spec(kind, options, tol=1e-6, k_max=500):
 def parse_spec(text):
     """Parse the experiment spec text into an ExperimentSpec.
 
-    Method lines are parsed after every key is read, since ``tol`` and
-    ``kmax`` may follow them.
+    Method lines are built after every key is read, since ``tol`` and
+    ``kmax``, which join each line's options, may follow them.
     """
     values = {}
     method_lines = []
@@ -230,11 +234,11 @@ def parse_spec(text):
         raise SpecError(
             f"problem must be 'example41' or 'dir:<path>', got {problem!r}"
         )
-    tol = parse_number(values.get("tol", 1e-6), "tol")
-    k_max = parse_number(values.get("kmax", 500), "kmax", int)
+    stopping = {key: values[key] for key in ("tol", "kmax") if key in values}
     return ExperimentSpec(
         **source,
-        methods=tuple(parse_method_line(line, tol, k_max) for line in method_lines),
+        methods=tuple(method_spec(kind, {**opts, **stopping})
+                      for kind, opts in map(_method_tokens, method_lines)),
         repeats=parse_number(values.get("repeats", 10), "repeats", int),
         output=values.get("output"),
     )
@@ -323,7 +327,7 @@ def run_experiment(spec):
     return rows
 
 
-def tune_alpha(problem, omega, grid, tol=1e-6, k_max=500):
+def tune_alpha(problem, omega, grid, tol=SolverConfig.tol, k_max=SolverConfig.k_max):
     """Grid-search the nsor relaxation parameter for the fewest iterations.
 
     Runs the exact solver once per grid point and returns
@@ -358,12 +362,17 @@ def tune_alpha(problem, omega, grid, tol=1e-6, k_max=500):
     return best
 
 
-def _format_mu(mu):
-    return "" if mu is None else f"{mu:g}"
+_COLUMNS = ("method", "n", "mu", "omega", "alpha", "IT", "CPU_s", "RES", "converged", "warnings")
+# the format of each formatted column, in the CSV and the markdown table alike
+_FORMATS = {"mu": "g", "alpha": "g", "CPU_s": ".4f", "RES": ".4e"}
 
 
-def _format_alpha(alpha):
-    return "" if alpha is None else f"{alpha:g}"
+def _cell(row, column):
+    """The text of one result cell; an absent mu or alpha is an empty cell."""
+    value = getattr(row, "omega_tag" if column == "omega" else column)
+    if column == "converged":
+        return "true" if value else "false"
+    return "" if value is None else format(value, _FORMATS.get(column, ""))
 
 
 def emit_table(rows, fmt="csv"):
@@ -371,25 +380,8 @@ def emit_table(rows, fmt="csv"):
     if fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(
-            ["method", "n", "mu", "omega", "alpha", "IT", "CPU_s", "RES",
-             "converged", "warnings"]
-        )
-        for row in rows:
-            writer.writerow(
-                [
-                    row.method,
-                    row.n,
-                    _format_mu(row.mu),
-                    row.omega_tag,
-                    _format_alpha(row.alpha),
-                    row.IT,
-                    f"{row.CPU_s:.4f}",
-                    f"{row.RES:.4e}",
-                    "true" if row.converged else "false",
-                    row.warnings,
-                ]
-            )
+        writer.writerow(_COLUMNS)
+        writer.writerows([_cell(row, column) for column in _COLUMNS] for row in rows)
         return buf.getvalue()
     if fmt == "markdown":
         return _emit_markdown(rows)
@@ -399,46 +391,18 @@ def emit_table(rows, fmt="csv"):
 def _emit_markdown(rows):
     """Method blocks as rows, problem sizes as columns."""
     sizes = sorted({row.n for row in rows})
-    methods = []
-    for row in rows:
-        if row.method not in methods:
-            methods.append(row.method)
+    methods = list(dict.fromkeys(row.method for row in rows))
     by_key = {(row.method, row.n): row for row in rows}
-    lines = []
     header = ["Method", ""] + [str(n) for n in sizes]
-    lines.append("| " + " | ".join(header) + " |")
-    lines.append("|" + "---|" * len(header))
-
-    def cells(method, fmt_fn):
-        out = []
-        for n in sizes:
-            row = by_key.get((method, n))
-            out.append(fmt_fn(row) if row is not None else "")
-        return out
-
+    lines = ["| " + " | ".join(header) + " |", "|" + "---|" * len(header)]
     for method in methods:
-        has_alpha = any(
-            by_key.get((method, n)) is not None
-            and by_key[(method, n)].alpha is not None
-            for n in sizes
-        )
-        block = []
-        if has_alpha:
-            block.append(
-                ("alpha", cells(method, lambda r: _format_alpha(r.alpha)))
-            )
-        block.append(("IT", cells(method, lambda r: str(r.IT))))
-        block.append(("CPU", cells(method, lambda r: f"{r.CPU_s:.4f}")))
-        block.append(
-            (
-                "RES",
-                cells(
-                    method,
-                    lambda r: f"{r.RES:.4e}" + ("" if r.converged else " (!)"),
-                ),
-            )
-        )
-        for i, (tag, values) in enumerate(block):
-            head = method if i == 0 else ""
-            lines.append("| " + " | ".join([head, tag] + values) + " |")
+        present = [by_key.get((method, n)) for n in sizes]
+        block = [("IT", "IT"), ("CPU", "CPU_s"), ("RES", "RES")]
+        if any(row is not None and row.alpha is not None for row in present):
+            block.insert(0, ("alpha", "alpha"))
+        for i, (tag, column) in enumerate(block):
+            cells = ["" if row is None else _cell(row, column)
+                     + (" (!)" if column == "RES" and not row.converged else "")
+                     for row in present]
+            lines.append("| " + " | ".join([method if i == 0 else "", tag] + cells) + " |")
     return "\n".join(lines) + "\n"

@@ -94,7 +94,7 @@ def _cmd_gen(args):
 def _cmd_solve(args):
     problem, hat = _load_problem_args(args)
     # the method options' dests are their spec names, so a spec line's builder reads them
-    method = bench_mod.method_spec(args.method, vars(args), args.tol, args.kmax)
+    method = bench_mod.method_spec(args.method, vars(args))
     splitting = bench_mod.build_method(problem, method, hat)
     report, cpu = bench_mod.run_method(problem, method, splitting)
     print(f"method     : {method.display_name()}")
@@ -153,9 +153,10 @@ def _cmd_tune(args):
     problem, hat = _load_problem_args(args)
     omega = bench_mod.resolve_omega_token(args.omega, hat)
     grid = _parse_grid(args.grid)
-    alpha, it = bench_mod.tune_alpha(
-        problem, omega, grid, tol=args.tol, k_max=args.kmax
-    )
+    # an option not given is not passed, so tune_alpha's default applies
+    stopping = {key: value for key, value in dict(tol=args.tol, k_max=args.kmax).items()
+                if value is not None}
+    alpha, it = bench_mod.tune_alpha(problem, omega, grid, **stopping)
     print(f"alpha_exp = {alpha:g}  (IT = {it})")
     return 0
 
@@ -210,8 +211,8 @@ def build_parser():
     p_solve.add_argument("--theta", help="'paper' (default) or a constant in [0,1)")
     p_solve.add_argument("--lmax", help="schedule cutoff for --theta paper (default 10)")
     p_solve.add_argument("--max-inner", dest="maxinner")
-    p_solve.add_argument("--tol", default=1e-6)
-    p_solve.add_argument("--kmax", default=500)
+    p_solve.add_argument("--tol")
+    p_solve.add_argument("--kmax")
     p_solve.add_argument("--save-x", help="write the final iterate to this file")
     p_solve.set_defaults(func=_cmd_solve)
 
@@ -234,8 +235,8 @@ def build_parser():
     _add_problem_args(p_tune)
     p_tune.add_argument("--omega", default="zero")
     p_tune.add_argument("--grid", default="0.5:1.5:0.01", help="lo:hi:step")
-    p_tune.add_argument("--tol", default=1e-6)
-    p_tune.add_argument("--kmax", default=500)
+    p_tune.add_argument("--tol")
+    p_tune.add_argument("--kmax")
     p_tune.set_defaults(func=_cmd_tune)
 
     p_bench = sub.add_parser("bench", help="run an experiment spec")

@@ -71,6 +71,9 @@ DENSE_CUTOFF = 500
 # Pivots smaller than this times the infinity norm count as singular.
 _PIVOT_TOL = 1e-14
 
+# ARPACK restart budget of every Lanczos estimate, read at call time.
+_MAX_RESTARTS = 10000
+
 
 def uses_dense(A):
     """True when the estimators take the dense LAPACK path for ``A``.
@@ -116,10 +119,14 @@ def lu_factorize(A):
     SingularMatrixError
         If the matrix is structurally singular or a pivot falls below
         ``1e-14 * norm_inf(A)``.
+    NumericsError
+        If ``norm_inf(A)`` is not finite, as it is when an entry is not.
     """
     if not A.is_square:
         raise DimensionError("lu_factorize requires a square matrix")
     norm_inf = A.inf_norm()
+    if not np.isfinite(norm_inf):
+        raise NumericsError(f"non-finite infinity norm {norm_inf} in lu_factorize")
     if norm_inf == 0.0:
         raise SingularMatrixError("matrix has no nonzero entries")
     csc = A.to_scipy().tocsc()
@@ -283,14 +290,21 @@ def _seeded_start(n):
     return v / np.linalg.norm(v)
 
 
-def _lanczos_top(apply, n, rel_tol, max_iter, what, finish):
+def _dense(A, what):
+    """``A.to_dense()``; a non-finite entry raises NumericsError before LAPACK sees it."""
+    if not np.all(np.isfinite(A.values)):
+        raise NumericsError(f"non-finite value in {what}")
+    return A.to_dense()
+
+
+def _lanczos_top(apply, n, rel_tol, what, finish):
     """``finish`` of the largest eigenvalue of a symmetric PSD operator.
 
     ``apply(v)`` applies the operator; ``finish`` maps its top eigenvalue to
     the estimated quantity. Runs ARPACK's implicitly restarted Lanczos
     (``eigsh``) from :func:`_seeded_start`; it stops once the Ritz residual
-    is at most ``rel_tol`` times the Ritz value, or after ``max_iter``
-    restarts.
+    is at most ``rel_tol`` times the Ritz value, or after
+    :data:`_MAX_RESTARTS` restarts.
 
     Raises
     ------
@@ -319,25 +333,25 @@ def _lanczos_top(apply, n, rel_tol, max_iter, what, finish):
             which="LA",
             v0=_seeded_start(n),
             tol=rel_tol,
-            maxiter=max_iter,
+            maxiter=_MAX_RESTARTS,
             return_eigenvectors=False,
         )[0]
     except scipy.sparse.linalg.ArpackNoConvergence as exc:
         found = exc.eigenvalues
         raise ConvergenceFailure(
-            f"{what} did not converge in {max_iter} restarts",
+            f"{what} did not converge in {_MAX_RESTARTS} restarts",
             best_estimate=float(finish(found[0])) if len(found) else None,
         ) from None
     return float(finish(lam))
 
 
-def spectral_norm(A, rel_tol=1e-8, max_iter=10000):
+def spectral_norm(A, rel_tol=1e-8):
     """Largest singular value.
 
     Uses a dense SVD when ``max(A.shape) <= DENSE_CUTOFF``, and otherwise
     Lanczos on ``A.T @ A`` to relative Ritz residual ``rel_tol`` within
-    ``max_iter`` ARPACK restarts. ``A.T @ A`` is applied as two CSR
-    products, the second on ``A``'s cached transpose.
+    the module's restart budget, ``_MAX_RESTARTS``. ``A.T @ A`` is applied
+    as two CSR products, the second on ``A``'s cached transpose.
 
     Raises
     ------
@@ -350,24 +364,17 @@ def spectral_norm(A, rel_tol=1e-8, max_iter=10000):
     if A.nnz == 0 or A.max_abs() == 0.0:
         return 0.0
     if uses_dense(A):
-        return float(np.linalg.norm(A.to_dense(), 2))
+        return float(np.linalg.norm(_dense(A, "spectral_norm"), 2))
     S, ST = A.to_scipy(), A.to_scipy_transpose()
-    return _lanczos_top(
-        lambda v: ST @ (S @ v),
-        A.n_cols,
-        rel_tol,
-        max_iter,
-        "spectral_norm",
-        np.sqrt,
-    )
+    return _lanczos_top(lambda v: ST @ (S @ v), A.n_cols, rel_tol, "spectral_norm", np.sqrt)
 
 
-def min_singular_value(A, rel_tol=1e-10, max_iter=10000):
+def min_singular_value(A, rel_tol=1e-10):
     """Smallest singular value of a square nonsingular matrix.
 
     Uses a dense SVD for ``n <= DENSE_CUTOFF`` and otherwise Lanczos on
     ``(A.T A)^{-1}``, applied through the LU factors, to relative Ritz
-    residual ``rel_tol`` within ``max_iter`` ARPACK restarts.
+    residual ``rel_tol`` within the restart budget ``_MAX_RESTARTS``.
 
     Raises
     ------
@@ -379,7 +386,7 @@ def min_singular_value(A, rel_tol=1e-10, max_iter=10000):
         raise DimensionError("min_singular_value requires a square matrix")
     n = A.n_rows
     if uses_dense(A):
-        svals = np.linalg.svd(A.to_dense(), compute_uv=False)
+        svals = np.linalg.svd(_dense(A, "min_singular_value"), compute_uv=False)
         smin = float(svals[-1]) if svals.size else 0.0
         smax = float(svals[0]) if svals.size else 0.0
         if smin <= _PIVOT_TOL * smax:
@@ -388,14 +395,8 @@ def min_singular_value(A, rel_tol=1e-10, max_iter=10000):
             )
         return smin
     factor = lu_factorize(A)  # raises SingularMatrixError when singular
-    return _lanczos_top(
-        lambda v: factor.solve(factor.solve(v, transpose=True)),
-        n,
-        rel_tol,
-        max_iter,
-        "min_singular_value",
-        lambda rho: 1.0 / np.sqrt(rho),
-    )
+    return _lanczos_top(lambda v: factor.solve(factor.solve(v, transpose=True)), n, rel_tol,
+                        "min_singular_value", lambda rho: 1.0 / np.sqrt(rho))
 
 
 def _check_symmetry(A, sign, rel_tol, what):
@@ -412,7 +413,7 @@ def _check_symmetry(A, sign, rel_tol, what):
         )
 
 
-def symmetric_eig_extremes(H, rel_tol=1e-11, max_iter=10000):
+def symmetric_eig_extremes(H, rel_tol=1e-11):
     """Extreme eigenvalues ``(lambda_min, lambda_max)`` of a symmetric matrix.
 
     Symmetry is checked to 1e-12 relative. Matrices of order at most
@@ -422,7 +423,7 @@ def symmetric_eig_extremes(H, rel_tol=1e-11, max_iter=10000):
     beyond it) are positive definite, and the top eigenvalue of each
     inverse, applied through its LU, exposes one extreme eigenvalue with a
     wide spectral gap. Each Lanczos run stops at relative Ritz residual
-    ``rel_tol`` or after ``max_iter`` ARPACK restarts.
+    ``rel_tol`` or after ``_MAX_RESTARTS`` ARPACK restarts.
 
     Raises
     ------
@@ -433,7 +434,7 @@ def symmetric_eig_extremes(H, rel_tol=1e-11, max_iter=10000):
     _check_symmetry(H, 1.0, 1e-12, "symmetric_eig_extremes")
     n = H.n_rows
     if uses_dense(H):
-        eigs = np.linalg.eigvalsh(H.to_dense())
+        eigs = np.linalg.eigvalsh(_dense(H, "symmetric_eig_extremes"))
         return float(eigs[0]), float(eigs[-1])
     if H.nnz == 0 or H.max_abs() == 0.0:
         return 0.0, 0.0
@@ -447,32 +448,20 @@ def symmetric_eig_extremes(H, rel_tol=1e-11, max_iter=10000):
 
     sigma_hi = hi + delta
     upper = lu_factorize(sparse_sub(diag_matrix(np.full(n, sigma_hi)), H))
-    lam_max = _lanczos_top(
-        upper.solve,
-        n,
-        rel_tol,
-        max_iter,
-        "symmetric_eig_extremes (max)",
-        lambda rho: sigma_hi - 1.0 / rho,
-    )
+    lam_max = _lanczos_top(upper.solve, n, rel_tol, "symmetric_eig_extremes (max)",
+                           lambda rho: sigma_hi - 1.0 / rho)
     sigma_lo = lo - delta
     lower = lu_factorize(sparse_sub(H, diag_matrix(np.full(n, sigma_lo))))
-    lam_min = _lanczos_top(
-        lower.solve,
-        n,
-        rel_tol,
-        max_iter,
-        "symmetric_eig_extremes (min)",
-        lambda rho: sigma_lo + 1.0 / rho,
-    )
+    lam_min = _lanczos_top(lower.solve, n, rel_tol, "symmetric_eig_extremes (min)",
+                           lambda rho: sigma_lo + 1.0 / rho)
     return float(lam_min), float(lam_max)
 
 
-def skew_spectral_radius(S, rel_tol=1e-8, max_iter=10000):
+def skew_spectral_radius(S, rel_tol=1e-8):
     """Largest eigenvalue modulus of an antisymmetric matrix.
 
     For antisymmetric ``S`` the eigenvalues are purely imaginary and the
     spectral radius equals the spectral norm.
     """
     _check_symmetry(S, -1.0, 1e-12, "skew_spectral_radius")
-    return spectral_norm(S, rel_tol=rel_tol, max_iter=max_iter)
+    return spectral_norm(S, rel_tol=rel_tol)

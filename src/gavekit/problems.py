@@ -10,7 +10,7 @@ known solution.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -104,13 +104,23 @@ class LcpInstance:
                 raise ParameterError("known LCP solution violates complementarity")
 
 
+def check_grid_size(m):
+    """Reject a grid size ``m`` below 2, or one whose m^2 unknowns numpy cannot index.
+
+    The check allocates nothing, so a spec can run it before any problem is built.
+    """
+    if m < 2:
+        raise ParameterError("m must be at least 2")
+    if 5 * int(m) ** 2 > np.iinfo(np.intp).max:  # hatM has at most 5 entries per row
+        raise ParameterError(f"m = {m} is too large: m^2 unknowns exceed numpy's index range")
+
+
 def build_hat_m(m):
     """Block tridiagonal matrix of dimension m^2.
 
     Diagonal blocks are tridiag(-1, 4, -1); off-diagonal blocks are -I.
     """
-    if m < 2:
-        raise ParameterError("m must be at least 2")
+    check_grid_size(m)
     n = m * m
     g = np.arange(n, dtype=np.int64)
     block = g // m
@@ -186,15 +196,8 @@ def gen_example41(m, mu):
     q = -spmv(M, z_star)
     lcp = LcpInstance(M=M, q=q, known_solution=z_star)
     provenance = f"{_REDUCTION_TAG} example41(m={m}, mu={mu:g})"
-    gave = lcp_to_gave(lcp, provenance=provenance)
     # pin the closed-form solution rather than the float image of z*
-    gave = GaveProblem(
-        A=gave.A,
-        B=gave.B,
-        b=gave.b,
-        known_solution=np.full(n, -0.6),
-        provenance=provenance,
-    )
+    gave = replace(lcp_to_gave(lcp, provenance=provenance), known_solution=np.full(n, -0.6))
     return lcp, gave, hat
 
 

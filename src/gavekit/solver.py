@@ -83,6 +83,8 @@ def theta_at(schedule, k):
 class SolverConfig:
     """Stopping rule, start vector, and inner-solver selection.
 
+    The ``tol`` and ``k_max`` defaults are the one statement of the stopping
+    rule; a spec, the CLI and ``tune_alpha`` use them when none is given.
     ``x0`` is either a vector or the token "alt10" for (1,0,1,0,...).
     ``max_inner``, the lsqr inner solver's iteration budget per outer step,
     is at least 1; None means ceil(10 * sqrt(n)).

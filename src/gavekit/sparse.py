@@ -251,7 +251,8 @@ def sparse_scale(c, A):
 
 def sparse_sub(A, B):
     """Entrywise difference ``A - B`` (same zero policy as :func:`sparse_add`)."""
-    return sparse_add(A, sparse_scale(-1.0, B))
+    _require_same_shape(A, B)
+    return SparseMatrix._wrap(A.to_scipy() - B.to_scipy())
 
 
 def hermitian_split(A):

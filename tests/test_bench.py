@@ -10,6 +10,7 @@ from gavekit import (
     ConvergenceFailure,
     GaveProblem,
     OmegaSpec,
+    ParameterError,
     ResultRow,
     SolverConfig,
     SpecError,
@@ -125,6 +126,13 @@ class TestParseMethodLine:
             parse_method_line("nj omega")
 
     @pytest.mark.parametrize(
+        "line", ["NJ", "nj INNER=lsqr", "nj inner=LSQR", "nj inner=lsqr theta=PAPER"]
+    )
+    def test_method_text_is_exact_lowercase(self, line):
+        with pytest.raises((SpecError, ParameterError)):
+            parse_method_line(line)
+
+    @pytest.mark.parametrize(
         "line, key",
         [
             ("nsor alpha=0.9 alpha=1.1", "alpha"),
@@ -134,8 +142,12 @@ class TestParseMethodLine:
         ],
     )
     def test_repeated_option(self, line, key):
-        # a second spelling of an option is an error, not an override
-        with pytest.raises(SpecError, match=f"duplicate method option '{key}'"):
+        # a second spelling of an option is an error, not an override; option
+        # names are exact lowercase, so an upper-case one is unknown
+        message = f"duplicate method option '{key}'"
+        if f" {key.upper()}=" in line:
+            message = f"unknown method option '{key.upper()}'"
+        with pytest.raises(SpecError, match=message):
             parse_method_line(line)
 
 

@@ -245,7 +245,8 @@ def test_solve_builds_the_method_a_spec_line_builds(monkeypatch, capsys, line, a
     main(["certify", "--example41", "4", "4", "--condition", "Cor34", *args[:6]])
     capsys.readouterr()
     solve_method, certify_method = built
-    assert solve_method == gavekit.bench.parse_method_line(line, 1e-5, 50)
+    spec = f"problem = example41\nm = 4\nmu = 4\ntol = 1e-5\nkmax = 50\nmethod = {line}\n"
+    assert solve_method == gavekit.bench.parse_spec(spec).methods[0]
     assert certify_method.kind == solve_method.kind
     assert certify_method.omega_token == solve_method.omega_token
 
@@ -310,6 +311,79 @@ def test_non_finite_input_exits_3(tmp_path, capsys):
     code = main(["solve", "--problem", str(tmp_path / "nan"), "--method", "picard"])
     assert code == 3
     assert "non-finite" in capsys.readouterr().err
+
+
+def _nan_entry_problem(tmp_path):
+    """An example41 problem directory (m = 6) whose first A.mtx entry is nan."""
+    assert main(["gen", "--kind", "example41", "--m", "6", "--mu", "4",
+                 "--out", str(tmp_path / "p")]) == 0
+    path = tmp_path / "p" / "A.mtx"
+    lines = path.read_text().splitlines()
+    first = next(k for k, line in enumerate(lines) if not line.startswith("%")) + 1
+    row, col, _ = lines[first].split()
+    lines[first] = f"{row} {col} nan"
+    path.write_text("\n".join(lines) + "\n")
+    return path.parent
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["certify", "--problem", "{dir}", "--method", "ngs", "--condition", "InexactEq15",
+         "--theta-value", "0.3"],
+        ["certify", "--problem", "{dir}", "--method", "ngs", "--condition", "Cor34"],
+        ["certify", "--problem", "{dir}", "--method", "ngs", "--condition", "ScalarOmegaThm34",
+         "--omega-scalar", "2"],
+        ["certify", "--example41", "6", "4", "--omega", "file:{dir}/A.mtx",
+         "--condition", "InexactEq15"],
+        ["solve", "--problem", "{dir}", "--method", "ngs"],
+        ["solve", "--example41", "6", "4", "--omega", "file:{dir}/A.mtx"],
+    ],
+    ids=["InexactEq15", "Cor34", "ScalarOmegaThm34", "file-omega", "solve", "solve-file-omega"],
+)
+def test_non_finite_matrix_entry_exits_3(tmp_path, capsys, argv):
+    # the dense estimators and the LU see the nan before LAPACK or SuperLU does
+    directory = _nan_entry_problem(tmp_path)
+    capsys.readouterr()
+    code = main([arg.replace("{dir}", str(directory)) for arg in argv])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("numerical failure: non-finite")
+
+
+@pytest.mark.parametrize("m", [str(10**22), "9" * 400], ids=["1e22", "400-digits"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gen", "--kind", "example41", "--m", "{m}", "--mu", "4", "--out", "{dir}/huge"],
+        ["solve", "--example41", "{m}", "4"],
+        ["bench", "--spec", "{dir}/huge.spec"],
+    ],
+    ids=["gen", "solve", "bench"],
+)
+def test_huge_m_exits_2_before_allocating(tmp_path, capsys, argv, m):
+    (tmp_path / "huge.spec").write_text(f"problem = example41\nm = {m}\nmu = 4\nmethod = nj\n")
+    # numpy would refuse the size with a ValueError; the check runs before any array
+    argv = [arg.replace("{dir}", str(tmp_path)).replace("{m}", m) for arg in argv]
+    assert main(argv) == 2
+    assert f"error: m = {m} is too large" in capsys.readouterr().err
+    assert not (tmp_path / "huge").exists()
+
+
+@pytest.mark.parametrize(
+    "method_line, flags",
+    [("NJ", ["--method", "NJ"]), ("nj inner=lsqr theta=PAPER", ["--inexact", "--theta", "PAPER"])],
+)
+def test_method_text_is_exact_lowercase_in_a_spec_and_on_the_command_line(
+    tmp_path, capsys, method_line, flags
+):
+    spec = tmp_path / "case.spec"
+    spec.write_text(f"problem = example41\nm = 4\nmu = 4\nmethod = {method_line}\n")
+    assert main(["bench", "--spec", str(spec)]) == 2
+    assert main(["solve", "--example41", "4", "4", *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.count("error: ") == 2
+    assert captured.out == ""
 
 
 def test_solve_save_x(tmp_path, capsys):

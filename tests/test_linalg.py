@@ -294,11 +294,12 @@ class TestSpectralNorm:
         A = SparseMatrix.from_dense(np.full((600, 1), 0.5))
         assert spectral_norm(A) == pytest.approx(0.5 * np.sqrt(600), rel=1e-12)
 
-    def test_budget_exhaustion_carries_estimate(self):
+    def test_budget_exhaustion_carries_estimate(self, monkeypatch):
         # above the dense cutoff, with the top pair inside a dense cluster
         A = diag_matrix(np.r_[1.0, np.linspace(0.999999, 0.0, 599)])
+        monkeypatch.setattr(gavekit.linalg, "_MAX_RESTARTS", 1)
         with pytest.raises(ConvergenceFailure) as info:
-            spectral_norm(A, rel_tol=1e-15, max_iter=1)
+            spectral_norm(A, rel_tol=1e-15)
         # ARPACK hands back only Ritz values that have converged
         est = info.value.best_estimate
         assert est is None or est == pytest.approx(1.0, rel=1e-3)
@@ -335,7 +336,6 @@ class TestSpectralNormOperator:
             lambda v: S.T @ spmv(X, v),
             X.n_cols,
             1e-10,
-            10000,
             "spectral_norm",
             np.sqrt,
         )
@@ -362,10 +362,11 @@ class TestMinSingularValue:
         with pytest.raises(SingularMatrixError):
             min_singular_value(A)
 
-    def test_budget_exhaustion_carries_estimate(self):
+    def test_budget_exhaustion_carries_estimate(self, monkeypatch):
         A = diag_matrix(1.0 / np.r_[1.0, np.linspace(0.999999, 0.5, 599)])  # n = 600
+        monkeypatch.setattr(gavekit.linalg, "_MAX_RESTARTS", 1)
         with pytest.raises(ConvergenceFailure) as info:
-            min_singular_value(A, rel_tol=1e-15, max_iter=1)
+            min_singular_value(A, rel_tol=1e-15)
         est = info.value.best_estimate
         assert est is None or est == pytest.approx(1.0, rel=1e-3)
 
@@ -501,3 +502,22 @@ class TestSkewSpectralRadius:
         A = tridiag(-1, 4, -1, 4)
         with pytest.raises(ParameterError, match="antisymmetric"):
             skew_spectral_radius(A)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("n", [6, DENSE_CUTOFF + 100], ids=["dense", "lanczos"])
+@pytest.mark.parametrize(
+    "estimate",
+    [spectral_norm, min_singular_value, symmetric_eig_extremes, skew_spectral_radius, lu_factorize],
+    ids=lambda f: f.__name__,
+)
+def test_non_finite_entry_raises_numerics_error(estimate, n, bad):
+    # a symmetric matrix with one non-finite diagonal entry; for the skew
+    # radius, an antisymmetric one with a non-finite pair
+    d = np.linspace(1.0, 2.0, n)
+    d[1] = bad
+    X = diag_matrix(d)
+    if estimate is skew_spectral_radius:
+        X = SparseMatrix.from_coo(n, n, [0, 1], [1, 0], [bad, -bad])
+    with pytest.raises(NumericsError, match="non-finite"):
+        estimate(X)
