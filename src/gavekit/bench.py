@@ -24,6 +24,7 @@ from .errors import (
     ConvergenceFailure,
     DivergenceError,
     NumericsError,
+    ParameterError,
     SingularMatrixError,
     SpecError,
 )
@@ -68,7 +69,7 @@ class MethodSpec:
             if self.kind.beta is not None:
                 name += f",{self.kind.beta:g}"
             name += ")"
-        elif self.kind.gamma is not None:
+        elif self.kind.name == "drs":
             name += f"({self.kind.gamma:g})"
         return name
 
@@ -86,7 +87,7 @@ class ExperimentSpec:
     output: str | None = None
 
     def __post_init__(self):
-        if self.repeats < 1:
+        if not self.repeats >= 1:
             raise SpecError("repeats must be at least 1")
         if not self.methods:
             raise SpecError("at least one method is required")
@@ -201,7 +202,8 @@ def parse_spec(text):
     """Parse the experiment spec text into an ExperimentSpec.
 
     Method lines are built after every key is read, since ``tol`` and
-    ``kmax``, which join each line's options, may follow them.
+    ``kmax``, which join each line's options, may follow them. An error in
+    a method line, its joined ``tol`` and ``kmax`` included, names the line.
     """
     values = {}
     method_lines = []
@@ -216,7 +218,7 @@ def parse_spec(text):
         if key not in _SPEC_KEYS:
             raise SpecError(f"line {lineno}: unknown key {key!r}")
         if key == "method":
-            method_lines.append(value)
+            method_lines.append((lineno, value))
         elif key in values:
             raise SpecError(f"line {lineno}: duplicate key {key!r}")
         else:
@@ -235,19 +237,25 @@ def parse_spec(text):
             f"problem must be 'example41' or 'dir:<path>', got {problem!r}"
         )
     stopping = {key: values[key] for key in ("tol", "kmax") if key in values}
+    methods = []
+    for lineno, value in method_lines:
+        try:
+            kind, opts = _method_tokens(value)
+            methods.append(method_spec(kind, {**opts, **stopping}))
+        except (SpecError, ParameterError) as exc:
+            raise SpecError(f"{exc} (line {lineno}: method = {value})") from None
     return ExperimentSpec(
         **source,
-        methods=tuple(method_spec(kind, {**opts, **stopping})
-                      for kind, opts in map(_method_tokens, method_lines)),
+        methods=tuple(methods),
         repeats=parse_number(values.get("repeats", 10), "repeats", int),
         output=values.get("output"),
     )
 
 
 def resolve_omega_token(token, hat_m=None):
-    """Turn an omega token from a spec/CLI into an OmegaSpec."""
+    """Turn an omega token from a spec/CLI into an OmegaSpec, or the matrix a ``file:`` names."""
     token = token.strip()
-    if token in ("zero", "0"):
+    if token == "zero":
         return OmegaSpec.zero()
     if token.startswith("identity:"):
         return OmegaSpec.scalar(parse_number(token.split(":", 1)[1], "omega"))
@@ -257,7 +265,7 @@ def resolve_omega_token(token, hat_m=None):
         scale = 1.0 if token == "mhat" else parse_number(token.split(":", 1)[1], "omega")
         return OmegaSpec.scaled(scale, hat_m)
     if token.startswith("file:"):
-        return OmegaSpec.explicit(read_matrix_market(token.split(":", 1)[1]))
+        return read_matrix_market(token.split(":", 1)[1])
     raise SpecError(f"unknown omega token {token!r}")
 
 

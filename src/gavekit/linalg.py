@@ -173,9 +173,9 @@ def lsqr(A, rhs, target_residual, max_iter):
     (``istop == 7``), else "stagnation". Hitting ``max_iter`` is reported,
     not raised.
     """
-    if target_residual < 0:
+    if not target_residual >= 0:
         raise ParameterError("target_residual must be nonnegative")
-    if max_iter < 0:
+    if not max_iter >= 0:
         raise ParameterError("max_iter must be nonnegative")
     rhs = as_vector(rhs, A.n_rows, "rhs")
     if not np.all(np.isfinite(rhs)):
@@ -297,6 +297,11 @@ def _dense(A, what):
     return A.to_dense()
 
 
+def _check_rel_tol(rel_tol):
+    if not 0.0 < rel_tol < np.inf:
+        raise ParameterError(f"rel_tol must be finite and positive, got {rel_tol!r}")
+
+
 def _lanczos_top(apply, n, rel_tol, what, finish):
     """``finish`` of the largest eigenvalue of a symmetric PSD operator.
 
@@ -359,8 +364,7 @@ def spectral_norm(A, rel_tol=1e-8):
         If the restart budget runs out; ``best_estimate`` carries the
         converged singular value if ARPACK reported one, else ``None``.
     """
-    if rel_tol <= 0:
-        raise ParameterError("rel_tol must be positive")
+    _check_rel_tol(rel_tol)
     if A.nnz == 0 or A.max_abs() == 0.0:
         return 0.0
     if uses_dense(A):
@@ -382,6 +386,7 @@ def min_singular_value(A, rel_tol=1e-10):
         If the restart budget runs out; ``best_estimate`` carries the
         converged sigma_min if ARPACK reported one, else ``None``.
     """
+    _check_rel_tol(rel_tol)
     if not A.is_square:
         raise DimensionError("min_singular_value requires a square matrix")
     n = A.n_rows
@@ -431,6 +436,7 @@ def symmetric_eig_extremes(H, rel_tol=1e-11):
         If a restart budget runs out; ``best_estimate`` carries that
         extreme eigenvalue if ARPACK reported it converged, else ``None``.
     """
+    _check_rel_tol(rel_tol)
     _check_symmetry(H, 1.0, 1e-12, "symmetric_eig_extremes")
     n = H.n_rows
     if uses_dense(H):

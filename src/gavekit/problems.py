@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DimensionError, FormatError, ParameterError
+from .errors import DimensionError, FormatError, NumericsError, ParameterError
 from .linalg import min_singular_value, spectral_norm
 from .mmio import read_matrix_market, read_vector, write_matrix_market, write_vector
 from .sparse import SparseMatrix, identity, sparse_add, sparse_scale, sparse_sub, spmv
@@ -65,7 +65,9 @@ class GaveProblem:
                 spmv(self.A, xs) - spmv(self.B, np.abs(xs)) - b
             )
             bound = _RESIDUAL_TOL * max(1.0, float(np.linalg.norm(b)))
-            if defect > bound:
+            if not np.isfinite(defect):
+                raise NumericsError(f"non-finite known_solution residual {defect}")
+            if not defect <= bound:
                 raise ParameterError(
                     f"known_solution violates the residual bound: "
                     f"{defect:.3e} > {bound:.3e}"
@@ -96,11 +98,11 @@ class LcpInstance:
             object.__setattr__(self, "known_solution", z)
             w = spmv(self.M, z) + q
             n = z.shape[0]
-            if z.min(initial=0.0) < 0.0:
+            if not z.min(initial=0.0) >= 0.0:
                 raise ParameterError("known LCP solution must be nonnegative")
-            if w.min(initial=0.0) < -_LCP_TOL:
+            if not w.min(initial=0.0) >= -_LCP_TOL:
                 raise ParameterError("known LCP solution violates M z + q >= 0")
-            if abs(float(z @ w)) > _LCP_TOL * n:
+            if not abs(float(z @ w)) <= _LCP_TOL * n:
                 raise ParameterError("known LCP solution violates complementarity")
 
 
@@ -109,7 +111,7 @@ def check_grid_size(m):
 
     The check allocates nothing, so a spec can run it before any problem is built.
     """
-    if m < 2:
+    if not m >= 2:
         raise ParameterError("m must be at least 2")
     if 5 * int(m) ** 2 > np.iinfo(np.intp).max:  # hatM has at most 5 entries per row
         raise ParameterError(f"m = {m} is too large: m^2 unknowns exceed numpy's index range")
@@ -213,9 +215,9 @@ def gen_certified(n, seed, b_norm_scale=1.0, dominance=10.0):
         raise ParameterError("dominance must be finite and exceed 1")
     if not np.isfinite(b_norm_scale):
         raise ParameterError("b_norm_scale must be finite")
-    if n < 2:
+    if not n >= 2:
         raise ParameterError("n must be at least 2")
-    if seed < 0:
+    if not seed >= 0:
         raise ParameterError("seed must be nonnegative")
     rng = np.random.default_rng(seed)
     per_row = min(4, n - 1)

@@ -72,7 +72,7 @@ class ThetaSchedule:
 
 def theta_at(schedule, k):
     """Evaluate the schedule at outer step k (k = 0 for the first step)."""
-    if k < 0:
+    if not k >= 0:
         raise ParameterError("step index must be nonnegative")
     if schedule.kind == "constant":
         return schedule.theta
@@ -100,11 +100,11 @@ class SolverConfig:
     def __post_init__(self):
         if not self.tol > 0:
             raise ParameterError("tol must be positive")
-        if self.k_max < 1:
+        if not self.k_max >= 1:
             raise ParameterError("k_max must be at least 1")
         if self.inner not in ("direct", "lsqr"):
             raise ParameterError(f"unknown inner solver {self.inner!r}")
-        if self.max_inner is not None and self.max_inner < 1:
+        if self.max_inner is not None and not self.max_inner >= 1:
             raise ParameterError("max_inner must be at least 1")
 
 

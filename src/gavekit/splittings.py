@@ -11,7 +11,7 @@ the others: for nsor, naor and nmn ``M - A`` is rounded (nsor with alpha =
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse
@@ -44,7 +44,8 @@ class SplittingKind:
     """A named splitting with its relaxation parameters.
 
     ``name`` is one of: picard, mn, nj, ngs, nsor, naor, hss, nmn, drs.
-    nsor and naor take ``alpha`` (and naor ``beta``); drs takes ``gamma``.
+    Only nsor and naor take ``alpha``, and only naor ``beta``. drs takes
+    ``gamma``, which any kind may carry for the Cor36 certificates.
     """
 
     name: str
@@ -55,6 +56,10 @@ class SplittingKind:
     def __post_init__(self):
         if self.name not in KINDS:
             raise ParameterError(f"unknown splitting kind {self.name!r}")
+        if self.alpha is not None and self.name not in ("nsor", "naor"):
+            raise ParameterError(f"{self.name} takes no alpha")
+        if self.beta is not None and self.name != "naor":
+            raise ParameterError(f"{self.name} takes no beta")
         if self.name == "nsor":
             if self.alpha is None or not 0.0 < self.alpha < 2.0:
                 raise ParameterError("nsor requires alpha in (0, 2)")
@@ -82,10 +87,9 @@ class Splitting:
     """An (M, N) pair with M - N = A, and the shift Omega the iteration runs with.
 
     ``omega`` is the n-by-n shift matrix. picard (zero), drs
-    ((2/gamma - 1) * A) and nmn (the Omega it was built with) pin it: a
-    shift supplied for picard or drs must be zero, and nmn rejects any. For
+    ((2/gamma - 1) * A) and nmn (the Omega it was built with) pin it. For
     the other kinds it is the shift :func:`build_splitting` was given (zero
-    by default), which a shift supplied to a solver overrides.
+    by default). :meth:`shift` states the rule for a supplied shift.
     """
 
     kind: SplittingKind
@@ -95,21 +99,26 @@ class Splitting:
     warnings: tuple = ()
 
     def shift(self, omega=None):
-        """The shift Omega one iteration runs with.
+        """The shift Omega one iteration runs with: the one statement of the pin rule.
 
-        It is the splitting's own shift unless ``omega`` (an OmegaSpec or
-        matrix) is supplied. For the kinds that pin theirs, a supplied shift
-        is an error, except a zero one for picard and drs.
+        A supplied ``omega`` (an OmegaSpec or a SparseMatrix) replaces the
+        splitting's own shift for the kinds that do not pin it. picard and
+        drs accept only a zero one, which changes nothing; nmn rejects any.
         """
         name = self.kind.name
-        if name in ("picard", "drs"):
-            _require_zero_shift(name, omega, self.M.n_rows)
-        elif name == "nmn" and omega is not None:
+        if omega is None:
+            return self.omega
+        if name == "nmn":
             raise ConfigurationError(
                 "splitting 'nmn' pins its own shift matrix; do not supply one"
             )
-        elif omega is not None:
-            return resolve_omega(omega, self.M.n_rows)
+        supplied = resolve_omega(omega, self.M.n_rows)
+        if name not in ("picard", "drs"):
+            return supplied
+        if supplied.max_abs() != 0.0:
+            raise ConfigurationError(
+                f"{name} pins its own shift matrix; a supplied one must be zero"
+            )
         return self.omega
 
 
@@ -117,15 +126,14 @@ class Splitting:
 class OmegaSpec:
     """Recipe for the shift matrix.
 
-    kind is one of "zero", "scalar" (omega * I), "scaled" (c * base) or
-    "explicit" (a given matrix).
+    kind is one of "zero", "scalar" (omega * I) or "scaled" (c * base). A
+    given matrix needs no recipe: a SparseMatrix is its own shift.
     """
 
     kind: str
     omega: float | None = None
     scale: float | None = None
     base: SparseMatrix | None = None
-    matrix: SparseMatrix | None = None
 
     @classmethod
     def zero(cls):
@@ -139,42 +147,22 @@ class OmegaSpec:
     def scaled(cls, c, base):
         return cls("scaled", scale=float(c), base=base)
 
-    @classmethod
-    def explicit(cls, matrix):
-        return cls("explicit", matrix=matrix)
-
 
 def resolve_omega(spec, n):
-    """Materialize an OmegaSpec as an n-by-n SparseMatrix."""
-    if spec is None:
-        return zeros(n)
+    """Materialize an OmegaSpec as an n-by-n SparseMatrix; None is zero, a matrix itself."""
     if isinstance(spec, SparseMatrix):
-        spec = OmegaSpec.explicit(spec)
-    if spec.kind == "zero":
+        if spec.shape != (n, n):
+            raise DimensionError(f"omega matrix has shape {spec.shape}, expected {(n, n)}")
+        return spec
+    if spec is None or spec.kind == "zero":
         return zeros(n)
     if spec.kind == "scalar":
         return diag_matrix(np.full(n, spec.omega))
     if spec.kind == "scaled":
         if spec.base.shape != (n, n):
-            raise DimensionError(
-                f"omega base has shape {spec.base.shape}, expected {(n, n)}"
-            )
+            raise DimensionError(f"omega base has shape {spec.base.shape}, expected {(n, n)}")
         return sparse_scale(spec.scale, spec.base)
-    if spec.kind == "explicit":
-        if spec.matrix.shape != (n, n):
-            raise DimensionError(
-                f"omega matrix has shape {spec.matrix.shape}, expected {(n, n)}"
-            )
-        return spec.matrix
     raise ParameterError(f"unknown omega kind {spec.kind!r}")
-
-
-def _require_zero_shift(name, omega, n):
-    """picard and drs pin their shift: a supplied one must be None or zero."""
-    if omega is not None and resolve_omega(omega, n).max_abs() != 0.0:
-        raise ConfigurationError(
-            f"{name} pins its own shift matrix; a supplied one must be zero"
-        )
 
 
 def triangular_parts(A):
@@ -202,10 +190,10 @@ def triangular_parts(A):
 def build_splitting(A, kind, omega=None):
     """Construct the (M, N) pair for a named splitting of A and its shift.
 
-    The shift is resolved once and stored as ``Splitting.omega``. nmn
-    requires ``omega`` and pins it; picard and drs pin their own and accept
-    only ``None`` or a zero shift. The other kinds run with ``omega``
-    resolved (zero when it is None).
+    nmn is built from ``omega``, which it requires. Every other kind is
+    built with its own shift, zero or drs's (2/gamma - 1) * A, and then
+    takes ``omega`` through :meth:`Splitting.shift`, the pin rule the
+    solvers apply to an override.
     """
     if not A.is_square:
         raise DimensionError("build_splitting requires a square matrix")
@@ -213,52 +201,38 @@ def build_splitting(A, kind, omega=None):
         kind = SplittingKind(kind)
     n = A.n_rows
     name = kind.name
-    warnings = ()
-
-    if name in ("picard", "drs"):
-        _require_zero_shift(name, omega, n)
-        if name == "picard":
-            om = zeros(n)
-        else:
-            om = sparse_scale(2.0 / kind.gamma - 1.0, A)
-        return Splitting(kind, M=A, N=zeros(n), omega=om)
-
-    if name == "nmn" and omega is None:
-        raise ConfigurationError("nmn requires an explicit shift matrix")
-    om = resolve_omega(omega, n)
-
-    if name == "mn":
-        return Splitting(kind, M=A, N=zeros(n), omega=om)
-
     if name == "nmn":
+        if omega is None:
+            raise ConfigurationError("nmn requires an explicit shift matrix")
+        om = resolve_omega(omega, n)
         M = sparse_scale(0.5, sparse_sub(A, om))
-        N = sparse_sub(M, A)
-        return Splitting(kind, M=M, N=N, omega=om)
+        return Splitting(kind, M=M, N=sparse_sub(M, A), omega=om)
 
-    if name == "hss":
+    if name in ("picard", "mn", "drs"):
+        M, N = A, zeros(n)
+    elif name == "hss":
         H, S = hermitian_split(A)
-        return Splitting(kind, M=H, N=sparse_scale(-1.0, S), omega=om)
-
-    D, L, U = triangular_parts(A)
-    if name == "nj":
-        M = D
-    elif name == "ngs":
-        M = sparse_sub(D, L)
-    elif name == "nsor":
-        M = sparse_sub(sparse_scale(1.0 / kind.alpha, D), L)
-    elif name == "naor":
-        # (1/alpha) * (D - beta L) written as (1/alpha) D - (beta/alpha) L so
-        # that beta == alpha collapses to the nsor matrices bit for bit
-        M = sparse_sub(
-            sparse_scale(1.0 / kind.alpha, D),
-            sparse_scale(kind.beta / kind.alpha, L),
-        )
-        if kind.wide_parameters:
-            warnings = (
-                f"naor parameters alpha={kind.alpha:g}, beta={kind.beta:g} are "
-                "outside the conventional ranges alpha in (0,2), beta in [0,alpha]",
+        M, N = H, sparse_scale(-1.0, S)
+    else:
+        D, L, _ = triangular_parts(A)
+        if name == "nj":
+            M = D
+        elif name == "ngs":
+            M = sparse_sub(D, L)
+        elif name == "nsor":
+            M = sparse_sub(sparse_scale(1.0 / kind.alpha, D), L)
+        else:  # naor
+            # (1/alpha) * (D - beta L) written as (1/alpha) D - (beta/alpha) L so
+            # that beta == alpha collapses to the nsor matrices bit for bit
+            M = sparse_sub(
+                sparse_scale(1.0 / kind.alpha, D),
+                sparse_scale(kind.beta / kind.alpha, L),
             )
-    else:  # pragma: no cover - KINDS is exhaustive
-        raise ParameterError(f"unhandled splitting kind {name!r}")
-    N = sparse_sub(M, A)
-    return Splitting(kind, M=M, N=N, omega=om, warnings=warnings)
+        N = sparse_sub(M, A)
+    warnings = (
+        f"naor parameters alpha={kind.alpha:g}, beta={kind.beta:g} are "
+        "outside the conventional ranges alpha in (0,2), beta in [0,alpha]",
+    ) if kind.wide_parameters else ()
+    own = sparse_scale(2.0 / kind.gamma - 1.0, A) if name == "drs" else zeros(n)
+    splitting = Splitting(kind, M=M, N=N, omega=own, warnings=warnings)
+    return splitting if omega is None else replace(splitting, omega=splitting.shift(omega))

@@ -13,6 +13,7 @@ from gavekit import (
     ParameterError,
     ResultRow,
     SolverConfig,
+    SparseMatrix,
     SpecError,
     SplittingKind,
     build_splitting,
@@ -25,9 +26,10 @@ from gavekit import (
     run_experiment,
     sparse_scale,
     tune_alpha,
+    write_matrix_market,
 )
 from gavekit import bench as bench_module
-from gavekit.bench import build_method, parse_method_line, run_method
+from gavekit.bench import ExperimentSpec, MethodSpec, build_method, parse_method_line, run_method
 
 SPEC_TEXT = """
 # exercise the example41 generator
@@ -61,6 +63,12 @@ class TestParseSpec:
     def test_requires_methods(self):
         with pytest.raises(SpecError, match="method"):
             parse_spec("problem = example41\nm = 4\nmu = 1\n")
+
+    def test_nan_repeats_rejected(self):
+        # repeats < 1 let NaN through
+        method = MethodSpec(SplittingKind("nj"))
+        with pytest.raises(SpecError, match="repeats"):
+            ExperimentSpec("example41", m_values=(4,), mu=4.0, methods=(method,), repeats=np.nan)
 
     def test_requires_mu(self):
         with pytest.raises(SpecError):
@@ -97,6 +105,23 @@ class TestParseSpec:
         with pytest.raises(SpecError, match="key = value"):
             parse_spec("problem example41\n")
 
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("NJ", "unknown method kind 'NJ'"),
+            ("nsor alpha=3", "nsor requires alpha in (0, 2)"),
+            ("ngs alpha=1.7", "ngs takes no alpha"),
+            ("nj lmax=abc", "bad lmax value 'abc'"),
+            ("nj inner=lsqr theta=1.5", "constant theta must lie in [0, 1)"),
+        ],
+    )
+    def test_method_line_errors_name_their_line(self, line, message):
+        # the second method line is line 6, after a valid one and a blank line
+        text = f"problem = example41\nm = 4\nmu = 4\nmethod = nj\n\nmethod = {line}\n"
+        with pytest.raises(SpecError) as info:
+            parse_spec(text)
+        assert str(info.value) == f"{message} (line 6: method = {line})"
+
 
 class TestParseMethodLine:
     def test_defaults(self):
@@ -116,6 +141,12 @@ class TestParseMethodLine:
         assert parse_method_line("nj").display_name() == "nj"
         assert parse_method_line("nj inner=lsqr").display_name() == "inj"
         assert parse_method_line("nsor alpha=0.9").display_name() == "nsor(0.9)"
+
+    def test_gamma_shows_only_for_drs(self):
+        # any kind may carry the Cor36 gamma, but only drs runs with it
+        assert parse_method_line("drs gamma=1.2").display_name() == "drs(1.2)"
+        assert parse_method_line("ngs gamma=1.2").display_name() == "ngs"
+        assert parse_method_line("nsor alpha=0.9 gamma=1").display_name() == "nsor(0.9)"
 
     def test_unknown_kind(self):
         with pytest.raises(SpecError, match="kind"):
@@ -224,6 +255,23 @@ class TestRunMethod:
         assert report.iterations == want.iterations
         assert report.final_res == want.final_res
         np.testing.assert_array_equal(report.x, want.x)
+
+
+class TestResolveOmegaToken:
+    @pytest.mark.parametrize("token", ["0", "ZERO", "identity", "file"])
+    def test_unknown_tokens(self, token):
+        # zero has one spelling; "0" is not a second one
+        with pytest.raises(SpecError, match="unknown omega token"):
+            bench_module.resolve_omega_token(token)
+
+    def test_zero(self):
+        assert bench_module.resolve_omega_token(" zero ") == OmegaSpec.zero()
+
+    def test_file_token_is_the_matrix_it_reads(self, tmp_path):
+        write_matrix_market(tmp_path / "omega.mtx", sparse_scale(2.0, identity(3)))
+        omega = bench_module.resolve_omega_token(f"file:{tmp_path / 'omega.mtx'}")
+        assert isinstance(omega, SparseMatrix)
+        np.testing.assert_array_equal(omega.to_dense(), 2.0 * np.eye(3))
 
 
 class TestTuneAlpha:

@@ -342,7 +342,8 @@ def _nan_entry_problem(tmp_path):
     ids=["InexactEq15", "Cor34", "ScalarOmegaThm34", "file-omega", "solve", "solve-file-omega"],
 )
 def test_non_finite_matrix_entry_exits_3(tmp_path, capsys, argv):
-    # the dense estimators and the LU see the nan before LAPACK or SuperLU does
+    # the load (the known solution's residual), the dense estimators and the
+    # LU see the nan before LAPACK or SuperLU does
     directory = _nan_entry_problem(tmp_path)
     capsys.readouterr()
     code = main([arg.replace("{dir}", str(directory)) for arg in argv])
@@ -384,6 +385,37 @@ def test_method_text_is_exact_lowercase_in_a_spec_and_on_the_command_line(
     captured = capsys.readouterr()
     assert captured.err.count("error: ") == 2
     assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "method_line, message",
+    [("NJ", "unknown method kind 'NJ'"), ("nsor alpha=3", "nsor requires alpha in (0, 2)")],
+)
+def test_method_line_error_names_its_line(tmp_path, capsys, method_line, message):
+    spec = tmp_path / "case.spec"
+    spec.write_text(f"problem = example41\nm = 4\nmu = 4\nmethod = {method_line}\n")
+    assert main(["bench", "--spec", str(spec)]) == 2
+    assert capsys.readouterr().err == f"error: {message} (line 4: method = {method_line})\n"
+
+
+def test_unused_relaxation_parameter_exits_2(tmp_path, capsys):
+    # ngs alpha=1.7 used to run plain ngs under the name ngs(1.7)
+    spec = tmp_path / "case.spec"
+    spec.write_text("problem = example41\nm = 4\nmu = 4\nmethod = ngs alpha=1.7\n")
+    assert main(["bench", "--spec", str(spec)]) == 2
+    argv = ["solve", "--example41", "4", "4", "--method", "nj", "--alpha", "0.5", "--gamma", "1.2"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert "error: ngs takes no alpha" in captured.err
+    assert "error: nj takes no alpha" in captured.err
+    assert captured.out == ""
+
+
+def test_zero_shift_has_one_spelling(capsys):
+    argv = ["solve", "--example41", "4", "4", "--method", "ngs", "--omega"]
+    assert main([*argv, "0"]) == 2
+    assert "error: unknown omega token '0'" in capsys.readouterr().err
+    assert main([*argv, "zero"]) == 0
 
 
 def test_solve_save_x(tmp_path, capsys):

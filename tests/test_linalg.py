@@ -259,6 +259,13 @@ class TestLsqr:
         with pytest.raises(ParameterError):
             lsqr(identity(2), np.ones(2), -1.0, 5)
 
+    def test_rejects_nan_target_and_budget(self):
+        # a NaN target used to run the whole budget and report max_iter
+        with pytest.raises(ParameterError, match="target_residual"):
+            lsqr(identity(2), np.ones(2), np.nan, 5)
+        with pytest.raises(ParameterError, match="max_iter"):
+            lsqr(identity(2), np.ones(2), 0.0, np.nan)
+
 
 class TestSpectralNorm:
     def test_diagonal(self):
@@ -521,3 +528,19 @@ def test_non_finite_entry_raises_numerics_error(estimate, n, bad):
         X = SparseMatrix.from_coo(n, n, [0, 1], [1, 0], [bad, -bad])
     with pytest.raises(NumericsError, match="non-finite"):
         estimate(X)
+
+
+@pytest.mark.parametrize("rel_tol", [np.nan, np.inf, 0.0, -1e-8])
+@pytest.mark.parametrize(
+    "estimate",
+    [spectral_norm, min_singular_value, symmetric_eig_extremes, skew_spectral_radius],
+    ids=lambda f: f.__name__,
+)
+def test_rel_tol_must_be_finite_and_positive(estimate, rel_tol):
+    # dense sizes: a NaN rel_tol used to pass there silently, and above
+    # DENSE_CUTOFF it ran the whole ARPACK restart budget
+    X = tridiag(-1, 4, -1, 6)
+    if estimate is skew_spectral_radius:
+        X = SparseMatrix.from_coo(6, 6, [0, 1], [1, 0], [1.0, -1.0])
+    with pytest.raises(ParameterError, match="^rel_tol must be finite and positive"):
+        estimate(X, rel_tol=rel_tol)

@@ -6,7 +6,9 @@ import pytest
 from gavekit import (
     GaveProblem,
     LcpInstance,
+    NumericsError,
     ParameterError,
+    SparseMatrix,
     build_splitting,
     check_exact,
     gave_to_lcp,
@@ -23,6 +25,7 @@ from gavekit import (
     spmv,
     zeros,
 )
+from gavekit.problems import check_grid_size
 
 
 class TestBlockMatrix:
@@ -87,6 +90,10 @@ class TestExample41:
         assert z.min() >= 0.0
         assert w.min() >= -1e-10
         assert abs(z @ w) <= 1e-10 * z.size
+
+    def test_nan_grid_size_rejected(self):
+        with pytest.raises(ParameterError, match="m must be at least 2"):
+            check_grid_size(np.nan)
 
     @pytest.mark.parametrize("mu", [np.nan, np.inf, -np.inf])
     def test_non_finite_mu_rejected(self, mu):
@@ -164,6 +171,13 @@ class TestGenCertified:
         assert report.converged
         assert np.linalg.norm(report.x - prob.known_solution) <= 1e-5
 
+    def test_nan_size_and_seed_rejected(self):
+        # n < 2 and seed < 0 let NaN through to numpy
+        with pytest.raises(ParameterError, match="n must be at least 2"):
+            gen_certified(np.nan, seed=0)
+        with pytest.raises(ParameterError, match="seed must be nonnegative"):
+            gen_certified(20, seed=np.nan)
+
     def test_parameter_errors(self):
         with pytest.raises(ParameterError):
             gen_certified(20, seed=0, dominance=1.0)
@@ -189,11 +203,39 @@ class TestProblemValidation:
         with pytest.raises(ParameterError, match="residual"):
             GaveProblem(A=A, B=zeros(4), b=np.ones(4), known_solution=np.zeros(4))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_data_with_known_solution(self, bad):
+        # defect > bound is False for a NaN defect, which let such data through
+        _, prob, _ = gen_example41(4, 4.0)
+        dense = prob.A.to_dense()
+        dense[0, 0] = bad
+        A = SparseMatrix.from_dense(dense)
+        with pytest.raises(NumericsError, match="^non-finite known_solution residual"):
+            GaveProblem(A=A, B=prob.B, b=prob.b, known_solution=prob.known_solution)
+        with pytest.raises(NumericsError, match="^non-finite known_solution residual"):
+            GaveProblem(A=prob.A, B=prob.B, b=prob.b,
+                        known_solution=np.where(prob.known_solution < 0, bad, 0.0))
+
+    def test_load_rejects_non_finite_data_with_known_solution(self, tmp_path):
+        _, prob, _ = gen_example41(4, 4.0)
+        save_problem(prob, tmp_path / "p")
+        path = tmp_path / "p" / "b.txt"
+        lines = path.read_text().splitlines()
+        lines[-1] = "nan"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(NumericsError, match="non-finite"):
+            load_problem(tmp_path / "p")
+
     def test_lcp_validation(self):
         with pytest.raises(ParameterError):
             LcpInstance(
                 M=identity(3), q=np.ones(3), known_solution=-np.ones(3)
             )
+
+    def test_lcp_rejects_nan_known_solution(self):
+        # each check compared NaN in the direction that passes it
+        with pytest.raises(ParameterError, match="nonnegative"):
+            LcpInstance(M=identity(3), q=np.ones(3), known_solution=[np.nan, 0.0, 0.0])
 
     def test_shape_checks(self):
         with pytest.raises(Exception):

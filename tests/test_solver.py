@@ -190,6 +190,18 @@ def test_tol_must_be_positive(tol):
         SolverConfig(tol=tol)
 
 
+@pytest.mark.parametrize("key", ["k_max", "max_inner"])
+def test_nan_budget_rejected(key):
+    # k_max < 1 and max_inner < 1 let NaN through
+    with pytest.raises(ParameterError, match=key):
+        SolverConfig(inner="lsqr", **{key: np.nan})
+
+
+def test_theta_at_rejects_nan_step():
+    with pytest.raises(ParameterError, match="step index"):
+        theta_at(ThetaSchedule.paper(), np.nan)
+
+
 @pytest.mark.parametrize("max_inner", [0, -1])
 def test_max_inner_below_one_rejected(max_inner):
     # 0 used to run every outer step without progress; -1 failed only in lsqr

@@ -6,21 +6,26 @@ import pytest
 from gavekit import (
     ConfigurationError,
     DimensionError,
+    GavekitError,
     OmegaSpec,
     ParameterError,
+    SolverConfig,
     SparseMatrix,
     SplittingKind,
     build_splitting,
     diag_matrix,
     gen_example41,
     identity,
+    nms_solve,
     resolve_omega,
     sparse_add,
+    sparse_scale,
     sparse_sub,
     spmv,
     triangular_parts,
     zeros,
 )
+from gavekit.splittings import KINDS
 
 from conftest import random_dominant, tridiag, with_explicit_zeros
 
@@ -200,6 +205,25 @@ class TestBuildSplitting:
         with pytest.raises(ParameterError):
             SplittingKind("nope")
 
+    @pytest.mark.parametrize("name", [k for k in KINDS if k not in ("nsor", "naor")])
+    def test_only_nsor_and_naor_take_alpha(self, name):
+        # an ngs with alpha=1.7 used to run plain ngs under the name ngs(1.7)
+        gamma = 1.0 if name == "drs" else None
+        with pytest.raises(ParameterError, match=f"^{name} takes no alpha$"):
+            SplittingKind(name, alpha=1.7, gamma=gamma)
+
+    @pytest.mark.parametrize("name", [k for k in KINDS if k != "naor"])
+    def test_only_naor_takes_beta(self, name):
+        alpha = 0.9 if name == "nsor" else None
+        gamma = 1.0 if name == "drs" else None
+        with pytest.raises(ParameterError, match=f"^{name} takes no beta$"):
+            SplittingKind(name, alpha=alpha, beta=0.5, gamma=gamma)
+
+    @pytest.mark.parametrize("kind", _all_kinds(), ids=lambda kind: kind.name)
+    def test_every_kind_may_carry_gamma(self, kind):
+        # certify reads the Cor36 gamma from the method's kind, whatever it is
+        assert SplittingKind(kind.name, kind.alpha, kind.beta, gamma=1.0).gamma == 1.0
+
     @pytest.mark.parametrize("alpha, beta", [
         (np.nan, 0.5), (0.5, np.nan), (np.inf, 0.5), (1.0, -np.inf),
     ])
@@ -225,13 +249,88 @@ class TestResolveOmega:
 
     def test_explicit_passthrough(self):
         m = identity(4)
-        assert resolve_omega(OmegaSpec.explicit(m), 4) is m
+        assert resolve_omega(m, 4) is m
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionError):
             resolve_omega(OmegaSpec.scaled(1.0, identity(3)), 4)
         with pytest.raises(DimensionError):
-            resolve_omega(OmegaSpec.explicit(zeros(2)), 4)
+            resolve_omega(zeros(2), 4)
 
     def test_none_means_zero(self):
         assert resolve_omega(None, 3).nnz == 0
+
+
+# the shift spellings a caller may pass, as (hatM, n) -> shift
+SHIFT_SPELLINGS = {
+    "none": lambda hat, n: None,
+    "zero": lambda hat, n: OmegaSpec.zero(),
+    "scalar0": lambda hat, n: OmegaSpec.scalar(0.0),
+    "scalar1.5": lambda hat, n: OmegaSpec.scalar(1.5),
+    "hatM": lambda hat, n: OmegaSpec.scaled(1.0, hat),
+    "0hatM": lambda hat, n: OmegaSpec.scaled(0.0, hat),
+    "matrix": lambda hat, n: sparse_scale(0.5, hat),
+    "wrong-shape": lambda hat, n: identity(n + 1),
+}
+
+
+def _outcome(run, summary):
+    """``summary(run())``, or the type and message of the library error it raises."""
+    try:
+        return summary(run())
+    except GavekitError as exc:
+        return type(exc), str(exc)
+
+
+def _matrix(X):
+    return X.shape, X.row_ptr.tobytes(), X.col_idx.tobytes(), X.values.tobytes()
+
+
+def _solve(report):
+    return report.iterations, repr(report.final_res), report.x.tobytes()
+
+
+class TestOneShiftRule:
+    """A shift given to build_splitting and one given to a solver obey one rule."""
+
+    config = SolverConfig(k_max=30)
+
+    @pytest.mark.parametrize("spelling", list(SHIFT_SPELLINGS))
+    @pytest.mark.parametrize(
+        "kind", [k for k in _all_kinds() if k.name != "nmn"], ids=lambda kind: kind.name
+    )
+    def test_build_and_override_agree(self, kind, spelling):
+        _, problem, hat = gen_example41(6, 4.0)
+        omega = SHIFT_SPELLINGS[spelling](hat, problem.n)
+        A = problem.A
+        built = _outcome(lambda: build_splitting(A, kind, omega).omega, _matrix)
+        assert built == _outcome(lambda: build_splitting(A, kind).shift(omega), _matrix)
+        via_build = _outcome(
+            lambda: nms_solve(problem, build_splitting(A, kind, omega), config=self.config),
+            _solve,
+        )
+        via_override = _outcome(
+            lambda: nms_solve(problem, build_splitting(A, kind), omega, self.config), _solve
+        )
+        assert via_build == via_override
+
+    @pytest.mark.parametrize("spelling", list(SHIFT_SPELLINGS))
+    def test_nmn_build_requires_a_shift_and_override_refuses_one(self, spelling):
+        # nmn differs by design: its shift is the one it is built from
+        _, problem, hat = gen_example41(6, 4.0)
+        omega = SHIFT_SPELLINGS[spelling](hat, problem.n)
+        refused = (ConfigurationError,
+                   "splitting 'nmn' pins its own shift matrix; do not supply one")
+        if omega is None:
+            with pytest.raises(ConfigurationError, match="^nmn requires an explicit shift"):
+                build_splitting(problem.A, "nmn")
+            return
+        if spelling == "wrong-shape":
+            with pytest.raises(DimensionError, match="^omega matrix has shape"):
+                build_splitting(problem.A, "nmn", omega)
+        else:
+            assert build_splitting(problem.A, "nmn", omega).omega.shape == (problem.n, problem.n)
+        splitting = build_splitting(problem.A, "nmn", OmegaSpec.scaled(1.0, hat))
+        assert _outcome(lambda: splitting.shift(omega), _matrix) == refused
+        assert _outcome(lambda: nms_solve(problem, splitting, omega, self.config),
+                        _solve) == refused
