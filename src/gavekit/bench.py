@@ -48,13 +48,13 @@ __all__ = [
 class MethodSpec:
     """One method of a spec line or of ``gavekit solve``, as it runs.
 
-    ``kind`` names the splitting, ``omega_token`` the shift it is built with
-    (see :func:`build_method`), and ``config`` the solve's settings: inner
-    solver, theta schedule, inner budget and the spec's stopping rule.
+    ``kind`` names the splitting, ``omega_token`` its shift (None: the kind's
+    own; see :func:`build_method`), and ``config`` the solve's settings:
+    inner solver, theta schedule, inner budget and the spec's stopping rule.
     """
 
     kind: SplittingKind
-    omega_token: str = "zero"  # zero | identity:<w> | mhat | mhat:<c> | file:<path>
+    omega_token: str | None = None  # zero | identity:<w> | mhat | mhat:<c> | file:<path>
     config: SolverConfig = field(default_factory=SolverConfig)
     label: str = ""
 
@@ -101,6 +101,12 @@ class ExperimentSpec:
                 raise SpecError("directory problems need a path")
         else:
             raise SpecError(f"unknown problem kind {self.problem_kind!r}")
+        names = [method.display_name() for method in self.methods]
+        for what, values in (("m", self.m_values), ("method name", names)):
+            repeated = [value for i, value in enumerate(values) if value in values[:i]]
+            if repeated:
+                raise SpecError(f"repeated {what} {repeated[0]!r}: a table has one column per "
+                                "m and one row block per method name, which label= sets")
 
 
 @dataclass
@@ -110,7 +116,7 @@ class ResultRow:
     method: str
     n: int
     mu: float | None
-    omega_tag: str
+    omega_tag: str | None
     alpha: float | None
     IT: int
     CPU_s: float
@@ -192,7 +198,7 @@ def method_spec(kind, options):
     )
     return MethodSpec(
         SplittingKind(kind, alpha=number("alpha"), beta=number("beta"), gamma=number("gamma")),
-        omega_token=text("omega", "zero"),
+        omega_token=options.get("omega"),
         config=config,
         label=text("label", ""),
     )
@@ -253,7 +259,9 @@ def parse_spec(text):
 
 
 def resolve_omega_token(token, hat_m=None):
-    """Turn an omega token from a spec/CLI into an OmegaSpec, or the matrix a ``file:`` names."""
+    """Turn an omega token into an OmegaSpec or the matrix a ``file:`` names; None stays None."""
+    if token is None:
+        return None
     token = token.strip()
     if token == "zero":
         return OmegaSpec.zero()
@@ -316,7 +324,7 @@ def run_experiment(spec):
     """
     if spec.problem_kind == "example41":
         for method in spec.methods:
-            if method.omega_token.strip().startswith("file:"):
+            if (method.omega_token or "").strip().startswith("file:"):
                 omega = resolve_omega_token(method.omega_token)
                 for m in spec.m_values:
                     resolve_omega(omega, m * m)  # DimensionError on a size mismatch

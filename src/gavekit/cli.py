@@ -201,7 +201,8 @@ def build_parser():
         p.add_argument("--beta")
         p.add_argument("--gamma")
         p.add_argument("--omega",
-                       help="zero (default) | identity:<w> | mhat | mhat:<c> | file:<path>")
+                       help="zero | identity:<w> | mhat | mhat:<c> | file:<path>; "
+                       "not given: the kind's own shift (nmn requires one)")
 
     p_solve = sub.add_parser("solve", help="run a single solve and print the report")
     _add_problem_args(p_solve)
@@ -233,7 +234,7 @@ def build_parser():
 
     p_tune = sub.add_parser("tune", help="grid-search the nsor relaxation parameter")
     _add_problem_args(p_tune)
-    p_tune.add_argument("--omega", default="zero")
+    p_tune.add_argument("--omega")
     p_tune.add_argument("--grid", default="0.5:1.5:0.01", help="lo:hi:step")
     p_tune.add_argument("--tol")
     p_tune.add_argument("--kmax")

@@ -10,9 +10,10 @@ known solution.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse
 
 from .errors import DimensionError, FormatError, NumericsError, ParameterError
 from .linalg import min_singular_value, spectral_norm
@@ -124,36 +125,22 @@ def build_hat_m(m):
     """
     check_grid_size(m)
     n = m * m
-    g = np.arange(n, dtype=np.int64)
-    block = g // m
-    pos = g % m
-    rows, cols, vals = [g], [g], [np.full(n, 4.0)]
-    left = g[pos > 0]
-    rows.append(left)
-    cols.append(left - 1)
-    vals.append(np.full(left.size, -1.0))
-    right = g[pos < m - 1]
-    rows.append(right)
-    cols.append(right + 1)
-    vals.append(np.full(right.size, -1.0))
-    down = g[block > 0]
-    rows.append(down)
-    cols.append(down - m)
-    vals.append(np.full(down.size, -1.0))
-    up = g[block < m - 1]
-    rows.append(up)
-    cols.append(up + m)
-    vals.append(np.full(up.size, -1.0))
-    return SparseMatrix.from_coo(
-        n, n, np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
+    side = np.full(n - 1, -1.0)
+    side[m - 1 :: m] = 0.0  # no coupling across a block boundary
+    hat = scipy.sparse.diags(
+        [-1.0, side, 4.0, side, -1.0], [-m, -1, 0, 1, m], shape=(n, n), format="csr"
     )
+    hat.eliminate_zeros()
+    return SparseMatrix._wrap(hat)
 
 
 def lcp_to_gave(lcp, provenance=_REDUCTION_TAG):
     """Reduce LCP(M, q) to the equivalent absolute-value equation.
 
     Maps to A = M + I, B = M - I, b = q; a known LCP solution z* carries
-    over as x* = ((M - I) z* + q) / 2.
+    over as x* = (w - z*) / 2 with w = M z* + q, the inverse of
+    :func:`gave_to_lcp`. That equals ((M - I) z* + q) / 2 in exact
+    arithmetic, and is exact when q = -M z* (w = 0), as for example41.
     """
     n = lcp.M.n_rows
     eye = identity(n)
@@ -161,7 +148,7 @@ def lcp_to_gave(lcp, provenance=_REDUCTION_TAG):
     B = sparse_sub(lcp.M, eye)
     xs = None
     if lcp.known_solution is not None:
-        xs = 0.5 * (spmv(B, lcp.known_solution) + lcp.q)
+        xs = 0.5 * (spmv(lcp.M, lcp.known_solution) + lcp.q - lcp.known_solution)
     return GaveProblem(A=A, B=B, b=lcp.q, known_solution=xs, provenance=provenance)
 
 
@@ -198,9 +185,7 @@ def gen_example41(m, mu):
     q = -spmv(M, z_star)
     lcp = LcpInstance(M=M, q=q, known_solution=z_star)
     provenance = f"{_REDUCTION_TAG} example41(m={m}, mu={mu:g})"
-    # pin the closed-form solution rather than the float image of z*
-    gave = replace(lcp_to_gave(lcp, provenance=provenance), known_solution=np.full(n, -0.6))
-    return lcp, gave, hat
+    return lcp, lcp_to_gave(lcp, provenance=provenance), hat
 
 
 def gen_certified(n, seed, b_norm_scale=1.0, dominance=10.0):

@@ -1,6 +1,7 @@
 """Spec parsing, the experiment runner, tuning, and table rendering."""
 
 import pathlib
+import re
 
 import numpy as np
 import pytest
@@ -54,6 +55,20 @@ class TestParseSpec:
         assert len(spec.methods) == 3
         assert spec.methods[1].config.inner == "lsqr"
         assert spec.methods[2].label == "relaxed"
+
+    @pytest.mark.parametrize(
+        "lines,repeated",
+        [
+            ("m = 6\nmethod = nj omega=mhat\nmethod = nj omega=mhat:1.5", "method name 'nj'"),
+            ("m = 6\nmethod = nsor alpha=0.9\nmethod = ngs label=nsor(0.9)",
+             "method name 'nsor(0.9)'"),
+            ("m = 6 4 6\nmethod = nj", "m 6"),
+        ],
+    )
+    def test_repeated_row_or_column_rejected(self, lines, repeated):
+        # a table has one row block per method name and one column per m
+        with pytest.raises(SpecError, match=re.escape(f"repeated {repeated}:")):
+            parse_spec(f"problem = example41\nmu = 4\n{lines}\n")
 
     def test_dir_problem(self):
         spec = parse_spec("problem = dir:/tmp/p\nmethod = picard\n")
@@ -127,7 +142,7 @@ class TestParseMethodLine:
     def test_defaults(self):
         m = parse_method_line("nj")
         assert m.kind.name == "nj" and m.config.inner == "direct"
-        assert m.omega_token == "zero"
+        assert m.omega_token is None
         assert m.config.theta.kind == "paper"
 
     def test_options(self):
@@ -203,12 +218,20 @@ class TestRunExperiment:
         prob = GaveProblem(A=A, B=B, b=np.ones(6))
         save_problem(prob, tmp_path / "bad")
         spec = parse_spec(
-            f"problem = dir:{tmp_path / 'bad'}\nmethod = picard\nmethod = picard\nrepeats = 1\n"
+            f"problem = dir:{tmp_path / 'bad'}\nmethod = picard label=first\n"
+            "method = picard label=second\nrepeats = 1\n"
         )
         rows = run_experiment(spec)
         assert len(rows) == 2
         assert not rows[0].converged
         assert "Divergence" in rows[0].warnings
+
+    def test_row_without_omega_has_an_empty_omega_cell(self):
+        # drs runs its own shift, (2/gamma - 1) A, which no token names
+        text = "problem = example41\nm = 4\nmu = 4\nrepeats = 1\nmethod = drs gamma=1\n"
+        rows = run_experiment(parse_spec(text))
+        assert rows[0].omega_tag is None
+        assert emit_table(rows, "csv").splitlines()[1].startswith("drs(1),16,4,,,10,")
 
 
 class TestRunMethod:

@@ -449,8 +449,57 @@ def test_certify_nmn_uses_the_pinned_shift(capsys):
     assert lines == [want.format_line()]
 
 
+@pytest.mark.parametrize(
+    "command", [["solve"], ["certify", "--condition", "Cor34"]], ids=["solve", "certify"]
+)
+def test_nmn_without_a_shift_exits_2(capsys, command):
+    # an --omega not given is the kind's own shift, and nmn has none
+    assert main([*command, "--example41", "6", "4", "--method", "nmn"]) == 2
+    assert "error: nmn requires an explicit shift matrix" in capsys.readouterr().err
+
+
+def test_nmn_spec_without_a_shift_runs_no_row(tmp_path, capsys, monkeypatch):
+    spec = tmp_path / "spec.txt"
+    spec.write_text("problem = example41\nm = 6\nmu = 4\nmethod = nj omega=mhat\nmethod = nmn\n")
+    calls = count_calls(monkeypatch, gavekit.bench, ("nms_solve", "inms_solve"))
+    assert main(["bench", "--spec", str(spec)]) == 2
+    assert "error: nmn requires an explicit shift matrix" in capsys.readouterr().err
+    assert calls == {}
+
+
+def test_nmn_spec_with_a_zero_shift_runs(tmp_path, capsys):
+    spec = tmp_path / "spec.txt"
+    spec.write_text("problem = example41\nm = 4\nmu = 4\nrepeats = 1\nmethod = nmn omega=zero\n")
+    main(["bench", "--spec", str(spec)])
+    rows = capsys.readouterr().out.splitlines()
+    assert rows[1].startswith("nmn,16,4,zero,,500,")
+
+
+def test_tune_without_omega_runs_the_zero_shift(capsys):
+    argv = ["tune", "--example41", "6", "4", "--grid", "0.8:1.2:0.1"]
+    assert main(argv) == 0
+    default = capsys.readouterr().out
+    assert main([*argv, "--omega", "zero"]) == 0
+    assert capsys.readouterr().out == default == "alpha_exp = 0.8  (IT = 41)\n"
+
+
+def test_markdown_table_refuses_two_methods_of_one_name(tmp_path, capsys, monkeypatch):
+    # one markdown block per method name: the second nj row used to replace the first
+    spec = tmp_path / "spec.txt"
+    lines = "method = nj omega=mhat\nmethod = nj omega=mhat:1.5"
+    spec.write_text(f"problem = example41\nm = 6\nmu = 4\nrepeats = 1\n{lines}\n")
+    calls = count_calls(monkeypatch, gavekit.bench, ("nms_solve", "inms_solve"))
+    assert main(["bench", "--spec", str(spec), "--format", "markdown"]) == 2
+    assert "repeated method name 'nj'" in capsys.readouterr().err
+    assert calls == {}
+    spec.write_text(f"problem = example41\nm = 6\nmu = 4\nrepeats = 1\n{lines} label=nj1.5\n")
+    assert main(["bench", "--spec", str(spec), "--format", "markdown"]) == 0
+    table = capsys.readouterr().out
+    assert "| nj | IT | 13 |" in table and "| nj1.5 | IT | 8 |" in table
+
+
 def test_certify_drs_uses_the_shift_solve_runs(capsys):
-    # gamma = 1 pins Omega = (2/gamma - 1) A = A, not the zero --omega default
+    # gamma = 1 pins Omega = (2/gamma - 1) A = A, not a zero shift
     code, lines = _certify_lines(
         capsys, "--method", "drs", "--gamma", "1", "--condition", "InexactEq15",
         "--condition", "Cor35a",

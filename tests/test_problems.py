@@ -1,5 +1,7 @@
 """Problem generators, the LCP reduction, and directory serialization."""
 
+import pathlib
+
 import numpy as np
 import pytest
 
@@ -25,7 +27,13 @@ from gavekit import (
     spmv,
     zeros,
 )
-from gavekit.problems import check_grid_size
+from gavekit.problems import build_hat_m, check_grid_size
+
+
+def _dense_hat_m(m):
+    """hatM from its definition: tridiag(-1, 4, -1) diagonal blocks, -I off the diagonal."""
+    T = 4.0 * np.eye(m) - np.eye(m, k=1) - np.eye(m, k=-1)
+    return np.kron(np.eye(m), T) - np.kron(np.eye(m, k=1) + np.eye(m, k=-1), np.eye(m))
 
 
 class TestBlockMatrix:
@@ -63,6 +71,16 @@ class TestBlockMatrix:
         with pytest.raises(ParameterError):
             gen_example41(1, 4.0)
 
+    @pytest.mark.parametrize("m", [2, 3, 7, 24])
+    def test_csr_arrays_match_the_dense_definition(self, m):
+        got = build_hat_m(m).to_scipy()
+        want = SparseMatrix.from_dense(_dense_hat_m(m)).to_scipy()
+        assert got.has_canonical_format
+        for name in ("indptr", "indices", "data"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype
+            np.testing.assert_array_equal(a, b)
+
 
 class TestExample41:
     @pytest.mark.parametrize("m,mu", [(2, 4.0), (5, 4.0), (9, -1.0), (4, 0.5)])
@@ -94,6 +112,24 @@ class TestExample41:
     def test_nan_grid_size_rejected(self):
         with pytest.raises(ParameterError, match="m must be at least 2"):
             check_grid_size(np.nan)
+
+    def test_one_gave_problem_is_built(self, monkeypatch):
+        built = []
+        post_init = GaveProblem.__post_init__
+
+        def spy(problem):
+            built.append(problem)
+            post_init(problem)
+
+        monkeypatch.setattr(GaveProblem, "__post_init__", spy)
+        _, prob, _ = gen_example41(4, 4.0)
+        assert len(built) == 1 and built[0] is prob
+
+    def test_golden_directory_is_reproduced_byte_for_byte(self, tmp_path):
+        golden = pathlib.Path(__file__).parent / "data" / "example41_m5_mu-1"
+        save_problem(gen_example41(5, -1.0)[1], tmp_path / "p")
+        for name in ["A.mtx", "B.mtx", "b.txt", "xstar.txt", "meta"]:
+            assert (tmp_path / "p" / name).read_bytes() == (golden / name).read_bytes(), name
 
     @pytest.mark.parametrize("mu", [np.nan, np.inf, -np.inf])
     def test_non_finite_mu_rejected(self, mu):
