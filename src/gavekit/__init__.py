@@ -10,10 +10,7 @@ from .certify import (
     Certificate,
     Condition,
     check_corollary,
-    check_exact,
     check_inexact,
-    check_m_inverse,
-    check_scalar_omega,
     evaluate,
 )
 from .errors import (

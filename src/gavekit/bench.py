@@ -409,6 +409,8 @@ def _emit_markdown(rows):
     sizes = sorted({row.n for row in rows})
     methods = list(dict.fromkeys(row.method for row in rows))
     by_key = {(row.method, row.n): row for row in rows}
+    if len(by_key) < len(rows):  # a later row would hide an earlier one
+        raise SpecError("two rows share a method name and n; label= tells methods apart")
     header = ["Method", ""] + [str(n) for n in sizes]
     lines = ["| " + " | ".join(header) + " |", "|" + "---|" * len(header)]
     for method in methods:

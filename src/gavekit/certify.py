@@ -1,8 +1,8 @@
 """Numerical evaluation of the sufficient convergence conditions.
 
-Every check returns a :class:`Certificate` carrying the two sides of the
-inequality, a strict ``holds`` verdict, and a ``marginal`` flag raised when
-the sides are within 1e-4 relative of each other (norm estimates carry
+Every condition evaluates to a :class:`Certificate` carrying the two sides
+of the inequality, a strict ``holds`` verdict, and a ``marginal`` flag raised
+when the sides are within 1e-4 relative of each other (norm estimates carry
 iteration error, so knife-edge verdicts are not reproducible). Inverse
 norms are evaluated as ``1 / sigma_min``; no inverse is ever formed.
 
@@ -40,10 +40,7 @@ __all__ = [
     "Condition",
     "Certificate",
     "evaluate",
-    "check_exact",
     "check_inexact",
-    "check_m_inverse",
-    "check_scalar_omega",
     "check_corollary",
     "COROLLARY_CONDITIONS",
 ]
@@ -181,7 +178,13 @@ def _exact(q):
 
 
 def _scalar_omega(q):
-    """See :func:`check_scalar_omega`."""
+    """Theorem 3.4, for the scalar shift omega * I and the splitting M = H, N = -S.
+
+    H and S are the symmetric and antisymmetric parts of A, and H must be
+    positive definite. The theorem reads ``omega + lambda_min - tau >
+    sqrt(omega^2 + mu_max^2) + theta * (...)``; lhs is its right side and
+    rhs its left side, so the usual ``holds = lhs < rhs`` keeps the direction.
+    """
     H, S = hermitian_split(q.matrix("A"))
     lam_min, lam_max = symmetric_eig_extremes(H)
     if lam_min <= 0.0:
@@ -211,7 +214,9 @@ _OWN_FORMULAS = {
 }
 
 # The conditions norm(X^-1) < 1/den: (the evaluate() inputs each reads, X,
-# the norms den reads, den(theta, gamma, *norms)). Cor35a/b: norm(B) = 1.
+# the norms den reads, den(theta, gamma, *norms)). The corollaries serve
+# inexact MN (Cor31, Cor32), NMN (Cor33a/b) and Picard (Cor34), the AVE
+# with norm(B) = 1 (Cor35a/b) and DRS on the AVE (Cor36a/b).
 _BOUNDS = {
     Condition.INEXACT: ("B M N omega theta", "Omega+M", "Omega+M Omega+N B",
                         lambda t, g, om, on, b: t * (om + on + b) + on + b),
@@ -291,47 +296,13 @@ def evaluate(
     return certificates
 
 
-def check_exact(A, B, M, N, omega):
-    """norm((Omega+M)^-1) * (norm(Omega+N) + norm(B)) < 1."""
-    return evaluate([Condition.EXACT], A=A, B=B, M=M, N=N, omega=omega)[0]
-
-
 def check_inexact(A, B, M, N, omega, theta):
-    """norm((Omega+M)^-1) < 1 / (theta*(sums of norms) + norm(Omega+N) + norm(B))."""
+    """``evaluate([Condition.INEXACT], ...)[0]``; kept because perfbench times it by name."""
     return evaluate([Condition.INEXACT], A=A, B=B, M=M, N=N, omega=omega, theta=theta)[0]
 
 
-def check_m_inverse(A, B, M, N, omega, theta):
-    """norm(M^-1) bound that avoids factoring Omega+M."""
-    return evaluate([Condition.M_INVERSE], A=A, B=B, M=M, N=N, omega=omega, theta=theta)[0]
-
-
-def check_scalar_omega(A, B, omega_scalar, theta):
-    """Eigenvalue-based condition for the scalar shift omega * I.
-
-    Applies to the symmetric/antisymmetric splitting M = H, N = -S of a
-    matrix with positive definite symmetric part. The underlying inequality
-    reads ``omega + lambda_min - tau > sqrt(omega^2 + mu_max^2) + theta *
-    (...)``; it is stored here with lhs = its right side and rhs = its left
-    side, so the usual ``holds = lhs < rhs`` keeps the direction.
-    """
-    return evaluate(
-        [Condition.SCALAR_OMEGA], A=A, B=B, theta=theta, omega_scalar=omega_scalar
-    )[0]
-
-
 def check_corollary(kind, A=None, B=None, M=None, N=None, omega=None, theta=0.0, gamma=None):
-    """Evaluate one of the specialized conditions Cor31 ... Cor36b.
-
-    Which arguments are required depends on the corollary:
-
-    - Cor31: A, B, omega       (inexact MN, shifted inverse)
-    - Cor32: A, B, omega       (inexact MN, plain inverse)
-    - Cor33a/Cor33b: A, B, omega    (inexact NMN)
-    - Cor34: A, B               (inexact Picard)
-    - Cor35a/Cor35b: M, N, omega    (AVE, norm(B) = 1)
-    - Cor36a/Cor36b: A, gamma   (DRS on the AVE)
-    """
+    """``evaluate([kind], ...)[0]`` for a corollary; kept because perfbench times it by name."""
     kind = Condition(kind)
     if kind not in COROLLARY_CONDITIONS:
         raise ParameterError(f"{kind.value} is not a corollary condition")

@@ -34,7 +34,8 @@ _VALIDATION_ERRORS = (
     ConfigurationError,
     FormatError,
     DimensionError,
-    FileNotFoundError,
+    OSError,  # a path that cannot be opened, read or written
+    UnicodeDecodeError,
 )
 _NUMERICAL_ERRORS = (
     SingularMatrixError,

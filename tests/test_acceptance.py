@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from gavekit import (
+    Condition,
     GaveProblem,
     OmegaSpec,
     SolverConfig,
@@ -19,7 +20,7 @@ from gavekit import (
     ThetaSchedule,
     build_splitting,
     check_inexact,
-    check_scalar_omega,
+    evaluate,
     gave_to_lcp,
     gen_certified,
     gen_example41,
@@ -317,7 +318,9 @@ def test_criterion_8_certificate_oracle_suite():
         # --- scalar condition agrees with the generic certificate
         Bs = sparse_scale(float(rng.uniform(0.2, 2.5)), random_sparse(rng, n))
         theta_s = float(rng.uniform(0.0, 0.6))
-        scalar_cert = check_scalar_omega(Asp, Bs, omega_s, theta_s)
+        scalar_cert = evaluate(
+            [Condition.SCALAR_OMEGA], A=Asp, B=Bs, omega_scalar=omega_s, theta=theta_s,
+        )[0]
         Hm, Sm = hermitian_split(Asp)
         generic_cert = check_inexact(
             Asp,

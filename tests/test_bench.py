@@ -389,3 +389,11 @@ class TestEmitTable:
     def test_unknown_format(self):
         with pytest.raises(SpecError):
             emit_table([], "html")
+
+    def test_markdown_refuses_rows_that_share_a_cell(self):
+        # one nj block has room for only one of these rows
+        rows = [ResultRow("nj", 36, 4.0, "mhat", None, 13, 0.001, 5.0e-07, True),
+                ResultRow("nj", 36, 4.0, "mhat:1.5", None, 8, 0.001, 4.0e-07, True)]
+        with pytest.raises(SpecError, match="share a method name and n"):
+            emit_table(rows, "markdown")
+        assert emit_table(rows, "csv").count("\nnj,36,") == 2

@@ -14,10 +14,7 @@ from gavekit import (
     SparseMatrix,
     build_splitting,
     check_corollary,
-    check_exact,
     check_inexact,
-    check_m_inverse,
-    check_scalar_omega,
     diag_matrix,
     evaluate,
     gen_certified,
@@ -52,24 +49,29 @@ def _pd_with_skew(rng, n, margin=1.0):
 class TestCheckExact:
     def test_trivial_linear_system(self):
         n = 4
-        cert = check_exact(identity(n), zeros(n), identity(n), zeros(n), zeros(n))
+        cert = evaluate(
+            [Condition.EXACT], A=identity(n), B=zeros(n), M=identity(n), N=zeros(n),
+            omega=zeros(n),
+        )[0]
         assert cert.lhs == pytest.approx(0.0, abs=1e-12)
         assert cert.holds and not cert.marginal
         assert cert.condition is Condition.EXACT
 
     def test_diagonal_halved(self):
         n = 4
-        cert = check_exact(
-            identity(n), scaled_identity(n, 0.5), identity(n), zeros(n), zeros(n)
-        )
+        cert = evaluate(
+            [Condition.EXACT], A=identity(n), B=scaled_identity(n, 0.5), M=identity(n),
+            N=zeros(n), omega=zeros(n),
+        )[0]
         assert cert.lhs == pytest.approx(0.5, rel=1e-9)
         assert cert.holds
 
     def test_overweight_b_fails(self):
         n = 4
-        cert = check_exact(
-            identity(n), scaled_identity(n, 2.0), identity(n), zeros(n), zeros(n)
-        )
+        cert = evaluate(
+            [Condition.EXACT], A=identity(n), B=scaled_identity(n, 2.0), M=identity(n),
+            N=zeros(n), omega=zeros(n),
+        )[0]
         assert cert.lhs == pytest.approx(2.0, rel=1e-9)
         assert not cert.holds
 
@@ -77,7 +79,7 @@ class TestCheckExact:
         A = random_dominant(rng, 12)
         B = sparse_scale(0.5, random_sparse(rng, 12))
         s = build_splitting(A, "ngs")
-        cert = check_exact(A, B, s.M, s.N, zeros(12))
+        cert = evaluate([Condition.EXACT], A=A, B=B, M=s.M, N=s.N, omega=zeros(12))[0]
         assert cert.contraction_factor == cert.lhs
 
 
@@ -88,7 +90,7 @@ class TestCheckInexact:
             B = sparse_scale(float(rng.uniform(0.1, 2.0)), random_sparse(rng, 10))
             s = build_splitting(A, "nj")
             om = diag_matrix(rng.uniform(0.0, 1.0, 10))
-            exact = check_exact(A, B, s.M, s.N, om)
+            exact = evaluate([Condition.EXACT], A=A, B=B, M=s.M, N=s.N, omega=om)[0]
             inexact = check_inexact(A, B, s.M, s.N, om, 0.0)
             if not (exact.marginal or inexact.marginal):
                 assert exact.holds == inexact.holds
@@ -195,14 +197,19 @@ class TestCheckMInverse:
             B = sparse_scale(float(rng.uniform(0.1, 1.5)), random_sparse(rng, 9))
             s = build_splitting(A, "ngs")
             a = check_inexact(A, B, s.M, s.N, zeros(9), 0.2)
-            m = check_m_inverse(A, B, s.M, s.N, zeros(9), 0.2)
+            m = evaluate(
+                [Condition.M_INVERSE], A=A, B=B, M=s.M, N=s.N, omega=zeros(9), theta=0.2,
+            )[0]
             if not (a.marginal or m.marginal):
                 assert a.holds == m.holds
 
     def test_diagonal_hand_value(self):
         n = 4
         M = scaled_identity(n, 10.0)
-        cert = check_m_inverse(M, identity(n), M, zeros(n), identity(n), 0.0)
+        cert = evaluate(
+            [Condition.M_INVERSE], A=M, B=identity(n), M=M, N=zeros(n), omega=identity(n),
+            theta=0.0,
+        )[0]
         assert cert.lhs == pytest.approx(0.1, rel=1e-9)
         assert cert.rhs == pytest.approx(1.0 / 3.0, rel=1e-9)
         assert cert.holds
@@ -216,7 +223,9 @@ class TestCheckMInverse:
             s = build_splitting(A, "nj")
             om = scaled_identity(8, float(rng.uniform(0.0, 1.0)))
             theta = float(rng.uniform(0.0, 0.5))
-            m = check_m_inverse(A, B, s.M, s.N, om, theta)
+            m = evaluate(
+                [Condition.M_INVERSE], A=A, B=B, M=s.M, N=s.N, omega=om, theta=theta,
+            )[0]
             ix = check_inexact(A, B, s.M, s.N, om, theta)
             if m.holds and not m.marginal and not ix.marginal and not ix.holds:
                 counterexamples += 1
@@ -228,13 +237,21 @@ class TestCheckScalarOmega:
         # with S = 0 and theta = 0 the condition is lambda_min > tau
         A = tridiag(-1, 4, -1, 6)
         lam_min = 4 - 2 * np.cos(np.pi / 7)
-        below = check_scalar_omega(A, scaled_identity(6, lam_min * 0.9), 1.0, 0.0)
-        above = check_scalar_omega(A, scaled_identity(6, lam_min * 1.1), 1.0, 0.0)
+        below = evaluate(
+            [Condition.SCALAR_OMEGA], A=A, B=scaled_identity(6, lam_min * 0.9),
+            omega_scalar=1.0, theta=0.0,
+        )[0]
+        above = evaluate(
+            [Condition.SCALAR_OMEGA], A=A, B=scaled_identity(6, lam_min * 1.1),
+            omega_scalar=1.0, theta=0.0,
+        )[0]
         assert below.holds and not above.holds
 
     def test_tridiagonal_hand_value(self):
         A = tridiag(-1, 4, -1, 4)
-        cert = check_scalar_omega(A, identity(4), 1.0, 0.0)
+        cert = evaluate(
+            [Condition.SCALAR_OMEGA], A=A, B=identity(4), omega_scalar=1.0, theta=0.0,
+        )[0]
         lam_min = 4 - 2 * np.cos(np.pi / 5)
         assert cert.rhs == pytest.approx(1.0 + lam_min - 1.0, rel=1e-9)
         assert cert.lhs == pytest.approx(1.0, rel=1e-9)  # sqrt(w^2 + 0)
@@ -242,18 +259,25 @@ class TestCheckScalarOmega:
 
     def test_large_tau_fails(self):
         A = tridiag(-1, 4, -1, 4)
-        cert = check_scalar_omega(A, scaled_identity(4, 10.0), 1.0, 0.0)
+        cert = evaluate(
+            [Condition.SCALAR_OMEGA], A=A, B=scaled_identity(4, 10.0), omega_scalar=1.0,
+            theta=0.0,
+        )[0]
         assert not cert.holds
 
     def test_requires_positive_definite_symmetric_part(self, rng):
         A = SparseMatrix.from_dense(np.diag([-1.0, 2.0, 3.0]))
         with pytest.raises(ParameterError, match="positive definite"):
-            check_scalar_omega(A, identity(3), 1.0, 0.0)
+            evaluate(
+                [Condition.SCALAR_OMEGA], A=A, B=identity(3), omega_scalar=1.0, theta=0.0,
+            )[0]
 
     def test_requires_positive_omega(self, rng):
         A = tridiag(-1, 4, -1, 4)
         with pytest.raises(ParameterError, match="positive"):
-            check_scalar_omega(A, identity(4), 0.0, 0.0)
+            evaluate(
+                [Condition.SCALAR_OMEGA], A=A, B=identity(4), omega_scalar=0.0, theta=0.0,
+            )[0]
 
     def test_closed_form_identities(self, rng):
         for _ in range(15):
@@ -280,7 +304,9 @@ class TestCheckScalarOmega:
             B = sparse_scale(float(rng.uniform(0.2, 3.0)), random_sparse(rng, n))
             w = float(rng.uniform(0.2, 3.0))
             theta = float(rng.uniform(0.0, 0.6))
-            scalar = check_scalar_omega(A, B, w, theta)
+            scalar = evaluate(
+                [Condition.SCALAR_OMEGA], A=A, B=B, omega_scalar=w, theta=theta,
+            )[0]
             H, S = hermitian_split(A)
             generic = check_inexact(
                 A, B, H, sparse_scale(-1.0, S), scaled_identity(n, w), theta
@@ -318,7 +344,7 @@ class TestCorollaries:
             B = sparse_scale(float(rng.uniform(0.2, 1.5)), random_sparse(rng, 8))
             om = scaled_identity(8, float(rng.uniform(0.0, 1.0)))
             cor = check_corollary(Condition.COR31, A=A, B=B, omega=om, theta=0.0)
-            ex = check_exact(A, B, A, zeros(8), om)
+            ex = evaluate([Condition.EXACT], A=A, B=B, M=A, N=zeros(8), omega=om)[0]
             if not (cor.marginal or ex.marginal):
                 assert cor.holds == ex.holds
 
@@ -332,7 +358,9 @@ class TestCorollaries:
         assert a.lhs == pytest.approx(generic.lhs, rel=1e-10)
         assert a.rhs == pytest.approx(generic.rhs, rel=1e-10)
         b = check_corollary(Condition.COR35B, M=s.M, N=s.N, omega=om, theta=theta)
-        generic_m = check_m_inverse(A, identity(10), s.M, s.N, om, theta)
+        generic_m = evaluate(
+            [Condition.M_INVERSE], A=A, B=identity(10), M=s.M, N=s.N, omega=om, theta=theta,
+        )[0]
         assert b.lhs == pytest.approx(generic_m.lhs, rel=1e-10)
         assert b.rhs == pytest.approx(generic_m.rhs, rel=1e-10)
 
@@ -358,13 +386,15 @@ class TestCorollaries:
 class TestVerdicts:
     def test_marginal_band(self):
         n = 3
-        near = check_exact(
-            identity(n), scaled_identity(n, 1.0 - 1e-5), identity(n), zeros(n), zeros(n)
-        )
+        near = evaluate(
+            [Condition.EXACT], A=identity(n), B=scaled_identity(n, 1.0 - 1e-5),
+            M=identity(n), N=zeros(n), omega=zeros(n),
+        )[0]
         assert near.marginal and near.verdict == "marginal"
-        clear = check_exact(
-            identity(n), scaled_identity(n, 0.5), identity(n), zeros(n), zeros(n)
-        )
+        clear = evaluate(
+            [Condition.EXACT], A=identity(n), B=scaled_identity(n, 0.5), M=identity(n),
+            N=zeros(n), omega=zeros(n),
+        )[0]
         assert not clear.marginal and clear.verdict == "true"
 
     def test_holds_is_strict_comparison(self, rng):
@@ -376,7 +406,10 @@ class TestVerdicts:
 
     def test_format_line(self):
         n = 2
-        cert = check_exact(identity(n), zeros(n), identity(n), zeros(n), zeros(n))
+        cert = evaluate(
+            [Condition.EXACT], A=identity(n), B=zeros(n), M=identity(n), N=zeros(n),
+            omega=zeros(n),
+        )[0]
         line = cert.format_line()
         assert line.startswith("ExactEq6 lhs=")
         assert "holds=true" in line
@@ -390,7 +423,9 @@ class TestNormDetailMethods:
 
     def test_scalar_omega(self, m, dense):
         p = gen_example41(m, 4.0)[1]
-        cert = check_scalar_omega(p.A, p.B, 2.0, 0.1)
+        cert = evaluate(
+            [Condition.SCALAR_OMEGA], A=p.A, B=p.B, omega_scalar=2.0, theta=0.1,
+        )[0]
         methods = {d[0]: d[2] for d in cert.norm_details}
         eig = "dense_eigh" if dense else "lu_shift_invert_lanczos"
         norm = "dense_svd" if dense else "lanczos"

@@ -136,6 +136,30 @@ def test_validation_error_exits_2(capsys):
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [
+        "solve --example41 4 4 --omega file:{tmp}/dir",
+        "solve --example41 4 4 --omega file:{tmp}/accent.mtx",
+        "bench --spec {tmp}/binary.spec",
+        "bench --spec {tmp}/good.spec --out {tmp}/dir",
+        "gen --kind example41 --m 4 --mu 4 --out {tmp}/file/sub",
+    ],
+    ids=["shift-is-a-directory", "shift-not-ascii", "spec-not-utf8", "out-is-a-directory",
+         "out-under-a-file"],
+)
+def test_unreadable_or_undecodable_path_exits_2(tmp_path, capsys, argv):
+    (tmp_path / "dir").mkdir()
+    (tmp_path / "file").write_text("")
+    (tmp_path / "accent.mtx").write_bytes(
+        b"%%MatrixMarket matrix coordinate real general\n16 16 1\n1 1 1.0 \xe9\n")
+    (tmp_path / "binary.spec").write_bytes(b"problem = example41\n\xff\xfe\x00\n")
+    (tmp_path / "good.spec").write_text("problem = example41\nm = 4\nmu = 4\nrepeats = 1\n"
+                                        "method = nj omega=mhat\n")
+    assert main(argv.format(tmp=tmp_path).split()) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
     "method_line, argv",
     [
         ("nj lmax=abc", None),

@@ -6,13 +6,14 @@ import numpy as np
 import pytest
 
 from gavekit import (
+    Condition,
     GaveProblem,
     LcpInstance,
     NumericsError,
     ParameterError,
     SparseMatrix,
     build_splitting,
-    check_exact,
+    evaluate,
     gave_to_lcp,
     gen_certified,
     gen_example41,
@@ -193,7 +194,9 @@ class TestGenCertified:
     def test_exact_certificate_holds(self):
         prob = gen_certified(40, seed=3, b_norm_scale=1.0, dominance=10.0)
         n = prob.n
-        cert = check_exact(prob.A, prob.B, prob.A, zeros(n), zeros(n))
+        cert = evaluate(
+            [Condition.EXACT], A=prob.A, B=prob.B, M=prob.A, N=zeros(n), omega=zeros(n),
+        )[0]
         assert cert.holds and not cert.marginal
 
     def test_norm_construction(self):
