@@ -30,6 +30,7 @@ from .errors import (
 )
 from .mmio import read_matrix_market
 from .problems import check_grid_size, gen_example41, load_problem
+from .sparse import SparseMatrix
 from .solver import SolverConfig, ThetaSchedule, inms_solve, nms_solve
 from .splittings import KINDS, OmegaSpec, SplittingKind, build_splitting, resolve_omega
 
@@ -48,15 +49,17 @@ __all__ = [
 class MethodSpec:
     """One method of a spec line or of ``gavekit solve``, as it runs.
 
-    ``kind`` names the splitting, ``omega_token`` its shift (None: the kind's
-    own; see :func:`build_method`), and ``config`` the solve's settings:
-    inner solver, theta schedule, inner budget and the spec's stopping rule.
+    ``kind`` names the splitting, ``omega`` its shift as :func:`resolve_omega_token`
+    types it (None: the kind's own) and ``omega_tag`` that token as written, the
+    table's ``omega`` cell. ``config`` holds the solve's settings: inner solver,
+    theta schedule, inner budget and the spec's stopping rule.
     """
 
     kind: SplittingKind
-    omega_token: str | None = None  # zero | identity:<w> | mhat | mhat:<c> | file:<path>
+    omega: OmegaSpec | SparseMatrix | None = None
     config: SolverConfig = field(default_factory=SolverConfig)
     label: str = ""
+    omega_tag: str | None = None  # zero | identity:<w> | mhat | mhat:<c> | file:<path>
 
     def display_name(self):
         if self.label:
@@ -96,6 +99,9 @@ class ExperimentSpec:
                 raise SpecError("example41 problems need 'm' and 'mu'")
             for m in self.m_values:
                 check_grid_size(m)  # before anything is allocated
+                for method in self.methods:
+                    if isinstance(method.omega, SparseMatrix):  # a file: shift
+                        resolve_omega(method.omega, m * m)  # DimensionError on a size mismatch
         elif self.problem_kind == "dir":
             if not self.directory:
                 raise SpecError("directory problems need a path")
@@ -162,16 +168,6 @@ def _method_tokens(value):
     return tokens[0], opts
 
 
-def parse_method_line(value):
-    """Parse a 'method =' line: kind token followed by key=value options.
-
-    Kinds, option names and values are exact lowercase text; the stopping
-    rule is :class:`SolverConfig`'s default (a spec's ``tol``/``kmax`` keys
-    reach :func:`method_spec` through :func:`parse_spec`).
-    """
-    return method_spec(*_method_tokens(value))
-
-
 def method_spec(kind, options):
     """The MethodSpec of splitting ``kind`` with its method options, checked.
 
@@ -198,9 +194,10 @@ def method_spec(kind, options):
     )
     return MethodSpec(
         SplittingKind(kind, alpha=number("alpha"), beta=number("beta"), gamma=number("gamma")),
-        omega_token=options.get("omega"),
+        omega=resolve_omega_token(options.get("omega")),
         config=config,
         label=text("label", ""),
+        omega_tag=options.get("omega"),
     )
 
 
@@ -209,7 +206,8 @@ def parse_spec(text):
 
     Method lines are built after every key is read, since ``tol`` and
     ``kmax``, which join each line's options, may follow them. An error in
-    a method line, its joined ``tol`` and ``kmax`` included, names the line.
+    a method line, its joined ``tol`` and ``kmax`` and its omega token
+    included, names the line.
     """
     values = {}
     method_lines = []
@@ -239,16 +237,16 @@ def parse_spec(text):
     elif problem.startswith("dir:"):
         source = dict(problem_kind="dir", directory=problem[4:].strip())
     else:
-        raise SpecError(
-            f"problem must be 'example41' or 'dir:<path>', got {problem!r}"
-        )
+        raise SpecError(f"problem must be 'example41' or 'dir:<path>', got {problem!r}")
     stopping = {key: values[key] for key in ("tol", "kmax") if key in values}
     methods = []
     for lineno, value in method_lines:
         try:
             kind, opts = _method_tokens(value)
             methods.append(method_spec(kind, {**opts, **stopping}))
-        except (SpecError, ParameterError) as exc:
+            if problem != "example41":
+                _with_hat_m(methods[-1].omega, None)  # mhat scales example41's hatM
+        except (ValueError, OSError) as exc:  # any validation error; a file: shift not read
             raise SpecError(f"{exc} (line {lineno}: method = {value})") from None
     return ExperimentSpec(
         **source,
@@ -258,35 +256,43 @@ def parse_spec(text):
     )
 
 
-def resolve_omega_token(token, hat_m=None):
-    """Turn an omega token into an OmegaSpec or the matrix a ``file:`` names; None stays None."""
+def resolve_omega_token(token):
+    """The typed shift an omega token names: an OmegaSpec, the matrix a ``file:`` names, or None.
+
+    ``mhat:<c>`` is ``OmegaSpec.scaled(c, None)``, whose base :func:`build_method` fills.
+    """
     if token is None:
         return None
     token = token.strip()
+    name, colon, value = token.partition(":")
     if token == "zero":
         return OmegaSpec.zero()
-    if token.startswith("identity:"):
-        return OmegaSpec.scalar(parse_number(token.split(":", 1)[1], "omega"))
-    if token == "mhat" or token.startswith("mhat:"):
-        if hat_m is None:
-            raise SpecError("omega 'mhat' is only available for example41 problems")
-        scale = 1.0 if token == "mhat" else parse_number(token.split(":", 1)[1], "omega")
-        return OmegaSpec.scaled(scale, hat_m)
-    if token.startswith("file:"):
-        return read_matrix_market(token.split(":", 1)[1])
+    if name == "identity" and colon:
+        return OmegaSpec.scalar(parse_number(value, "omega"))
+    if name == "mhat":
+        return OmegaSpec.scaled(parse_number(value, "omega") if colon else 1.0, None)
+    if name == "file" and colon:
+        return read_matrix_market(value)
     raise SpecError(f"unknown omega token {token!r}")
+
+
+def _with_hat_m(omega, hat_m):
+    """``omega`` with ``hat_m`` as the base of an ``mhat`` shift; SpecError without one."""
+    if not (isinstance(omega, OmegaSpec) and omega.kind == "scaled"):
+        return omega
+    if hat_m is None:
+        raise SpecError("omega 'mhat' is only available for example41 problems")
+    return OmegaSpec.scaled(omega.scale, hat_m)
 
 
 def build_method(problem, method, hat_m=None):
     """The splitting of ``problem.A`` that ``method`` runs with, and its shift.
 
-    The shift is the one ``method.omega_token`` names; ``hat_m`` is the
-    example41 block matrix that ``mhat`` tokens scale (None for directory
-    problems). :func:`~gavekit.splittings.build_splitting` checks it against
-    the kinds that pin their own shift.
+    ``hat_m`` is the example41 block matrix that an ``mhat`` shift scales
+    (None for directory problems). :func:`~gavekit.splittings.build_splitting`
+    checks the shift against the kinds that pin their own.
     """
-    omega = resolve_omega_token(method.omega_token, hat_m)
-    return build_splitting(problem.A, method.kind, omega)
+    return build_splitting(problem.A, method.kind, _with_hat_m(method.omega, hat_m))
 
 
 def run_method(problem, method, splitting, repeats=1):
@@ -316,18 +322,11 @@ def run_experiment(spec):
     """Run every (problem size, method) pair of the spec, one after another.
 
     Every method's splitting for a problem is built before that problem's
-    first solve, so a bad omega token or a shift that a kind's pin rule
-    rejects stops the run before that problem's first row; a ``file:``
-    shift is checked against every ``m`` before the first problem's.
-    Numerical failures (divergence, singular shifts) produce a row with
-    ``converged=False`` and a warning instead of aborting the experiment.
+    first solve, so a shift that a kind's pin rule rejects stops the run
+    before that problem's first row. Numerical failures (divergence,
+    singular shifts) produce a row with ``converged=False`` and a warning
+    instead of aborting the experiment.
     """
-    if spec.problem_kind == "example41":
-        for method in spec.methods:
-            if (method.omega_token or "").strip().startswith("file:"):
-                omega = resolve_omega_token(method.omega_token)
-                for m in spec.m_values:
-                    resolve_omega(omega, m * m)  # DimensionError on a size mismatch
     rows = []
     for problem, hat, n, mu in _experiment_problems(spec):
         splittings = [build_method(problem, method, hat) for method in spec.methods]
@@ -338,7 +337,7 @@ def run_experiment(spec):
                            "; ".join(report.warnings))
             except (DivergenceError, SingularMatrixError, NumericsError) as exc:
                 outcome = (0, 0.0, float("nan"), False, f"{type(exc).__name__}: {exc}")
-            rows.append(ResultRow(method.display_name(), n, mu, method.omega_token,
+            rows.append(ResultRow(method.display_name(), n, mu, method.omega_tag,
                                   method.kind.alpha, *outcome))
     return rows
 

@@ -11,6 +11,7 @@ numerical failures (singularity, divergence, non-convergent estimators).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 
 from . import bench as bench_mod
@@ -26,6 +27,7 @@ from .errors import (
     SingularMatrixError,
     SpecError,
 )
+from .mmio import _open_text
 from .problems import gen_certified, gen_example41, load_problem, save_problem
 
 _VALIDATION_ERRORS = (
@@ -35,7 +37,7 @@ _VALIDATION_ERRORS = (
     FormatError,
     DimensionError,
     OSError,  # a path that cannot be opened, read or written
-    UnicodeDecodeError,
+    UnicodeDecodeError,  # the readers name their file (FormatError); this is the safety net
 )
 _NUMERICAL_ERRORS = (
     SingularMatrixError,
@@ -152,7 +154,7 @@ def _parse_grid(token):
 
 def _cmd_tune(args):
     problem, hat = _load_problem_args(args)
-    omega = bench_mod.resolve_omega_token(args.omega, hat)
+    omega = bench_mod._with_hat_m(bench_mod.resolve_omega_token(args.omega), hat)
     grid = _parse_grid(args.grid)
     # an option not given is not passed, so tune_alpha's default applies
     stopping = {key: value for key, value in dict(tol=args.tol, k_max=args.kmax).items()
@@ -163,17 +165,20 @@ def _cmd_tune(args):
 
 
 def _cmd_bench(args):
-    with open(args.spec, "r", encoding="utf-8") as fh:
+    with _open_text(args.spec, "utf-8") as fh:
         spec = bench_mod.parse_spec(fh.read())
-    rows = bench_mod.run_experiment(spec)
-    table = bench_mod.emit_table(rows, args.format)
     out = args.out or spec.output
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
+    # opened before the first solve, so a path that cannot be written costs no
+    # solve; appending keeps an old table until the new one replaces it
+    with open(out, "a", encoding="utf-8") if out else contextlib.nullcontext() as fh:
+        rows = bench_mod.run_experiment(spec)
+        table = bench_mod.emit_table(rows, args.format)
+        if out:
+            fh.truncate(0)
             fh.write(table)
-        print(f"wrote {len(rows)} rows to {out}")
-    else:
-        print(table, end="")
+            print(f"wrote {len(rows)} rows to {out}")
+        else:
+            print(table, end="")
     required_failed = [row for row in rows if not row.converged]
     return 3 if required_failed else 0
 

@@ -9,6 +9,7 @@ rejects ``%`` lines between entries and accepts 4-column ones, and
 ``mmwrite`` adds a ``%`` line after the header.
 """
 
+from contextlib import contextmanager
 from itertools import chain
 
 import numpy as np
@@ -20,6 +21,16 @@ __all__ = ["read_matrix_market", "write_matrix_market", "read_vector", "write_ve
 
 _HEADER = "%%MatrixMarket matrix coordinate real general"
 _CHUNK = 4096
+
+
+@contextmanager
+def _open_text(path, encoding="ascii"):
+    """``path`` open for reading; bytes that are not ``encoding`` raise FormatError naming it."""
+    with open(path, "r", encoding=encoding) as fh:
+        try:
+            yield fh
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"{path}: {exc}") from None
 
 
 def _write_rows(fh, fmt, columns):
@@ -56,7 +67,7 @@ def write_matrix_market(path, A):
 
 def read_matrix_market(path):
     """Read a ``matrix coordinate real general`` file into a SparseMatrix."""
-    with open(path, "r", encoding="ascii") as fh:
+    with _open_text(path) as fh:
         header = fh.readline()
         if not header.startswith("%%MatrixMarket"):
             raise FormatError(f"{path}: missing MatrixMarket header")
@@ -94,5 +105,5 @@ def write_vector(path, x):
 
 def read_vector(path):
     """Read a plain-text vector (one value per line)."""
-    with open(path, "r", encoding="ascii") as fh:
+    with _open_text(path) as fh:
         return _read_rows(path, fh, 1)[:, 0]

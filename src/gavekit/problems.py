@@ -17,7 +17,7 @@ import scipy.sparse
 
 from .errors import DimensionError, FormatError, NumericsError, ParameterError
 from .linalg import min_singular_value, spectral_norm
-from .mmio import read_matrix_market, read_vector, write_matrix_market, write_vector
+from .mmio import _open_text, read_matrix_market, read_vector, write_matrix_market, write_vector
 from .sparse import SparseMatrix, identity, sparse_add, sparse_scale, sparse_sub, spmv
 
 __all__ = [
@@ -275,7 +275,7 @@ def load_problem(directory):
     provenance = ""
     meta_path = os.path.join(directory, "meta")
     if os.path.exists(meta_path):
-        with open(meta_path, "r", encoding="ascii") as fh:
+        with _open_text(meta_path) as fh:
             for line in fh:
                 if "=" in line:
                     key, _, value = line.partition("=")

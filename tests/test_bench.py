@@ -30,7 +30,9 @@ from gavekit import (
     write_matrix_market,
 )
 from gavekit import bench as bench_module
-from gavekit.bench import ExperimentSpec, MethodSpec, build_method, parse_method_line, run_method
+from gavekit.bench import ExperimentSpec, MethodSpec, build_method, method_spec, run_method
+
+from conftest import count_calls
 
 SPEC_TEXT = """
 # exercise the example41 generator
@@ -43,6 +45,11 @@ method = nj omega=mhat
 method = nj omega=mhat inner=lsqr theta=paper
 method = nsor alpha=0.9 omega=mhat label=relaxed
 """
+
+
+def parse_method_line(line):
+    """The MethodSpec that a spec builds from ``method = line``."""
+    return parse_spec(f"problem = example41\nm = 4\nmu = 4\nmethod = {line}\n").methods[0]
 
 
 class TestParseSpec:
@@ -74,6 +81,13 @@ class TestParseSpec:
         spec = parse_spec("problem = dir:/tmp/p\nmethod = picard\n")
         assert spec.problem_kind == "dir"
         assert spec.directory == "/tmp/p"
+
+    def test_mhat_in_a_dir_spec_names_its_line(self):
+        # only example41 has the hatM that mhat scales
+        with pytest.raises(SpecError) as info:
+            parse_spec("problem = dir:/tmp/p\nmethod = picard\nmethod = nj omega=mhat:2\n")
+        assert str(info.value) == ("omega 'mhat' is only available for example41 problems "
+                                   "(line 3: method = nj omega=mhat:2)")
 
     def test_requires_methods(self):
         with pytest.raises(SpecError, match="method"):
@@ -128,6 +142,10 @@ class TestParseSpec:
             ("ngs alpha=1.7", "ngs takes no alpha"),
             ("nj lmax=abc", "bad lmax value 'abc'"),
             ("nj inner=lsqr theta=1.5", "constant theta must lie in [0, 1)"),
+            ("nj omega=identity:abc", "bad omega value 'abc'"),
+            ("nj omega=0", "unknown omega token '0'"),
+            ("nj omega=file:/nonexistent.mtx",
+             "[Errno 2] No such file or directory: '/nonexistent.mtx'"),
         ],
     )
     def test_method_line_errors_name_their_line(self, line, message):
@@ -142,13 +160,13 @@ class TestParseMethodLine:
     def test_defaults(self):
         m = parse_method_line("nj")
         assert m.kind.name == "nj" and m.config.inner == "direct"
-        assert m.omega_token is None
+        assert m.omega is None and m.omega_tag is None
         assert m.config.theta.kind == "paper"
 
     def test_options(self):
         m = parse_method_line("nsor alpha=0.9 omega=mhat:1.5 inner=lsqr theta=0.3 maxinner=40")
         assert m.kind.alpha == 0.9
-        assert m.omega_token == "mhat:1.5"
+        assert m.omega == OmegaSpec.scaled(1.5, None) and m.omega_tag == "mhat:1.5"
         assert m.config.theta.kind == "constant" and m.config.theta.theta == 0.3
         assert m.config.max_inner == 40
 
@@ -281,20 +299,33 @@ class TestRunMethod:
 
 
 class TestResolveOmegaToken:
+    # a method's omega token is typed when its line (or --omega) is read
+
     @pytest.mark.parametrize("token", ["0", "ZERO", "identity", "file"])
     def test_unknown_tokens(self, token):
         # zero has one spelling; "0" is not a second one
         with pytest.raises(SpecError, match="unknown omega token"):
-            bench_module.resolve_omega_token(token)
+            parse_method_line(f"nj omega={token}")
 
     def test_zero(self):
-        assert bench_module.resolve_omega_token(" zero ") == OmegaSpec.zero()
+        assert method_spec("nj", {"omega": " zero "}).omega == OmegaSpec.zero()
 
     def test_file_token_is_the_matrix_it_reads(self, tmp_path):
         write_matrix_market(tmp_path / "omega.mtx", sparse_scale(2.0, identity(3)))
-        omega = bench_module.resolve_omega_token(f"file:{tmp_path / 'omega.mtx'}")
-        assert isinstance(omega, SparseMatrix)
-        np.testing.assert_array_equal(omega.to_dense(), 2.0 * np.eye(3))
+        method = method_spec("nj", {"omega": f"file:{tmp_path / 'omega.mtx'}"})
+        assert isinstance(method.omega, SparseMatrix)
+        np.testing.assert_array_equal(method.omega.to_dense(), 2.0 * np.eye(3))
+        assert method.omega_tag == f"file:{tmp_path / 'omega.mtx'}"
+
+    def test_file_shift_is_read_once(self, tmp_path, monkeypatch):
+        # read when the spec is read, and not again when the rows are built
+        write_matrix_market(tmp_path / "omega.mtx", identity(16))
+        calls = count_calls(monkeypatch, bench_module, ("read_matrix_market",))
+        rows = run_experiment(parse_spec(
+            "problem = example41\nm = 4\nmu = 4\nrepeats = 1\n"
+            f"method = nj omega=file:{tmp_path / 'omega.mtx'}\n"))
+        assert calls == {"read_matrix_market": 1}
+        assert [row.n for row in rows] == [16]
 
 
 class TestTuneAlpha:

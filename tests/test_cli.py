@@ -1,5 +1,7 @@
 """End-to-end CLI runs (in-process) and exit-code contracts."""
 
+import pathlib
+
 import numpy as np
 import pytest
 import scipy.sparse.linalg
@@ -160,6 +162,53 @@ def test_unreadable_or_undecodable_path_exits_2(tmp_path, capsys, argv):
 
 
 @pytest.mark.parametrize(
+    "argv, name",
+    [
+        ("bench --spec {tmp}/binary.spec", "binary.spec"),
+        ("solve --example41 4 4 --omega file:{tmp}/comment.mtx", "comment.mtx"),
+        ("solve --example41 4 4 --omega file:{tmp}/accent.mtx", "accent.mtx"),
+        ("solve --problem {tmp}/prob", "meta"),
+        ("solve --problem {tmp}/vector", "b.txt"),
+    ],
+    ids=["spec", "mtx-comment-line", "mtx-entry-line", "meta", "vector"],
+)
+def test_undecodable_text_names_its_file(tmp_path, capsys, argv, name):
+    (tmp_path / "binary.spec").write_bytes(b"problem = example41\n\xd0\x00\n")
+    (tmp_path / "comment.mtx").write_bytes(
+        b"%%MatrixMarket matrix coordinate real general\n% caf\xc3\xa9\n16 16 0\n")
+    (tmp_path / "accent.mtx").write_bytes(
+        b"%%MatrixMarket matrix coordinate real general\n16 16 1\n1 1 1.0 \xe9\n")
+    for directory, bad in (("prob", "meta"), ("vector", "b.txt")):
+        save_problem(GaveProblem(A=identity(3), B=zeros(3), b=np.ones(3)), tmp_path / directory)
+        (tmp_path / directory / bad).write_bytes(b"provenance = caf\xc3\xa9\n")
+    assert main(argv.format(tmp=tmp_path).split()) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {tmp_path}/") and f"{name}: " in err
+    assert "codec can't decode" in err
+
+
+def test_bench_out_that_cannot_be_written_runs_no_solve(tmp_path, capsys, monkeypatch):
+    calls = count_calls(monkeypatch, gavekit.bench, ("run_method",))
+    smoke = pathlib.Path(__file__).parent.parent / "specs" / "smoke.spec"
+    assert main(["bench", "--spec", str(smoke), "--out", str(tmp_path)]) == 2
+    assert "Is a directory" in capsys.readouterr().err
+    assert calls == {}
+
+
+def test_bench_out_keeps_an_old_table_until_the_new_one_is_ready(tmp_path, capsys):
+    spec, out = tmp_path / "spec.txt", tmp_path / "table.csv"
+    spec.write_text("problem = example41\nm = 4\nmu = 4\nrepeats = 1\nmethod = nmn\n")
+    out.write_text("old table\n")
+    assert main(["bench", "--spec", str(spec), "--out", str(out)]) == 2
+    assert out.read_text() == "old table\n"
+    spec.write_text("problem = example41\nm = 4\nmu = 4\nrepeats = 1\nmethod = nj omega=mhat\n")
+    assert main(["bench", "--spec", str(spec), "--out", str(out)]) == 0
+    assert out.read_text().startswith("method,n,mu,omega,")
+    assert out.read_text().count("\n") == 2
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize(
     "method_line, argv",
     [
         ("nj lmax=abc", None),
@@ -272,7 +321,8 @@ def test_solve_builds_the_method_a_spec_line_builds(monkeypatch, capsys, line, a
     spec = f"problem = example41\nm = 4\nmu = 4\ntol = 1e-5\nkmax = 50\nmethod = {line}\n"
     assert solve_method == gavekit.bench.parse_spec(spec).methods[0]
     assert certify_method.kind == solve_method.kind
-    assert certify_method.omega_token == solve_method.omega_token
+    assert certify_method.omega == solve_method.omega
+    assert certify_method.omega_tag == solve_method.omega_tag
 
 
 @pytest.mark.parametrize(
