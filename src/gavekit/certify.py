@@ -49,10 +49,12 @@ __all__ = [
 _MARGINAL_BAND = 1e-4
 
 # Relative Ritz residual tau for every Lanczos run behind a certificate,
-# derived from the marginal band. ARPACK stops when the Ritz residual r of
-# the top Ritz value theta of a symmetric operator has norm(r) <= tau *
-# theta; some eigenvalue then lies within norm(r) of theta, with no gap
-# needed, and the top Ritz value approaches it from below. So each norm
+# derived from the marginal band. The Lanczos kernel stops when the Ritz
+# residual estimate r = beta_j * |s_j| of the top Ritz value theta of a
+# symmetric PSD operator has r <= tau * theta; some eigenvalue then lies
+# within r of theta, with no gap needed, and the top Ritz value approaches
+# it from below. The plain recurrence keeps both facts up to O(eps) in
+# floating point, orthogonality lost or not (Paige 1980). So each norm
 # sqrt(theta) and each inverse norm 1/sigma_min is within tau/2 relative,
 # and every side of ExactEq6 and of the _BOUNDS conditions, a product or a
 # positive combination of such quantities, is within tau relative (first

@@ -13,7 +13,9 @@ results:
 - the norm and eigenvalue estimators give dense LAPACK answers for
   matrices of order at most :data:`DENSE_CUTOFF`, as :func:`uses_dense`
   decides at call time; above it all of them run
-  one Lanczos kernel (ARPACK ``eigsh``, stopping on the Ritz residual)
+  one Lanczos kernel (:func:`_lanczos_top`: the plain three-term
+  recurrence, stopping on the Ritz residual, tested every 5th step within
+  a budget of :data:`_MAX_STEPS` steps)
   started from a seeded pseudo-random unit vector. No estimator uses a
   structured start such as (1, -1, 1, ...): it is exactly orthogonal to
   the smooth lowest mode of a grid Laplacian with an even side, and the
@@ -32,6 +34,7 @@ from dataclasses import dataclass
 from math import sqrt
 
 import numpy as np
+import scipy.linalg
 import scipy.sparse.linalg
 
 from .errors import (
@@ -71,8 +74,9 @@ DENSE_CUTOFF = 500
 # Pivots smaller than this times the infinity norm count as singular.
 _PIVOT_TOL = 1e-14
 
-# ARPACK restart budget of every Lanczos estimate, read at call time.
-_MAX_RESTARTS = 10000
+# Step budget of every Lanczos estimate (one operator application per
+# step), read at call time.
+_MAX_STEPS = 10000
 
 
 def uses_dense(A):
@@ -306,17 +310,23 @@ def _lanczos_top(apply, n, rel_tol, what, finish):
     """``finish`` of the largest eigenvalue of a symmetric PSD operator.
 
     ``apply(v)`` applies the operator; ``finish`` maps its top eigenvalue to
-    the estimated quantity. Runs ARPACK's implicitly restarted Lanczos
-    (``eigsh``) from :func:`_seeded_start`; it stops once the Ritz residual
-    is at most ``rel_tol`` times the Ritz value, or after
-    :data:`_MAX_RESTARTS` restarts.
+    the estimated quantity. Runs the plain three-term Lanczos recurrence
+    from :func:`_seeded_start`, one application per step and no
+    reorthogonalisation. At steps 0, 5, 10, ... it takes the top Ritz pair
+    ``(theta, s)`` of the tridiagonal ``T_j`` and stops once
+    ``beta_j * |s_j| <= rel_tol * theta``, ARPACK's rule; at
+    ``beta_j == 0`` it stops at once with ``theta``, exact on that
+    invariant subspace (for ``n == 1``, at step 0). Lost orthogonality does not void the rule: in
+    floating point every Ritz value stays inside the spectrum up to
+    O(eps * norm), and one whose residual estimate ``beta_j * |s_j|`` is
+    small lies within that estimate of an eigenvalue up to the same order
+    (Paige 1980; Parlett, *The Symmetric Eigenvalue Problem*, ch. 13).
 
     Raises
     ------
     ConvergenceFailure
-        If the restart budget runs out. ``best_estimate`` is ``finish`` of
-        the top Ritz value when ARPACK reports one as converged, else
-        ``None``.
+        If :data:`_MAX_STEPS` steps pass without stopping; ``best_estimate``
+        is ``None``.
     NumericsError
         If the operator produces a non-finite value.
     """
@@ -327,27 +337,29 @@ def _lanczos_top(apply, n, rel_tol, what, finish):
             raise NumericsError(f"non-finite value in {what}")
         return w
 
-    if n == 1:
-        # ARPACK needs more than one dimension; a 1 x 1 operator is its value
-        return float(finish(matvec(np.ones(1))[0]))
-    op = scipy.sparse.linalg.LinearOperator((n, n), matvec=matvec, dtype=float)
-    try:
-        lam = scipy.sparse.linalg.eigsh(
-            op,
-            k=1,
-            which="LA",
-            v0=_seeded_start(n),
-            tol=rel_tol,
-            maxiter=_MAX_RESTARTS,
-            return_eigenvectors=False,
-        )[0]
-    except scipy.sparse.linalg.ArpackNoConvergence as exc:
-        found = exc.eigenvalues
-        raise ConvergenceFailure(
-            f"{what} did not converge in {_MAX_RESTARTS} restarts",
-            best_estimate=float(finish(found[0])) if len(found) else None,
-        ) from None
-    return float(finish(lam))
+    v, v_prev, beta = _seeded_start(n), np.zeros(n), 0.0
+    alphas, betas = [], []  # the diagonal and off-diagonal of T_j
+    for j in range(_MAX_STEPS):
+        w = matvec(v) - beta * v_prev
+        alpha = float(w @ v)
+        w -= alpha * v
+        beta = float(np.linalg.norm(w))
+        alphas.append(alpha)
+        # the test runs every 5th step: at j ~ 200 the Ritz pair costs more
+        # than a product at n = 10000, and a later stop only tightens the
+        # estimate; beta == 0 is tested every step, as it guards w / beta
+        if beta == 0.0 or j % 5 == 0:
+            theta, s = scipy.linalg.eigh_tridiagonal(
+                alphas, betas, select="i", select_range=(j, j)
+            )
+            if beta == 0.0 or beta * abs(s[-1, 0]) <= rel_tol * theta[0]:
+                return float(finish(theta[0]))
+        betas.append(beta)
+        w /= beta
+        v_prev, v = v, w
+    raise ConvergenceFailure(
+        f"{what} did not converge in {_MAX_STEPS} Lanczos steps", best_estimate=None
+    )
 
 
 def spectral_norm(A, rel_tol=1e-8):
@@ -355,14 +367,13 @@ def spectral_norm(A, rel_tol=1e-8):
 
     Uses a dense SVD when ``max(A.shape) <= DENSE_CUTOFF``, and otherwise
     Lanczos on ``A.T @ A`` to relative Ritz residual ``rel_tol`` within
-    the module's restart budget, ``_MAX_RESTARTS``. ``A.T @ A`` is applied
-    as two CSR products, the second on ``A``'s cached transpose.
+    the module's step budget, ``_MAX_STEPS``. ``A.T @ A`` is applied as two
+    CSR products, the second on ``A``'s cached transpose.
 
     Raises
     ------
     ConvergenceFailure
-        If the restart budget runs out; ``best_estimate`` carries the
-        converged singular value if ARPACK reported one, else ``None``.
+        If the step budget runs out; ``best_estimate`` is ``None``.
     """
     _check_rel_tol(rel_tol)
     if A.nnz == 0 or A.max_abs() == 0.0:
@@ -378,13 +389,12 @@ def min_singular_value(A, rel_tol=1e-10):
 
     Uses a dense SVD for ``n <= DENSE_CUTOFF`` and otherwise Lanczos on
     ``(A.T A)^{-1}``, applied through the LU factors, to relative Ritz
-    residual ``rel_tol`` within the restart budget ``_MAX_RESTARTS``.
+    residual ``rel_tol`` within the step budget ``_MAX_STEPS``.
 
     Raises
     ------
     ConvergenceFailure
-        If the restart budget runs out; ``best_estimate`` carries the
-        converged sigma_min if ARPACK reported one, else ``None``.
+        If the step budget runs out; ``best_estimate`` is ``None``.
     """
     _check_rel_tol(rel_tol)
     if not A.is_square:
@@ -428,13 +438,12 @@ def symmetric_eig_extremes(H, rel_tol=1e-11):
     beyond it) are positive definite, and the top eigenvalue of each
     inverse, applied through its LU, exposes one extreme eigenvalue with a
     wide spectral gap. Each Lanczos run stops at relative Ritz residual
-    ``rel_tol`` or after ``_MAX_RESTARTS`` ARPACK restarts.
+    ``rel_tol`` or fails after ``_MAX_STEPS`` steps.
 
     Raises
     ------
     ConvergenceFailure
-        If a restart budget runs out; ``best_estimate`` carries that
-        extreme eigenvalue if ARPACK reported it converged, else ``None``.
+        If a step budget runs out; ``best_estimate`` is ``None``.
     """
     _check_rel_tol(rel_tol)
     _check_symmetry(H, 1.0, 1e-12, "symmetric_eig_extremes")

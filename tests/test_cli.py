@@ -4,10 +4,10 @@ import pathlib
 
 import numpy as np
 import pytest
-import scipy.sparse.linalg
 
 import gavekit.bench
 import gavekit.certify
+import gavekit.linalg
 from gavekit import (
     Condition,
     GaveProblem,
@@ -664,11 +664,8 @@ def test_certify_unknown_condition_exits_2(capsys):
 
 
 def test_certify_estimator_without_convergence_exits_3(monkeypatch, capsys):
-    # no option reaches the ARPACK restart budget, so the failure is injected
-    def no_convergence(*args, **kwargs):
-        raise scipy.sparse.linalg.ArpackNoConvergence("no convergence", [], [])
-
-    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", no_convergence)
+    # no option reaches the Lanczos step budget, so it is cut to one step
+    monkeypatch.setattr(gavekit.linalg, "_MAX_STEPS", 1)
     code = main(["certify", "--example41", "24", "4", "--method", "ngs",
                  "--omega", "mhat", "--condition", "Cor34"])
     assert code == 3

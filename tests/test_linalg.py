@@ -1,5 +1,7 @@
 """LU factorization, LSQR, and the spectral estimators."""
 
+import functools
+
 import numpy as np
 import pytest
 import scipy.sparse.linalg
@@ -30,6 +32,7 @@ from gavekit import (
     symmetric_eig_extremes,
     zeros,
 )
+from gavekit.certify import _NORM_RTOL
 from gavekit.linalg import DENSE_CUTOFF, _lanczos_top
 
 from conftest import random_dominant, random_sparse, tridiag
@@ -297,17 +300,17 @@ class TestSpectralNorm:
         assert spectral_norm(A) == pytest.approx(2.0, rel=1e-8)
 
     def test_single_column_above_cutoff(self):
-        # A.T @ A is 1 x 1 here, below the smallest size ARPACK accepts
+        # A.T @ A is 1 x 1 here: the recurrence has no second step
         A = SparseMatrix.from_dense(np.full((600, 1), 0.5))
         assert spectral_norm(A) == pytest.approx(0.5 * np.sqrt(600), rel=1e-12)
 
     def test_budget_exhaustion_carries_estimate(self, monkeypatch):
         # above the dense cutoff, with the top pair inside a dense cluster
         A = diag_matrix(np.r_[1.0, np.linspace(0.999999, 0.0, 599)])
-        monkeypatch.setattr(gavekit.linalg, "_MAX_RESTARTS", 1)
+        monkeypatch.setattr(gavekit.linalg, "_MAX_STEPS", 20)
         with pytest.raises(ConvergenceFailure) as info:
             spectral_norm(A, rel_tol=1e-15)
-        # ARPACK hands back only Ritz values that have converged
+        # a spent step budget hands back no estimate
         est = info.value.best_estimate
         assert est is None or est == pytest.approx(1.0, rel=1e-3)
 
@@ -349,6 +352,59 @@ class TestSpectralNormOperator:
         assert spectral_norm(X, rel_tol=1e-10) == want
 
 
+def _counting(apply):
+    """``apply`` and a list whose one entry counts its applications."""
+    count = [0]
+
+    def counted(v):
+        count[0] += 1
+        return apply(v)
+
+    return counted, count
+
+
+class TestLanczosCadence:
+    """Operator applications of the plain Lanczos recurrence, counted."""
+
+    def test_identity_stops_at_the_first_test(self, monkeypatch):
+        counts = []
+
+        def counting_top(apply, *args):
+            counted, count = _counting(apply)
+            counts.append(count)
+            return _lanczos_top(counted, *args)
+
+        monkeypatch.setattr(gavekit.linalg, "_lanczos_top", counting_top)
+        assert spectral_norm(identity(600)) == pytest.approx(1.0, rel=1e-15, abs=0)
+        assert [c[0] for c in counts] == [1]
+
+    def test_three_distinct_values_stop_one_interval_past_step_3(self):
+        # a 3-dimensional Krylov space: beta_3 is rounding-sized, not 0, so
+        # the recurrence runs on to the next test, at step 5
+        d = np.repeat([1.0, 2.0, 3.0], 200)
+        apply, count = _counting(lambda v: d * v)
+        top = _lanczos_top(apply, d.size, 1e-8, "diagonal", float)
+        assert top == pytest.approx(3.0, rel=1e-12)
+        assert count[0] <= 6
+
+    @pytest.mark.parametrize("budget", [1, 7, 13])
+    def test_one_application_per_step(self, monkeypatch, budget):
+        d = np.r_[1.0, np.linspace(0.999999, 0.0, 599)]
+        apply, count = _counting(lambda v: d * v)
+        monkeypatch.setattr(gavekit.linalg, "_MAX_STEPS", budget)
+        with pytest.raises(ConvergenceFailure, match=f"in {budget} Lanczos steps"):
+            _lanczos_top(apply, d.size, 1e-15, "diagonal", float)
+        assert count[0] == budget
+
+    def test_stops_only_at_a_test_step(self):
+        # the test runs at steps 0, 5, 10, ..., after 1, 6, 11, ... applications
+        d = np.linspace(1.0, 2.0, 600)
+        apply, count = _counting(lambda v: d * v)
+        assert _lanczos_top(apply, d.size, 1e-8, "diagonal", float) == pytest.approx(2.0, rel=1e-8)
+        assert count[0] > 1
+        assert count[0] % 5 == 1
+
+
 class TestMinSingularValue:
     def test_diagonal(self):
         assert min_singular_value(diag_matrix([1.0, -3.0, 2.0])) == pytest.approx(1.0)
@@ -371,7 +427,7 @@ class TestMinSingularValue:
 
     def test_budget_exhaustion_carries_estimate(self, monkeypatch):
         A = diag_matrix(1.0 / np.r_[1.0, np.linspace(0.999999, 0.5, 599)])  # n = 600
-        monkeypatch.setattr(gavekit.linalg, "_MAX_RESTARTS", 1)
+        monkeypatch.setattr(gavekit.linalg, "_MAX_STEPS", 20)
         with pytest.raises(ConvergenceFailure) as info:
             min_singular_value(A, rel_tol=1e-15)
         est = info.value.best_estimate
@@ -437,6 +493,18 @@ class TestSymmetricEigExtremes:
         assert hi == pytest.approx(4 + c, rel=1e-10)
 
 
+@functools.lru_cache(maxsize=None)
+def _certified_example41(m, mu):
+    """The matrices certify estimates for ngs with Omega = hatM, each with
+    its dense singular values: name -> (matrix, singular values)."""
+    _, p, hat = gen_example41(m, mu)
+    s = build_splitting(p.A, "ngs", OmegaSpec.scaled(1.0, hat))
+    mats = {"A": p.A, "B": p.B, "Omega+M": sparse_add(s.omega, s.M),
+            "Omega+N": sparse_add(s.omega, s.N)}
+    return {name: (X, np.linalg.svd(X.to_dense(), compute_uv=False))
+            for name, X in mats.items()}
+
+
 @pytest.mark.parametrize("mu", [4.0, -1.0])
 @pytest.mark.parametrize("m", [24, 25, 30, 31, 40])
 class TestEstimatorsOnExample41:
@@ -447,9 +515,8 @@ class TestEstimatorsOnExample41:
     """
 
     def test_min_singular_value(self, m, mu):
-        A = gen_example41(m, mu)[1].A
-        want = np.linalg.svd(A.to_dense(), compute_uv=False)[-1]
-        assert min_singular_value(A) == pytest.approx(want, rel=1e-8)
+        A, svals = _certified_example41(m, mu)["A"]
+        assert min_singular_value(A) == pytest.approx(svals[-1], rel=1e-8)
 
     def test_symmetric_eig_extremes(self, m, mu):
         H, _ = hermitian_split(gen_example41(m, mu)[1].A)
@@ -459,10 +526,26 @@ class TestEstimatorsOnExample41:
         assert hi == pytest.approx(eigs[-1], rel=1e-8)
 
     def test_spectral_norm(self, m, mu):
-        p = gen_example41(m, mu)[1]
-        for X in (p.A, p.B):
-            want = np.linalg.svd(X.to_dense(), compute_uv=False)[0]
-            assert spectral_norm(X) == pytest.approx(want, rel=1e-10)
+        for name in ("A", "B"):
+            X, svals = _certified_example41(m, mu)[name]
+            assert spectral_norm(X) == pytest.approx(svals[0], rel=1e-10)
+
+    def test_shifted_splitting_at_certify_tolerance(self, m, mu):
+        # the non-symmetric Omega+M and Omega+N, at the tolerance certify uses
+        mats = _certified_example41(m, mu)
+        for name in ("Omega+M", "Omega+N"):
+            X, svals = mats[name]
+            assert spectral_norm(X, rel_tol=_NORM_RTOL) == pytest.approx(svals[0], rel=1e-6)
+        X, svals = mats["Omega+M"]
+        assert min_singular_value(X, rel_tol=_NORM_RTOL) == pytest.approx(svals[-1], rel=1e-6)
+
+    def test_errors_only_in_the_documented_direction(self, m, mu):
+        # a Ritz value of a PSD operator never exceeds its top eigenvalue by
+        # more than rounding: a norm is never above the dense value, and
+        # sigma_min, the inverse of a norm, never below it
+        for X, svals in _certified_example41(m, mu).values():
+            assert spectral_norm(X, rel_tol=_NORM_RTOL) <= svals[0] * (1 + 1e-12)
+            assert min_singular_value(X, rel_tol=_NORM_RTOL) >= svals[-1] * (1 - 1e-12)
 
 
 @pytest.mark.parametrize("mu", [4.0, -1.0])
@@ -538,7 +621,7 @@ def test_non_finite_entry_raises_numerics_error(estimate, n, bad):
 )
 def test_rel_tol_must_be_finite_and_positive(estimate, rel_tol):
     # dense sizes: a NaN rel_tol used to pass there silently, and above
-    # DENSE_CUTOFF it ran the whole ARPACK restart budget
+    # DENSE_CUTOFF it would run the whole Lanczos step budget
     X = tridiag(-1, 4, -1, 6)
     if estimate is skew_spectral_radius:
         X = SparseMatrix.from_coo(6, 6, [0, 1], [1, 0], [1.0, -1.0])
