@@ -55,7 +55,11 @@ _MARGINAL_BAND = 1e-4
 # within r of theta, with no gap needed, and the top Ritz value approaches
 # it from below. The plain recurrence keeps both facts up to O(eps) in
 # floating point, orthogonality lost or not (Paige 1980). So each norm
-# sqrt(theta) and each inverse norm 1/sigma_min is within tau/2 relative,
+# sqrt(theta) and each inverse norm 1/sigma_min is within tau/2 relative
+# (sigma_min of a symmetric X with Gershgorin lo >= 0 is lambda_min, from
+# the top Ritz value of (X - s I)^-1 at s = max(lo - delta, 0) run to tau/2,
+# which puts it within tau/2 * (lambda_min - s) / lambda_min <= tau/2 and,
+# as on the (X.T X)^-1 path, errs only high, so the inverse norm errs low),
 # and every side of ExactEq6 and of the _BOUNDS conditions, a product or a
 # positive combination of such quantities, is within tau relative (first
 # order): 100x inside _MARGINAL_BAND, so no verdict outside the band flips

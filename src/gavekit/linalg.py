@@ -15,8 +15,13 @@ results:
   decides at call time; above it all of them run
   one Lanczos kernel (:func:`_lanczos_top`: the plain three-term
   recurrence, stopping on the Ritz residual, tested every 5th step within
-  a budget of :data:`_MAX_STEPS` steps)
-  started from a seeded pseudo-random unit vector. No estimator uses a
+  a budget of :data:`_MAX_STEPS` steps, with the Ritz pair from LAPACK's
+  ``dstebz``/``dstein`` as ``eigh_tridiagonal`` computes it)
+  started from a seeded pseudo-random unit vector. :func:`min_singular_value`
+  of an exactly symmetric matrix whose Gershgorin interval starts at or
+  above 0 runs it on the inverse shifted to just below that interval, one
+  LU solve per step; every other matrix on ``(A.T A)^{-1}``, two solves per
+  step. No estimator uses a
   structured start such as (1, -1, 1, ...): it is exactly orthogonal to
   the smooth lowest mode of a grid Laplacian with an even side, and the
   iteration would then lock onto the next mode;
@@ -34,8 +39,8 @@ from dataclasses import dataclass
 from math import sqrt
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse.linalg
+from scipy.linalg.lapack import dstebz, dstein
 
 from .errors import (
     ConvergenceFailure,
@@ -306,6 +311,27 @@ def _check_rel_tol(rel_tol):
         raise ParameterError(f"rel_tol must be finite and positive, got {rel_tol!r}")
 
 
+def _top_ritz_pair(alphas, betas):
+    """Top eigenvalue ``theta`` of the symmetric tridiagonal with diagonal
+    ``alphas`` and off-diagonal ``betas``, and the last entry of its unit
+    eigenvector: ``eigh_tridiagonal(alphas, betas, select="i",
+    select_range=(j, j))`` bit for bit, for ``j = len(alphas) - 1``.
+
+    It calls the two LAPACK routines that function runs, ``dstebz`` (by
+    index, tolerance 0, block order) and ``dstein``, without its input
+    validation and driver lookup; an order-1 matrix is its own eigenvalue.
+    """
+    j = alphas.size - 1
+    if j == 0:
+        return alphas[0], 1.0
+    m, w, iblock, isplit, info = dstebz(alphas, betas, 2, 0.0, 1.0, j + 1, j + 1, 0.0, "B")
+    if info == 0:
+        z, info = dstein(alphas, betas, w[:m], iblock, isplit)
+    if info:
+        raise NumericsError(f"LAPACK failed on the Lanczos tridiagonal (info = {info})")
+    return w[0], z[-1, 0]
+
+
 def _lanczos_top(apply, n, rel_tol, what, finish):
     """``finish`` of the largest eigenvalue of a symmetric PSD operator.
 
@@ -313,8 +339,8 @@ def _lanczos_top(apply, n, rel_tol, what, finish):
     the estimated quantity. Runs the plain three-term Lanczos recurrence
     from :func:`_seeded_start`, one application per step and no
     reorthogonalisation. At steps 0, 5, 10, ... it takes the top Ritz pair
-    ``(theta, s)`` of the tridiagonal ``T_j`` and stops once
-    ``beta_j * |s_j| <= rel_tol * theta``, ARPACK's rule; at
+    ``(theta, s)`` of the tridiagonal ``T_j`` (:func:`_top_ritz_pair`) and
+    stops once ``beta_j * |s_j| <= rel_tol * theta``, ARPACK's rule; at
     ``beta_j == 0`` it stops at once with ``theta``, exact on that
     invariant subspace (for ``n == 1``, at step 0). Lost orthogonality does not void the rule: in
     floating point every Ritz value stays inside the spectrum up to
@@ -337,28 +363,27 @@ def _lanczos_top(apply, n, rel_tol, what, finish):
             raise NumericsError(f"non-finite value in {what}")
         return w
 
+    steps = _MAX_STEPS
     v, v_prev, beta = _seeded_start(n), np.zeros(n), 0.0
-    alphas, betas = [], []  # the diagonal and off-diagonal of T_j
-    for j in range(_MAX_STEPS):
+    alphas, betas = np.empty(steps), np.empty(steps)  # T_j's diagonals
+    for j in range(steps):
         w = matvec(v) - beta * v_prev
         alpha = float(w @ v)
         w -= alpha * v
         beta = float(np.linalg.norm(w))
-        alphas.append(alpha)
+        alphas[j] = alpha
         # the test runs every 5th step: at j ~ 200 the Ritz pair costs more
         # than a product at n = 10000, and a later stop only tightens the
         # estimate; beta == 0 is tested every step, as it guards w / beta
         if beta == 0.0 or j % 5 == 0:
-            theta, s = scipy.linalg.eigh_tridiagonal(
-                alphas, betas, select="i", select_range=(j, j)
-            )
-            if beta == 0.0 or beta * abs(s[-1, 0]) <= rel_tol * theta[0]:
-                return float(finish(theta[0]))
-        betas.append(beta)
+            theta, s = _top_ritz_pair(alphas[: j + 1], betas[:j])
+            if beta == 0.0 or beta * abs(s) <= rel_tol * theta:
+                return float(finish(theta))
+        betas[j] = beta
         w /= beta
         v_prev, v = v, w
     raise ConvergenceFailure(
-        f"{what} did not converge in {_MAX_STEPS} Lanczos steps", best_estimate=None
+        f"{what} did not converge in {steps} Lanczos steps", best_estimate=None
     )
 
 
@@ -387,12 +412,22 @@ def spectral_norm(A, rel_tol=1e-8):
 def min_singular_value(A, rel_tol=1e-10):
     """Smallest singular value of a square nonsingular matrix.
 
-    Uses a dense SVD for ``n <= DENSE_CUTOFF`` and otherwise Lanczos on
-    ``(A.T A)^{-1}``, applied through the LU factors, to relative Ritz
-    residual ``rel_tol`` within the step budget ``_MAX_STEPS``.
+    Uses a dense SVD for ``n <= DENSE_CUTOFF``. Above it, an exactly
+    symmetric ``A`` (``A == A.T`` entry for entry) whose Gershgorin interval
+    [lo, hi] has ``lo >= 0`` is positive semidefinite, so its smallest
+    singular value is its smallest eigenvalue: Lanczos on ``(A - s I)^{-1}``
+    with ``s = max(lo - delta, 0)`` (:func:`_lambda_min_above`), one LU solve
+    per step, to relative Ritz residual ``rel_tol / 2``. That puts the
+    result within ``rel_tol / 2`` relative, as on the general path. Every
+    other ``A`` runs Lanczos on ``(A.T A)^{-1}``, two LU solves per step, to
+    relative Ritz residual ``rel_tol``. On both paths the step budget is
+    ``_MAX_STEPS`` and the estimate errs only high: the top Ritz value of
+    the inverse approaches its top eigenvalue from below.
 
     Raises
     ------
+    SingularMatrixError
+        If ``A`` is numerically singular (from its LU on both paths).
     ConvergenceFailure
         If the step budget runs out; ``best_estimate`` is ``None``.
     """
@@ -409,9 +444,36 @@ def min_singular_value(A, rel_tol=1e-10):
                 f"matrix is numerically singular (sigma_min = {smin:.3e})"
             )
         return smin
+    S, ST = A.to_scipy(), A.to_scipy_transpose()
+    if all(np.array_equal(getattr(S, a), getattr(ST, a)) for a in ("indptr", "indices", "data")):
+        lo, _, delta = _gershgorin(A)
+        if lo >= 0.0:  # A is positive semidefinite
+            return _lambda_min_above(A, max(lo - delta, 0.0), rel_tol / 2, "min_singular_value")
     factor = lu_factorize(A)  # raises SingularMatrixError when singular
     return _lanczos_top(lambda v: factor.solve(factor.solve(v, transpose=True)), n, rel_tol,
                         "min_singular_value", lambda rho: 1.0 / np.sqrt(rho))
+
+
+def _gershgorin(H):
+    """``(lo, hi, delta)``: the per-row Gershgorin interval [lo, hi] of a
+    square matrix, which holds every eigenvalue of a symmetric one, and the
+    margin ``delta`` by which a shift steps outside it. The radius is the
+    row sums of ``|H - diag(H)|``, left to right."""
+    diag = H.diagonal()
+    radius = abs(sparse_sub(H, diag_matrix(diag)).to_scipy()) @ np.ones(H.n_rows)
+    hi = float(np.max(diag + radius))
+    lo = float(np.min(diag - radius))
+    return lo, hi, 1e-9 * max(hi - lo, abs(hi), abs(lo)) + 1e-300
+
+
+def _lambda_min_above(H, shift, rel_tol, what):
+    """Smallest eigenvalue of a symmetric ``H`` with ``H - shift I`` positive
+    definite: ``shift + 1 / rho`` for the top eigenvalue ``rho`` of
+    ``(H - shift I)^{-1}``, by Lanczos through its LU to relative Ritz
+    residual ``rel_tol``. The LU raises SingularMatrixError when
+    ``H - shift I`` is singular."""
+    lower = lu_factorize(sparse_sub(H, diag_matrix(np.full(H.n_rows, shift))))
+    return _lanczos_top(lower.solve, H.n_rows, rel_tol, what, lambda rho: shift + 1.0 / rho)
 
 
 def _check_symmetry(A, sign, rel_tol, what):
@@ -437,8 +499,10 @@ def symmetric_eig_extremes(H, rel_tol=1e-11):
     spectrum, ``sigma_hi I - H`` and ``H - sigma_lo I`` (shifts just
     beyond it) are positive definite, and the top eigenvalue of each
     inverse, applied through its LU, exposes one extreme eigenvalue with a
-    wide spectral gap. Each Lanczos run stops at relative Ritz residual
-    ``rel_tol`` or fails after ``_MAX_STEPS`` steps.
+    wide spectral gap (the lower one by :func:`_lambda_min_above`, as for
+    :func:`min_singular_value` of a symmetric matrix). Each Lanczos run
+    stops at relative Ritz residual ``rel_tol`` or fails after
+    ``_MAX_STEPS`` steps.
 
     Raises
     ------
@@ -453,22 +517,12 @@ def symmetric_eig_extremes(H, rel_tol=1e-11):
         return float(eigs[0]), float(eigs[-1])
     if H.nnz == 0 or H.max_abs() == 0.0:
         return 0.0, 0.0
-    # per-row Gershgorin interval [lo, hi] containing the whole spectrum;
-    # the radius is the row sums of |H - diag(H)|, left to right
-    diag = H.diagonal()
-    radius = abs(sparse_sub(H, diag_matrix(diag)).to_scipy()) @ np.ones(n)
-    hi = float(np.max(diag + radius))
-    lo = float(np.min(diag - radius))
-    delta = 1e-9 * max(hi - lo, abs(hi), abs(lo)) + 1e-300
-
+    lo, hi, delta = _gershgorin(H)
     sigma_hi = hi + delta
     upper = lu_factorize(sparse_sub(diag_matrix(np.full(n, sigma_hi)), H))
     lam_max = _lanczos_top(upper.solve, n, rel_tol, "symmetric_eig_extremes (max)",
                            lambda rho: sigma_hi - 1.0 / rho)
-    sigma_lo = lo - delta
-    lower = lu_factorize(sparse_sub(H, diag_matrix(np.full(n, sigma_lo))))
-    lam_min = _lanczos_top(lower.solve, n, rel_tol, "symmetric_eig_extremes (min)",
-                           lambda rho: sigma_lo + 1.0 / rho)
+    lam_min = _lambda_min_above(H, lo - delta, rel_tol, "symmetric_eig_extremes (min)")
     return float(lam_min), float(lam_max)
 
 

@@ -688,3 +688,19 @@ def test_certify_singular_shift_exits_3(tmp_path, capsys):
                  "--condition", "ExactEq6"])
     assert code == 3
     assert "singular" in capsys.readouterr().err
+
+
+def test_certify_singular_symmetric_psd_exits_3(tmp_path, capsys):
+    # the path-graph Laplacian above DENSE_CUTOFF: symmetric with Gershgorin
+    # lo = 0, so sigma_min takes the shifted path at shift 0, whose LU fails
+    n = 600
+    i = np.arange(n)
+    d = np.full(n, 2.0)
+    d[[0, -1]] = 1.0
+    A = SparseMatrix.from_coo(n, n, np.r_[i, i[:-1], i[1:]], np.r_[i, i[1:], i[:-1]],
+                              np.r_[d, -np.ones(2 * (n - 1))])
+    save_problem(GaveProblem(A=A, B=zeros(n), b=np.ones(n)), tmp_path / "path")
+    code = main(["certify", "--problem", str(tmp_path / "path"), "--method", "ngs",
+                 "--condition", "Cor34"])
+    assert code == 3
+    assert "singular" in capsys.readouterr().err

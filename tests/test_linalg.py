@@ -4,6 +4,7 @@ import functools
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse.linalg
 
 import gavekit.linalg
@@ -33,9 +34,9 @@ from gavekit import (
     zeros,
 )
 from gavekit.certify import _NORM_RTOL
-from gavekit.linalg import DENSE_CUTOFF, _lanczos_top
+from gavekit.linalg import DENSE_CUTOFF, _lanczos_top, _top_ritz_pair
 
-from conftest import random_dominant, random_sparse, tridiag
+from conftest import count_calls, random_dominant, random_sparse, tridiag
 
 
 class TestLu:
@@ -426,12 +427,46 @@ class TestMinSingularValue:
             min_singular_value(A)
 
     def test_budget_exhaustion_carries_estimate(self, monkeypatch):
-        A = diag_matrix(1.0 / np.r_[1.0, np.linspace(0.999999, 0.5, 599)])  # n = 600
+        # a cyclic shift times a diagonal: not symmetric, so the two-solve
+        # path on (A.T A)^-1, with the diagonal's clustered singular values
+        n = 600
+        d = 1.0 / np.r_[1.0, np.linspace(0.999999, 0.5, n - 1)]
+        A = SparseMatrix.from_coo(n, n, np.arange(n), (np.arange(n) + 1) % n, d)
         monkeypatch.setattr(gavekit.linalg, "_MAX_STEPS", 20)
         with pytest.raises(ConvergenceFailure) as info:
             min_singular_value(A, rel_tol=1e-15)
         est = info.value.best_estimate
         assert est is None or est == pytest.approx(1.0, rel=1e-3)
+
+    def test_budget_exhaustion_on_the_shifted_path(self, monkeypatch):
+        # symmetric positive definite, with the whole spectrum within the
+        # shift's margin (1e-9 here) of lambda_min = lo: (A - s I)^-1 has a
+        # dense cluster at its top
+        A = diag_matrix(np.r_[1.0, 1.0 + np.linspace(1e-12, 1e-10, 599)])
+        monkeypatch.setattr(gavekit.linalg, "_MAX_STEPS", 20)
+        with pytest.raises(ConvergenceFailure, match="in 20 Lanczos steps") as info:
+            min_singular_value(A, rel_tol=1e-15)
+        assert info.value.best_estimate is None
+
+    def test_singular_symmetric_psd_above_cutoff_raises(self):
+        # the path-graph Laplacian: Gershgorin lo = 0, so the shift is 0
+        dense = tridiag(-1, 2, -1, 600).to_dense()
+        dense[0, 0] = dense[-1, -1] = 1.0
+        with pytest.raises(SingularMatrixError):
+            min_singular_value(SparseMatrix.from_dense(dense))
+
+    @pytest.mark.parametrize("d", [
+        np.linspace(1.0, 2.0, 600),
+        np.r_[3.0, np.linspace(5.0, 7.0, 599)],
+        np.geomspace(1e-3, 1e3, 600),
+    ])
+    def test_lambda_min_at_the_gershgorin_bound(self, d):
+        # lo == lambda_min exactly: the shift stays a margin below it, far
+        # above the LU's pivot tolerance
+        for rel_tol in (_NORM_RTOL, 1e-10):
+            got = min_singular_value(diag_matrix(d), rel_tol=rel_tol)
+            assert got == pytest.approx(d.min(), rel=rel_tol / 2)
+            assert got >= d.min() * (1 - 1e-12)
 
     def test_consistent_with_lu_inverse_norm(self, rng):
         for _ in range(5):
@@ -491,6 +526,81 @@ class TestSymmetricEigExtremes:
         c = 2 * np.cos(np.pi / (m + 1))
         assert lo == pytest.approx(4 - c, rel=1e-10)
         assert hi == pytest.approx(4 + c, rel=1e-10)
+
+
+def test_top_ritz_pair_is_eigh_tridiagonals_bit_for_bit():
+    rng = np.random.default_rng(3)
+    cases = [(rng.standard_normal(n), rng.standard_normal(n - 1)) for n in range(1, 301)]
+    split = rng.standard_normal(40), rng.standard_normal(39)
+    split[1][17] = 0.0  # T splits into two blocks
+    for alphas, betas in [*cases, split]:
+        j = alphas.size - 1
+        theta, s = _top_ritz_pair(alphas, betas)
+        w, z = scipy.linalg.eigh_tridiagonal(alphas, betas, select="i", select_range=(j, j))
+        assert theta == w[0] and s == z[-1, 0]
+
+
+@functools.lru_cache(maxsize=None)
+def _nj_example41(m, mu):
+    """The symmetric matrices whose sigma_min certify estimates for nj (A and
+    Omega+M with Omega = hatM and 1.5 hatM), each with its dense sigma_min."""
+    _, p, hat = gen_example41(m, mu)
+    mats = {"A": p.A}
+    for scale in (1.0, 1.5):
+        s = build_splitting(p.A, "nj", OmegaSpec.scaled(scale, hat))
+        mats[f"Omega+M ({scale} hatM)"] = sparse_add(s.omega, s.M)
+    return {name: (X, np.linalg.svd(X.to_dense(), compute_uv=False)[-1])
+            for name, X in mats.items()}
+
+
+def _two_solve_min_singular_value(X, rel_tol):
+    """Lanczos on (X.T X)^-1 through X's LU, as for a nonsymmetric X."""
+    f = lu_factorize(X)
+    return _lanczos_top(lambda v: f.solve(f.solve(v, transpose=True)), X.n_rows, rel_tol,
+                        "min_singular_value", lambda rho: 1.0 / np.sqrt(rho))
+
+
+@pytest.mark.parametrize("mu", [4.0, -1.0])
+@pytest.mark.parametrize("m", [24, 25])
+class TestShiftedMinSingularValue:
+    """sigma_min of a symmetric matrix with Gershgorin lo >= 0, above the cutoff."""
+
+    @pytest.mark.parametrize("rel_tol", [_NORM_RTOL, 1e-10])
+    def test_against_dense_svd(self, m, mu, rel_tol):
+        for X, smin in _nj_example41(m, mu).values():
+            got = min_singular_value(X, rel_tol=rel_tol)
+            assert got == pytest.approx(smin, rel=rel_tol / 2)
+            assert got >= smin * (1 - 1e-12)
+
+    def test_one_solve_per_step(self, m, mu, monkeypatch):
+        solves = count_calls(monkeypatch, gavekit.linalg.Factorization, ("solve",))
+        applied = []
+
+        def counting_top(apply, *args):
+            counted, count = _counting(apply)
+            applied.append(count)
+            return _lanczos_top(counted, *args)
+
+        monkeypatch.setattr(gavekit.linalg, "_lanczos_top", counting_top)
+        for X, _ in _nj_example41(m, mu).values():
+            solves.clear()
+            applied.clear()
+            min_singular_value(X, rel_tol=_NORM_RTOL)
+            steps = applied[0][0]
+            assert solves == {"solve": steps}
+            assert steps <= 20
+
+
+@pytest.mark.parametrize("m", [24, 25])
+def test_indefinite_and_nonsymmetric_keep_the_two_solve_path(m):
+    # at mu = -1, B = hatM - 2 I is symmetric with Gershgorin lo = -2, and
+    # ngs Omega+M is not symmetric
+    _, p, hat = gen_example41(m, -1.0)
+    s = build_splitting(p.A, "ngs", OmegaSpec.scaled(1.0, hat))
+    for X in (p.B, sparse_add(s.omega, s.M)):
+        assert min_singular_value(X, rel_tol=_NORM_RTOL) == _two_solve_min_singular_value(
+            X, _NORM_RTOL
+        )
 
 
 @functools.lru_cache(maxsize=None)
