@@ -52,7 +52,6 @@ from .solver import (
     ThetaSchedule,
     inms_solve,
     nms_solve,
-    relative_res,
     residual,
     theta_at,
     verify_inexact_condition,

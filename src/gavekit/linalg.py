@@ -25,12 +25,15 @@ results:
   structured start such as (1, -1, 1, ...): it is exactly orthogonal to
   the smooth lowest mode of a grid Laplacian with an even side, and the
   iteration would then lock onto the next mode;
-- products with ``A.T`` (LSQR's adjoint, and the second factor of
-  ``A.T @ A`` in :func:`spectral_norm`) run on the CSR transpose the
-  matrix caches (``SparseMatrix.to_scipy_transpose``). Each entry of a
-  product on it sums the same terms in the same order as a product on
-  scipy's transposed (CSC) view, so the results are bit-identical to that
-  view's.
+- the products that repeat, LSQR's with ``A`` and ``A.T`` and
+  :func:`spectral_norm`'s two factors of ``A.T @ A``, run on the product
+  forms the matrix caches (``SparseMatrix.product_form``): scipy DIA for
+  a matrix whose entries lie on few diagonals, such as every example41
+  matrix, else CSR, with ``A.T`` as the cached CSR transpose
+  (``SparseMatrix.to_scipy_transpose``). Every entry of a product on a
+  form sums the same terms in the same order as the CSR product with
+  ``A``, or as a product on scipy's transposed (CSC) view of it, so the
+  results are bit-identical to those products.
 """
 
 from __future__ import annotations
@@ -54,7 +57,6 @@ from .sparse import (
     diag_matrix,
     sparse_scale,
     sparse_sub,
-    spmv,
 )
 
 __all__ = [
@@ -173,8 +175,8 @@ def lsqr(A, rhs, target_residual, max_iter):
 
     Runs scipy's Paige-Saunders LSQR bit for bit (:func:`_lsqr_run`) from
     zero, with ``btol = target_residual / norm(rhs)`` and ``atol``,
-    ``conlim`` off, and returns the iterate as a new array. The adjoint
-    products run on ``A``'s cached CSR transpose. ``A`` may be rectangular;
+    ``conlim`` off, and returns the iterate as a new array. Its products
+    run on ``A``'s cached product forms. ``A`` may be rectangular;
     a target of 0 means "as far as possible". ``iterations`` is scipy's
     ``itn``; ``residual_norm`` is recomputed from the returned iterate.
     ``stop_reason`` is "target_met" when that residual is at most the
@@ -194,12 +196,13 @@ def lsqr(A, rhs, target_residual, max_iter):
         return LsqrOutcome(np.zeros(A.n_cols), beta, 0, "target_met")
     if max_iter == 0:
         return LsqrOutcome(np.zeros(A.n_cols), beta, 0, "max_iter")
+    S = A.product_form()
     x, istop, itn = _lsqr_run(
-        A.to_scipy(), A.to_scipy_transpose(), rhs, beta, target_residual / beta, max_iter
+        S, A.product_form(transpose=True), rhs, beta, target_residual / beta, max_iter
     )
     if not np.all(np.isfinite(x)):
         raise NumericsError(f"non-finite lsqr iterate after {itn} iterations")
-    actual = float(np.linalg.norm(spmv(A, x) - rhs))
+    actual = float(np.linalg.norm(S @ x - rhs))
     if actual <= target_residual:
         reason = "target_met"
     elif istop == 7:
@@ -230,7 +233,7 @@ def _sym_ortho(a, b):
 
 def _lsqr_run(S, ST, b, bnorm, btol, iter_lim):
     """``x, istop, itn`` of scipy's ``lsqr(S, b, atol=0, btol=btol, conlim=0,
-    iter_lim=iter_lim)``, for ``bnorm = norm(b) > 0`` and ``ST = S.T`` as CSR:
+    iter_lim=iter_lim)``, for ``bnorm = norm(b) > 0`` and ``ST = S.T``:
     scipy's loop on ``u``, ``v``, ``w`` and ``x`` updated in place, each
     operation with scipy's operands in scipy's order (so scipy's rounding)."""
     eps = np.finfo(np.float64).eps
@@ -393,7 +396,7 @@ def spectral_norm(A, rel_tol=1e-8):
     Uses a dense SVD when ``max(A.shape) <= DENSE_CUTOFF``, and otherwise
     Lanczos on ``A.T @ A`` to relative Ritz residual ``rel_tol`` within
     the module's step budget, ``_MAX_STEPS``. ``A.T @ A`` is applied as two
-    CSR products, the second on ``A``'s cached transpose.
+    products on ``A``'s cached product forms of ``A`` and ``A.T``.
 
     Raises
     ------
@@ -405,7 +408,7 @@ def spectral_norm(A, rel_tol=1e-8):
         return 0.0
     if uses_dense(A):
         return float(np.linalg.norm(_dense(A, "spectral_norm"), 2))
-    S, ST = A.to_scipy(), A.to_scipy_transpose()
+    S, ST = A.product_form(), A.product_form(transpose=True)
     return _lanczos_top(lambda v: ST @ (S @ v), A.n_cols, rel_tol, "spectral_norm", np.sqrt)
 
 

@@ -8,6 +8,16 @@ stored, but sums and differences run on scipy's compiled CSR kernels and
 never store an entry that is exactly zero, whether it came from one operand
 or from cancellation. Dropping a zero removes only ``0 * x_j`` terms, so
 products with finite vectors are unchanged.
+
+Beside the CSR matrix a handle caches, on first use, a product form of
+itself and of its transpose (:meth:`SparseMatrix.product_form`): scipy DIA
+storage when the entries lie on few diagonals, else CSR. Only the loops
+that multiply one matrix many times use it (LSQR, ``spectral_norm``'s
+Lanczos operator and the solver's residual); :func:`spmv` and every
+one-off product stay on CSR, so no set-up builds one. A DIA product sums
+each row's terms in ascending offset order, which is CSR's column order,
+plus ``0 * x_j`` terms for the zeros DIA pads its diagonals with, so over
+finite vectors it is bit for bit the CSR product.
 """
 
 from __future__ import annotations
@@ -59,9 +69,12 @@ class SparseMatrix:
     ``has_canonical_format``; a violation raises ``ParameterError``.
     ``row_ptr``, ``col_idx`` and ``values`` are the read-only arrays of
     :meth:`to_scipy`, with the index dtype scipy chose (int32 when it fits).
+    The handle also caches ``A.T`` as CSR (:meth:`to_scipy_transpose`) and
+    the product forms of ``A`` and ``A.T`` (:meth:`product_form`), each
+    built on first use.
     """
 
-    __slots__ = ("_csr", "_csr_t")
+    __slots__ = ("_csr", "_csr_t", "_form", "_form_t")
 
     def __init__(self, n_rows, n_cols, row_ptr, col_idx, values):
         values = np.ascontiguousarray(values, dtype=np.float64)
@@ -89,7 +102,8 @@ class SparseMatrix:
         for arr in (csr.indptr, csr.indices, csr.data):
             arr.flags.writeable = False
         object.__setattr__(self, "_csr", csr)
-        object.__setattr__(self, "_csr_t", None)
+        for slot in ("_csr_t", "_form", "_form_t"):
+            object.__setattr__(self, slot, None)
         return self
 
     @classmethod
@@ -169,6 +183,32 @@ class SparseMatrix:
             object.__setattr__(self, "_csr_t", self._csr.T.tocsr())
         return self._csr_t
 
+    def product_form(self, transpose=False):
+        """Return (and cache) the scipy matrix that repeated products with
+        ``A``, or with ``A.T`` when ``transpose``, run on (do not modify it).
+
+        It is scipy DIA, with ascending offsets, when the stored entries lie
+        on ``d`` diagonals with ``0 < d * max(n_rows, n_cols) <= 1.5 * nnz``,
+        and otherwise the CSR of :meth:`to_scipy` or
+        :meth:`to_scipy_transpose`. DIA's kernel reads every slot of its
+        ``d`` diagonals, CSR's every stored entry plus its row pointers: on
+        five full diagonals at n = 10000 and 22500 DIA takes 0.70-0.75 of
+        CSR's time, and with short extra diagonals padding it, the two
+        times cross between ``d * n / nnz`` = 1.38 and 1.56. A DIA product
+        equals the CSR product bit for bit over finite vectors (see the
+        module docstring).
+        """
+        if self._form is None:
+            dia = _banded(self._csr)
+            object.__setattr__(self, "_form", self._csr if dia is None else dia)
+        if not transpose:
+            return self._form
+        if self._form_t is None:
+            form = self._form
+            form_t = self.to_scipy_transpose() if form is self._csr else _dia_transpose(form)
+            object.__setattr__(self, "_form_t", form_t)
+        return self._form_t
+
     def to_dense(self):
         return self._csr.toarray()
 
@@ -196,6 +236,36 @@ class SparseMatrix:
 
     def __repr__(self):
         return f"SparseMatrix({self.n_rows}x{self.n_cols}, nnz={self.nnz})"
+
+
+def _banded(csr):
+    """``csr`` as scipy DIA with ascending offsets, or None when its entries
+    lie on too many diagonals for :meth:`SparseMatrix.product_form`."""
+    if csr.nnz == 0:
+        return None
+    n_rows, n_cols = csr.shape
+    rows = np.repeat(np.arange(n_rows), np.diff(csr.indptr))
+    shifted = csr.indices - rows + (n_rows - 1)  # offset + n_rows - 1 >= 0
+    present = np.zeros(n_rows + n_cols - 1, dtype=bool)
+    present[shifted] = True
+    shifted_offsets = np.flatnonzero(present)
+    if shifted_offsets.size * max(n_rows, n_cols) > 1.5 * csr.nnz:
+        return None
+    data = np.zeros((shifted_offsets.size, n_cols))
+    data[np.searchsorted(shifted_offsets, shifted), csr.indices] = csr.data
+    return scipy.sparse.dia_matrix((data, shifted_offsets - (n_rows - 1)), shape=csr.shape)
+
+
+def _dia_transpose(dia):
+    """The DIA transpose of ``dia``: diagonal ``k`` becomes diagonal ``-k``,
+    with ascending offsets, and every slot that holds no entry is zero."""
+    n_rows, n_cols = dia.shape
+    offsets = dia.offsets
+    data = np.zeros((offsets.size, n_rows))
+    for d, k in enumerate(offsets.tolist()):
+        lo, hi = max(0, -k), min(n_rows, n_cols - k)  # the rows diagonal k meets
+        data[offsets.size - 1 - d, lo:hi] = dia.data[d, lo + k : hi + k]
+    return scipy.sparse.dia_matrix((data, -offsets[::-1]), shape=(n_cols, n_rows))
 
 
 def identity(n):

@@ -43,6 +43,26 @@ def count_calls(monkeypatch, module, names):
     return calls
 
 
+def count_products(monkeypatch):
+    """Record ``(matrix, transpose)`` for every product on a product form."""
+    calls = []
+    form_of = SparseMatrix.product_form
+
+    class Counted:
+        def __init__(self, A, transpose):
+            self.form, self.key = form_of(A, transpose), (A, transpose)
+            self.shape = self.form.shape
+
+        def __matmul__(self, x):
+            calls.append(self.key)
+            return self.form @ x
+
+    monkeypatch.setattr(
+        SparseMatrix, "product_form", lambda A, transpose=False: Counted(A, transpose)
+    )
+    return calls
+
+
 def tridiag(lo, mid, hi, n):
     """Dense tridiagonal matrix as a SparseMatrix."""
     dense = np.diag(np.full(n, float(mid)))

@@ -36,7 +36,7 @@ from gavekit import (
 from gavekit.certify import _NORM_RTOL
 from gavekit.linalg import DENSE_CUTOFF, _lanczos_top, _top_ritz_pair
 
-from conftest import count_calls, random_dominant, random_sparse, tridiag
+from conftest import count_calls, count_products, random_dominant, random_sparse, tridiag
 
 
 class TestLu:
@@ -166,24 +166,21 @@ class TestLsqr:
         assert out.residual_norm == np.linalg.norm(spmv(A, out.x) - b)
 
     def test_no_warm_start_costs_one_product(self, rng, monkeypatch):
-        # a start from zero needs no product; only the true-residual recompute remains
+        # a start from zero needs no product; only the true-residual recompute
+        # remains beside the loop's one product with A per iteration
         A = random_dominant(rng, 20)
         b = rng.uniform(-1, 1, 20)
         b_before = b.copy()
-        calls = []
-
-        def counting_spmv(M, x):
-            calls.append(M)
-            return spmv(M, x)
-
-        monkeypatch.setattr(gavekit.linalg, "spmv", counting_spmv)
+        calls = count_products(monkeypatch)
         out = lsqr(A, b, 1e-10, 200)
-        assert len(calls) == 1
+        assert out.iterations > 0
+        assert calls.count((A, False)) - out.iterations == 1
         assert not np.shares_memory(out.x, b)
         np.testing.assert_array_equal(b, b_before)
 
     def test_adjoint_on_cached_transpose_is_bit_identical(self, monkeypatch):
-        # the adjoint on the cached CSR transpose against scipy's CSC view
+        # products on the cached forms, DIA here, against the CSR matrix and
+        # scipy's CSC view of its transpose
         _, prob, hat = gen_example41(24, 4.0)
         s = build_splitting(prob.A, "ngs")
         x0 = np.zeros(prob.n)
@@ -191,8 +188,10 @@ class TestLsqr:
         rhs = -residual(prob, x0)
         f_norm = np.linalg.norm(rhs)
         cases = [(0.5 * f_norm, 40), (1e-6 * f_norm, 200), (0.0, 60)]
+        assert sparse_add(hat, s.M).product_form(transpose=True).format == "dia"
         with monkeypatch.context() as mp:
-            mp.setattr(SparseMatrix, "to_scipy_transpose", lambda A: A.to_scipy().T)
+            mp.setattr(SparseMatrix, "product_form", lambda A, transpose=False: (
+                A.to_scipy().T if transpose else A.to_scipy()))
             view = [lsqr(sparse_add(hat, s.M), rhs, t, k) for t, k in cases]
         cached = [lsqr(sparse_add(hat, s.M), rhs, t, k) for t, k in cases]
         for v, c in zip(view, cached):

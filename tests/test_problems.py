@@ -315,3 +315,18 @@ class TestSerialization:
         np.testing.assert_array_equal(loaded.B.values, fresh.B.values)
         np.testing.assert_array_equal(loaded.b, fresh.b)
         np.testing.assert_array_equal(loaded.known_solution, fresh.known_solution)
+
+    def test_set_up_builds_no_product_form(self, tmp_path, monkeypatch):
+        # product forms are for the loops that repeat products; generating,
+        # saving, loading and the known-solution check make one-off products
+        built = []
+        monkeypatch.setattr(
+            SparseMatrix, "product_form", lambda A, transpose=False: built.append(A)
+        )
+        _, prob, _ = gen_example41(24, -1.0)
+        save_problem(prob, tmp_path / "p")
+        loaded = load_problem(tmp_path / "p")
+        GaveProblem(A=loaded.A, B=loaded.B, b=loaded.b, known_solution=loaded.known_solution)
+        gen_certified(30, seed=1)
+        assert loaded.known_solution is not None
+        assert built == []

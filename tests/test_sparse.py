@@ -6,8 +6,12 @@ import scipy.sparse
 
 from gavekit import (
     DimensionError,
+    OmegaSpec,
     ParameterError,
     SparseMatrix,
+    SplittingKind,
+    build_splitting,
+    gen_example41,
     hermitian_split,
     identity,
     sparse_add,
@@ -17,7 +21,7 @@ from gavekit import (
     zeros,
 )
 
-from conftest import random_sparse, tridiag, with_explicit_zeros
+from conftest import random_dominant, random_sparse, tridiag, with_explicit_zeros
 
 
 class TestConstruction:
@@ -157,6 +161,97 @@ class TestSpmvTranspose:
         np.testing.assert_array_equal(AT.toarray(), A.to_dense().T)
         y = rng.uniform(-1, 1, 30)
         np.testing.assert_array_equal(AT @ y, A.to_scipy().T @ y)
+
+
+def _example41_matrices(m, mu):
+    """A, B, and Omega+M and Omega+N of nj, ngs and nsor with Omega = hatM."""
+    _, prob, hat = gen_example41(m, mu)
+    mats = {"A": prob.A, "B": prob.B}
+    for kind in (SplittingKind("nj"), SplittingKind("ngs"), SplittingKind("nsor", alpha=1.3)):
+        s = build_splitting(prob.A, kind, OmegaSpec.scaled(1.0, hat))
+        mats[f"{kind.name} Omega+M"] = sparse_add(s.omega, s.M)
+        mats[f"{kind.name} Omega+N"] = sparse_add(s.omega, s.N)
+    return mats
+
+
+def _bits(y):
+    return y.view(np.uint64)
+
+
+@pytest.mark.filterwarnings("error::scipy.sparse.SparseEfficiencyWarning")
+class TestProductForm:
+    """``product_form``: DIA on few diagonals, bit for bit the CSR product."""
+
+    @staticmethod
+    def _vectors(rng, n):
+        signed_zeros = rng.uniform(-1, 1, n)
+        signed_zeros[0::3] = 0.0
+        signed_zeros[1::3] = -0.0
+        return [rng.uniform(-1, 1, n), rng.standard_normal(n) * 1e3, signed_zeros]
+
+    def _assert_bitwise(self, rng, A):
+        form, form_t = A.product_form(), A.product_form(transpose=True)
+        S = A.to_scipy()
+        for x in self._vectors(rng, A.n_cols):
+            np.testing.assert_array_equal(_bits(form @ x), _bits(S @ x))
+        for y in self._vectors(rng, A.n_rows):
+            np.testing.assert_array_equal(_bits(form_t @ y), _bits(S.T @ y))
+            np.testing.assert_array_equal(_bits(form_t @ y), _bits(A.to_scipy_transpose() @ y))
+
+    @pytest.mark.parametrize("m", [24, 25])
+    @pytest.mark.parametrize("mu", [4.0, -1.0])
+    def test_example41_matrices_are_dia_and_bitwise_csr(self, rng, m, mu):
+        for name, A in _example41_matrices(m, mu).items():
+            form, form_t = A.product_form(), A.product_form(transpose=True)
+            assert form.format == form_t.format == "dia", name
+            for f in (form, form_t):  # ascending offsets give CSR's summation order
+                assert (np.diff(f.offsets) > 0).all(), name
+            np.testing.assert_array_equal(form.toarray(), A.to_dense())
+            np.testing.assert_array_equal(form_t.toarray(), A.to_dense().T)
+            self._assert_bitwise(rng, A)
+
+    def test_padded_and_stored_zeros(self, rng):
+        # hatM's +-1 diagonals have no entry at a block edge, so DIA pads
+        # zeros there; the second matrix also stores zeros in CSR
+        A = gen_example41(24, 4.0)[1].A
+        form = A.product_form()
+        upper = form.data[list(form.offsets).index(1), 1:]  # A[j - 1, j], j = 1, 2, ...
+        assert (upper == 0.0).sum() == 24 - 1
+        Z = with_explicit_zeros(rng, A)
+        assert (Z.values == 0.0).any() and Z.product_form().format == "dia"
+        for X in (A, Z):
+            self._assert_bitwise(rng, X)
+
+    def test_rectangular_band(self, rng):
+        dense = np.triu(np.tril(rng.uniform(1, 2, (30, 40)), 3), -1)
+        A = SparseMatrix.from_dense(dense)
+        assert A.product_form().format == "dia"
+        assert A.product_form(transpose=True).shape == (40, 30)
+        self._assert_bitwise(rng, A)
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda rng: random_dominant(rng, 40),
+            lambda rng: SparseMatrix.from_dense(np.full((600, 1), 0.5)),
+            lambda rng: SparseMatrix.from_dense(np.full((1, 600), 0.5)),
+            lambda rng: zeros(4, 3),
+            lambda rng: zeros(0),
+        ],
+        ids=["random_dominant", "column", "row", "empty", "order0"],
+    )
+    def test_many_diagonals_keep_csr(self, rng, make):
+        A = make(rng)
+        assert A.product_form() is A.to_scipy()
+        assert A.product_form(transpose=True) is A.to_scipy_transpose()
+        if A.nnz:
+            self._assert_bitwise(rng, A)
+
+    def test_cached(self):
+        A = gen_example41(6, 4.0)[1].A
+        form, form_t = A.product_form(), A.product_form(transpose=True)
+        assert A.product_form() is form
+        assert A.product_form(transpose=True) is form_t
 
 
 class TestAddSubScale:
