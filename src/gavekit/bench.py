@@ -32,7 +32,15 @@ from .mmio import read_matrix_market
 from .problems import check_grid_size, gen_example41, load_problem
 from .sparse import SparseMatrix
 from .solver import SolverConfig, ThetaSchedule, inms_solve, nms_solve
-from .splittings import KINDS, OmegaSpec, SplittingKind, build_splitting, resolve_omega
+from .splittings import (
+    KINDS,
+    OmegaSpec,
+    SplittingKind,
+    _triangular_splitting,
+    build_splitting,
+    resolve_omega,
+    triangular_parts,
+)
 
 __all__ = [
     "MethodSpec",
@@ -353,12 +361,17 @@ def tune_alpha(problem, omega, grid, tol=SolverConfig.tol, k_max=SolverConfig.k_
     run with ``k_max = best - 1``; the search stops when that cap reaches 0
     (the start residual does not depend on alpha). The result is the same
     as running every point to ``k_max``.
+
+    Only ``M = D / alpha - L`` changes with alpha, so ``A`` is split into
+    its triangular parts once per search; each point's splitting is
+    ``build_splitting``'s, bit for bit.
     """
     grid = [float(a) for a in grid]
     if not grid:
         raise SpecError("alpha grid must be nonempty")
     if any(not 0.0 < a < 2.0 for a in grid):
         raise SpecError("alpha grid values must lie in (0, 2)")
+    D, L, _ = triangular_parts(problem.A)
     best = None
     for alpha in sorted(grid):
         cap = k_max if best is None else best[1] - 1
@@ -366,7 +379,7 @@ def tune_alpha(problem, omega, grid, tol=SolverConfig.tol, k_max=SolverConfig.k_
             break
         config = SolverConfig(tol=tol, k_max=cap, inner="direct")
         try:
-            splitting = build_splitting(problem.A, SplittingKind("nsor", alpha=alpha))
+            splitting = _triangular_splitting(problem.A, SplittingKind("nsor", alpha=alpha), D, L)
             report = nms_solve(problem, splitting, omega, config)
         except (DivergenceError, SingularMatrixError):
             continue

@@ -4,8 +4,10 @@ Everything here is deterministic, so repeated runs produce identical
 results:
 
 - every LU comes from :func:`lu_factorize`, whose SuperLU call pins the
-  column ordering to minimum degree on ``A.T + A`` (``MMD_AT_PLUS_A``) and
-  the pivoting to row partial pivoting with threshold 1.0;
+  column ordering to minimum degree on ``A.T + A`` (``MMD_AT_PLUS_A``), the
+  pivoting to threshold partial pivoting at 0.1 (the diagonal entry is
+  kept while it is at least a tenth of its column's largest) and the
+  supernode panels to one column (``relax = panel_size = 1``);
 - :func:`lsqr`, the inexact solver's inner solve, runs scipy's LSQR
   recurrences on reused work vectors, bitwise equal to
   ``scipy.sparse.linalg.lsqr``; the solver runs it from zero on the
@@ -74,6 +76,21 @@ __all__ = [
 # block tridiagonal Omega + M it gives less fill than the COLAMD default.
 _ORDERING = "MMD_AT_PLUS_A"
 
+# Threshold partial pivoting (Duff, Erisman & Reid): the diagonal entry
+# stays the pivot while its magnitude is at least this fraction of the
+# column's largest. On the paper's diagonally dominant matrices it picks
+# the same pivots as strict partial pivoting (1.0); an indefinite sum such
+# as hatM - 2I fills about 40% less than at 1.0.
+_PIVOT_THRESH = 0.1
+
+# Supernode relaxation and panel width, one column each: on the low-fill
+# 5-point matrices the multi-column panel work of the defaults is about a
+# quarter of every factorization. Keep relax <= panel_size: scipy 1.17's
+# SuperLU corrupted memory and crashed the interpreter (SIGSEGV, or an
+# abort in garbage collection) at (relax, panel_size) = (32, 16) and
+# (64, 32) on ngs Omega + M, m = 150.
+_RELAX, _PANEL_SIZE = 1, 1
+
 # Matrices of at most this order get exact dense LAPACK answers from every
 # norm and eigenvalue estimator; larger ones go to the Lanczos kernel.
 DENSE_CUTOFF = 500
@@ -98,10 +115,11 @@ def uses_dense(A):
 class Factorization:
     """Sparse LU decomposition reusable across right-hand sides.
 
-    Wraps a SuperLU factorization with partial pivoting; solves with the
-    original matrix or its transpose. ``ordering`` names the pinned column
-    ordering and ``nnz`` is the fill as SuperLU counts it: the entries of
-    its supernodal storage of L and U, which can exceed ``L.nnz + U.nnz``.
+    Wraps a SuperLU factorization with threshold partial pivoting at 0.1
+    and one-column panels; solves with the original matrix or its
+    transpose. ``ordering`` names the pinned column ordering and ``nnz`` is
+    the fill as SuperLU counts it: the entries of its supernodal storage of
+    L and U, which can exceed ``L.nnz + U.nnz``.
     """
 
     __slots__ = ("_splu", "n")
@@ -121,9 +139,11 @@ class Factorization:
 
 
 def lu_factorize(A):
-    """Factor a square sparse matrix with row partial pivoting.
+    """Factor a square sparse matrix with threshold row partial pivoting.
 
-    The column ordering is pinned to ``MMD_AT_PLUS_A``.
+    The column ordering is pinned to ``MMD_AT_PLUS_A``, the pivot threshold
+    to 0.1 and SuperLU's ``relax`` and ``panel_size`` to 1 (the module's
+    ``_ORDERING``, ``_PIVOT_THRESH``, ``_RELAX`` and ``_PANEL_SIZE``).
 
     Raises
     ------
@@ -143,7 +163,8 @@ def lu_factorize(A):
     csc = A.to_scipy().tocsc()
     try:
         lu = scipy.sparse.linalg.splu(
-            csc, permc_spec=_ORDERING, diag_pivot_thresh=1.0
+            csc, permc_spec=_ORDERING, diag_pivot_thresh=_PIVOT_THRESH,
+            relax=_RELAX, panel_size=_PANEL_SIZE,
         )
     except RuntimeError as exc:
         raise SingularMatrixError(f"LU factorization failed: {exc}") from exc
@@ -338,7 +359,8 @@ def _top_ritz_pair(alphas, betas):
 def _lanczos_top(apply, n, rel_tol, what, finish):
     """``finish`` of the largest eigenvalue of a symmetric PSD operator.
 
-    ``apply(v)`` applies the operator; ``finish`` maps its top eigenvalue to
+    ``apply(v)`` applies the operator and returns a new array, which the
+    recurrence then updates in place; ``finish`` maps its top eigenvalue to
     the estimated quantity. Runs the plain three-term Lanczos recurrence
     from :func:`_seeded_start`, one application per step and no
     reorthogonalisation. At steps 0, 5, 10, ... it takes the top Ritz pair
@@ -359,21 +381,22 @@ def _lanczos_top(apply, n, rel_tol, what, finish):
     NumericsError
         If the operator produces a non-finite value.
     """
-
-    def matvec(v):
-        w = apply(v)
-        if not np.all(np.isfinite(w)):
-            raise NumericsError(f"non-finite value in {what}")
-        return w
-
     steps = _MAX_STEPS
     v, v_prev, beta = _seeded_start(n), np.zeros(n), 0.0
+    work = np.empty(n)  # beta * v_prev, then alpha * v
     alphas, betas = np.empty(steps), np.empty(steps)  # T_j's diagonals
     for j in range(steps):
-        w = matvec(v) - beta * v_prev
+        w = apply(v)
+        w -= np.multiply(beta, v_prev, out=work)
         alpha = float(w @ v)
-        w -= alpha * v
+        # a non-finite entry of w makes w @ v non-finite; the test comes
+        # before w -= alpha * v, where inf - inf would warn
+        if not np.isfinite(alpha):
+            raise NumericsError(f"non-finite value in {what}")
+        w -= np.multiply(alpha, v, out=work)
         beta = float(np.linalg.norm(w))
+        if not np.isfinite(beta):
+            raise NumericsError(f"non-finite value in {what}")
         alphas[j] = alpha
         # the test runs every 5th step: at j ~ 200 the Ritz pair costs more
         # than a product at n = 10000, and a later stop only tightens the

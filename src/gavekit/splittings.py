@@ -208,31 +208,41 @@ def build_splitting(A, kind, omega=None):
         M = sparse_scale(0.5, sparse_sub(A, om))
         return Splitting(kind, M=M, N=sparse_sub(M, A), omega=om)
 
-    if name in ("picard", "mn", "drs"):
-        M, N = A, zeros(n)
-    elif name == "hss":
-        H, S = hermitian_split(A)
-        M, N = H, sparse_scale(-1.0, S)
-    else:
+    if name in ("nj", "ngs", "nsor", "naor"):
         D, L, _ = triangular_parts(A)
-        if name == "nj":
-            M = D
-        elif name == "ngs":
-            M = sparse_sub(D, L)
-        elif name == "nsor":
-            M = sparse_sub(sparse_scale(1.0 / kind.alpha, D), L)
-        else:  # naor
-            # (1/alpha) * (D - beta L) written as (1/alpha) D - (beta/alpha) L so
-            # that beta == alpha collapses to the nsor matrices bit for bit
-            M = sparse_sub(
-                sparse_scale(1.0 / kind.alpha, D),
-                sparse_scale(kind.beta / kind.alpha, L),
-            )
-        N = sparse_sub(M, A)
+        splitting = _triangular_splitting(A, kind, D, L)
+    else:
+        if name == "hss":
+            H, S = hermitian_split(A)
+            M, N = H, sparse_scale(-1.0, S)
+        else:  # picard, mn, drs
+            M, N = A, zeros(n)
+        own = sparse_scale(2.0 / kind.gamma - 1.0, A) if name == "drs" else zeros(n)
+        splitting = Splitting(kind, M=M, N=N, omega=own)
+    return splitting if omega is None else replace(splitting, omega=splitting.shift(omega))
+
+
+def _triangular_splitting(A, kind, D, L):
+    """``build_splitting(A, kind)`` for nj, ngs, nsor and naor, from the
+    diagonal ``D`` and negated strict lower triangle ``L`` of
+    :func:`triangular_parts`, so that a caller that builds many such
+    splittings of one ``A`` splits it once."""
+    name = kind.name
+    if name == "nj":
+        M = D
+    elif name == "ngs":
+        M = sparse_sub(D, L)
+    elif name == "nsor":
+        M = sparse_sub(sparse_scale(1.0 / kind.alpha, D), L)
+    else:  # naor
+        # (1/alpha) * (D - beta L) written as (1/alpha) D - (beta/alpha) L so
+        # that beta == alpha collapses to the nsor matrices bit for bit
+        M = sparse_sub(
+            sparse_scale(1.0 / kind.alpha, D),
+            sparse_scale(kind.beta / kind.alpha, L),
+        )
     warnings = (
         f"naor parameters alpha={kind.alpha:g}, beta={kind.beta:g} are "
         "outside the conventional ranges alpha in (0,2), beta in [0,alpha]",
     ) if kind.wide_parameters else ()
-    own = sparse_scale(2.0 / kind.gamma - 1.0, A) if name == "drs" else zeros(n)
-    splitting = Splitting(kind, M=M, N=N, omega=own, warnings=warnings)
-    return splitting if omega is None else replace(splitting, omega=splitting.shift(omega))
+    return Splitting(kind, M=M, N=sparse_sub(M, A), omega=zeros(A.n_rows), warnings=warnings)

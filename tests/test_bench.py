@@ -373,6 +373,28 @@ class TestTuneAlpha:
         assert tune_alpha(prob, om, grid) == best
         assert sum(steps) < uncapped_steps
 
+    def test_splits_once_and_builds_each_point_bit_for_bit(self, monkeypatch):
+        _, prob, hat = gen_example41(8, -1.0)
+        calls = count_calls(monkeypatch, bench_module, ["triangular_parts"])
+        seen = []
+
+        def recording_solve(problem, splitting, *args, **kwargs):
+            seen.append(splitting)
+            return nms_solve(problem, splitting, *args, **kwargs)
+
+        monkeypatch.setattr(bench_module, "nms_solve", recording_solve)
+        grid = [round(0.5 + 0.1 * i, 10) for i in range(15)]
+        tune_alpha(prob, OmegaSpec.scaled(1.5, hat), grid)
+        assert calls == {"triangular_parts": 1}
+        assert len(seen) > 1
+        for got in seen:
+            want = build_splitting(prob.A, SplittingKind("nsor", alpha=got.kind.alpha))
+            assert got.kind == want.kind and got.warnings == want.warnings == ()
+            for which in ("M", "N", "omega"):
+                a, b = getattr(got, which), getattr(want, which)
+                for arr in ("row_ptr", "col_idx", "values"):
+                    np.testing.assert_array_equal(getattr(a, arr), getattr(b, arr), strict=True)
+
     def test_grid_validation(self):
         _, prob, _ = gen_example41(3, 4.0)
         with pytest.raises(SpecError):

@@ -29,6 +29,7 @@ from gavekit import (
     skew_spectral_radius,
     spectral_norm,
     sparse_add,
+    sparse_scale,
     spmv,
     symmetric_eig_extremes,
     zeros,
@@ -98,10 +99,58 @@ class TestLu:
             OM.to_scipy().tocsc(), permc_spec="COLAMD", diag_pivot_thresh=1.0
         )
         assert 0 < f.nnz <= colamd.nnz
+        # one-column panels at threshold 0.1 fill no more than SuperLU's
+        # default panels at threshold 1.0
+        default = scipy.sparse.linalg.splu(
+            OM.to_scipy().tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=1.0
+        )
+        assert f.nnz <= default.nnz
         rhs = rng.uniform(-1, 1, OM.n_rows)
         x = f.solve(rhs)
         np.testing.assert_array_equal(lu_factorize(OM).solve(rhs), x)
         np.testing.assert_allclose(spmv(OM, x), rhs, atol=1e-12)
+
+    def test_pinned_relax_within_panel_size(self):
+        # scipy 1.17's SuperLU crashed the interpreter with relax > panel_size
+        assert 1 <= gavekit.linalg._RELAX <= gavekit.linalg._PANEL_SIZE
+
+    def test_threshold_pivoting_cuts_fill_of_an_indefinite_matrix(self, rng):
+        # B = hatM - 2I (example41, mu = -1) is indefinite; strict partial
+        # pivoting fills it 92,300 against 52,909 at threshold 0.1
+        _, prob, _ = gen_example41(30, -1.0)
+        f = lu_factorize(prob.B)
+        strict = scipy.sparse.linalg.splu(
+            prob.B.to_scipy().tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=1.0
+        )
+        assert f.nnz <= 0.6 * strict.nnz
+        b = rng.uniform(-1, 1, prob.B.n_rows)
+        x = f.solve(b)
+        backward = np.abs(spmv(prob.B, x) - b).max() / (
+            prob.B.inf_norm() * np.abs(x).max() + np.abs(b).max()
+        )
+        assert backward < 1e-13
+
+    def test_threshold_pivoting_keeps_the_strict_pivots_on_the_paper_family(self):
+        # the 0.1 threshold is free on the contract matrices: every pivot it
+        # keeps is also the largest entry of its column. example41 m = 30:
+        # A, and Omega + M with Omega = hatM and 1.5 hatM
+        kinds = [SplittingKind("nj"), SplittingKind("ngs"), SplittingKind("nsor", alpha=1.3),
+                 SplittingKind("mn"), SplittingKind("picard")]
+        for mu in (4.0, -1.0):
+            _, prob, hat = gen_example41(30, mu)
+            cases = {"A": prob.A}
+            for kind in kinds:
+                M = build_splitting(prob.A, kind).M
+                for c in (1.0, 1.5):
+                    cases[f"{kind.name}/{c:g}hatM"] = sparse_add(sparse_scale(c, hat), M)
+            for name, X in cases.items():
+                strict = scipy.sparse.linalg.splu(
+                    X.to_scipy().tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=1.0
+                )
+                f = lu_factorize(X)
+                where = f"mu = {mu:g}, {name}"
+                np.testing.assert_array_equal(f._splu.perm_r, strict.perm_r, err_msg=where)
+                np.testing.assert_array_equal(f._splu.perm_c, strict.perm_c, err_msg=where)
 
 
 class TestLsqr:
