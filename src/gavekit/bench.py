@@ -307,13 +307,27 @@ def run_method(problem, method, splitting, repeats=1):
     """Solve ``problem`` with ``method.config`` on ``splitting`` (from :func:`build_method`).
 
     Returns ``(report, mean_cpu_seconds)``. The reported iterate data comes
-    from the first (deterministic) run; the time is the mean of
-    ``SolveReport.wall_time_s`` over all repeats, each of which re-does the
-    factorization work.
+    from the first run; the time is the mean of ``SolveReport.wall_time_s``
+    over all repeats, each of which re-does the factorization work. A later
+    repeat whose IT, final residual or inner counts differ from the first's
+    adds a warning to the report: the solves are meant to be deterministic.
     """
     solve = nms_solve if method.config.inner == "direct" else inms_solve
     reports = [solve(problem, splitting, config=method.config) for _ in range(repeats)]
-    return reports[0], statistics.fmean(r.wall_time_s for r in reports)
+    first = reports[0]
+    for k, r in enumerate(reports[1:], start=2):
+        if _repeat_key(r) != _repeat_key(first):
+            first.warnings += (
+                f"repeat {k} differs from repeat 1: IT {r.iterations} vs {first.iterations}, "
+                f"RES {r.final_res:.4e} vs {first.final_res:.4e}, "
+                f"inner iters {int(r.inner_iters.sum())} vs {int(first.inner_iters.sum())}",
+            )
+    return first, statistics.fmean(r.wall_time_s for r in reports)
+
+
+def _repeat_key(report):
+    # repr tells every float apart and keeps a NaN equal to itself
+    return report.iterations, repr(report.final_res), report.inner_iters.tolist()
 
 
 def _experiment_problems(spec):

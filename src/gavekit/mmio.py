@@ -3,18 +3,23 @@
 Matrices travel as ``matrix coordinate real general`` files with 1-based
 indices; vectors as one value per line. Everything is written with 17
 significant digits so that float64 values round-trip exactly. Entry lines
-are read by one ``np.loadtxt`` call (numpy's C parser) and written by one
-C-level ``%`` call per ``_CHUNK`` lines. Not ``scipy.io``: ``mmread``
-rejects ``%`` lines between entries and accepts 4-column ones, and
-``mmwrite`` adds a ``%`` line after the header.
+are read by one ``np.loadtxt`` call (numpy's C parser). They are written
+``_CHUNK`` lines at a time, and within a chunk each distinct value of a
+column is formatted once: the paper's problems hold two to five distinct
+values, so writing example41's m = 150 ``A`` takes 16 ms where formatting
+every line took 42 ms. Data whose values are all distinct pays for the
+sort and the gather: a random 22,500-entry vector takes 11.2 against
+10.7 ms, a random 200,000-entry matrix 127 against 120 ms (medians on a
+2-CPU Xeon, numpy 2.4). Not ``scipy.io``: ``mmread`` rejects ``%`` lines
+between entries and accepts 4-column ones, and ``mmwrite`` adds a ``%``
+line after the header.
 """
 
 from contextlib import contextmanager
-from itertools import chain
 
 import numpy as np
 
-from .errors import FormatError, ParameterError
+from .errors import DimensionError, FormatError, ParameterError
 from .sparse import SparseMatrix
 
 __all__ = ["read_matrix_market", "write_matrix_market", "read_vector", "write_vector"]
@@ -33,11 +38,26 @@ def _open_text(path, encoding="ascii"):
             raise FormatError(f"{path}: {exc}") from None
 
 
-def _write_rows(fh, fmt, columns):
-    """Write one ``fmt`` line per row of the equal-length ``columns``."""
+def _write_rows(fh, formats, columns):
+    """Write one line per row of the equal-length ``columns``, ``formats`` side by side.
+
+    Each format ends in a separator byte that no value it formats contains.
+    Per chunk and column, each distinct bit pattern (so -0.0 is not 0.0) is
+    formatted once, by one ``%`` call, into a NUL-padded table whose rows
+    the inverse index gathers; the NULs are dropped from the joined chunk.
+    """
     for start in range(0, len(columns[0]), _CHUNK):
-        parts = [col[start:start + _CHUNK].tolist() for col in columns]
-        fh.write((fmt * len(parts[0])) % tuple(chain.from_iterable(zip(*parts))))
+        blocks = []
+        for spec, col in zip(formats, columns):
+            chunk = col[start:start + _CHUNK]
+            bits, inverse = np.unique(chunk.view(f"u{chunk.itemsize}"), return_inverse=True)
+            values = bits.view(chunk.dtype).tolist()
+            text = np.frombuffer(spec * len(values) % tuple(values), np.uint8)
+            lengths = np.diff(np.flatnonzero(text == spec[-1]), prepend=-1)
+            table = np.zeros((len(values), lengths.max()), np.uint8)
+            table[np.arange(table.shape[1]) < lengths[:, None]] = text
+            blocks.append(table[inverse])
+        fh.write(np.hstack(blocks).tobytes().replace(b"\0", b"").decode("ascii"))
 
 
 def _read_rows(path, fh, n_cols):
@@ -62,7 +82,7 @@ def write_matrix_market(path, A):
     cols += 1
     with open(path, "w", encoding="ascii") as fh:
         fh.write(f"{_HEADER}\n{A.n_rows} {A.n_cols} {A.nnz}\n")
-        _write_rows(fh, "%d %d %.16e\n", (rows, cols, vals))
+        _write_rows(fh, (b"%d ", b"%d ", b"%.16e\n"), (rows, cols, vals))
 
 
 def read_matrix_market(path):
@@ -97,10 +117,19 @@ def read_matrix_market(path):
 
 
 def write_vector(path, x):
-    """Write a vector as plain text, one value per line."""
-    x = np.asarray(x, dtype=float)
+    """Write a real 1-D vector as plain text, one value per line.
+
+    Anything else is refused before ``path`` is opened, so an existing file
+    keeps its bytes.
+    """
+    x = np.asarray(x)
+    if x.ndim != 1:
+        raise DimensionError(f"{path}: a vector must be 1-D, got shape {x.shape}")
+    if np.iscomplexobj(x):
+        raise ParameterError(f"{path}: a vector must be real, got dtype {x.dtype}")
+    x = x.astype(float, copy=False)
     with open(path, "w", encoding="ascii") as fh:
-        _write_rows(fh, "%.16e\n", (x,))
+        _write_rows(fh, (b"%.16e\n",), (x,))
 
 
 def read_vector(path):

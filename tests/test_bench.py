@@ -1,5 +1,6 @@
 """Spec parsing, the experiment runner, tuning, and table rendering."""
 
+import dataclasses
 import pathlib
 import re
 
@@ -227,6 +228,7 @@ class TestRunExperiment:
         for row in rows1:
             assert row.converged
             assert row.RES <= 1e-6
+            assert row.warnings == ""  # the two repeats agree
 
     def test_divergent_row_continues(self, tmp_path):
         from gavekit import save_problem
@@ -296,6 +298,35 @@ class TestRunMethod:
         assert report.iterations == want.iterations
         assert report.final_res == want.final_res
         np.testing.assert_array_equal(report.x, want.x)
+
+
+    @pytest.mark.parametrize("inner", ["direct", "lsqr"])
+    def test_a_repeat_that_differs_adds_a_warning(self, inner, monkeypatch):
+        _, prob, hat = gen_example41(6, 4.0)
+        method = parse_method_line(f"nj omega=mhat inner={inner}")
+        splitting = build_method(prob, method, hat)
+        name = "nms_solve" if inner == "direct" else "inms_solve"
+        solve = getattr(bench_module, name)
+        want = solve(prob, splitting, config=method.config)
+        drift = iter([{}, {"iterations": want.iterations + 1}, {},
+                      {"final_res": 2 * want.final_res},
+                      {"inner_iters": np.append(want.inner_iters, 1)}])
+
+        def nondeterministic_solve(*args, **kwargs):
+            return dataclasses.replace(solve(*args, **kwargs), **next(drift))
+
+        monkeypatch.setattr(bench_module, name, nondeterministic_solve)
+        report, _ = run_method(prob, method, splitting, repeats=5)
+        it, res, inner_total = want.iterations, want.final_res, int(want.inner_iters.sum())
+        assert report.iterations == it and report.final_res == res
+        assert report.warnings == (
+            f"repeat 2 differs from repeat 1: IT {it + 1} vs {it}, "
+            f"RES {res:.4e} vs {res:.4e}, inner iters {inner_total} vs {inner_total}",
+            f"repeat 4 differs from repeat 1: IT {it} vs {it}, "
+            f"RES {2 * res:.4e} vs {res:.4e}, inner iters {inner_total} vs {inner_total}",
+            f"repeat 5 differs from repeat 1: IT {it} vs {it}, RES {res:.4e} vs {res:.4e}, "
+            f"inner iters {inner_total + 1} vs {inner_total}",
+        )
 
 
 class TestResolveOmegaToken:

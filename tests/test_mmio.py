@@ -1,5 +1,6 @@
 """Matrix Market and vector file round trips."""
 
+import hashlib
 import pathlib
 import re
 
@@ -7,7 +8,9 @@ import numpy as np
 import pytest
 
 from gavekit import (
+    DimensionError,
     FormatError,
+    ParameterError,
     SparseMatrix,
     read_matrix_market,
     read_vector,
@@ -15,7 +18,7 @@ from gavekit import (
     write_vector,
 )
 from gavekit.mmio import _CHUNK
-from gavekit.problems import load_problem, save_problem
+from gavekit.problems import gen_certified, gen_example41, load_problem, save_problem
 
 from conftest import random_sparse
 
@@ -172,3 +175,68 @@ def test_resave_of_golden_problem_is_byte_identical(tmp_path):
     save_problem(load_problem(golden), tmp_path / "p")
     for name in ["A.mtx", "B.mtx", "b.txt", "xstar.txt"]:
         assert (tmp_path / "p" / name).read_bytes() == (golden / name).read_bytes()
+
+
+def test_repeated_values_across_chunks_keep_their_bits(tmp_path, rng):
+    # each distinct bit pattern is formatted once per chunk: -0.0 is not 0.0
+    n = 2 * _CHUNK + 37
+    pool = np.array([0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, -1.0, 4.0])
+    vals = rng.choice(pool, n)
+    A = SparseMatrix.from_coo(n, 50, rng.permutation(n), rng.integers(0, 50, n), vals)
+    write_matrix_market(tmp_path / "a.mtx", A)
+    r, c, v = A.coo_arrays()
+    expected = "".join(f"{i + 1} {j + 1} {x:.16e}\n" for i, j, x in zip(r, c, v))
+    assert (tmp_path / "a.mtx").read_text() == _HEAD + f"{n} 50 {n}\n" + expected
+    B = read_matrix_market(tmp_path / "a.mtx")
+    np.testing.assert_array_equal(B.col_idx, A.col_idx)
+    np.testing.assert_array_equal(B.values.view(np.uint64), A.values.view(np.uint64))
+    write_vector(tmp_path / "v.txt", vals)
+    assert (tmp_path / "v.txt").read_text() == "".join(f"{x:.16e}\n" for x in vals)
+    np.testing.assert_array_equal(read_vector(tmp_path / "v.txt").view(np.uint64),
+                                  vals.view(np.uint64))
+
+
+_EX41_XSTAR = "6b68486bd3883979e28f1d7915b2928261d9188db796e4626289b466d37e2c52"
+
+
+@pytest.mark.parametrize(
+    "problem, digests",
+    [
+        pytest.param(lambda: gen_example41(30, 4)[1], {
+            "A.mtx": "c898407e93e1ac0f78fe935e2c6808d97a0a928fa2c9fd3420ae8add8a684a35",
+            "B.mtx": "bbcb49038d490d55a1b808d82c428462b3b587283aa79f9bc3125db339bfb5e0",
+            "b.txt": "fcf17b7c801b3265f11bc7eac66c904ba39baa70108797989383c6b8df336675",
+            "xstar.txt": _EX41_XSTAR,
+        }, id="example41-m30-mu4"),
+        pytest.param(lambda: gen_example41(30, -1)[1], {
+            "A.mtx": "f56ef9ec4f38117a9203b987590c3f2723b3230ed6d966fb5e926146be00957f",
+            "B.mtx": "a75b13f294e133d74602393ec17739c7bbe4d5143854a2503a5ae9a10abb56f5",
+            "b.txt": "db5ce78567667c018f587032f941e6e1e89b201019fd0530f0421d8724aad268",
+            "xstar.txt": _EX41_XSTAR,
+        }, id="example41-m30-mu-1"),
+        pytest.param(lambda: gen_certified(600, 3), {  # every value distinct
+            "A.mtx": "947b777ace7ff181620aef484ecc01b01117ca3b96f379c79b9a7e1597e9bcd7",
+            "b.txt": "8e443a43f12ed9607cd0514660e9eb8041d667c03eb4aaf4ffb910a567da5398",
+        }, id="certified-n600-seed3"),
+    ],
+)
+def test_saved_problem_files_keep_their_bytes(tmp_path, problem, digests):
+    save_problem(problem(), tmp_path)
+    for name, digest in digests.items():
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
+
+
+@pytest.mark.parametrize(
+    "value, error",
+    [
+        pytest.param(np.ones((3, 2)), DimensionError, id="2-D"),
+        pytest.param(np.float64(1.0), DimensionError, id="0-d"),
+        pytest.param(np.array([1.0, 2.0j]), ParameterError, id="complex"),
+    ],
+)
+def test_write_vector_refuses_before_opening_the_path(tmp_path, value, error):
+    path = tmp_path / "keep.txt"
+    path.write_bytes(b"1.0\n")
+    with pytest.raises(error, match=re.escape(str(path))):
+        write_vector(path, value)
+    assert path.read_bytes() == b"1.0\n"
