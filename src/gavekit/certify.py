@@ -12,11 +12,14 @@ and ``norm((Omega+M)^-1)``, and each quantity has one label in
 estimates each quantity at most once, however many of its conditions read
 it; nothing is kept from one call to the next.
 
-Above ``DENSE_CUTOFF`` every quantity is a Lanczos estimate run to relative
-Ritz residual ``_NORM_RTOL`` = 1e-6, so it is within 1e-6/2 relative of the
-true value, assuming the Ritz value tracks the top eigenvalue (see the
-comment at ``_NORM_RTOL``), and each side of a condition within about 1e-6,
-well inside the marginal band. A verdict is an estimate, not a proof.
+Every estimated quantity is a Lanczos estimate at every matrix size,
+labelled ``lanczos`` (a norm, ``mu_max(S)``) or ``lu_shift_invert_lanczos``
+(an inverse norm, ``lambda(H)``); an input is labelled ``input``. Each norm
+and inverse norm runs to relative Ritz residual ``_NORM_RTOL`` = 1e-6, so
+it is within 1e-6/2 relative of the true value, assuming the Ritz value
+tracks the top eigenvalue (see the comment at ``_NORM_RTOL``), and each
+side of a condition within about 1e-6, well inside the marginal band. A
+verdict is an estimate, not a proof.
 """
 
 from __future__ import annotations
@@ -32,7 +35,6 @@ from .linalg import (
     skew_spectral_radius,
     spectral_norm,
     symmetric_eig_extremes,
-    uses_dense,
 )
 from .sparse import hermitian_split, sparse_add, sparse_sub
 
@@ -48,9 +50,11 @@ __all__ = [
 # Relative width of the band around lhs == rhs flagged as marginal.
 _MARGINAL_BAND = 1e-4
 
-# Relative Ritz residual tau for every Lanczos run behind a certificate,
-# derived from the marginal band. The Lanczos kernel stops when the Ritz
-# residual estimate r = beta_j * |s_j| of the top Ritz value theta of a
+# Relative Ritz residual tau for every Lanczos run behind a certificate's
+# norms and inverse norms, at every matrix size (lambda(H) runs at
+# symmetric_eig_extremes' tighter default), derived from the marginal
+# band. The Lanczos kernel stops when the Ritz residual estimate
+# r = beta_j * |s_j| of the top Ritz value theta of a
 # symmetric PSD operator has r <= tau * theta; some eigenvalue then lies
 # within r of theta, with no gap needed, and the top Ritz value approaches
 # it from below. The plain recurrence keeps both facts up to O(eps) in
@@ -131,11 +135,6 @@ class Certificate:
         )
 
 
-def _method(X, dense, iterative):
-    """Name the estimator linalg runs on X, as ``linalg.uses_dense`` decides."""
-    return dense if uses_dense(X) else iterative
-
-
 class _Quantities:
     """The inputs of one :func:`evaluate` call and the quantities read from them.
 
@@ -160,17 +159,15 @@ class _Quantities:
     def norm(self, name):
         label = f"norm({name})"
         if label not in self.estimates:
-            X = self.matrix(name)
-            value = spectral_norm(X, rel_tol=_NORM_RTOL)
-            self.estimates[label] = value, _method(X, "dense_svd", "lanczos")
+            value = spectral_norm(self.matrix(name), rel_tol=_NORM_RTOL)
+            self.estimates[label] = value, "lanczos"
         return self.record(label, *self.estimates[label])
 
     def inv_norm(self, name):
         label = f"norm(({name})^-1)" if len(name) > 1 else f"norm({name}^-1)"
         if label not in self.estimates:
-            X = self.matrix(name)
-            value = 1.0 / min_singular_value(X, rel_tol=_NORM_RTOL)
-            self.estimates[label] = value, _method(X, "dense_svd", "lu_shift_invert_lanczos")
+            value = 1.0 / min_singular_value(self.matrix(name), rel_tol=_NORM_RTOL)
+            self.estimates[label] = value, "lu_shift_invert_lanczos"
         return self.record(label, *self.estimates[label])
 
     def record(self, label, value, method="input"):
@@ -197,11 +194,10 @@ def _scalar_omega(q):
         raise ParameterError(
             f"symmetric part is not positive definite (lambda_min = {lam_min:.3e})"
         )
-    method = _method(H, "dense_eigh", "lu_shift_invert_lanczos")
-    q.record("lambda_min(H)", lam_min, method)
-    q.record("lambda_max(H)", lam_max, method)
+    q.record("lambda_min(H)", lam_min, "lu_shift_invert_lanczos")
+    q.record("lambda_max(H)", lam_max, "lu_shift_invert_lanczos")
     mu_max = skew_spectral_radius(S, rel_tol=_NORM_RTOL)
-    q.record("mu_max(S)", mu_max, _method(S, "dense_svd", "lanczos"))
+    q.record("mu_max(S)", mu_max, "lanczos")
     tau = q.norm("B")
     w = q.record("omega", q.inputs["omega_scalar"])
     theta = q.inputs["theta"]

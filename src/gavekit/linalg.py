@@ -12,10 +12,8 @@ results:
   recurrences on reused work vectors, bitwise equal to
   ``scipy.sparse.linalg.lsqr``; the solver runs it from zero on the
   correction system ``(Omega + M) d = -F(x_k)``;
-- the norm and eigenvalue estimators give dense LAPACK answers for
-  matrices of order at most :data:`DENSE_CUTOFF`, as :func:`uses_dense`
-  decides at call time; above it all of them run
-  one Lanczos kernel (:func:`_lanczos_top`: the plain three-term
+- the norm and eigenvalue estimators run one Lanczos kernel at every
+  size (:func:`_lanczos_top`: the plain three-term
   recurrence, stopping on the Ritz residual, tested every 5th step within
   a budget of :data:`_MAX_STEPS` steps, with the Ritz pair from LAPACK's
   ``dstebz``/``dstein`` as ``eigh_tridiagonal`` computes it)
@@ -91,25 +89,12 @@ _PIVOT_THRESH = 0.1
 # (64, 32) on ngs Omega + M, m = 150.
 _RELAX, _PANEL_SIZE = 1, 1
 
-# Matrices of at most this order get exact dense LAPACK answers from every
-# norm and eigenvalue estimator; larger ones go to the Lanczos kernel.
-DENSE_CUTOFF = 500
-
 # Pivots smaller than this times the infinity norm count as singular.
 _PIVOT_TOL = 1e-14
 
 # Step budget of every Lanczos estimate (one operator application per
 # step), read at call time.
 _MAX_STEPS = 10000
-
-
-def uses_dense(A):
-    """True when the estimators take the dense LAPACK path for ``A``.
-
-    The one comparison with :data:`DENSE_CUTOFF`, read at call time;
-    certify's method labels use it too.
-    """
-    return max(A.shape) <= DENSE_CUTOFF
 
 
 class Factorization:
@@ -148,7 +133,8 @@ def lu_factorize(A):
     Raises
     ------
     SingularMatrixError
-        If the matrix is structurally singular or a pivot falls below
+        If the matrix has no nonzero entry (an order-0 matrix included),
+        is structurally singular, or has a pivot below
         ``1e-14 * norm_inf(A)``.
     NumericsError
         If ``norm_inf(A)`` is not finite, as it is when an entry is not.
@@ -159,7 +145,7 @@ def lu_factorize(A):
     if not np.isfinite(norm_inf):
         raise NumericsError(f"non-finite infinity norm {norm_inf} in lu_factorize")
     if norm_inf == 0.0:
-        raise SingularMatrixError("matrix has no nonzero entries")
+        raise SingularMatrixError("matrix is singular: it has no nonzero entries")
     csc = A.to_scipy().tocsc()
     try:
         lu = scipy.sparse.linalg.splu(
@@ -323,13 +309,6 @@ def _seeded_start(n):
     return v / np.linalg.norm(v)
 
 
-def _dense(A, what):
-    """``A.to_dense()``; a non-finite entry raises NumericsError before LAPACK sees it."""
-    if not np.all(np.isfinite(A.values)):
-        raise NumericsError(f"non-finite value in {what}")
-    return A.to_dense()
-
-
 def _check_rel_tol(rel_tol):
     if not 0.0 < rel_tol < np.inf:
         raise ParameterError(f"rel_tol must be finite and positive, got {rel_tol!r}")
@@ -414,12 +393,14 @@ def _lanczos_top(apply, n, rel_tol, what, finish):
 
 
 def spectral_norm(A, rel_tol=1e-8):
-    """Largest singular value.
+    """Largest singular value, by Lanczos on ``A.T @ A``.
 
-    Uses a dense SVD when ``max(A.shape) <= DENSE_CUTOFF``, and otherwise
-    Lanczos on ``A.T @ A`` to relative Ritz residual ``rel_tol`` within
-    the module's step budget, ``_MAX_STEPS``. ``A.T @ A`` is applied as two
-    products on ``A``'s cached product forms of ``A`` and ``A.T``.
+    Runs to relative Ritz residual ``rel_tol`` within the module's step
+    budget, ``_MAX_STEPS``, so the estimate is within ``rel_tol / 2``
+    relative and errs only low: the top Ritz value approaches the top
+    eigenvalue from below. ``A.T @ A`` is applied as two products on
+    ``A``'s cached product forms of ``A`` and ``A.T``. A matrix with no
+    nonzero entry has norm 0.
 
     Raises
     ------
@@ -429,8 +410,6 @@ def spectral_norm(A, rel_tol=1e-8):
     _check_rel_tol(rel_tol)
     if A.nnz == 0 or A.max_abs() == 0.0:
         return 0.0
-    if uses_dense(A):
-        return float(np.linalg.norm(_dense(A, "spectral_norm"), 2))
     S, ST = A.product_form(), A.product_form(transpose=True)
     return _lanczos_top(lambda v: ST @ (S @ v), A.n_cols, rel_tol, "spectral_norm", np.sqrt)
 
@@ -438,9 +417,8 @@ def spectral_norm(A, rel_tol=1e-8):
 def min_singular_value(A, rel_tol=1e-10):
     """Smallest singular value of a square nonsingular matrix.
 
-    Uses a dense SVD for ``n <= DENSE_CUTOFF``. Above it, an exactly
-    symmetric ``A`` (``A == A.T`` entry for entry) whose Gershgorin interval
-    [lo, hi] has ``lo >= 0`` is positive semidefinite, so its smallest
+    An exactly symmetric ``A`` (``A == A.T`` entry for entry) whose Gershgorin
+    interval [lo, hi] has ``lo >= 0`` is positive semidefinite, so its smallest
     singular value is its smallest eigenvalue: Lanczos on ``(A - s I)^{-1}``
     with ``s = max(lo - delta, 0)`` (:func:`_lambda_min_above`), one LU solve
     per step, to relative Ritz residual ``rel_tol / 2``. That puts the
@@ -453,7 +431,8 @@ def min_singular_value(A, rel_tol=1e-10):
     Raises
     ------
     SingularMatrixError
-        If ``A`` is numerically singular (from its LU on both paths).
+        If ``A`` is numerically singular (from its LU on both paths), as it
+        is when it has no nonzero entry or order 0.
     ConvergenceFailure
         If the step budget runs out; ``best_estimate`` is ``None``.
     """
@@ -461,17 +440,10 @@ def min_singular_value(A, rel_tol=1e-10):
     if not A.is_square:
         raise DimensionError("min_singular_value requires a square matrix")
     n = A.n_rows
-    if uses_dense(A):
-        svals = np.linalg.svd(_dense(A, "min_singular_value"), compute_uv=False)
-        smin = float(svals[-1]) if svals.size else 0.0
-        smax = float(svals[0]) if svals.size else 0.0
-        if smin <= _PIVOT_TOL * smax:
-            raise SingularMatrixError(
-                f"matrix is numerically singular (sigma_min = {smin:.3e})"
-            )
-        return smin
     S, ST = A.to_scipy(), A.to_scipy_transpose()
-    if all(np.array_equal(getattr(S, a), getattr(ST, a)) for a in ("indptr", "indices", "data")):
+    # a matrix with no entry, of order 0 too, goes to the LU, which calls it singular
+    if A.nnz and all(np.array_equal(getattr(S, a), getattr(ST, a))
+                     for a in ("indptr", "indices", "data")):
         lo, _, delta = _gershgorin(A)
         if lo >= 0.0:  # A is positive semidefinite
             return _lambda_min_above(A, max(lo - delta, 0.0), rel_tol / 2, "min_singular_value")
@@ -519,9 +491,9 @@ def _check_symmetry(A, sign, rel_tol, what):
 def symmetric_eig_extremes(H, rel_tol=1e-11):
     """Extreme eigenvalues ``(lambda_min, lambda_max)`` of a symmetric matrix.
 
-    Symmetry is checked to 1e-12 relative. Matrices of order at most
-    ``DENSE_CUTOFF`` go through a dense solver. Larger ones use Lanczos on
-    shifted inverses: with the Gershgorin interval [lo, hi] containing the
+    Symmetry is checked to 1e-12 relative. A matrix with no nonzero entry,
+    of order 0 included, gives ``(0.0, 0.0)``. Every other one runs Lanczos
+    on shifted inverses: with the Gershgorin interval [lo, hi] containing the
     spectrum, ``sigma_hi I - H`` and ``H - sigma_lo I`` (shifts just
     beyond it) are positive definite, and the top eigenvalue of each
     inverse, applied through its LU, exposes one extreme eigenvalue with a
@@ -538,9 +510,6 @@ def symmetric_eig_extremes(H, rel_tol=1e-11):
     _check_rel_tol(rel_tol)
     _check_symmetry(H, 1.0, 1e-12, "symmetric_eig_extremes")
     n = H.n_rows
-    if uses_dense(H):
-        eigs = np.linalg.eigvalsh(_dense(H, "symmetric_eig_extremes"))
-        return float(eigs[0]), float(eigs[-1])
     if H.nnz == 0 or H.max_abs() == 0.0:
         return 0.0, 0.0
     lo, hi, delta = _gershgorin(H)

@@ -415,58 +415,33 @@ class TestVerdicts:
         assert "holds=true" in line
 
 
-@pytest.mark.parametrize(
-    "m, dense", [(10, True), (24, False)]  # n = 100 and 576 around DENSE_CUTOFF
-)
+@pytest.mark.parametrize("m", [10, 24])  # n = 100 and 576: one label at every size
 class TestNormDetailMethods:
     """Every norm_details method names the estimator that actually ran."""
 
-    def test_scalar_omega(self, m, dense):
+    def test_scalar_omega(self, m):
         p = gen_example41(m, 4.0)[1]
         cert = evaluate(
             [Condition.SCALAR_OMEGA], A=p.A, B=p.B, omega_scalar=2.0, theta=0.1,
         )[0]
         methods = {d[0]: d[2] for d in cert.norm_details}
-        eig = "dense_eigh" if dense else "lu_shift_invert_lanczos"
-        norm = "dense_svd" if dense else "lanczos"
-        assert methods["lambda_min(H)"] == eig
-        assert methods["lambda_max(H)"] == eig
-        assert methods["mu_max(S)"] == norm
-        assert methods["norm(B)"] == norm
+        assert methods["lambda_min(H)"] == "lu_shift_invert_lanczos"
+        assert methods["lambda_max(H)"] == "lu_shift_invert_lanczos"
+        assert methods["mu_max(S)"] == "lanczos"
+        assert methods["norm(B)"] == "lanczos"
 
-    def test_inexact(self, m, dense):
+    def test_inexact(self, m):
         _, p, hat = gen_example41(m, 4.0)
         s = build_splitting(p.A, "ngs")
         cert = check_inexact(p.A, p.B, s.M, s.N, hat, 0.5)
         methods = {d[0]: d[2] for d in cert.norm_details}
-        norm = "dense_svd" if dense else "lanczos"
-        inv = "dense_svd" if dense else "lu_shift_invert_lanczos"
         assert methods == {
-            "norm((Omega+M)^-1)": inv,
-            "norm(Omega+M)": norm,
-            "norm(Omega+N)": norm,
-            "norm(B)": norm,
+            "norm((Omega+M)^-1)": "lu_shift_invert_lanczos",
+            "norm(Omega+M)": "lanczos",
+            "norm(Omega+N)": "lanczos",
+            "norm(B)": "lanczos",
             "theta": "input",
         }
-
-
-def test_cutoff_decided_in_linalg_alone(monkeypatch):
-    # certify's labels follow the cutoff linalg reads at call time
-    _, p, hat = gen_example41(6, 4.0)  # n = 36
-    s = build_splitting(p.A, "ngs")
-    dense = check_inexact(p.A, p.B, s.M, s.N, hat, 0.5)
-    monkeypatch.setattr(gavekit.linalg, "DENSE_CUTOFF", 0)
-    lanczos = check_inexact(p.A, p.B, s.M, s.N, hat, 0.5)
-    assert {label: method for label, _, method in lanczos.norm_details} == {
-        "norm((Omega+M)^-1)": "lu_shift_invert_lanczos",
-        "norm(Omega+M)": "lanczos",
-        "norm(Omega+N)": "lanczos",
-        "norm(B)": "lanczos",
-        "theta": "input",
-    }
-    values = {label: value for label, value, _ in lanczos.norm_details}
-    for label, value, _ in dense.norm_details:
-        assert values[label] == pytest.approx(value, rel=1e-8, abs=1e-8)
 
 
 def _dense_sides(condition, A, B, M, N, Om, t, g, w):
@@ -578,7 +553,7 @@ def _example41_case(m, mu, scale):
 
 
 class TestLanczosAgainstDenseOnExample41:
-    """Above DENSE_CUTOFF, on the paper's family, every certificate quantity is
+    """On the paper's family at n = 576 and 625, every certificate quantity is
     within _NORM_RTOL / 2 of the dense SVD and every verdict is the dense one."""
 
     @pytest.mark.parametrize("m", [24, 25], ids=["even-m", "odd-m"])
@@ -586,7 +561,6 @@ class TestLanczosAgainstDenseOnExample41:
                              ids=["mu4-hatM", "mu-1-1.5hatM"])
     def test_quantities_and_verdicts(self, m, mu, scale):
         p, s, om, sv = _example41_case(m, mu, scale)
-        assert not gavekit.linalg.uses_dense(p.A)
         theta = 0.3
         inexact, cor34 = evaluate([Condition.INEXACT, Condition.COR34], A=p.A, B=p.B,
                                   M=s.M, N=s.N, omega=om, theta=theta)

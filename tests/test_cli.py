@@ -579,7 +579,7 @@ def test_certify_drs_uses_the_shift_solve_runs(capsys):
         "--condition", "Cor35a",
     )
     assert code == 0
-    assert [line.split()[1] for line in lines] == ["lhs=9.2659092163158652e-02"] * 2
+    assert [line.split()[1] for line in lines] == ["lhs=9.2659092163158666e-02"] * 2
 
 
 def test_certify_drs_corollaries_use_the_pinned_shift(capsys):
@@ -691,7 +691,7 @@ def test_certify_singular_shift_exits_3(tmp_path, capsys):
 
 
 def test_certify_singular_symmetric_psd_exits_3(tmp_path, capsys):
-    # the path-graph Laplacian above DENSE_CUTOFF: symmetric with Gershgorin
+    # the path-graph Laplacian: symmetric with Gershgorin
     # lo = 0, so sigma_min takes the shifted path at shift 0, whose LU fails
     n = 600
     i = np.arange(n)

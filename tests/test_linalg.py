@@ -1,6 +1,7 @@
 """LU factorization, LSQR, and the spectral estimators."""
 
 import functools
+import inspect
 
 import numpy as np
 import pytest
@@ -35,7 +36,7 @@ from gavekit import (
     zeros,
 )
 from gavekit.certify import _NORM_RTOL
-from gavekit.linalg import DENSE_CUTOFF, _lanczos_top, _top_ritz_pair
+from gavekit.linalg import _lanczos_top, _top_ritz_pair
 
 from conftest import count_calls, count_products, random_dominant, random_sparse, tridiag
 
@@ -354,7 +355,7 @@ class TestSpectralNorm:
         assert spectral_norm(A) == pytest.approx(0.5 * np.sqrt(600), rel=1e-12)
 
     def test_budget_exhaustion_carries_estimate(self, monkeypatch):
-        # above the dense cutoff, with the top pair inside a dense cluster
+        # the top pair inside a dense cluster
         A = diag_matrix(np.r_[1.0, np.linspace(0.999999, 0.0, 599)])
         monkeypatch.setattr(gavekit.linalg, "_MAX_STEPS", 20)
         with pytest.raises(ConvergenceFailure) as info:
@@ -364,7 +365,7 @@ class TestSpectralNorm:
         assert est is None or est == pytest.approx(1.0, rel=1e-3)
 
 
-def _above_cutoff(name):
+def _operator_case(name):
     _, p, hat = gen_example41(24, 4.0)  # n = 576
     if name == "Omega+M":
         s = build_splitting(p.A, "ngs", OmegaSpec.scaled(1.0, hat))
@@ -379,8 +380,7 @@ class TestSpectralNormOperator:
     """The explicit-transpose operator against products on scipy's transposed view."""
 
     def test_products_bit_identical(self, name):
-        X = _above_cutoff(name)
-        assert max(X.shape) > DENSE_CUTOFF
+        X = _operator_case(name)
         S = X.to_scipy()
         ST = S.T.tocsr()
         rng = np.random.default_rng(11)
@@ -389,7 +389,7 @@ class TestSpectralNormOperator:
             np.testing.assert_array_equal(ST @ (S @ v), S.T @ spmv(X, v))
 
     def test_estimate_bit_identical(self, name):
-        X = _above_cutoff(name)
+        X = _operator_case(name)
         S = X.to_scipy()
         want = _lanczos_top(
             lambda v: S.T @ spmv(X, v),
@@ -462,12 +462,10 @@ class TestMinSingularValue:
         P = SparseMatrix.from_coo(3, 3, [0, 1, 2], [1, 2, 0], [1.0, 1.0, 1.0])
         assert min_singular_value(P) == pytest.approx(1.0)
 
-    def test_dense_and_iterative_paths_agree(self, rng, monkeypatch):
+    def test_dense_and_iterative_paths_agree(self, rng):
         A = random_dominant(rng, 100)
-        dense = min_singular_value(A)
-        monkeypatch.setattr(gavekit.linalg, "DENSE_CUTOFF", 0)
-        iterative = min_singular_value(A)
-        assert iterative == pytest.approx(dense, rel=1e-6)
+        dense = np.linalg.svd(A.to_dense(), compute_uv=False)[-1]
+        assert min_singular_value(A) == pytest.approx(dense, rel=1e-6)
 
     def test_singular_raises(self):
         A = SparseMatrix.from_dense(np.array([[1.0, 2.0], [2.0, 4.0]]))
@@ -543,19 +541,17 @@ class TestSymmetricEigExtremes:
         assert lo == pytest.approx(4 - c, rel=1e-10)
         assert hi == pytest.approx(4 + c, rel=1e-10)
 
-    def test_iterative_path_matches_dense(self, rng, monkeypatch):
-        dense = np.zeros((120, 120))
+    def test_iterative_path_matches_dense(self, rng):
         r = rng.uniform(-1, 1, (120, 120))
         dense = (r + r.T) / 2 + np.diag(rng.uniform(3, 6, 120))
-        H = SparseMatrix.from_dense(dense)
-        lo_d, hi_d = symmetric_eig_extremes(H)
-        monkeypatch.setattr(gavekit.linalg, "DENSE_CUTOFF", 0)
-        lo_i, hi_i = symmetric_eig_extremes(H)
+        eigs = np.linalg.eigvalsh(dense)
+        lo_d, hi_d = eigs[0], eigs[-1]
+        lo_i, hi_i = symmetric_eig_extremes(SparseMatrix.from_dense(dense))
         assert lo_i == pytest.approx(lo_d, rel=1e-7)
         assert hi_i == pytest.approx(hi_d, rel=1e-7)
 
     def test_large_tridiagonal_uses_power_path(self):
-        m = 600  # above the dense cutoff
+        m = 600
         A = tridiag(-1, 4, -1, m)
         lo, hi = symmetric_eig_extremes(A)
         c = 2 * np.cos(np.pi / (m + 1))
@@ -611,7 +607,7 @@ def _two_solve_min_singular_value(X, rel_tol):
 @pytest.mark.parametrize("mu", [4.0, -1.0])
 @pytest.mark.parametrize("m", [24, 25])
 class TestShiftedMinSingularValue:
-    """sigma_min of a symmetric matrix with Gershgorin lo >= 0, above the cutoff."""
+    """sigma_min of a symmetric matrix with Gershgorin lo >= 0, at n = m^2."""
 
     @pytest.mark.parametrize("rel_tol", [_NORM_RTOL, 1e-10])
     def test_against_dense_svd(self, m, mu, rel_tol):
@@ -666,7 +662,7 @@ def _certified_example41(m, mu):
 @pytest.mark.parametrize("mu", [4.0, -1.0])
 @pytest.mark.parametrize("m", [24, 25, 30, 31, 40])
 class TestEstimatorsOnExample41:
-    """Sparse-path estimators against dense oracles on the paper's matrices.
+    """The estimators against dense oracles on the paper's matrices.
 
     At even m the grid Laplacian's smooth lowest mode is orthogonal to any
     alternating-sign vector, so a structured start vector misses it.
@@ -706,6 +702,83 @@ class TestEstimatorsOnExample41:
             assert min_singular_value(X, rel_tol=_NORM_RTOL) >= svals[-1] * (1 - 1e-12)
 
 
+@functools.lru_cache(maxsize=None)
+def _small_order_case(case):
+    """The matrices of one small-order oracle case, each with numpy's answers:
+    a list of (X, singular values of X, eigenvalues of its symmetric part H,
+    singular values of its antisymmetric part S, H, S)."""
+    kind, size, *mu = case.split(":")
+    if kind == "random":
+        mats = [random_dominant(np.random.default_rng(int(size)), int(size))]
+    else:
+        _, p, hat = gen_example41(int(size), float(mu[0]))
+        s = build_splitting(p.A, "ngs", OmegaSpec.scaled(1.0, hat))
+        mats = [p.A, p.B, sparse_add(s.omega, s.M), sparse_add(s.omega, s.N)]
+    out = []
+    for X in mats:
+        H, S = hermitian_split(X)
+        out.append((X, np.linalg.svd(X.to_dense(), compute_uv=False),
+                    np.linalg.eigvalsh(H.to_dense()),
+                    np.linalg.svd(S.to_dense(), compute_uv=False), H, S))
+    return out
+
+
+_SMALL_ORDER_CASES = [f"random:{n}" for n in (1, 2, 3, 16, 100, 256, 484)] + [
+    f"example41:{m}:{mu}" for m in range(2, 23) for mu in (4.0, -1.0)
+]
+
+
+@pytest.mark.parametrize("rel_tol", [None, _NORM_RTOL], ids=["default", "certify"])
+@pytest.mark.parametrize("case", _SMALL_ORDER_CASES)
+def test_small_orders_against_numpy(case, rel_tol):
+    # orders 1 to 484 run the same Lanczos paths as the paper's sizes: every
+    # estimate within rel_tol / 2 of numpy's, each on its documented side
+    # (an eigenvalue relative to the largest modulus, as lambda_min may be 0)
+    def tol(estimate):
+        if rel_tol is not None:
+            return {"rel_tol": rel_tol}, rel_tol
+        return {}, inspect.signature(estimate).parameters["rel_tol"].default
+
+    for X, svals, eigs, skew, H, S in _small_order_case(case):
+        kw, t = tol(spectral_norm)
+        got = spectral_norm(X, **kw)
+        assert got == pytest.approx(svals[0], rel=t / 2)
+        assert got <= svals[0] * (1 + 1e-13)
+
+        kw, t = tol(min_singular_value)
+        if svals[-1] <= 1e-14 * svals[0]:  # B = hatM - 2I at mu = -1, 3 | m + 1
+            with pytest.raises(SingularMatrixError):
+                min_singular_value(X, **kw)
+        else:
+            got = min_singular_value(X, **kw)
+            assert got == pytest.approx(svals[-1], rel=t / 2)
+            assert got >= svals[-1] * (1 - 1e-13)
+
+        kw, t = tol(symmetric_eig_extremes)
+        lo, hi = symmetric_eig_extremes(H, **kw)
+        scale = np.abs(eigs).max()
+        assert lo == pytest.approx(eigs[0], rel=0, abs=t / 2 * scale)
+        assert hi == pytest.approx(eigs[-1], rel=0, abs=t / 2 * scale)
+
+        kw, t = tol(skew_spectral_radius)
+        got = skew_spectral_radius(S, **kw)
+        assert got == pytest.approx(skew[0], rel=t / 2)
+        assert got <= skew[0] * (1 + 1e-13)
+
+
+@pytest.mark.parametrize("n", [0, 3])
+def test_matrices_without_entries(n):
+    # order 0 and an all-zero matrix: a norm of 0, a singular LU
+    Z = zeros(n)
+    assert spectral_norm(Z) == 0.0
+    assert skew_spectral_radius(Z) == 0.0
+    assert symmetric_eig_extremes(Z) == (0.0, 0.0)
+    with pytest.raises(SingularMatrixError, match="singular"):
+        min_singular_value(Z)
+    with pytest.raises(SingularMatrixError, match="singular"):
+        lu_factorize(Z)
+
+
 @pytest.mark.parametrize("mu", [4.0, -1.0])
 def test_estimators_match_closed_form_at_paper_size(mu):
     # A = hatM + (mu+1) I and B = hatM + (mu-1) I, with the spectrum of
@@ -721,7 +794,7 @@ def test_estimators_match_closed_form_at_paper_size(mu):
 
 
 def test_estimators_are_deterministic():
-    A = gen_example41(30, -1.0)[1].A  # symmetric, n = 900 > DENSE_CUTOFF
+    A = gen_example41(30, -1.0)[1].A  # symmetric, n = 900
     for estimate in (
         lambda: spectral_norm(A),
         lambda: min_singular_value(A),
@@ -753,7 +826,9 @@ class TestSkewSpectralRadius:
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
-@pytest.mark.parametrize("n", [6, DENSE_CUTOFF + 100], ids=["dense", "lanczos"])
+# both sizes run the one estimator path; the ids name the sizes either side
+# of the dense LAPACK branch that orders up to 500 once took
+@pytest.mark.parametrize("n", [6, 600], ids=["dense", "lanczos"])
 @pytest.mark.parametrize(
     "estimate",
     [spectral_norm, min_singular_value, symmetric_eig_extremes, skew_spectral_radius, lu_factorize],
@@ -778,8 +853,7 @@ def test_non_finite_entry_raises_numerics_error(estimate, n, bad):
     ids=lambda f: f.__name__,
 )
 def test_rel_tol_must_be_finite_and_positive(estimate, rel_tol):
-    # dense sizes: a NaN rel_tol used to pass there silently, and above
-    # DENSE_CUTOFF it would run the whole Lanczos step budget
+    # a NaN rel_tol would run the whole Lanczos step budget
     X = tridiag(-1, 4, -1, 6)
     if estimate is skew_spectral_radius:
         X = SparseMatrix.from_coo(6, 6, [0, 1], [1, 0], [1.0, -1.0])

@@ -327,6 +327,5 @@ class TestSerialization:
         save_problem(prob, tmp_path / "p")
         loaded = load_problem(tmp_path / "p")
         GaveProblem(A=loaded.A, B=loaded.B, b=loaded.b, known_solution=loaded.known_solution)
-        gen_certified(30, seed=1)
         assert loaded.known_solution is not None
         assert built == []
