@@ -26,14 +26,9 @@ results:
   the smooth lowest mode of a grid Laplacian with an even side, and the
   iteration would then lock onto the next mode;
 - the products that repeat, LSQR's with ``A`` and ``A.T`` and
-  :func:`spectral_norm`'s two factors of ``A.T @ A``, run on the product
-  forms the matrix caches (``SparseMatrix.product_form``): scipy DIA for
-  a matrix whose entries lie on few diagonals, such as every example41
-  matrix, else CSR, with ``A.T`` as the cached CSR transpose
-  (``SparseMatrix.to_scipy_transpose``). Every entry of a product on a
-  form sums the same terms in the same order as the CSR product with
-  ``A``, or as a product on scipy's transposed (CSC) view of it, so the
-  results are bit-identical to those products.
+  :func:`spectral_norm`'s two factors of ``A.T @ A``, run on the pair of
+  product forms the matrix caches (``SparseMatrix.product_forms``), bit
+  for bit the CSR products with ``A`` and ``A.T``.
 """
 
 from __future__ import annotations
@@ -203,10 +198,8 @@ def lsqr(A, rhs, target_residual, max_iter):
         return LsqrOutcome(np.zeros(A.n_cols), beta, 0, "target_met")
     if max_iter == 0:
         return LsqrOutcome(np.zeros(A.n_cols), beta, 0, "max_iter")
-    S = A.product_form()
-    x, istop, itn = _lsqr_run(
-        S, A.product_form(transpose=True), rhs, beta, target_residual / beta, max_iter
-    )
+    S, ST = A.product_forms()
+    x, istop, itn = _lsqr_run(S, ST, rhs, beta, target_residual / beta, max_iter)
     if not np.all(np.isfinite(x)):
         raise NumericsError(f"non-finite lsqr iterate after {itn} iterations")
     actual = float(np.linalg.norm(S @ x - rhs))
@@ -410,7 +403,7 @@ def spectral_norm(A, rel_tol=1e-8):
     _check_rel_tol(rel_tol)
     if A.nnz == 0 or A.max_abs() == 0.0:
         return 0.0
-    S, ST = A.product_form(), A.product_form(transpose=True)
+    S, ST = A.product_forms()
     return _lanczos_top(lambda v: ST @ (S @ v), A.n_cols, rel_tol, "spectral_norm", np.sqrt)
 
 
@@ -440,7 +433,7 @@ def min_singular_value(A, rel_tol=1e-10):
     if not A.is_square:
         raise DimensionError("min_singular_value requires a square matrix")
     n = A.n_rows
-    S, ST = A.to_scipy(), A.to_scipy_transpose()
+    S, ST = A.to_scipy(), A.transpose().to_scipy()
     # a matrix with no entry, of order 0 too, goes to the LU, which calls it singular
     if A.nnz and all(np.array_equal(getattr(S, a), getattr(ST, a))
                      for a in ("indptr", "indices", "data")):
@@ -497,10 +490,11 @@ def symmetric_eig_extremes(H, rel_tol=1e-11):
     spectrum, ``sigma_hi I - H`` and ``H - sigma_lo I`` (shifts just
     beyond it) are positive definite, and the top eigenvalue of each
     inverse, applied through its LU, exposes one extreme eigenvalue with a
-    wide spectral gap (the lower one by :func:`_lambda_min_above`, as for
-    :func:`min_singular_value` of a symmetric matrix). Each Lanczos run
-    stops at relative Ritz residual ``rel_tol`` or fails after
-    ``_MAX_STEPS`` steps.
+    wide spectral gap. Both come from :func:`_lambda_min_above`, as for
+    :func:`min_singular_value` of a symmetric matrix: the lower one of
+    ``H`` above ``sigma_lo``, the upper one as minus that of ``-H`` above
+    ``-sigma_hi``. Each Lanczos run stops at relative Ritz residual
+    ``rel_tol`` or fails after ``_MAX_STEPS`` steps.
 
     Raises
     ------
@@ -509,14 +503,11 @@ def symmetric_eig_extremes(H, rel_tol=1e-11):
     """
     _check_rel_tol(rel_tol)
     _check_symmetry(H, 1.0, 1e-12, "symmetric_eig_extremes")
-    n = H.n_rows
     if H.nnz == 0 or H.max_abs() == 0.0:
         return 0.0, 0.0
     lo, hi, delta = _gershgorin(H)
-    sigma_hi = hi + delta
-    upper = lu_factorize(sparse_sub(diag_matrix(np.full(n, sigma_hi)), H))
-    lam_max = _lanczos_top(upper.solve, n, rel_tol, "symmetric_eig_extremes (max)",
-                           lambda rho: sigma_hi - 1.0 / rho)
+    lam_max = -_lambda_min_above(sparse_scale(-1.0, H), -(hi + delta), rel_tol,
+                                 "symmetric_eig_extremes (max)")
     lam_min = _lambda_min_above(H, lo - delta, rel_tol, "symmetric_eig_extremes (min)")
     return float(lam_min), float(lam_max)
 

@@ -112,7 +112,7 @@ def read_matrix_market(path):
     rows, cols = data[:, :2].T.astype(np.int64) - 1
     try:
         return SparseMatrix.from_coo(n_rows, n_cols, rows, cols, data[:, 2])
-    except ParameterError as exc:
+    except (DimensionError, ParameterError) as exc:
         raise FormatError(f"{path}: {exc}") from exc
 
 

@@ -133,7 +133,7 @@ def residual(problem, x):
     solvers reuse at every step.
     """
     x = as_vector(x, problem.A.n_cols, "x")
-    return problem.A.product_form() @ x - problem.B.product_form() @ np.abs(x) - problem.b
+    return problem.A.product_forms()[0] @ x - problem.B.product_forms()[0] @ np.abs(x) - problem.b
 
 
 def expand_x0(x0, n):

@@ -9,15 +9,16 @@ never store an entry that is exactly zero, whether it came from one operand
 or from cancellation. Dropping a zero removes only ``0 * x_j`` terms, so
 products with finite vectors are unchanged.
 
-Beside the CSR matrix a handle caches, on first use, a product form of
-itself and of its transpose (:meth:`SparseMatrix.product_form`): scipy DIA
-storage when the entries lie on few diagonals, else CSR. Only the loops
-that multiply one matrix many times use it (LSQR, ``spectral_norm``'s
-Lanczos operator and the solver's residual); :func:`spmv` and every
-one-off product stay on CSR, so no set-up builds one. A DIA product sums
-each row's terms in ascending offset order, which is CSR's column order,
-plus ``0 * x_j`` terms for the zeros DIA pads its diagonals with, so over
-finite vectors it is bit for bit the CSR product.
+Beside the CSR matrix a handle caches, on first use, one pair of product
+forms, of itself and of its transpose (:meth:`SparseMatrix.product_forms`):
+scipy DIA storage when the entries lie on few diagonals, else CSR. Only
+the loops that multiply one matrix many times use them (LSQR,
+``spectral_norm``'s Lanczos operator and the solver's residual);
+:func:`spmv` and every one-off product stay on CSR, so no set-up builds
+them. A DIA product sums each row's terms in ascending offset order,
+which is CSR's column order, plus ``0 * x_j`` terms for the zeros DIA pads
+its diagonals with, so over finite vectors it is bit for bit the CSR
+product.
 """
 
 from __future__ import annotations
@@ -69,12 +70,11 @@ class SparseMatrix:
     ``has_canonical_format``; a violation raises ``ParameterError``.
     ``row_ptr``, ``col_idx`` and ``values`` are the read-only arrays of
     :meth:`to_scipy`, with the index dtype scipy chose (int32 when it fits).
-    The handle also caches ``A.T`` as CSR (:meth:`to_scipy_transpose`) and
-    the product forms of ``A`` and ``A.T`` (:meth:`product_form`), each
-    built on first use.
+    The handle also caches the product forms of ``A`` and ``A.T``
+    (:meth:`product_forms`), built together on first use.
     """
 
-    __slots__ = ("_csr", "_csr_t", "_form", "_form_t")
+    __slots__ = ("_csr", "_forms")
 
     def __init__(self, n_rows, n_cols, row_ptr, col_idx, values):
         values = np.ascontiguousarray(values, dtype=np.float64)
@@ -102,8 +102,7 @@ class SparseMatrix:
         for arr in (csr.indptr, csr.indices, csr.data):
             arr.flags.writeable = False
         object.__setattr__(self, "_csr", csr)
-        for slot in ("_csr_t", "_form", "_form_t"):
-            object.__setattr__(self, slot, None)
+        object.__setattr__(self, "_forms", None)
         return self
 
     @classmethod
@@ -119,6 +118,8 @@ class SparseMatrix:
     @classmethod
     def from_coo(cls, n_rows, n_cols, rows, cols, vals):
         """Build from coordinate triples; duplicate (row, col) pairs raise."""
+        if n_rows < 0 or n_cols < 0:
+            raise DimensionError("matrix dimensions must be nonnegative")
         rows = np.asarray(rows, dtype=np.int64)
         cols = np.asarray(cols, dtype=np.int64)
         vals = np.asarray(vals, dtype=np.float64)
@@ -173,41 +174,30 @@ class SparseMatrix:
         """Return the scipy CSR matrix this handle holds (do not modify it)."""
         return self._csr
 
-    def to_scipy_transpose(self):
-        """Return (and cache) ``A.T`` as scipy CSR, the one place it is built.
-
-        Products on it are bit-identical to products on scipy's transposed
-        (CSC) view: each entry sums the same terms in the same order.
-        """
-        if self._csr_t is None:
-            object.__setattr__(self, "_csr_t", self._csr.T.tocsr())
-        return self._csr_t
-
-    def product_form(self, transpose=False):
-        """Return (and cache) the scipy matrix that repeated products with
-        ``A``, or with ``A.T`` when ``transpose``, run on (do not modify it).
+    def product_forms(self):
+        """Return (and cache) the pair ``(S, ST)`` of scipy matrices that
+        repeated products with ``A`` and ``A.T`` run on (do not modify them).
 
         It is scipy DIA, with ascending offsets, when the stored entries lie
         on ``d`` diagonals with ``0 < d * max(n_rows, n_cols) <= 1.5 * nnz``,
-        and otherwise the CSR of :meth:`to_scipy` or
-        :meth:`to_scipy_transpose`. DIA's kernel reads every slot of its
-        ``d`` diagonals, CSR's every stored entry plus its row pointers: on
-        five full diagonals at n = 10000 and 22500 DIA takes 0.70-0.75 of
-        CSR's time, and with short extra diagonals padding it, the two
-        times cross between ``d * n / nnz`` = 1.38 and 1.56. A DIA product
-        equals the CSR product bit for bit over finite vectors (see the
-        module docstring).
+        and otherwise the CSR matrices of ``A`` and ``A.T``. DIA's kernel
+        reads every slot of its ``d`` diagonals, CSR's every stored entry
+        plus its row pointers: on five full diagonals at n = 10000 and 22500
+        DIA takes 0.70-0.75 of CSR's time, and with short extra diagonals
+        padding it, the two times cross between ``d * n / nnz`` = 1.38 and
+        1.56. A DIA product equals the CSR product bit for bit over finite
+        vectors (see the module docstring), and a product on the CSR of
+        ``A.T`` equals one on scipy's transposed (CSC) view of ``A``: each
+        entry sums the same terms in the same order.
         """
-        if self._form is None:
+        if self._forms is None:
             dia = _banded(self._csr)
-            object.__setattr__(self, "_form", self._csr if dia is None else dia)
-        if not transpose:
-            return self._form
-        if self._form_t is None:
-            form = self._form
-            form_t = self.to_scipy_transpose() if form is self._csr else _dia_transpose(form)
-            object.__setattr__(self, "_form_t", form_t)
-        return self._form_t
+            if dia is None:
+                forms = (self._csr, self.transpose().to_scipy())
+            else:
+                forms = (dia, _dia_transpose(dia))
+            object.__setattr__(self, "_forms", forms)
+        return self._forms
 
     def to_dense(self):
         return self._csr.toarray()
@@ -216,7 +206,8 @@ class SparseMatrix:
         return self._csr.diagonal()
 
     def transpose(self):
-        return SparseMatrix._wrap(self.to_scipy_transpose())
+        """``A.T`` as a new handle; the one place a CSR transpose is built."""
+        return SparseMatrix._wrap(self._csr.T.tocsr())
 
     def coo_arrays(self):
         """Return new (rows, cols, values) arrays, in row-major order."""
@@ -240,7 +231,7 @@ class SparseMatrix:
 
 def _banded(csr):
     """``csr`` as scipy DIA with ascending offsets, or None when its entries
-    lie on too many diagonals for :meth:`SparseMatrix.product_form`."""
+    lie on too many diagonals for :meth:`SparseMatrix.product_forms`."""
     if csr.nnz == 0:
         return None
     n_rows, n_cols = csr.shape

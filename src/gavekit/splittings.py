@@ -159,6 +159,8 @@ def resolve_omega(spec, n):
     if spec.kind == "scalar":
         return diag_matrix(np.full(n, spec.omega))
     if spec.kind == "scaled":
+        if spec.base is None:
+            raise ConfigurationError("scaled shift has no base matrix")
         if spec.base.shape != (n, n):
             raise DimensionError(f"omega base has shape {spec.base.shape}, expected {(n, n)}")
         return sparse_scale(spec.scale, spec.base)

@@ -46,20 +46,21 @@ def count_calls(monkeypatch, module, names):
 def count_products(monkeypatch):
     """Record ``(matrix, transpose)`` for every product on a product form."""
     calls = []
-    form_of = SparseMatrix.product_form
+    forms_of = SparseMatrix.product_forms
 
     class Counted:
-        def __init__(self, A, transpose):
-            self.form, self.key = form_of(A, transpose), (A, transpose)
-            self.shape = self.form.shape
+        def __init__(self, form, key):
+            self.form, self.key, self.shape = form, key, form.shape
 
         def __matmul__(self, x):
             calls.append(self.key)
             return self.form @ x
 
-    monkeypatch.setattr(
-        SparseMatrix, "product_form", lambda A, transpose=False: Counted(A, transpose)
-    )
+    def counted_forms(A):
+        S, ST = forms_of(A)
+        return Counted(S, (A, False)), Counted(ST, (A, True))
+
+    monkeypatch.setattr(SparseMatrix, "product_forms", counted_forms)
     return calls
 
 

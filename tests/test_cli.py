@@ -187,6 +187,21 @@ def test_undecodable_text_names_its_file(tmp_path, capsys, argv, name):
     assert "codec can't decode" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    ["solve --example41 4 4 --omega file:{tmp}/neg.mtx", "solve --problem {tmp}/prob"],
+    ids=["shift-file", "problem-dir"],
+)
+def test_negative_matrix_size_exits_2(tmp_path, capsys, argv):
+    text = "%%MatrixMarket matrix coordinate real general\n-1 3 0\n"
+    (tmp_path / "neg.mtx").write_text(text)
+    save_problem(GaveProblem(A=identity(3), B=zeros(3), b=np.ones(3)), tmp_path / "prob")
+    (tmp_path / "prob" / "A.mtx").write_text(text)
+    assert main(argv.format(tmp=tmp_path).split()) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {tmp_path}/") and "dimensions must be nonnegative" in err
+
+
 def test_bench_out_that_cannot_be_written_runs_no_solve(tmp_path, capsys, monkeypatch):
     calls = count_calls(monkeypatch, gavekit.bench, ("run_method",))
     smoke = pathlib.Path(__file__).parent.parent / "specs" / "smoke.spec"

@@ -238,10 +238,9 @@ class TestLsqr:
         rhs = -residual(prob, x0)
         f_norm = np.linalg.norm(rhs)
         cases = [(0.5 * f_norm, 40), (1e-6 * f_norm, 200), (0.0, 60)]
-        assert sparse_add(hat, s.M).product_form(transpose=True).format == "dia"
+        assert sparse_add(hat, s.M).product_forms()[1].format == "dia"
         with monkeypatch.context() as mp:
-            mp.setattr(SparseMatrix, "product_form", lambda A, transpose=False: (
-                A.to_scipy().T if transpose else A.to_scipy()))
+            mp.setattr(SparseMatrix, "product_forms", lambda A: (A.to_scipy(), A.to_scipy().T))
             view = [lsqr(sparse_add(hat, s.M), rhs, t, k) for t, k in cases]
         cached = [lsqr(sparse_add(hat, s.M), rhs, t, k) for t, k in cases]
         for v, c in zip(view, cached):
@@ -254,7 +253,7 @@ class TestLsqr:
     @staticmethod
     def _scipy_lsqr(A, rhs, target, max_iter):
         # the oracle: scipy's lsqr with lsqr()'s options and its outcome rules
-        S, ST = A.to_scipy(), A.to_scipy_transpose()
+        S, ST = A.to_scipy(), A.transpose().to_scipy()
         op = scipy.sparse.linalg.LinearOperator(
             S.shape, matvec=S.dot, rmatvec=ST.dot, dtype=float
         )

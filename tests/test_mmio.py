@@ -138,6 +138,7 @@ def test_empty_bodies_round_trip_without_warnings(tmp_path):
         pytest.param(read_matrix_market, _MM + "1 1 abc\n", id="non-numeric"),
         pytest.param(read_matrix_market, _MM + "1.5 1 2.0\n", id="non-integer"),
         pytest.param(read_matrix_market, _MM + "1 1 2.0\n2 2 3.0\n", id="too-many"),
+        pytest.param(read_matrix_market, _HEAD + "-1 3 0\n", id="negative-size"),
         pytest.param(read_vector, "1.0\nnot-a-number\n", id="vector-bad-line"),
         pytest.param(read_vector, "1.0 2.0\n", id="vector-two-values"),
     ],

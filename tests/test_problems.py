@@ -320,9 +320,7 @@ class TestSerialization:
         # product forms are for the loops that repeat products; generating,
         # saving, loading and the known-solution check make one-off products
         built = []
-        monkeypatch.setattr(
-            SparseMatrix, "product_form", lambda A, transpose=False: built.append(A)
-        )
+        monkeypatch.setattr(SparseMatrix, "product_forms", lambda A: built.append(A))
         _, prob, _ = gen_example41(24, -1.0)
         save_problem(prob, tmp_path / "p")
         loaded = load_problem(tmp_path / "p")

@@ -153,14 +153,13 @@ class TestSpmvTranspose:
             rhs = x @ spmv(A.transpose(), y)
             assert abs(lhs - rhs) <= 1e-10 * max(abs(lhs), abs(rhs), 1e-30)
 
-    def test_cached_transpose_matches_the_view(self, rng):
-        # built once per matrix; products on it equal the CSC view's bit for bit
+    def test_transpose_matches_the_view(self, rng):
+        # products on the CSR transpose equal the CSC view's bit for bit
         A = random_sparse(rng, 30, 17)
-        AT = A.to_scipy_transpose()
-        assert A.to_scipy_transpose() is AT
+        AT = A.transpose().to_scipy()
         np.testing.assert_array_equal(AT.toarray(), A.to_dense().T)
-        y = rng.uniform(-1, 1, 30)
-        np.testing.assert_array_equal(AT @ y, A.to_scipy().T @ y)
+        for y in (rng.uniform(-1, 1, 30), rng.standard_normal(30) * 1e3):
+            np.testing.assert_array_equal(_bits(AT @ y), _bits(A.to_scipy().T @ y))
 
 
 def _example41_matrices(m, mu):
@@ -180,7 +179,7 @@ def _bits(y):
 
 @pytest.mark.filterwarnings("error::scipy.sparse.SparseEfficiencyWarning")
 class TestProductForm:
-    """``product_form``: DIA on few diagonals, bit for bit the CSR product."""
+    """``product_forms``: DIA on few diagonals, bit for bit the CSR products."""
 
     @staticmethod
     def _vectors(rng, n):
@@ -190,19 +189,19 @@ class TestProductForm:
         return [rng.uniform(-1, 1, n), rng.standard_normal(n) * 1e3, signed_zeros]
 
     def _assert_bitwise(self, rng, A):
-        form, form_t = A.product_form(), A.product_form(transpose=True)
+        form, form_t = A.product_forms()
         S = A.to_scipy()
         for x in self._vectors(rng, A.n_cols):
             np.testing.assert_array_equal(_bits(form @ x), _bits(S @ x))
         for y in self._vectors(rng, A.n_rows):
             np.testing.assert_array_equal(_bits(form_t @ y), _bits(S.T @ y))
-            np.testing.assert_array_equal(_bits(form_t @ y), _bits(A.to_scipy_transpose() @ y))
+            np.testing.assert_array_equal(_bits(form_t @ y), _bits(A.transpose().to_scipy() @ y))
 
     @pytest.mark.parametrize("m", [24, 25])
     @pytest.mark.parametrize("mu", [4.0, -1.0])
     def test_example41_matrices_are_dia_and_bitwise_csr(self, rng, m, mu):
         for name, A in _example41_matrices(m, mu).items():
-            form, form_t = A.product_form(), A.product_form(transpose=True)
+            form, form_t = A.product_forms()
             assert form.format == form_t.format == "dia", name
             for f in (form, form_t):  # ascending offsets give CSR's summation order
                 assert (np.diff(f.offsets) > 0).all(), name
@@ -214,19 +213,19 @@ class TestProductForm:
         # hatM's +-1 diagonals have no entry at a block edge, so DIA pads
         # zeros there; the second matrix also stores zeros in CSR
         A = gen_example41(24, 4.0)[1].A
-        form = A.product_form()
+        form = A.product_forms()[0]
         upper = form.data[list(form.offsets).index(1), 1:]  # A[j - 1, j], j = 1, 2, ...
         assert (upper == 0.0).sum() == 24 - 1
         Z = with_explicit_zeros(rng, A)
-        assert (Z.values == 0.0).any() and Z.product_form().format == "dia"
+        assert (Z.values == 0.0).any() and Z.product_forms()[0].format == "dia"
         for X in (A, Z):
             self._assert_bitwise(rng, X)
 
     def test_rectangular_band(self, rng):
         dense = np.triu(np.tril(rng.uniform(1, 2, (30, 40)), 3), -1)
         A = SparseMatrix.from_dense(dense)
-        assert A.product_form().format == "dia"
-        assert A.product_form(transpose=True).shape == (40, 30)
+        form, form_t = A.product_forms()
+        assert form.format == "dia" and form_t.shape == (40, 30)
         self._assert_bitwise(rng, A)
 
     @pytest.mark.parametrize(
@@ -242,16 +241,15 @@ class TestProductForm:
     )
     def test_many_diagonals_keep_csr(self, rng, make):
         A = make(rng)
-        assert A.product_form() is A.to_scipy()
-        assert A.product_form(transpose=True) is A.to_scipy_transpose()
+        form, form_t = A.product_forms()
+        assert form is A.to_scipy() and form_t.format == "csr"
+        np.testing.assert_array_equal(form_t.toarray(), A.to_dense().T)
         if A.nnz:
             self._assert_bitwise(rng, A)
 
     def test_cached(self):
         A = gen_example41(6, 4.0)[1].A
-        form, form_t = A.product_form(), A.product_form(transpose=True)
-        assert A.product_form() is form
-        assert A.product_form(transpose=True) is form_t
+        assert A.product_forms() is A.product_forms()
 
 
 class TestAddSubScale:

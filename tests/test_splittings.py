@@ -260,6 +260,14 @@ class TestResolveOmega:
     def test_none_means_zero(self):
         assert resolve_omega(None, 3).nnz == 0
 
+    def test_scaled_without_base_is_a_configuration_error(self):
+        # bench's mhat placeholder before its base is filled in
+        spec = OmegaSpec.scaled(1.5, None)
+        with pytest.raises(ConfigurationError, match="no base matrix"):
+            resolve_omega(spec, 4)
+        with pytest.raises(ConfigurationError, match="no base matrix"):
+            build_splitting(tridiag(-1, 4, -1, 4), "nj", spec)
+
 
 # the shift spellings a caller may pass, as (hatM, n) -> shift
 SHIFT_SPELLINGS = {
