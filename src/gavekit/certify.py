@@ -8,9 +8,11 @@ norms are evaluated as ``1 / sigma_min``; no inverse is ever formed.
 
 Each condition is a formula over named quantities such as ``norm(Omega+N)``
 and ``norm((Omega+M)^-1)``, and each quantity has one label in
-``norm_details``. One :func:`evaluate` call assembles each shifted sum and
-estimates each quantity at most once, however many of its conditions read
-it; nothing is kept from one call to the next.
+``norm_details``. One :func:`evaluate` call assembles each shifted sum
+and estimates each norm and inverse norm of a distinct matrix at most once,
+however many of its conditions and labels read it (with a zero shift,
+``norm((Omega+A)^-1)`` is ``norm(A^-1)``); nothing is kept from one call
+to the next.
 
 Every estimated quantity is a Lanczos estimate at every matrix size,
 labelled ``lanczos`` (a norm, ``mu_max(S)``) or ``lu_shift_invert_lanczos``
@@ -138,37 +140,46 @@ class Certificate:
 class _Quantities:
     """The inputs of one :func:`evaluate` call and the quantities read from them.
 
-    A sum ``Omega+X`` or ``Omega-X`` is assembled, and a norm estimated, at
-    its first use. ``details`` collects the (label, value, method) triples
-    of the certificate being evaluated.
+    A sum ``Omega+X`` or ``Omega-X`` is assembled at its first use; with an
+    Omega of no stored entry, ``Omega+X`` is X itself when X stores no zero,
+    as ``sparse_add`` would return X bit for bit. Each norm and inverse norm
+    is estimated once per distinct matrix, however many labels name it.
+    ``details`` collects the (label, value, method) triples of the
+    certificate being evaluated.
     """
 
     def __init__(self, inputs):
         self.inputs = inputs
         self.matrices = {name: inputs[name] for name in ("A", "B", "M", "N")}
         self.matrices["Omega"] = inputs["omega"]
-        self.estimates = {}
+        self.estimates = {}  # (method, id of the matrix) -> value
         self.details = {}
 
     def matrix(self, name):
         if name not in self.matrices:  # "Omega+X" or "Omega-X"
-            combine = sparse_add if name[5] == "+" else sparse_sub
-            self.matrices[name] = combine(self.matrices["Omega"], self.matrices[name[6:]])
+            omega, X = self.matrices["Omega"], self.matrices[name[6:]]
+            if name[5] == "-":
+                self.matrices[name] = sparse_sub(omega, X)
+            elif omega.nnz == 0 and omega.shape == X.shape and np.all(X.values):
+                self.matrices[name] = X
+            else:
+                self.matrices[name] = sparse_add(omega, X)
         return self.matrices[name]
 
     def norm(self, name):
-        label = f"norm({name})"
-        if label not in self.estimates:
-            value = spectral_norm(self.matrix(name), rel_tol=_NORM_RTOL)
-            self.estimates[label] = value, "lanczos"
-        return self.record(label, *self.estimates[label])
+        X = self.matrix(name)
+        key = "lanczos", id(X)
+        if key not in self.estimates:
+            self.estimates[key] = spectral_norm(X, rel_tol=_NORM_RTOL)
+        return self.record(f"norm({name})", self.estimates[key], "lanczos")
 
     def inv_norm(self, name):
         label = f"norm(({name})^-1)" if len(name) > 1 else f"norm({name}^-1)"
-        if label not in self.estimates:
-            value = 1.0 / min_singular_value(self.matrix(name), rel_tol=_NORM_RTOL)
-            self.estimates[label] = value, "lu_shift_invert_lanczos"
-        return self.record(label, *self.estimates[label])
+        X = self.matrix(name)
+        key = "lu_shift_invert_lanczos", id(X)
+        if key not in self.estimates:
+            self.estimates[key] = 1.0 / min_singular_value(X, rel_tol=_NORM_RTOL)
+        return self.record(label, self.estimates[key], "lu_shift_invert_lanczos")
 
     def record(self, label, value, method="input"):
         self.details[label] = (float(value), method)

@@ -34,7 +34,7 @@ results:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import sqrt
+from math import isfinite, sqrt
 
 import numpy as np
 import scipy.sparse.linalg
@@ -363,11 +363,11 @@ def _lanczos_top(apply, n, rel_tol, what, finish):
         alpha = float(w @ v)
         # a non-finite entry of w makes w @ v non-finite; the test comes
         # before w -= alpha * v, where inf - inf would warn
-        if not np.isfinite(alpha):
+        if not isfinite(alpha):
             raise NumericsError(f"non-finite value in {what}")
         w -= np.multiply(alpha, v, out=work)
-        beta = float(np.linalg.norm(w))
-        if not np.isfinite(beta):
+        beta = sqrt(float(w @ w))  # what np.linalg.norm computes for a 1-D float array
+        if not isfinite(beta):
             raise NumericsError(f"non-finite value in {what}")
         alphas[j] = alpha
         # the test runs every 5th step: at j ~ 200 the Ritz pair costs more

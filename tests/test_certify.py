@@ -177,6 +177,30 @@ class TestEvaluate:
         apart = [evaluate([c], **inputs)[0] for c in Condition]
         assert together == apart
 
+    def test_zero_shift_estimates_each_distinct_matrix_once(self, monkeypatch):
+        _, p, _ = gen_example41(6, 4.0)
+        s = build_splitting(p.A, "ngs")
+        inputs = dict(A=p.A, B=p.B, M=s.M, N=s.N, theta=0.3, gamma=1.0, omega_scalar=2.0)
+        # an Omega storing one zero is not aliased: each Omega+X is assembled
+        stored_zero = SparseMatrix.from_coo(p.n, p.n, [0], [0], [0.0])
+        reference = evaluate(list(Condition), omega=stored_zero, **inputs)
+        calls = count_calls(monkeypatch, gavekit.certify, (
+            "spectral_norm", "min_singular_value", "sparse_add", "sparse_sub",
+        ))
+        certs = evaluate(list(Condition), omega=zeros(p.n), **inputs)
+        # norms of A, B, Omega, M, N and Omega-A; inverse norms of A and M:
+        # Omega+X is X, so norm((Omega+M)^-1) is norm(M^-1), and so on
+        assert calls == {"spectral_norm": 6, "min_singular_value": 2, "sparse_sub": 1}
+        assert certs == reference  # lhs, rhs, holds and every norm_details value
+
+    def test_a_stored_zero_keeps_the_sum(self, monkeypatch):
+        # sparse_add drops a stored zero of X, so Omega+X is then not X
+        A = SparseMatrix.from_coo(2, 2, [0, 0, 1], [0, 1, 1], [2.0, 0.0, 3.0])
+        calls = count_calls(monkeypatch, gavekit.certify, ("sparse_add",))
+        cert = evaluate([Condition.COR31], A=A, B=scaled_identity(2, 0.1), omega=zeros(2))[0]
+        assert calls == {"sparse_add": 1}
+        assert cert.rhs == pytest.approx(10.0) and cert.lhs == pytest.approx(0.5)
+
     def test_inputs_checked_before_any_estimate(self, monkeypatch):
         def no_estimate(*args, **kwargs):
             raise AssertionError("estimated before the inputs were checked")

@@ -241,3 +241,66 @@ def test_write_vector_refuses_before_opening_the_path(tmp_path, value, error):
     with pytest.raises(error, match=re.escape(str(path))):
         write_vector(path, value)
     assert path.read_bytes() == b"1.0\n"
+
+
+@pytest.mark.parametrize("token", ["1.0", "1e0"])
+@pytest.mark.parametrize("line", ["{} 1 2.0\n", "1 {} 2.0\n"], ids=["row", "col"])
+def test_non_integer_index_token_names_the_path(tmp_path, token, line):
+    path = tmp_path / "a.mtx"
+    path.write_text(_MM + line.format(token))
+    with pytest.raises(FormatError, match=re.escape(str(path))):
+        read_matrix_market(path)
+
+
+@pytest.mark.filterwarnings("error")
+def test_index_beyond_int64_is_a_format_error(tmp_path):
+    path = tmp_path / "a.mtx"
+    path.write_text(_MM + "99999999999999999999 1 2.0\n")
+    with pytest.raises(FormatError, match=re.escape(str(path))):
+        read_matrix_market(path)
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+@pytest.mark.parametrize("comments", [False, True], ids=["clean", "comments"])
+def test_comment_lines_and_line_endings_read_as_clean_file(tmp_path, newline, comments):
+    # the reader counts the lines before the size line for loadtxt's skiprows
+    matrix = [_HEAD.strip(), "3 2 3", "1 2 0.5", "3 1 -2.25", "2 2 1e-300"]
+    vector = ["0.5", "-2.25"]
+    (tmp_path / "clean.mtx").write_text("\n".join(matrix) + "\n")
+    if comments:
+        matrix[1:1] = ["% c", "%"]  # between the header and the size line
+        matrix[5:5] = ["% c", ""]  # between entries
+        vector[1:1] = ["% c", ""]
+    (tmp_path / "a.mtx").write_bytes((newline.join(matrix) + newline).encode("ascii"))
+    (tmp_path / "v.txt").write_bytes((newline.join(vector) + newline).encode("ascii"))
+    A, B = read_matrix_market(tmp_path / "clean.mtx"), read_matrix_market(tmp_path / "a.mtx")
+    assert B.shape == A.shape == (3, 2)
+    np.testing.assert_array_equal(B.row_ptr, A.row_ptr)
+    np.testing.assert_array_equal(B.col_idx, A.col_idx)
+    np.testing.assert_array_equal(B.values, A.values)
+    np.testing.assert_array_equal(read_vector(tmp_path / "v.txt"), [0.5, -2.25])
+
+
+def test_non_ascii_byte_deep_in_the_body_names_the_path(tmp_path):
+    # past the reader's first buffer, so only the body parse meets it
+    body = b"1 1 1.0\n" + b"% padding\n" * 8000 + b"2 2 \xe9.0\n"
+    assert body.index(b"\xe9") > 64 * 1024
+    path = tmp_path / "a.mtx"
+    path.write_bytes(_HEAD.encode() + b"2 2 2\n" + body)
+    with pytest.raises(FormatError, match=re.escape(str(path))):
+        read_matrix_market(path)
+    path = tmp_path / "v.txt"
+    path.write_bytes(b"1.0\n" * 20000 + b"\xe9\n")
+    with pytest.raises(FormatError, match=re.escape(str(path))):
+        read_vector(path)
+
+
+@pytest.mark.filterwarnings("error")
+def test_one_entry_bodies_read_as_one_entry(tmp_path):
+    path = tmp_path / "a.mtx"
+    path.write_text(_MM + "2 1 -4.0\n")
+    A = read_matrix_market(path)
+    assert A.nnz == 1 and A.to_dense()[1, 0] == -4.0
+    (tmp_path / "v.txt").write_text("-4.0\n")
+    np.testing.assert_array_equal(read_vector(tmp_path / "v.txt"), [-4.0])
+
