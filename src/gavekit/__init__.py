@@ -31,7 +31,6 @@ from .linalg import (
     lsqr,
     lu_factorize,
     min_singular_value,
-    skew_spectral_radius,
     spectral_norm,
     symmetric_eig_extremes,
 )

@@ -4,7 +4,8 @@ Every condition evaluates to a :class:`Certificate` carrying the two sides
 of the inequality, a strict ``holds`` verdict, and a ``marginal`` flag raised
 when the sides are within 1e-4 relative of each other (norm estimates carry
 iteration error, so knife-edge verdicts are not reproducible). Inverse
-norms are evaluated as ``1 / sigma_min``; no inverse is ever formed.
+norms are evaluated as ``1 / sigma_min``; no inverse is ever formed. A
+bound ``norm(X^-1) < 1/den`` whose ``den`` is 0 has ``rhs = inf``, and holds.
 
 Each condition is a formula over named quantities such as ``norm(Omega+N)``
 and ``norm((Omega+M)^-1)``, and each quantity has one label in
@@ -32,12 +33,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import ParameterError
-from .linalg import (
-    min_singular_value,
-    skew_spectral_radius,
-    spectral_norm,
-    symmetric_eig_extremes,
-)
+from .linalg import min_singular_value, spectral_norm, symmetric_eig_extremes
 from .sparse import hermitian_split, sparse_add, sparse_sub
 
 __all__ = [
@@ -207,7 +203,9 @@ def _scalar_omega(q):
         )
     q.record("lambda_min(H)", lam_min, "lu_shift_invert_lanczos")
     q.record("lambda_max(H)", lam_max, "lu_shift_invert_lanczos")
-    mu_max = skew_spectral_radius(S, rel_tol=_NORM_RTOL)
+    # S = (A - A.T) / 2 is antisymmetric bit for bit, so its spectral radius
+    # is its spectral norm
+    mu_max = spectral_norm(S, rel_tol=_NORM_RTOL)
     q.record("mu_max(S)", mu_max, "lanczos")
     tau = q.norm("B")
     w = q.record("omega", q.inputs["omega_scalar"])
@@ -293,14 +291,17 @@ def evaluate(
             _, X, norms, den = _BOUNDS[condition]
             lhs = q.inv_norm(X)
             d = den(theta, gamma, *map(q.norm, norms.split()))
-            # of these bounds, only eq. (15) reports norm(X^-1) * den as a factor
-            rhs, factor = 1.0 / d, lhs * d if condition is Condition.INEXACT else None
+            # of these bounds, only eq. (15) reports norm(X^-1) * den as a factor;
+            # a zero den (B = 0, theta = 0) bounds nothing: rhs = inf, factor 0
+            rhs = 1.0 / d if d else np.inf
+            factor = lhs * d if condition is Condition.INEXACT else None
         else:
             lhs, rhs, factor = _OWN_FORMULAS[condition][1](q)
         for name in ("gamma", "theta"):
             if name in _INPUTS[condition]:
                 q.record(name, inputs[name])
-        marginal = abs(lhs - rhs) <= _MARGINAL_BAND * (abs(lhs) + abs(rhs))
+        # an infinite rhs is clear of the band, where inf <= inf would flag it
+        marginal = rhs < np.inf and abs(lhs - rhs) <= _MARGINAL_BAND * (abs(lhs) + abs(rhs))
         details = tuple((label, v, method) for label, (v, method) in q.details.items())
         certificates.append(
             Certificate(condition, float(lhs), float(rhs), bool(lhs < rhs),
@@ -310,12 +311,14 @@ def evaluate(
 
 
 def check_inexact(A, B, M, N, omega, theta):
-    """``evaluate([Condition.INEXACT], ...)[0]``; kept because perfbench times it by name."""
+    """``evaluate([Condition.INEXACT], ...)[0]``; kept because perfbench's certify
+    workload calls it."""
     return evaluate([Condition.INEXACT], A=A, B=B, M=M, N=N, omega=omega, theta=theta)[0]
 
 
 def check_corollary(kind, A=None, B=None, M=None, N=None, omega=None, theta=0.0, gamma=None):
-    """``evaluate([kind], ...)[0]`` for a corollary; kept because perfbench times it by name."""
+    """``evaluate([kind], ...)[0]`` for a corollary; kept because perfbench's
+    certify workload calls it."""
     kind = Condition(kind)
     if kind not in COROLLARY_CONDITIONS:
         raise ParameterError(f"{kind.value} is not a corollary condition")

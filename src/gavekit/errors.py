@@ -30,16 +30,7 @@ class DivergenceError(GavekitError):
 
 
 class ConvergenceFailure(GavekitError):
-    """An iterative estimate did not converge within its budget.
-
-    Carries the best estimate obtained so far in ``best_estimate``, or
-    ``None`` when there is none worth reporting (a Lanczos estimator
-    reports only a Ritz value that has converged).
-    """
-
-    def __init__(self, message, best_estimate=None):
-        super().__init__(message)
-        self.best_estimate = best_estimate
+    """An iterative estimate or search did not converge within its budget."""
 
 
 class FormatError(GavekitError, ValueError):

@@ -62,7 +62,6 @@ __all__ = [
     "spectral_norm",
     "min_singular_value",
     "symmetric_eig_extremes",
-    "skew_spectral_radius",
 ]
 
 # SuperLU column ordering: minimum degree on A.T + A. On the paper's
@@ -348,8 +347,7 @@ def _lanczos_top(apply, n, rel_tol, what, finish):
     Raises
     ------
     ConvergenceFailure
-        If :data:`_MAX_STEPS` steps pass without stopping; ``best_estimate``
-        is ``None``.
+        If :data:`_MAX_STEPS` steps pass without stopping.
     NumericsError
         If the operator produces a non-finite value.
     """
@@ -380,9 +378,7 @@ def _lanczos_top(apply, n, rel_tol, what, finish):
         betas[j] = beta
         w /= beta
         v_prev, v = v, w
-    raise ConvergenceFailure(
-        f"{what} did not converge in {steps} Lanczos steps", best_estimate=None
-    )
+    raise ConvergenceFailure(f"{what} did not converge in {steps} Lanczos steps")
 
 
 def spectral_norm(A, rel_tol=1e-8):
@@ -398,7 +394,7 @@ def spectral_norm(A, rel_tol=1e-8):
     Raises
     ------
     ConvergenceFailure
-        If the step budget runs out; ``best_estimate`` is ``None``.
+        If the step budget runs out.
     """
     _check_rel_tol(rel_tol)
     if A.nnz == 0 or A.max_abs() == 0.0:
@@ -427,7 +423,7 @@ def min_singular_value(A, rel_tol=1e-10):
         If ``A`` is numerically singular (from its LU on both paths), as it
         is when it has no nonzero entry or order 0.
     ConvergenceFailure
-        If the step budget runs out; ``best_estimate`` is ``None``.
+        If the step budget runs out.
     """
     _check_rel_tol(rel_tol)
     if not A.is_square:
@@ -467,20 +463,6 @@ def _lambda_min_above(H, shift, rel_tol, what):
     return _lanczos_top(lower.solve, H.n_rows, rel_tol, what, lambda rho: shift + 1.0 / rho)
 
 
-def _check_symmetry(A, sign, rel_tol, what):
-    """Require A.T == sign * A to within rel_tol of the largest entry."""
-    if not A.is_square:
-        raise DimensionError(f"{what} requires a square matrix")
-    defect = sparse_sub(A.transpose(), sparse_scale(sign, A)).max_abs()
-    scale = A.max_abs()
-    if defect > rel_tol * max(scale, 1e-300):
-        kind = "symmetric" if sign > 0 else "antisymmetric"
-        raise ParameterError(
-            f"matrix is not {kind}: max deviation {defect:.3e} "
-            f"exceeds {rel_tol:.0e} * {scale:.3e}"
-        )
-
-
 def symmetric_eig_extremes(H, rel_tol=1e-11):
     """Extreme eigenvalues ``(lambda_min, lambda_max)`` of a symmetric matrix.
 
@@ -498,25 +480,25 @@ def symmetric_eig_extremes(H, rel_tol=1e-11):
 
     Raises
     ------
+    DimensionError
+        If ``H`` is not square.
+    ParameterError
+        If ``H`` is not symmetric to 1e-12 relative of its largest entry.
     ConvergenceFailure
-        If a step budget runs out; ``best_estimate`` is ``None``.
+        If a step budget runs out.
     """
     _check_rel_tol(rel_tol)
-    _check_symmetry(H, 1.0, 1e-12, "symmetric_eig_extremes")
-    if H.nnz == 0 or H.max_abs() == 0.0:
+    if not H.is_square:
+        raise DimensionError("symmetric_eig_extremes requires a square matrix")
+    defect, scale = sparse_sub(H.transpose(), H).max_abs(), H.max_abs()
+    if defect > 1e-12 * max(scale, 1e-300):
+        raise ParameterError(
+            f"matrix is not symmetric: max deviation {defect:.3e} exceeds 1e-12 * {scale:.3e}"
+        )
+    if H.nnz == 0 or scale == 0.0:
         return 0.0, 0.0
     lo, hi, delta = _gershgorin(H)
     lam_max = -_lambda_min_above(sparse_scale(-1.0, H), -(hi + delta), rel_tol,
                                  "symmetric_eig_extremes (max)")
     lam_min = _lambda_min_above(H, lo - delta, rel_tol, "symmetric_eig_extremes (min)")
     return float(lam_min), float(lam_max)
-
-
-def skew_spectral_radius(S, rel_tol=1e-8):
-    """Largest eigenvalue modulus of an antisymmetric matrix.
-
-    For antisymmetric ``S`` the eigenvalues are purely imaginary and the
-    spectral radius equals the spectral norm.
-    """
-    _check_symmetry(S, -1.0, 1e-12, "skew_spectral_radius")
-    return spectral_norm(S, rel_tol=rel_tol)

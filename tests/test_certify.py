@@ -152,18 +152,18 @@ class TestEvaluate:
         s = build_splitting(p.A, "ngs", OmegaSpec.scaled(1.0, hat))
         calls = count_calls(monkeypatch, gavekit.certify, (
             "spectral_norm", "min_singular_value", "symmetric_eig_extremes",
-            "skew_spectral_radius", "sparse_add", "sparse_sub",
+            "sparse_add", "sparse_sub",
         ))
         certs = evaluate(list(Condition), A=p.A, B=p.B, M=s.M, N=s.N, omega=s.omega,
                          theta=0.3, gamma=1.0, omega_scalar=2.0)
         assert [c.condition for c in certs] == list(Condition)
-        # norms of A, B, Omega, Omega+M, Omega+N, Omega+A, Omega-A; inverse
-        # norms of A, M, Omega+M, Omega+A; sums Omega+M, Omega+N, Omega+A, Omega-A
+        # norms of A, B, Omega, Omega+M, Omega+N, Omega+A, Omega-A and of S,
+        # A's antisymmetric part; inverse norms of A, M, Omega+M, Omega+A;
+        # sums Omega+M, Omega+N, Omega+A, Omega-A
         assert calls == {
-            "spectral_norm": 7,
+            "spectral_norm": 8,
             "min_singular_value": 4,
             "symmetric_eig_extremes": 1,
-            "skew_spectral_radius": 1,
             "sparse_add": 3,
             "sparse_sub": 1,
         }
@@ -188,9 +188,9 @@ class TestEvaluate:
             "spectral_norm", "min_singular_value", "sparse_add", "sparse_sub",
         ))
         certs = evaluate(list(Condition), omega=zeros(p.n), **inputs)
-        # norms of A, B, Omega, M, N and Omega-A; inverse norms of A and M:
-        # Omega+X is X, so norm((Omega+M)^-1) is norm(M^-1), and so on
-        assert calls == {"spectral_norm": 6, "min_singular_value": 2, "sparse_sub": 1}
+        # norms of A, B, Omega, M, N, Omega-A and S (mu_max); inverse norms of
+        # A and M: Omega+X is X, so norm((Omega+M)^-1) is norm(M^-1), and so on
+        assert calls == {"spectral_norm": 7, "min_singular_value": 2, "sparse_sub": 1}
         assert certs == reference  # lhs, rhs, holds and every norm_details value
 
     def test_a_stored_zero_keeps_the_sum(self, monkeypatch):
@@ -428,6 +428,21 @@ class TestVerdicts:
         cert = check_inexact(A, B, s.M, s.N, zeros(6), 0.3)
         assert cert.holds == (cert.lhs < cert.rhs)
 
+    def test_zero_denominator_holds_with_infinite_rhs(self):
+        # B = 0 and theta = 0 zero the denominators of Cor34, Cor31 at a zero
+        # shift and picard's eq. (15) (Omega + N = 0): each bound holds for
+        # any finite lhs, clear of the band, and eq. (15)'s factor is 0
+        p = gen_certified(50, seed=1, b_norm_scale=0.0)
+        s = build_splitting(p.A, "picard")
+        assert p.B.max_abs() == 0.0 and s.N.max_abs() == 0.0
+        certs = evaluate([Condition.COR34, Condition.COR31, Condition.INEXACT], A=p.A,
+                         B=p.B, M=s.M, N=s.N, omega=s.omega, theta=0.0)
+        for cert in certs:
+            assert 0.0 < cert.lhs < np.inf and cert.rhs == np.inf
+            assert cert.holds and not cert.marginal and cert.verdict == "true"
+            assert cert.format_line().endswith(" rhs=inf holds=true")
+        assert [c.contraction_factor for c in certs] == [None, None, 0.0]
+
     def test_format_line(self):
         n = 2
         cert = evaluate(
@@ -620,7 +635,7 @@ class TestLanczosAgainstDenseOnExample41:
 
     def test_every_estimate_runs_at_the_certificate_tolerance(self, monkeypatch):
         seen = []
-        for name in ("spectral_norm", "min_singular_value", "skew_spectral_radius"):
+        for name in ("spectral_norm", "min_singular_value"):
             fn = getattr(gavekit.certify, name)
 
             def spy(X, *args, _name=name, _fn=fn, **kwargs):
@@ -632,7 +647,5 @@ class TestLanczosAgainstDenseOnExample41:
         s = build_splitting(p.A, "ngs")
         evaluate(list(Condition), A=p.A, B=p.B, M=s.M, N=s.N, omega=hat, theta=0.3,
                  gamma=1.0, omega_scalar=2.0)
-        assert {name for name, _ in seen} == {
-            "spectral_norm", "min_singular_value", "skew_spectral_radius"
-        }
+        assert {name for name, _ in seen} == {"spectral_norm", "min_singular_value"}
         assert all(tol == gavekit.certify._NORM_RTOL for _, tol in seen), seen
