@@ -377,8 +377,8 @@ def tune_alpha(problem, omega, grid, tol=SolverConfig.tol, k_max=SolverConfig.k_
     as running every point to ``k_max``.
 
     Only ``M = D / alpha - L`` changes with alpha, so ``A`` is split into
-    its triangular parts once per search; each point's splitting is
-    ``build_splitting``'s, bit for bit.
+    its triangular parts and the shift resolved once per search; each
+    point's splitting is ``build_splitting``'s, bit for bit.
     """
     grid = [float(a) for a in grid]
     if not grid:
@@ -386,6 +386,7 @@ def tune_alpha(problem, omega, grid, tol=SolverConfig.tol, k_max=SolverConfig.k_
     if any(not 0.0 < a < 2.0 for a in grid):
         raise SpecError("alpha grid values must lie in (0, 2)")
     D, L, _ = triangular_parts(problem.A)
+    omega = resolve_omega(omega, problem.A.n_rows)  # nsor does not pin its shift
     best = None
     for alpha in sorted(grid):
         cap = k_max if best is None else best[1] - 1

@@ -7,7 +7,11 @@ results:
   column ordering to minimum degree on ``A.T + A`` (``MMD_AT_PLUS_A``), the
   pivoting to threshold partial pivoting at 0.1 (the diagonal entry is
   kept while it is at least a tenth of its column's largest) and the
-  supernode panels to one column (``relax = panel_size = 1``);
+  supernode panels to one column (``relax = panel_size = 1``); its pivot
+  test reads the factor's U only when A's column margins do not prove it,
+  as they do for a strictly column diagonally dominant A. The exact
+  solver factors ``(Omega + M).T`` and solves on its transpose, SuperLU's
+  faster sweep; the estimators factor X itself;
 - :func:`lsqr`, the inexact solver's inner solve, runs scipy's LSQR
   recurrences on reused work vectors, bitwise equal to
   ``scipy.sparse.linalg.lsqr``; the solver runs it from zero on the
@@ -124,6 +128,28 @@ def lu_factorize(A):
     to 0.1 and SuperLU's ``relax`` and ``panel_size`` to 1 (the module's
     ``_ORDERING``, ``_PIVOT_THRESH``, ``_RELAX`` and ``_PANEL_SIZE``).
 
+    The pivot test (every ``|U_kk| >= 1e-14 * norm_inf(A)``) reads U only
+    when A's column margins ``m_j = |a_jj| - sum_{i != j} |a_ij|`` do not
+    prove it. With every ``m_j > 0`` A is strictly column diagonally
+    dominant, and so is each Schur complement, with no smaller margins:
+    eliminating pivot k drops ``|a_kj|`` from column j's off-diagonal mass
+    and moves its other entries by at most ``|a_kj| * sum_{i != k} |a_ik|
+    / |a_kk| < |a_kj|`` in all. SuperLU prefers the diagonal of the
+    symmetrically permuted matrix, which is then its column's largest
+    entry, so threshold pivoting keeps every diagonal pivot and each one is
+    at least ``min_j m_j`` (Higham, *Accuracy and Stability of Numerical
+    Algorithms*, 2nd ed., section 9.5). Rounding, with ``u`` the unit
+    roundoff and ``gamma_n = n u / (1 - n u)``: the computed factors are
+    the exact ones of ``A + dA`` with ``|dA| <= gamma_n |L||U|`` (Higham,
+    Thm 9.3); L's columns sum to below 2 in magnitude and U's entries are
+    at most twice A's largest (growth factor at most 2, Thm 9.9), so each
+    column of ``|dA|``, and with it each margin's loss, is at most
+    ``4 n gamma_n norm_inf(A)``. The computed margins, sums of terms below
+    ``2 norm_inf(A)`` each, err by less than ``3 gamma_n norm_inf(A)``. So
+    U goes unread when the computed ``min_j m_j - (4 n + 3) gamma_n
+    norm_inf(A)`` is at least ``1e-14 * norm_inf(A)``, as on the paper's
+    shifted splittings, and is read for every other matrix.
+
     Raises
     ------
     SingularMatrixError
@@ -135,7 +161,10 @@ def lu_factorize(A):
     """
     if not A.is_square:
         raise DimensionError("lu_factorize requires a square matrix")
-    norm_inf = A.inf_norm()
+    # |A| once: its row sums give the norm (bitwise A.inf_norm()), its
+    # column sums the margins of _check_pivots
+    abs_a = abs(A.to_scipy())
+    norm_inf = float((abs_a @ np.ones(A.n_cols)).max()) if A.nnz else 0.0
     if not np.isfinite(norm_inf):
         raise NumericsError(f"non-finite infinity norm {norm_inf} in lu_factorize")
     if norm_inf == 0.0:
@@ -148,13 +177,31 @@ def lu_factorize(A):
         )
     except RuntimeError as exc:
         raise SingularMatrixError(f"LU factorization failed: {exc}") from exc
+    _check_pivots(lu, abs_a, norm_inf)
+    return Factorization(lu, A.n_rows)
+
+
+def _check_pivots(lu, abs_a, norm_inf):
+    """Raise SingularMatrixError if a pivot of the SuperLU factor ``lu`` of A
+    lies below ``_PIVOT_TOL * norm_inf``, given ``abs_a = |A|`` as scipy CSR.
+
+    ``lu.U`` is read only when A's column margins do not already prove
+    the test: reading it makes scipy build CSC copies of L and U, which
+    the factor then keeps for its lifetime. The argument is in
+    :func:`lu_factorize`.
+    """
+    n = abs_a.shape[0]
+    margins = 2.0 * abs_a.diagonal() - abs_a.T @ np.ones(n)
+    n_u = n * (np.finfo(np.float64).eps / 2)
+    allowance = (4 * n + 3) * n_u / (1 - n_u) * norm_inf  # (4n + 3) gamma_n ||A||_inf
+    if margins.min() - allowance >= _PIVOT_TOL * norm_inf:
+        return
     u_diag = np.abs(lu.U.diagonal())
     if u_diag.size and u_diag.min() < _PIVOT_TOL * norm_inf:
         raise SingularMatrixError(
             f"numerically singular: pivot {u_diag.min():.3e} below "
             f"{_PIVOT_TOL:.0e} * {norm_inf:.3e}"
         )
-    return Factorization(lu, A.n_rows)
 
 
 @dataclass(frozen=True)

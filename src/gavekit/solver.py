@@ -6,10 +6,13 @@ Both solvers run one loop,
 
 in the correction form ``x_{k+1} = x_k - (Omega + M)^{-1} F(x_k)`` (the
 same step, as ``M - N = A``): the residual of the stopping rule is the next
-right-hand side, and Omega + N is never assembled. They differ only in the
-inner step: ``nms_solve`` applies an LU factorization of Omega + M computed
-once, and ``inms_solve`` runs LSQR from zero to the per-step residual
-target ``theta_k * norm(F(x_k))``. Omega is the splitting's own shift
+right-hand side, and Omega + N is never assembled. F(x_k) and the step
+update their vectors in place, bit for bit the plain expressions. The
+solvers differ only in the inner step: ``nms_solve`` factors
+``(Omega + M).T`` once and takes each step as a transposed solve on it,
+since SuperLU's transposed triangular sweeps are the faster ones, and
+``inms_solve`` runs LSQR from zero to the per-step residual target
+``theta_k * norm(F(x_k))``. Omega is the splitting's own shift
 (``Splitting.shift``) unless an ``omega`` argument overrides it, which only
 the kinds that do not pin their shift allow.
 """
@@ -112,8 +115,8 @@ class SolveReport:
     """Everything observable about one solve.
 
     ``wall_time_s`` covers the whole call after argument checks: resolution
-    of a supplied shift, assembly of Omega+M, the LU factorization (exact
-    variant) and the outer iteration.
+    of a supplied shift, assembly of Omega+M, its transpose and LU
+    factorization (exact variant) and the outer iteration.
     """
 
     converged: bool
@@ -133,7 +136,10 @@ def residual(problem, x):
     solvers reuse at every step.
     """
     x = as_vector(x, problem.A.n_cols, "x")
-    return problem.A.product_forms()[0] @ x - problem.B.product_forms()[0] @ np.abs(x) - problem.b
+    F = problem.A.product_forms()[0] @ x
+    F -= problem.B.product_forms()[0] @ np.abs(x)
+    F -= problem.b
+    return F
 
 
 def expand_x0(x0, n):
@@ -162,8 +168,8 @@ def _iterate(problem, splitting, omega, config):
     """The outer iteration of both solvers; ``config.inner`` picks the step.
 
     Each step solves ``(Omega + M) d = -F(x_k)`` and moves to ``x_k + d``:
-    "direct" with an LU factored once, "lsqr" with LSQR from zero to
-    ``theta_k * norm(F(x_k))``.
+    "direct" with the LU of ``(Omega + M).T`` factored once, solving on its
+    transpose, "lsqr" with LSQR from zero to ``theta_k * norm(F(x_k))``.
     """
     t0 = time.perf_counter()
     n = problem.A.n_rows
@@ -173,7 +179,9 @@ def _iterate(problem, splitting, omega, config):
         raise ParameterError("b is zero; the RES stopping rule is undefined")
     direct = config.inner == "direct"
     if direct:
-        factor = lu_factorize(OM)
+        # SuperLU's transposed solve runs both triangular sweeps as gathers,
+        # so a step on the factor of (Omega + M).T is the faster solve
+        factor = lu_factorize(OM.transpose())
     max_inner = config.max_inner
     if max_inner is None:
         max_inner = int(math.ceil(10.0 * math.sqrt(n)))
@@ -189,7 +197,7 @@ def _iterate(problem, splitting, omega, config):
     k = 0
     while res > config.tol and k < config.k_max:
         if direct:
-            x = x - factor.solve(F)
+            x -= factor.solve(F, transpose=True)
         else:
             target = theta_at(config.theta, k) * f_norm
             out = lsqr(OM, -F, target, max_inner)
@@ -203,7 +211,7 @@ def _iterate(problem, splitting, omega, config):
                     f"inner lsqr stopped ({out.stop_reason}) above target at outer "
                     f"step {k} (residual {out.residual_norm:.3e}, target {target:.3e})"
                 )
-            x = x + out.x
+            x += out.x
             inner_iters.append(out.iterations)
         k += 1
         F = residual(problem, x)
@@ -226,7 +234,8 @@ def _iterate(problem, splitting, omega, config):
 def nms_solve(problem, splitting, omega=None, config=None):
     """Exact Newton-based matrix-splitting iteration.
 
-    Pre-factorizes Omega + M once and iterates until the relative residual
+    Factors ``(Omega + M).T`` once, takes every step as a transposed solve
+    on it (a solve with Omega + M) and iterates until the relative residual
     drops to ``config.tol`` or ``config.k_max`` steps are taken. Omega is
     ``splitting.omega`` unless ``omega`` overrides it, which the kinds that
     pin their shift reject (see ``Splitting.shift``). Requires

@@ -7,6 +7,7 @@ import re
 import numpy as np
 import pytest
 
+import gavekit.splittings
 from gavekit import (
     ConfigurationError,
     ConvergenceFailure,
@@ -425,6 +426,22 @@ class TestTuneAlpha:
                 a, b = getattr(got, which), getattr(want, which)
                 for arr in ("row_ptr", "col_idx", "values"):
                     np.testing.assert_array_equal(getattr(a, arr), getattr(b, arr), strict=True)
+
+    def test_resolves_the_shift_once_per_search(self, monkeypatch):
+        _, prob, hat = gen_example41(8, -1.0)
+        resolved = []
+        for module in (gavekit.splittings, bench_module):
+            def counting(spec, n, _resolve=module.resolve_omega):
+                if not isinstance(spec, SparseMatrix):
+                    resolved.append(spec)
+                return _resolve(spec, n)
+
+            monkeypatch.setattr(module, "resolve_omega", counting)
+        points = count_calls(monkeypatch, bench_module, ["nms_solve"])
+        om = OmegaSpec.scaled(1.5, hat)
+        tune_alpha(prob, om, [round(0.5 + 0.1 * i, 10) for i in range(15)])
+        assert points["nms_solve"] > 1
+        assert resolved == [om]
 
     def test_grid_validation(self):
         _, prob, _ = gen_example41(3, 4.0)

@@ -26,16 +26,19 @@ from gavekit import (
     lsqr,
     lu_factorize,
     min_singular_value,
+    nms_solve,
     residual,
     spectral_norm,
     sparse_add,
     sparse_scale,
+    sparse_sub,
     spmv,
     symmetric_eig_extremes,
     zeros,
 )
 from gavekit.certify import _NORM_RTOL
-from gavekit.linalg import _lanczos_top, _top_ritz_pair
+from gavekit.linalg import _check_pivots, _lanczos_top, _top_ritz_pair
+from gavekit.problems import build_hat_m
 
 from conftest import count_calls, count_products, random_dominant, random_sparse, tridiag
 
@@ -151,6 +154,110 @@ class TestLu:
                 where = f"mu = {mu:g}, {name}"
                 np.testing.assert_array_equal(f._splu.perm_r, strict.perm_r, err_msg=where)
                 np.testing.assert_array_equal(f._splu.perm_c, strict.perm_c, err_msg=where)
+
+
+class _NoU:
+    """Stand-in for a SuperLU factor whose U must not be read."""
+
+    @property
+    def U(self):
+        raise LookupError("U was read")
+
+
+def _column_margins(X):
+    """``|x_jj| - sum_{i != j} |x_ij|`` for every column j of X."""
+    a = abs(X.to_scipy())
+    return 2.0 * a.diagonal() - np.asarray(a.sum(axis=0)).ravel()
+
+
+def _random_column_dominant(rng, n, density, rel_margin):
+    """Random nonsymmetric matrix whose every column has the margin
+    ``rel_margin * (1 + its off-diagonal mass)``, diagonal signs mixed."""
+    dense = rng.uniform(-1.0, 1.0, (n, n))
+    dense[rng.random((n, n)) >= density] = 0.0
+    np.fill_diagonal(dense, 0.0)
+    off = np.abs(dense).sum(axis=0)
+    np.fill_diagonal(dense, rng.choice([-1.0, 1.0], n) * (off + rel_margin * (off + 1.0)))
+    return SparseMatrix.from_dense(dense)
+
+
+def _paper_shifts(m):
+    """``c hatM + M`` of nj, ngs and nsor (alpha 0.5, 0.6, ..., 1.9) on
+    example41 at both mu and c = 1, 1.5: the matrices the tables factor."""
+    kinds = [SplittingKind("nj"), SplittingKind("ngs")] + [
+        SplittingKind("nsor", alpha=round(0.5 + 0.1 * i, 10)) for i in range(15)
+    ]
+    for mu in (4.0, -1.0):
+        _, prob, hat = gen_example41(m, mu)
+        for kind in kinds:
+            M = build_splitting(prob.A, kind).M
+            for c in (1.0, 1.5):
+                name = f"m = {m}, mu = {mu:g}, {kind}, {c:g} hatM"
+                yield name, sparse_add(sparse_scale(c, hat), M)
+
+
+class TestPivotMargin:
+    """lu_factorize reads U only when column margins leave the pivot test open."""
+
+    def test_column_dominant_matrices_never_read_u(self, rng):
+        # the paper's shifts are dominant by rows too; the random ones by columns only
+        cases = [Y for _, X in _paper_shifts(6) for Y in (X, X.transpose())]
+        cases += [_random_column_dominant(rng, n, 0.3, 1e-3) for n in (1, 2, 7, 40)]
+        for X in cases:
+            _check_pivots(_NoU(), abs(X.to_scipy()), X.inf_norm())
+
+    def test_indefinite_shift_reads_u_and_keeps_its_message(self):
+        X = sparse_sub(build_hat_m(5), diag_matrix(np.full(25, 2.0)))  # singular
+        with pytest.raises(LookupError, match="U was read"):
+            _check_pivots(_NoU(), abs(X.to_scipy()), X.inf_norm())
+        message = r"^numerically singular: pivot \d\.\d{3}e-\d+ below 1e-14 \* 6\.000e\+00$"
+        with pytest.raises(SingularMatrixError, match=message):
+            lu_factorize(X)
+
+    def test_margin_below_the_pivot_tolerance_reads_u(self):
+        # column 0 has margin 0, column 1 a margin of 3: not proven
+        X = SparseMatrix.from_dense(np.array([[1.0, 0.0], [1.0, 3.0]]))
+        with pytest.raises(LookupError):
+            _check_pivots(_NoU(), abs(X.to_scipy()), X.inf_norm())
+        lu_factorize(X)
+
+    def test_the_solver_never_reads_u_on_the_paper_shifts(self, monkeypatch):
+        splu = scipy.sparse.linalg.splu
+
+        class Guarded:
+            def __init__(self, lu):
+                self._lu = lu
+
+            U = _NoU.U
+
+            def __getattr__(self, name):
+                return getattr(self._lu, name)
+
+        monkeypatch.setattr(scipy.sparse.linalg, "splu", lambda *a, **k: Guarded(splu(*a, **k)))
+        for mu, c in ((4.0, 1.0), (-1.0, 1.5)):
+            _, prob, hat = gen_example41(12, mu)
+            for kind in ("nj", "ngs", SplittingKind("nsor", alpha=1.3)):
+                report = nms_solve(prob, build_splitting(prob.A, kind), OmegaSpec.scaled(c, hat))
+                assert report.converged
+
+    def test_oracle_on_the_column_dominant_family(self, rng):
+        # every pivot is diagonal (perm_r == perm_c) and at least the
+        # smallest column margin, up to rounding: the paper's shifted
+        # splittings at m = 24 and 100 in both orientations, and random ones
+        cases = [case for m in (24, 100) for case in _paper_shifts(m)]
+        cases = [(f"{name}{tag}", Y) for name, X in cases
+                 for tag, Y in (("", X), (", transposed", X.transpose()))]
+        for i in range(15):
+            n = int(rng.integers(20, 300))
+            X = _random_column_dominant(rng, n, float(rng.uniform(0.02, 0.2)), 10.0 ** -(i % 5))
+            cases.append((f"random {i}, n = {n}", X))
+        assert len(cases) == 287
+        for name, X in cases:
+            margin = _column_margins(X).min()
+            assert margin > 0.0, name
+            lu = lu_factorize(X)._splu
+            np.testing.assert_array_equal(lu.perm_r, lu.perm_c, err_msg=name)
+            assert np.abs(lu.U.diagonal()).min() >= margin * (1.0 - 1e-12), name
 
 
 class TestLsqr:

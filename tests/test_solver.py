@@ -20,6 +20,7 @@ from gavekit import (
     gen_example41,
     identity,
     inms_solve,
+    lsqr,
     lu_factorize,
     nms_solve,
     residual,
@@ -437,6 +438,81 @@ class TestCorrectionForm:
         report = nms_solve(prob, s, OmegaSpec.scaled(1.0, hat))
         assert report.converged and report.iterations > 1
         assert len(calls) == 2 * (report.iterations + 1)
+
+
+class TestTransposedFactor:
+    def test_factors_the_transpose_and_every_step_solves_with_it(self, monkeypatch):
+        _, prob, hat = gen_example41(8, -1.0)
+        s = build_splitting(prob.A, "ngs")
+        om = OmegaSpec.scaled(1.5, hat)
+        factored, solves = [], []
+
+        class Spy:
+            def __init__(self, factor):
+                self.factor = factor
+
+            def solve(self, rhs, transpose=False):
+                solves.append(transpose)
+                return self.factor.solve(rhs, transpose=transpose)
+
+        def spy_factorize(X):
+            factored.append(X)
+            return Spy(lu_factorize(X))
+
+        monkeypatch.setattr(gavekit.solver, "lu_factorize", spy_factorize)
+        report = nms_solve(prob, s, om)
+        assert report.converged and report.iterations > 1
+        [X] = factored
+        np.testing.assert_array_equal(X.to_dense(), sparse_add(s.shift(om), s.M).to_dense().T)
+        assert solves == [True] * report.iterations
+
+
+def _old_residual(problem, x):
+    """F(x) as one expression, with its temporaries."""
+    return problem.A.product_forms()[0] @ x - problem.B.product_forms()[0] @ np.abs(x) - problem.b
+
+
+def _bitwise_cases(rng):
+    """(problem, splitting, omega): example41 m = 24 at both mu, and a random problem."""
+    cases = []
+    for mu, c in ((4.0, 1.0), (-1.0, 1.5)):
+        _, prob, hat = gen_example41(24, mu)
+        cases.append((prob, build_splitting(prob.A, "ngs"), OmegaSpec.scaled(c, hat)))
+    rand = _random_problem(rng, 40)
+    cases.append((rand, build_splitting(rand.A, "nj"), OmegaSpec.scalar(2.0)))
+    return cases
+
+
+class TestInPlaceArithmetic:
+    """F(x) and the steps update in place, bit for bit the old expressions."""
+
+    def test_residual_is_the_old_expression(self, rng):
+        for prob, _, _ in _bitwise_cases(rng):
+            for x in (expand_x0("alt10", prob.n), rng.uniform(-1, 1, prob.n)):
+                assert np.array_equal(residual(prob, x), _old_residual(prob, x))
+
+    @pytest.mark.parametrize("inner", ["direct", "lsqr"])
+    def test_steps_are_the_old_expressions(self, rng, inner):
+        for prob, s, om in _bitwise_cases(rng):
+            config = SolverConfig(inner=inner, k_max=6, tol=1e-300)
+            report = (nms_solve if inner == "direct" else inms_solve)(prob, s, om, config)
+            OM = sparse_add(s.shift(om), s.M)
+            factor = lu_factorize(OM.transpose())
+            max_inner = int(np.ceil(10.0 * np.sqrt(prob.n)))
+            x = expand_x0("alt10", prob.n)
+            F = _old_residual(prob, x)
+            history = [np.linalg.norm(F) / np.linalg.norm(prob.b)]
+            for k in range(6):
+                if inner == "direct":
+                    x = x - factor.solve(F, transpose=True)
+                else:
+                    target = theta_at(config.theta, k) * float(np.linalg.norm(F))
+                    x = x + lsqr(OM, -F, target, max_inner).x
+                F = _old_residual(prob, x)
+                history.append(np.linalg.norm(F) / np.linalg.norm(prob.b))
+            assert report.iterations == 6
+            assert np.array_equal(report.x, x)
+            assert np.array_equal(report.res_history, history)
 
 
 class TestVerifyInexactCondition:
