@@ -433,10 +433,13 @@ def spectral_norm(A, rel_tol=1e-8):
 
     Runs to relative Ritz residual ``rel_tol`` within the module's step
     budget, ``_MAX_STEPS``, so the estimate is within ``rel_tol / 2``
-    relative and errs only low: the top Ritz value approaches the top
-    eigenvalue from below. ``A.T @ A`` is applied as two products on
-    ``A``'s cached product forms of ``A`` and ``A.T``. A matrix with no
-    nonzero entry has norm 0.
+    relative and errs only low, up to rounding: the top Ritz value
+    approaches the top eigenvalue from below, and rounding can cross it
+    (:func:`min_singular_value`, on the same kernel, lands 8.53e-14
+    relative below the true value in
+    ``test_small_orders_against_numpy[random:484-default]``).
+    ``A.T @ A`` is applied as two products on ``A``'s cached product forms
+    of ``A`` and ``A.T``. A matrix with no nonzero entry has norm 0.
 
     Raises
     ------
@@ -461,8 +464,10 @@ def min_singular_value(A, rel_tol=1e-10):
     result within ``rel_tol / 2`` relative, as on the general path. Every
     other ``A`` runs Lanczos on ``(A.T A)^{-1}``, two LU solves per step, to
     relative Ritz residual ``rel_tol``. On both paths the step budget is
-    ``_MAX_STEPS`` and the estimate errs only high: the top Ritz value of
-    the inverse approaches its top eigenvalue from below.
+    ``_MAX_STEPS`` and the estimate errs only high, up to rounding: the top
+    Ritz value of the inverse approaches its top eigenvalue from below, and
+    rounding can put the result a little under the true value (8.53e-14
+    relative in ``test_small_orders_against_numpy[random:484-default]``).
 
     Raises
     ------

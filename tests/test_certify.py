@@ -9,6 +9,7 @@ import gavekit.certify
 import gavekit.linalg
 from gavekit import (
     Condition,
+    NumericsError,
     OmegaSpec,
     ParameterError,
     SparseMatrix,
@@ -649,3 +650,82 @@ class TestLanczosAgainstDenseOnExample41:
                  gamma=1.0, omega_scalar=2.0)
         assert {name for name, _ in seen} == {"spectral_norm", "min_singular_value"}
         assert all(tol == gavekit.certify._NORM_RTOL for _, tol in seen), seen
+
+
+@pytest.mark.parametrize("condition", list(gavekit.certify._BOUNDS), ids=lambda c: c.value)
+def test_theta_only_norms_are_exactly_those_only_theta_reads(condition):
+    # at theta = 0 den ignores a theta-only norm and reads every other one;
+    # at theta > 0 it reads them all. Listing a norm the bound needs as
+    # theta-only, or leaving a theta-only norm off the list, fails here
+    _, _, norms, theta_only, den = gavekit.certify._BOUNDS[condition]
+    names = norms.split()
+    assert set(theta_only.split()) <= set(names)
+    base = [1.0 + k for k in range(len(names))]
+    for theta in (0.0, 0.3):
+        d = den(theta, 1.0, *base)
+        for k, name in enumerate(names):
+            moved = den(theta, 1.0, *base[:k], 1e6, *base[k + 1:])
+            if theta == 0.0 and name in theta_only.split():
+                assert moved == d, name
+                assert den(theta, 1.0, *base[:k], 0.0, *base[k + 1:]) == d, name
+            else:
+                assert moved != d, name
+
+
+def _all_conditions(p, method, hat=None):
+    s = build_splitting(p.A, method, OmegaSpec.scaled(1.0, hat) if hat else None)
+    return dict(A=p.A, B=p.B, M=s.M, N=s.N, omega=s.omega, gamma=1.0, omega_scalar=2.0)
+
+
+class TestThetaOnlyNorms:
+    """At theta = 0 a bound estimates no norm only its theta term reads."""
+
+    @pytest.mark.parametrize("theta, calls", [(0.0, 1), (0.3, 2)])
+    def test_cor34_estimates_norm_a_only_under_theta(self, monkeypatch, theta, calls):
+        p = gen_example41(6, 4.0)[1]
+        counted = count_calls(monkeypatch, gavekit.certify, ("spectral_norm",))
+        cert = evaluate([Condition.COR34], A=p.A, B=p.B, theta=theta)[0]
+        assert counted == {"spectral_norm": calls}
+        assert ("norm(A)" in {d[0] for d in cert.norm_details}) == (theta > 0)
+
+    @pytest.mark.parametrize("case", [
+        "example41:6:ngs", "example41:6:nj", "example41:24:ngs", "example41:24:nj",
+        "certified:300:ngs", "certified:300:picard",
+    ])
+    def test_bitwise_the_certificates_with_every_norm_estimated(self, monkeypatch, case):
+        kind, size, method = case.split(":")
+        if kind == "example41":
+            _, p, hat = gen_example41(int(size), 4.0)
+            inputs = _all_conditions(p, method, hat)
+        else:
+            inputs = _all_conditions(gen_certified(int(size), seed=1), method)
+        certs = evaluate(list(Condition), theta=0.0, **inputs)
+        bounds = gavekit.certify._BOUNDS
+        dropped = {c: {f"norm({name})" for name in row[3].split()} for c, row in bounds.items()}
+        # the reference: the same call with no norm theta-only
+        monkeypatch.setattr(gavekit.certify, "_BOUNDS",
+                            {c: (*row[:3], "", row[4]) for c, row in bounds.items()})
+        reference = evaluate(list(Condition), theta=0.0, **inputs)
+        for cert, ref in zip(certs, reference):
+            assert cert.condition is ref.condition
+            assert (cert.lhs, cert.rhs, cert.holds, cert.marginal, cert.contraction_factor) \
+                == (ref.lhs, ref.rhs, ref.holds, ref.marginal, ref.contraction_factor)
+            kept = tuple(d for d in ref.norm_details
+                         if d[0] not in dropped.get(cert.condition, ()))
+            assert cert.norm_details == kept
+        assert any(len(c.norm_details) < len(r.norm_details)
+                   for c, r in zip(certs, reference))
+
+    def test_non_finite_input_still_fails(self):
+        # Cor31 no longer estimates norm(Omega+A), nor Cor34 norm(A)
+        def with_nan(X):
+            rows, cols, values = X.coo_arrays()
+            values = values.copy()
+            values[0] = np.nan
+            return SparseMatrix.from_coo(X.n_rows, X.n_cols, rows, cols, values)
+
+        _, p, hat = gen_example41(6, 4.0)
+        with pytest.raises(NumericsError, match="non-finite"):
+            evaluate([Condition.COR31], A=p.A, B=p.B, omega=with_nan(hat), theta=0.0)
+        with pytest.raises(NumericsError, match="non-finite"):
+            evaluate([Condition.COR34], A=with_nan(p.A), B=p.B, theta=0.0)

@@ -442,8 +442,12 @@ def _nan_entry_problem(tmp_path):
          "--condition", "InexactEq15"],
         ["solve", "--problem", "{dir}", "--method", "ngs"],
         ["solve", "--example41", "6", "4", "--omega", "file:{dir}/A.mtx"],
+        # at theta = 0, Cor31 leaves its theta-only norm(Omega+A) unestimated
+        ["certify", "--example41", "6", "4", "--omega", "file:{dir}/A.mtx",
+         "--condition", "Cor31"],
     ],
-    ids=["InexactEq15", "Cor34", "ScalarOmegaThm34", "file-omega", "solve", "solve-file-omega"],
+    ids=["InexactEq15", "Cor34", "ScalarOmegaThm34", "file-omega", "solve", "solve-file-omega",
+         "Cor31-file-omega"],
 )
 def test_non_finite_matrix_entry_exits_3(tmp_path, capsys, argv):
     # the load (the known solution's residual), the dense estimators and the
@@ -651,6 +655,20 @@ def test_certify_all_conditions_share_one_set_of_estimates(estimator_calls, caps
     assert len(capsys.readouterr().out.splitlines()) == len(Condition)
     assert estimator_calls == {
         "spectral_norm": 8,  # seven matrices and mu_max(S)
+        "min_singular_value": 4,
+        "symmetric_eig_extremes": 1,
+    }
+
+
+def test_certify_at_the_default_theta_skips_the_theta_only_norms(estimator_calls, capsys):
+    # no --theta-value: norm(Omega+M) and norm(Omega+A) are read only under theta
+    args = [arg for c in Condition for arg in ("--condition", c.value)]
+    code = main(["certify", "--example41", "6", "4", "--method", "ngs", "--omega", "mhat",
+                 "--omega-scalar", "2", "--gamma", "1", *args])
+    assert code == 0
+    assert len(capsys.readouterr().out.splitlines()) == len(Condition)
+    assert estimator_calls == {
+        "spectral_norm": 6,  # A, B, Omega, Omega+N, Omega-A and mu_max(S)
         "min_singular_value": 4,
         "symmetric_eig_extremes": 1,
     }
