@@ -36,10 +36,10 @@ from .splittings import (
     KINDS,
     OmegaSpec,
     SplittingKind,
+    _diagonal_and_lower,
     _triangular_splitting,
     build_splitting,
     resolve_omega,
-    triangular_parts,
 )
 
 __all__ = [
@@ -377,7 +377,7 @@ def tune_alpha(problem, omega, grid, tol=SolverConfig.tol, k_max=SolverConfig.k_
     as running every point to ``k_max``.
 
     Only ``M = D / alpha - L`` changes with alpha, so ``A`` is split into
-    its triangular parts and the shift resolved once per search; each
+    its diagonal and lower part and the shift resolved once per search; each
     point's splitting is ``build_splitting``'s, bit for bit.
     """
     grid = [float(a) for a in grid]
@@ -385,7 +385,7 @@ def tune_alpha(problem, omega, grid, tol=SolverConfig.tol, k_max=SolverConfig.k_
         raise SpecError("alpha grid must be nonempty")
     if any(not 0.0 < a < 2.0 for a in grid):
         raise SpecError("alpha grid values must lie in (0, 2)")
-    D, L, _ = triangular_parts(problem.A)
+    D, L = _diagonal_and_lower(problem.A)
     omega = resolve_omega(omega, problem.A.n_rows)  # nsor does not pin its shift
     best = None
     for alpha in sorted(grid):

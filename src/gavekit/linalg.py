@@ -10,8 +10,9 @@ results:
   supernode panels to one column (``relax = panel_size = 1``); its pivot
   test reads the factor's U only when A's column margins do not prove it,
   as they do for a strictly column diagonally dominant A. The exact
-  solver factors ``(Omega + M).T`` and solves on its transpose, SuperLU's
-  faster sweep; the estimators factor X itself;
+  solver factors ``(Omega + M).T``, handed to SuperLU as the CSR arrays of
+  ``Omega + M``, which are the CSC arrays of its transpose, and solves on
+  its transpose, SuperLU's faster sweep; the estimators factor X itself;
 - :func:`lsqr`, the inexact solver's inner solve, runs scipy's LSQR
   recurrences on reused work vectors, bitwise equal to
   ``scipy.sparse.linalg.lsqr``; the solver runs it from zero on the
@@ -32,7 +33,9 @@ results:
 - the products that repeat, LSQR's with ``A`` and ``A.T`` and
   :func:`spectral_norm`'s two factors of ``A.T @ A``, run on the pair of
   product forms the matrix caches (``SparseMatrix.product_forms``), bit
-  for bit the CSR products with ``A`` and ``A.T``.
+  for bit the CSR products with ``A`` and ``A.T``. Each calls scipy's
+  compiled kernel for its form directly (``sparse._product``), and each
+  run writes its intermediate products into one buffer it reuses.
 """
 
 from __future__ import annotations
@@ -52,6 +55,7 @@ from .errors import (
     SingularMatrixError,
 )
 from .sparse import (
+    _product,
     as_vector,
     diag_matrix,
     sparse_scale,
@@ -121,7 +125,7 @@ class Factorization:
         return self._splu.solve(rhs, trans="T" if transpose else "N")
 
 
-def lu_factorize(A):
+def lu_factorize(A, *, _transpose=False):
     """Factor a square sparse matrix with threshold row partial pivoting.
 
     The column ordering is pinned to ``MMD_AT_PLUS_A``, the pivot threshold
@@ -150,6 +154,13 @@ def lu_factorize(A):
     norm_inf(A)`` is at least ``1e-14 * norm_inf(A)``, as on the paper's
     shifted splittings, and is read for every other matrix.
 
+    ``_transpose=True`` is the exact solver's private path: it factors
+    ``A.T``, handed to SuperLU as scipy's CSC view of A (``.T``, which
+    shares A's CSR arrays), so no transpose is built, and the test then
+    reads ``|A.T|``. In either storage ``|X| @ ones`` sums each row of
+    ``|X|`` from 0 in ascending column order, so the norm and the margins
+    are bit for bit those of a built ``A.T``.
+
     Raises
     ------
     SingularMatrixError
@@ -161,15 +172,15 @@ def lu_factorize(A):
     """
     if not A.is_square:
         raise DimensionError("lu_factorize requires a square matrix")
-    # |A| once: its row sums give the norm (bitwise A.inf_norm()), its
-    # column sums the margins of _check_pivots
-    abs_a = abs(A.to_scipy())
-    norm_inf = float((abs_a @ np.ones(A.n_cols)).max()) if A.nnz else 0.0
+    csc = A.to_scipy().T if _transpose else A.to_scipy().tocsc()
+    # |X| once, for X = A or A.T: its row sums give the norm (bitwise
+    # X.inf_norm()), its column sums the margins of _check_pivots
+    abs_x = abs(csc)
+    norm_inf = float((abs_x @ np.ones(A.n_cols)).max()) if A.nnz else 0.0
     if not np.isfinite(norm_inf):
         raise NumericsError(f"non-finite infinity norm {norm_inf} in lu_factorize")
     if norm_inf == 0.0:
         raise SingularMatrixError("matrix is singular: it has no nonzero entries")
-    csc = A.to_scipy().tocsc()
     try:
         lu = scipy.sparse.linalg.splu(
             csc, permc_spec=_ORDERING, diag_pivot_thresh=_PIVOT_THRESH,
@@ -177,13 +188,13 @@ def lu_factorize(A):
         )
     except RuntimeError as exc:
         raise SingularMatrixError(f"LU factorization failed: {exc}") from exc
-    _check_pivots(lu, abs_a, norm_inf)
+    _check_pivots(lu, abs_x, norm_inf)
     return Factorization(lu, A.n_rows)
 
 
 def _check_pivots(lu, abs_a, norm_inf):
     """Raise SingularMatrixError if a pivot of the SuperLU factor ``lu`` of A
-    lies below ``_PIVOT_TOL * norm_inf``, given ``abs_a = |A|`` as scipy CSR.
+    lies below ``_PIVOT_TOL * norm_inf``, given ``abs_a = |A|`` as scipy CSC.
 
     ``lu.U`` is read only when A's column margins do not already prove
     the test: reading it makes scipy build CSC copies of L and U, which
@@ -248,7 +259,7 @@ def lsqr(A, rhs, target_residual, max_iter):
     x, istop, itn = _lsqr_run(S, ST, rhs, beta, target_residual / beta, max_iter)
     if not np.all(np.isfinite(x)):
         raise NumericsError(f"non-finite lsqr iterate after {itn} iterations")
-    actual = float(np.linalg.norm(S @ x - rhs))
+    actual = float(np.linalg.norm(_product(S, x) - rhs))
     if actual <= target_residual:
         reason = "target_met"
     elif istop == 7:
@@ -281,29 +292,32 @@ def _lsqr_run(S, ST, b, bnorm, btol, iter_lim):
     """``x, istop, itn`` of scipy's ``lsqr(S, b, atol=0, btol=btol, conlim=0,
     iter_lim=iter_lim)``, for ``bnorm = norm(b) > 0`` and ``ST = S.T``:
     scipy's loop on ``u``, ``v``, ``w`` and ``x`` updated in place, each
-    operation with scipy's operands in scipy's order (so scipy's rounding)."""
+    operation with scipy's operands in scipy's order (so scipy's rounding).
+    The products run on :func:`~gavekit.sparse._product`: ``S v`` into one
+    buffer reused across iterations, ``S.T u`` into ``tmp``, which is free
+    until the ``w`` updates."""
     eps = np.finfo(np.float64).eps
     u = b * (1 / bnorm)
-    v = ST @ u
+    v = _product(ST, u)
     alfa = np.linalg.norm(v)
     if alfa > 0:
         v *= 1 / alfa
     x = np.zeros(S.shape[1])
     if alfa * bnorm == 0:
         return x, 0, 0
-    w, tmp = v.copy(), np.empty_like(x)
+    w, tmp, sv = v.copy(), np.empty_like(x), np.empty_like(u)
     itn = istop = anorm = ddnorm = xxnorm = z = sn2 = 0
     cs2, rhobar, phibar = -1, alfa, bnorm
     while itn < iter_lim:
         itn += 1
         u *= alfa  # u = S v - alfa u
-        np.subtract(S @ v, u, out=u)
+        np.subtract(_product(S, v, sv), u, out=u)
         beta = np.linalg.norm(u)
         if beta > 0:
             u *= 1 / beta
             anorm = sqrt(anorm**2 + alfa**2 + beta**2)
             v *= beta  # v = S.T u - beta v
-            np.subtract(ST @ u, v, out=v)
+            np.subtract(_product(ST, u, tmp), v, out=v)
             alfa = np.linalg.norm(v)
             if alfa > 0:
                 v *= 1 / alfa
@@ -439,7 +453,8 @@ def spectral_norm(A, rel_tol=1e-8):
     relative below the true value in
     ``test_small_orders_against_numpy[random:484-default]``).
     ``A.T @ A`` is applied as two products on ``A``'s cached product forms
-    of ``A`` and ``A.T``. A matrix with no nonzero entry has norm 0.
+    of ``A`` and ``A.T``, the first into one buffer reused at every step.
+    A matrix with no nonzero entry has norm 0.
 
     Raises
     ------
@@ -450,7 +465,9 @@ def spectral_norm(A, rel_tol=1e-8):
     if A.nnz == 0 or A.max_abs() == 0.0:
         return 0.0
     S, ST = A.product_forms()
-    return _lanczos_top(lambda v: ST @ (S @ v), A.n_cols, rel_tol, "spectral_norm", np.sqrt)
+    sv = np.empty(A.n_rows)
+    return _lanczos_top(lambda v: _product(ST, _product(S, v, sv)), A.n_cols, rel_tol,
+                        "spectral_norm", np.sqrt)
 
 
 def min_singular_value(A, rel_tol=1e-10):

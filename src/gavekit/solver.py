@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import ConfigurationError, DivergenceError, NumericsError, ParameterError
 from .linalg import lsqr, lu_factorize
-from .sparse import as_vector, sparse_add, spmv
+from .sparse import _product, as_vector, sparse_add, spmv
 
 __all__ = [
     "ThetaSchedule",
@@ -115,8 +115,8 @@ class SolveReport:
     """Everything observable about one solve.
 
     ``wall_time_s`` covers the whole call after argument checks: resolution
-    of a supplied shift, assembly of Omega+M, its transpose and LU
-    factorization (exact variant) and the outer iteration.
+    of a supplied shift, assembly of Omega+M, the LU factorization of its
+    transpose (exact variant) and the outer iteration.
     """
 
     converged: bool
@@ -133,11 +133,11 @@ def residual(problem, x):
     """Nonlinear residual F(x) = A x - B |x| - b.
 
     The products run on the cached product forms of A and B, which the
-    solvers reuse at every step.
+    solvers reuse at every step, through scipy's compiled kernels.
     """
     x = as_vector(x, problem.A.n_cols, "x")
-    F = problem.A.product_forms()[0] @ x
-    F -= problem.B.product_forms()[0] @ np.abs(x)
+    F = _product(problem.A.product_forms()[0], x)
+    F -= _product(problem.B.product_forms()[0], np.abs(x))
     F -= problem.b
     return F
 
@@ -180,8 +180,10 @@ def _iterate(problem, splitting, omega, config):
     direct = config.inner == "direct"
     if direct:
         # SuperLU's transposed solve runs both triangular sweeps as gathers,
-        # so a step on the factor of (Omega + M).T is the faster solve
-        factor = lu_factorize(OM.transpose())
+        # so a step on the factor of (Omega + M).T is the faster solve;
+        # SuperLU reads it from the CSR arrays of Omega + M, which are its
+        # CSC arrays
+        factor = lu_factorize(OM, _transpose=True)
     max_inner = config.max_inner
     if max_inner is None:
         max_inner = int(math.ceil(10.0 * math.sqrt(n)))

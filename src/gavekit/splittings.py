@@ -171,22 +171,38 @@ def triangular_parts(A):
     """Split A = D - L - U into diagonal and negated strict triangles.
 
     D holds the stored diagonal entries of A; L and U are the strictly
-    lower and upper triangular parts of -A.
+    lower and upper triangular parts of -A. The splittings read only D and
+    L, which :func:`_diagonal_and_lower` builds alone.
     """
     if not A.is_square:
         raise DimensionError("triangular_parts requires a square matrix")
-    n = A.n_rows
-    rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(A.row_ptr))
-    cols = A.col_idx
+    return _parts(A, (np.equal, 1.0), (np.greater, -1.0), (np.less, -1.0))
 
-    def part(mask, sign):
-        # masking keeps the row-major order, so only the row counts change
-        row_ptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(rows[mask], minlength=n), out=row_ptr[1:])
-        csr = (sign * A.values[mask], cols[mask], row_ptr)
-        return SparseMatrix._wrap(scipy.sparse.csr_matrix(csr, shape=(n, n)))
 
-    return part(rows == cols, 1.0), part(rows > cols, -1.0), part(rows < cols, -1.0)
+def _diagonal_and_lower(A):
+    """``triangular_parts(A)[:2]``, the D and L of a square A, without U."""
+    return _parts(A, (np.equal, 1.0), (np.greater, -1.0))
+
+
+def _parts(A, *tests):
+    """For each ``(test, sign)``, ``sign`` times the entries of A whose row
+    and column indices pass ``test(row, col)``, as a new n-by-n matrix.
+
+    Each part keeps its entries with one ``flatnonzero`` and one ``take``
+    per array, in A's row-major order, so only the row counts change. Its
+    row pointers are counted in A's index dtype, so scipy's constructor
+    converts no index array of an int32 A.
+    """
+    n, ptr, cols = A.n_rows, A.row_ptr, A.col_idx
+    rows = np.repeat(np.arange(n, dtype=ptr.dtype), np.diff(ptr))
+    parts = []
+    for test, sign in tests:
+        keep = np.flatnonzero(test(rows, cols))
+        row_ptr = np.zeros(n + 1, dtype=ptr.dtype)
+        np.cumsum(np.bincount(rows.take(keep), minlength=n), out=row_ptr[1:])
+        csr = (sign * A.values.take(keep), cols.take(keep), row_ptr)
+        parts.append(SparseMatrix._wrap(scipy.sparse.csr_matrix(csr, shape=(n, n))))
+    return tuple(parts)
 
 
 def build_splitting(A, kind, omega=None):
@@ -211,7 +227,7 @@ def build_splitting(A, kind, omega=None):
         return Splitting(kind, M=M, N=sparse_sub(M, A), omega=om)
 
     if name in ("nj", "ngs", "nsor", "naor"):
-        D, L, _ = triangular_parts(A)
+        D, L = _diagonal_and_lower(A)
         splitting = _triangular_splitting(A, kind, D, L)
     else:
         if name == "hss":
@@ -227,8 +243,9 @@ def build_splitting(A, kind, omega=None):
 def _triangular_splitting(A, kind, D, L):
     """``build_splitting(A, kind)`` for nj, ngs, nsor and naor, from the
     diagonal ``D`` and negated strict lower triangle ``L`` of
-    :func:`triangular_parts`, so that a caller that builds many such
-    splittings of one ``A`` splits it once."""
+    :func:`_diagonal_and_lower` (no splitting reads the upper part), so
+    that a caller that builds many such splittings of one ``A`` splits it
+    once."""
     name = kind.name
     if name == "nj":
         M = D

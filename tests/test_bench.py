@@ -407,7 +407,8 @@ class TestTuneAlpha:
 
     def test_splits_once_and_builds_each_point_bit_for_bit(self, monkeypatch):
         _, prob, hat = gen_example41(8, -1.0)
-        calls = count_calls(monkeypatch, bench_module, ["triangular_parts"])
+        # tune_alpha splits A with the D/L builder build_splitting uses
+        calls = count_calls(monkeypatch, bench_module, ["_diagonal_and_lower"])
         seen = []
 
         def recording_solve(problem, splitting, *args, **kwargs):
@@ -417,7 +418,7 @@ class TestTuneAlpha:
         monkeypatch.setattr(bench_module, "nms_solve", recording_solve)
         grid = [round(0.5 + 0.1 * i, 10) for i in range(15)]
         tune_alpha(prob, OmegaSpec.scaled(1.5, hat), grid)
-        assert calls == {"triangular_parts": 1}
+        assert calls == {"_diagonal_and_lower": 1}
         assert len(seen) > 1
         for got in seen:
             want = build_splitting(prob.A, SplittingKind("nsor", alpha=got.kind.alpha))

@@ -345,6 +345,7 @@ class TestLsqr:
         f_norm = np.linalg.norm(rhs)
         cases = [(0.5 * f_norm, 40), (1e-6 * f_norm, 200), (0.0, 60)]
         assert sparse_add(hat, s.M).product_forms()[1].format == "dia"
+        assert sparse_add(hat, s.M).to_scipy().T.format == "csc"
         with monkeypatch.context() as mp:
             mp.setattr(SparseMatrix, "product_forms", lambda A: (A.to_scipy(), A.to_scipy().T))
             view = [lsqr(sparse_add(hat, s.M), rhs, t, k) for t, k in cases]

@@ -2,7 +2,9 @@
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 
+import gavekit.linalg
 import gavekit.solver
 from gavekit import (
     ConfigurationError,
@@ -33,7 +35,7 @@ from gavekit import (
 )
 from gavekit.solver import expand_x0
 
-from conftest import count_products, random_dominant, random_sparse
+from conftest import count_products, random_dominant, random_sparse, with_explicit_zeros
 
 
 def _random_problem(rng, n, b_scale=0.5, with_solution=False):
@@ -440,6 +442,10 @@ class TestCorrectionForm:
         assert len(calls) == 2 * (report.iterations + 1)
 
 
+def _bits(y):
+    return y.view(np.uint64)
+
+
 class TestTransposedFactor:
     def test_factors_the_transpose_and_every_step_solves_with_it(self, monkeypatch):
         _, prob, hat = gen_example41(8, -1.0)
@@ -455,16 +461,62 @@ class TestTransposedFactor:
                 solves.append(transpose)
                 return self.factor.solve(rhs, transpose=transpose)
 
-        def spy_factorize(X):
-            factored.append(X)
-            return Spy(lu_factorize(X))
+        def spy_factorize(X, **kwargs):
+            factored.append((X, kwargs))
+            return Spy(lu_factorize(X, **kwargs))
 
         monkeypatch.setattr(gavekit.solver, "lu_factorize", spy_factorize)
         report = nms_solve(prob, s, om)
         assert report.converged and report.iterations > 1
-        [X] = factored
-        np.testing.assert_array_equal(X.to_dense(), sparse_add(s.shift(om), s.M).to_dense().T)
+        # Omega + M itself, factored as its transpose from its own arrays
+        [(X, kwargs)] = factored
+        np.testing.assert_array_equal(X.to_dense(), sparse_add(s.shift(om), s.M).to_dense())
+        assert kwargs == {"_transpose": True}
         assert solves == [True] * report.iterations
+
+    def test_factor_of_the_csc_view_is_the_factor_of_the_transpose(self, monkeypatch):
+        # a built transpose against the CSC view of OM's own arrays: the
+        # same norm, the same margins and the same factor, bit for bit
+        _, prob, hat = gen_example41(12, -1.0)
+        seen = []
+
+        def recording(lu, abs_a, norm_inf):
+            n = abs_a.shape[0]
+            seen.append((norm_inf, 2.0 * abs_a.diagonal() - abs_a.T @ np.ones(n)))
+            return check(lu, abs_a, norm_inf)
+
+        def recording_splu(csc, **kwargs):
+            handed.append(csc)
+            return splu(csc, **kwargs)
+
+        check, splu, handed = gavekit.linalg._check_pivots, scipy.sparse.linalg.splu, []
+        monkeypatch.setattr(gavekit.linalg, "_check_pivots", recording)
+        monkeypatch.setattr(scipy.sparse.linalg, "splu", recording_splu)
+        rng = np.random.default_rng(5)
+        for OM in (sparse_add(sparse_scale(1.5, hat), build_splitting(prob.A, "ngs").M),
+                   random_dominant(rng, 40), with_explicit_zeros(rng, random_dominant(rng, 40))):
+            seen.clear()
+            old = lu_factorize(OM.transpose())
+            new = lu_factorize(OM, _transpose=True)
+            (norm_old, margins_old), (norm_new, margins_new) = seen
+            # SuperLU read OM's own arrays: no transpose was built
+            view = handed.pop()
+            assert view.format == "csc"
+            for arr, of_om in ((view.indptr, OM.row_ptr), (view.indices, OM.col_idx),
+                               (view.data, OM.values)):
+                assert np.shares_memory(arr, of_om)
+            # the reference: the norm and margins as computed on a CSR |OM.T|
+            abs_t, ones = abs(OM.transpose().to_scipy()), np.ones(OM.n_rows)
+            assert norm_old == norm_new == (abs_t @ ones).max()
+            np.testing.assert_array_equal(_bits(margins_new), _bits(margins_old))
+            want = 2.0 * abs_t.diagonal() - abs_t.T @ ones
+            np.testing.assert_array_equal(_bits(margins_new), _bits(want))
+            assert old.nnz == new.nnz
+            rhs = rng.uniform(-1, 1, OM.n_rows)
+            for transpose in (False, True):
+                np.testing.assert_array_equal(
+                    _bits(new.solve(rhs, transpose)), _bits(old.solve(rhs, transpose))
+                )
 
 
 def _old_residual(problem, x):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 import scipy.sparse
+import scipy.sparse.linalg
 
 from gavekit import (
     DimensionError,
@@ -20,6 +21,8 @@ from gavekit import (
     spmv,
     zeros,
 )
+
+from gavekit.sparse import _dia_transpose, _product
 
 from conftest import random_dominant, random_sparse, tridiag, with_explicit_zeros
 
@@ -250,6 +253,76 @@ class TestProductForm:
     def test_cached(self):
         A = gen_example41(6, 4.0)[1].A
         assert A.product_forms() is A.product_forms()
+
+
+class TestProduct:
+    """``_product``: scipy's kernel for each form, bit for bit ``form @ x``."""
+
+    @staticmethod
+    def _matrices(rng):
+        _, prob, hat = gen_example41(12, -1.0)
+        band = SparseMatrix.from_dense(np.triu(np.tril(rng.uniform(1, 2, (30, 40)), 3), -1))
+        return {
+            **_example41_matrices(12, -1.0),
+            "hatM": hat,
+            "band 30x40": band,
+            "band 40x30": band.transpose(),
+            "random_dominant": random_dominant(rng, 40),
+            "random 30x17": random_sparse(rng, 30, 17, density=0.8),
+            "stored zeros": with_explicit_zeros(rng, prob.A),
+        }
+
+    @staticmethod
+    def _forms(A):
+        """Both product forms, and scipy's CSC views of A.T and of A."""
+        S, ST = A.product_forms()
+        return [S, ST, A.to_scipy().T, A.transpose().to_scipy().T]
+
+    def test_every_form_bitwise_with_and_without_a_buffer(self, rng):
+        formats = set()
+        for name, A in self._matrices(rng).items():
+            for form in self._forms(A):
+                formats.add(form.format)
+                n_rows, n_cols = form.shape
+                out = np.full(n_rows, np.nan)  # stale content the product must clear
+                for x in TestProductForm._vectors(rng, n_cols):
+                    want = _bits(form @ x)
+                    np.testing.assert_array_equal(_bits(_product(form, x)), want, err_msg=name)
+                    assert _product(form, x, out) is out
+                    np.testing.assert_array_equal(_bits(out), want, err_msg=name)
+        assert formats == {"dia", "csr", "csc"}
+
+    def test_other_operands_fall_back_to_matmul(self, rng):
+        A = random_sparse(rng, 7, 5, density=0.6)
+        x = rng.uniform(-1, 1, 5)
+        for form in (A.to_scipy().tocoo(), scipy.sparse.linalg.aslinearoperator(A.to_scipy())):
+            want = _bits(form @ x)
+            np.testing.assert_array_equal(_bits(_product(form, x)), want)
+            out = np.full(7, np.nan)
+            assert _product(form, x, out) is out
+            np.testing.assert_array_equal(_bits(out), want)
+
+    def test_length_is_checked(self, rng):
+        form = random_sparse(rng, 7, 5).product_forms()[0]
+        for x in (np.ones(4), np.ones(7), np.ones((5, 1))):
+            with pytest.raises(DimensionError):
+                _product(form, x)
+
+    def test_one_array_serves_a_symmetric_band(self, rng):
+        shared = set()
+        for name, A in self._matrices(rng).items():
+            S, ST = A.product_forms()
+            if S.format != "dia":
+                assert ST is not S, name
+                continue
+            T = _dia_transpose(S)
+            equal = (T.shape == S.shape and np.array_equal(T.offsets, S.offsets)
+                     and np.array_equal(T.data, S.data))
+            assert (ST is S) == equal, name
+            if equal:
+                shared.add(name)
+            np.testing.assert_array_equal(ST.toarray(), A.to_dense().T, err_msg=name)
+        assert shared == {"A", "B", "hatM", "nj Omega+M", "nj Omega+N"}
 
 
 class TestAddSubScale:

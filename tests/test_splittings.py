@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.sparse
 
 from gavekit import (
     ConfigurationError,
@@ -25,7 +26,7 @@ from gavekit import (
     triangular_parts,
     zeros,
 )
-from gavekit.splittings import KINDS
+from gavekit.splittings import KINDS, _diagonal_and_lower
 
 from conftest import random_dominant, tridiag, with_explicit_zeros
 
@@ -71,6 +72,95 @@ class TestTriangularParts:
                 D, L, U = triangular_parts(X)
                 recombined = sparse_sub(sparse_sub(D, L), U)
                 np.testing.assert_array_equal(recombined.to_dense(), X.to_dense())
+
+
+def _mask_parts(A):
+    """The reference D, L, U: boolean masks over A's entries, int64 row counts."""
+    n = A.n_rows
+    rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(A.row_ptr))
+    cols = A.col_idx
+
+    def part(mask, sign):
+        row_ptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(rows[mask], minlength=n), out=row_ptr[1:])
+        csr = (sign * A.values[mask], cols[mask], row_ptr)
+        return SparseMatrix._wrap(scipy.sparse.csr_matrix(csr, shape=(n, n)))
+
+    return part(rows == cols, 1.0), part(rows > cols, -1.0), part(rows < cols, -1.0)
+
+
+def _with_int64_indices(A):
+    csr = A.to_scipy().copy()
+    csr.indices, csr.indptr = csr.indices.astype(np.int64), csr.indptr.astype(np.int64)
+    return SparseMatrix._wrap(csr)
+
+
+def _part_cases(rng):
+    dense = rng.uniform(-1, 1, (9, 9))
+    dense[rng.random((9, 9)) < 0.5] = 0.0
+    dense[[1, 4, 7], [1, 4, 7]] = 0.0  # missing diagonal entries
+    dense[[2, 5]] = 0.0  # empty rows
+    A = SparseMatrix.from_dense(dense)
+    example = gen_example41(5, -1.0)[1].A
+    cases = {
+        "missing diagonal, empty rows": A,
+        "stored zeros": with_explicit_zeros(rng, random_dominant(rng, 12), frac=0.5),
+        "n = 1": SparseMatrix.from_dense([[2.0]]),
+        "n = 1, no entry": zeros(1),
+        "order 0": zeros(0),
+        "example41": example,
+        "int64 indices": _with_int64_indices(A),
+        "int64 example41": _with_int64_indices(example),
+    }
+    assert cases["int64 indices"].col_idx.dtype == np.int64
+    return cases
+
+
+def _assert_same_matrix(got, want, what, index_dtypes=True):
+    assert got.shape == want.shape, what
+    assert got.values.dtype == want.values.dtype == np.float64, what
+    if index_dtypes:
+        assert got.row_ptr.dtype == want.row_ptr.dtype, what
+        assert got.col_idx.dtype == want.col_idx.dtype, what
+    for arr in ("row_ptr", "col_idx", "values"):
+        np.testing.assert_array_equal(getattr(got, arr), getattr(want, arr),
+                                      err_msg=f"{what}: {arr}")
+
+
+class TestPartsAgainstMasks:
+    """The flatnonzero part builder against the boolean-mask reference."""
+
+    def test_triangular_parts_and_diagonal_and_lower(self, rng):
+        for name, A in _part_cases(rng).items():
+            want = _mask_parts(A)
+            for got, ref, part in zip(triangular_parts(A), want, "DLU"):
+                _assert_same_matrix(got, ref, f"{name} {part}")
+            for got, ref, part in zip(_diagonal_and_lower(A), want[:2], "DL"):
+                _assert_same_matrix(got, ref, f"{name} {part} (D/L builder)")
+
+    def test_splittings_unchanged(self, rng):
+        # M and N of each triangular kind against the formulas on the mask parts
+        kinds = [SplittingKind("nj"), SplittingKind("ngs"), SplittingKind("nsor", alpha=0.3),
+                 SplittingKind("naor", alpha=1.2, beta=0.7),
+                 SplittingKind("naor", alpha=2.5, beta=3.0)]
+        for name, A in _part_cases(rng).items():
+            D, L, _ = _mask_parts(A)
+            # scipy narrows the indices of a sum of int64-indexed operands
+            # after checking its whole index buffer, unused tail included,
+            # so that sum's index dtype varies from run to run
+            index_dtypes = A.col_idx.dtype == np.int32
+            for kind in kinds:
+                a = kind.alpha
+                M = {
+                    "nj": lambda: D,
+                    "ngs": lambda: sparse_sub(D, L),
+                    "nsor": lambda: sparse_sub(sparse_scale(1.0 / a, D), L),
+                    "naor": lambda: sparse_sub(sparse_scale(1.0 / a, D),
+                                               sparse_scale(kind.beta / a, L)),
+                }[kind.name]()
+                s = build_splitting(A, kind)
+                _assert_same_matrix(s.M, M, f"{name} {kind.name} M", index_dtypes)
+                _assert_same_matrix(s.N, sparse_sub(M, A), f"{name} {kind.name} N", index_dtypes)
 
 
 class TestBuildSplitting:
