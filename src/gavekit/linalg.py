@@ -15,8 +15,10 @@ results:
   its transpose, SuperLU's faster sweep; the estimators factor X itself;
 - :func:`lsqr`, the inexact solver's inner solve, runs scipy's LSQR
   recurrences on reused work vectors, bitwise equal to
-  ``scipy.sparse.linalg.lsqr``; the solver runs it from zero on the
-  correction system ``(Omega + M) d = -F(x_k)``;
+  ``scipy.sparse.linalg.lsqr``, and a run that meets its target returns
+  before the adjoint product scipy's last iteration computes and never
+  reads; the solver runs it from zero on the correction system
+  ``(Omega + M) d = -F(x_k)``;
 - the norm and eigenvalue estimators run one Lanczos kernel at every
   size (:func:`_lanczos_top`: the plain three-term
   recurrence, stopping on the Ritz residual, tested every 5th step within
@@ -241,25 +243,32 @@ def lsqr(A, rhs, target_residual, max_iter):
     ``stop_reason`` is "target_met" when that residual is at most the
     target, else "max_iter" when the ``max_iter`` budget was spent
     (``istop == 7``), else "stagnation". Hitting ``max_iter`` is reported,
-    not raised.
+    not raised. A run that meets its target returns before the adjoint
+    product of its last iteration, which scipy computes and never reads,
+    so it makes ``iterations`` products with ``A.T`` where scipy makes
+    ``iterations + 1``.
     """
     if not target_residual >= 0:
         raise ParameterError("target_residual must be nonnegative")
     if not max_iter >= 0:
         raise ParameterError("max_iter must be nonnegative")
-    rhs = as_vector(rhs, A.n_rows, "rhs")
-    if not np.all(np.isfinite(rhs)):
+    # contiguous, so that rhs @ rhs is the unit-stride dot np.linalg.norm takes
+    rhs = np.ascontiguousarray(as_vector(rhs, A.n_rows, "rhs"))
+    beta = sqrt(rhs @ rhs)  # np.linalg.norm(rhs), bit for bit
+    # a non-finite entry makes the norm non-finite; only then is the scan due
+    if not isfinite(beta) and not np.all(np.isfinite(rhs)):
         raise NumericsError("non-finite values in lsqr inputs")
-    beta = float(np.linalg.norm(rhs))
     if beta <= target_residual:
         return LsqrOutcome(np.zeros(A.n_cols), beta, 0, "target_met")
     if max_iter == 0:
         return LsqrOutcome(np.zeros(A.n_cols), beta, 0, "max_iter")
     S, ST = A.product_forms()
     x, istop, itn = _lsqr_run(S, ST, rhs, beta, target_residual / beta, max_iter)
-    if not np.all(np.isfinite(x)):
+    if not isfinite(x @ x) and not np.all(np.isfinite(x)):
         raise NumericsError(f"non-finite lsqr iterate after {itn} iterations")
-    actual = float(np.linalg.norm(_product(S, x) - rhs))
+    r = _product(S, x)
+    r -= rhs
+    actual = sqrt(r @ r)
     if actual <= target_residual:
         reason = "target_met"
     elif istop == 7:
@@ -292,14 +301,23 @@ def _lsqr_run(S, ST, b, bnorm, btol, iter_lim):
     """``x, istop, itn`` of scipy's ``lsqr(S, b, atol=0, btol=btol, conlim=0,
     iter_lim=iter_lim)``, for ``bnorm = norm(b) > 0`` and ``ST = S.T``:
     scipy's loop on ``u``, ``v``, ``w`` and ``x`` updated in place, each
-    operation with scipy's operands in scipy's order (so scipy's rounding).
+    operation with scipy's operands in scipy's order (so scipy's rounding),
+    and each norm ``sqrt(y @ y)``, the float ``np.linalg.norm`` returns.
     The products run on :func:`~gavekit.sparse._product`: ``S v`` into one
     buffer reused across iterations, ``S.T u`` into ``tmp``, which is free
-    until the ``w`` updates."""
+    until the ``w`` updates.
+
+    scipy's test 1, ``|phibar| / bnorm <= btol``, reads only ``beta`` and
+    the previous iteration's ``rhobar`` and ``phibar``, and its ``istop`` is
+    the first test that holds. So the run makes that test right after the
+    rotation, and when it holds it updates ``x`` and returns ``istop = 1``
+    before the adjoint product, the ``v``, ``alfa``, ``ddnorm`` and ``w``
+    updates and tests 2-7, none of which reaches ``x``, ``istop`` or
+    ``itn``."""
     eps = np.finfo(np.float64).eps
     u = b * (1 / bnorm)
     v = _product(ST, u)
-    alfa = np.linalg.norm(v)
+    alfa = sqrt(v @ v)
     if alfa > 0:
         v *= 1 / alfa
     x = np.zeros(S.shape[1])
@@ -312,21 +330,27 @@ def _lsqr_run(S, ST, b, bnorm, btol, iter_lim):
         itn += 1
         u *= alfa  # u = S v - alfa u
         np.subtract(_product(S, v, sv), u, out=u)
-        beta = np.linalg.norm(u)
+        beta = sqrt(u @ u)
+        cs, sn, rho = _sym_ortho(rhobar, beta)
+        phi, phibar = cs * phibar, sn * phibar
+        rnorm = sqrt(phibar**2)  # not abs(phibar): they differ on underflow
+        test1 = rnorm / bnorm
+        if test1 <= btol:
+            np.multiply(w, phi / rho, out=tmp)  # x = x + t1 w
+            x += tmp
+            return x, 1, itn
         if beta > 0:
             u *= 1 / beta
             anorm = sqrt(anorm**2 + alfa**2 + beta**2)
             v *= beta  # v = S.T u - beta v
             np.subtract(_product(ST, u, tmp), v, out=v)
-            alfa = np.linalg.norm(v)
+            alfa = sqrt(v @ v)
             if alfa > 0:
                 v *= 1 / alfa
-        cs, sn, rho = _sym_ortho(rhobar, beta)
         theta = sn * alfa
         rhobar = -cs * alfa
-        phi, phibar = cs * phibar, sn * phibar
         np.multiply(w, 1 / rho, out=tmp)  # dk = (1 / rho) w
-        ddnorm = ddnorm + np.linalg.norm(tmp) ** 2
+        ddnorm = ddnorm + sqrt(tmp @ tmp) ** 2
         np.multiply(w, phi / rho, out=tmp)  # x = x + t1 w
         x += tmp
         w *= -theta / rho  # w = v + t2 w
@@ -338,16 +362,13 @@ def _lsqr_run(S, ST, b, bnorm, btol, iter_lim):
         cs2, sn2 = gambar / gamma, theta / gamma
         z = rhs / gamma
         xxnorm = xxnorm + z**2
-        rnorm = sqrt(phibar**2)  # not abs(phibar): they differ on underflow
-        test1 = rnorm / bnorm
         test2 = alfa * abs(sn * phi) / (anorm * rnorm + eps)
         test3 = 1 / (anorm * sqrt(ddnorm) + eps)
         t1 = test1 / (1 + anorm * xnorm / bnorm)
-        # scipy's istop is the first test that holds; 3 (conlim) is off
-        stops = (test1 <= btol, test2 <= 0, 1 + t1 <= 1, 1 + test2 <= 1,
-                 1 + test3 <= 1, itn >= iter_lim)
+        # scipy's istop is the first test that holds; 1 is above, 3 (conlim) off
+        stops = (test2 <= 0, 1 + t1 <= 1, 1 + test2 <= 1, 1 + test3 <= 1, itn >= iter_lim)
         if any(stops):
-            istop = (1, 2, 4, 5, 6, 7)[stops.index(True)]
+            istop = (2, 4, 5, 6, 7)[stops.index(True)]
             break
     return x, istop, itn
 

@@ -191,7 +191,7 @@ def _iterate(problem, splitting, omega, config):
     x = expand_x0(config.x0, n)
     # F(x_k) serves both the stopping rule and the next step
     F = residual(problem, x)
-    f_norm = float(np.linalg.norm(F))
+    f_norm = math.sqrt(F @ F)
     res = _guard(f_norm / nb, 0)
     history = [res]
     inner_iters = []
@@ -217,7 +217,7 @@ def _iterate(problem, splitting, omega, config):
             inner_iters.append(out.iterations)
         k += 1
         F = residual(problem, x)
-        f_norm = float(np.linalg.norm(F))
+        f_norm = math.sqrt(F @ F)
         res = _guard(f_norm / nb, k)
         history.append(res)
     elapsed = time.perf_counter() - t0

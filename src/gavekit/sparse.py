@@ -336,6 +336,19 @@ def _require_same_shape(A, B):
         raise DimensionError(f"shape mismatch: {A.shape} vs {B.shape}")
 
 
+def _wrap_sum(csr):
+    """Hold scipy's sum or difference ``csr``, with int32 indices when they fit.
+
+    scipy picks the index dtype of a sum of int64-indexed operands from its
+    whole index buffer, whose unused tail is uninitialised memory, so that
+    sum comes out int32 or int64 from call to call. Rebuilding it from its
+    pruned arrays picks from their real contents.
+    """
+    if csr.indices.dtype == np.int64:
+        csr = scipy.sparse.csr_matrix((csr.data, csr.indices, csr.indptr), shape=csr.shape)
+    return SparseMatrix._wrap(csr)
+
+
 def sparse_add(A, B):
     """Entrywise sum.
 
@@ -344,7 +357,7 @@ def sparse_add(A, B):
     zero from cancellation is kept.
     """
     _require_same_shape(A, B)
-    return SparseMatrix._wrap(A.to_scipy() + B.to_scipy())
+    return _wrap_sum(A.to_scipy() + B.to_scipy())
 
 
 def sparse_scale(c, A):
@@ -356,7 +369,7 @@ def sparse_scale(c, A):
 def sparse_sub(A, B):
     """Entrywise difference ``A - B`` (same zero policy as :func:`sparse_add`)."""
     _require_same_shape(A, B)
-    return SparseMatrix._wrap(A.to_scipy() - B.to_scipy())
+    return _wrap_sum(A.to_scipy() - B.to_scipy())
 
 
 def hermitian_split(A):

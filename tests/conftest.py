@@ -29,6 +29,13 @@ def with_explicit_zeros(rng, A, frac=0.3):
     return SparseMatrix(A.n_rows, A.n_cols, A.row_ptr, A.col_idx, vals)
 
 
+def with_int64_indices(A):
+    """Copy of A whose scipy CSR holds int64 index arrays."""
+    csr = A.to_scipy().copy()
+    csr.indices, csr.indptr = csr.indices.astype(np.int64), csr.indptr.astype(np.int64)
+    return SparseMatrix._wrap(csr)
+
+
 def count_calls(monkeypatch, module, names):
     """Count the calls of ``module``'s functions ``names``, by name."""
     calls = {}

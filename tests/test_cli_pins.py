@@ -2,7 +2,8 @@
 
 Each case runs ``gavekit.cli.main`` in-process on one command line and
 asserts what the command must print: the exit code, and either the
-certificate lines or the pinned IT, RES, inner-iteration and alpha lines.
+certificate lines, the pinned IT, RES, inner-iteration and alpha lines, or
+the error message.
 """
 
 import pytest
@@ -52,6 +53,12 @@ def test_tune_at_paper_size(capsys, problem, pinned):
     assert pinned in _stdout(capsys, ["tune", *problem]).splitlines()
 
 
+def test_tune_nsor_relaxation_search(capsys):
+    # a coarse grid at n = 400
+    argv = ["tune", "--example41", "20", "4", "--omega", "mhat", "--grid", "0.8:1.2:0.1"]
+    assert _stdout(capsys, argv) == "alpha_exp = 0.8  (IT = 9)\n"
+
+
 @pytest.mark.parametrize(
     "problem, pinned",
     [
@@ -71,3 +78,9 @@ def test_solve_pins(capsys, problem, pinned):
     lines = _stdout(capsys, ["solve", *problem]).splitlines()
     for line in pinned:
         assert line in lines
+
+
+def test_solve_singular_shift_exits_3(capsys):
+    # picard's Omega + M is A itself, singular at mu = -3 and m = 5
+    assert main(["solve", "--example41", "5", "-3", "--method", "picard"]) == 3
+    assert "numerically singular" in capsys.readouterr().err

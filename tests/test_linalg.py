@@ -364,50 +364,82 @@ class TestLsqr:
         op = scipy.sparse.linalg.LinearOperator(
             S.shape, matvec=S.dot, rmatvec=ST.dot, dtype=float
         )
-        x, istop, itn = scipy.sparse.linalg.lsqr(
+        x, istop, itn, r1norm = scipy.sparse.linalg.lsqr(
             op, rhs, atol=0, btol=target / np.linalg.norm(rhs), conlim=0,
             iter_lim=max_iter,
-        )[:3]
+        )[:4]
         actual = float(np.linalg.norm(spmv(A, x) - rhs))
         reason = ("target_met" if actual <= target
                   else "max_iter" if istop == 7 else "stagnation")
-        return x, itn, reason, actual, istop
+        return x, itn, reason, actual, istop, r1norm
 
-    @pytest.mark.parametrize(
-        "case, istop",
-        [
-            ("half", 1),
-            ("tight", 1),
-            ("zero", 4),
-            ("budget2", 7),
-            ("rectangular", 5),
-            ("identity", 1),
-        ],
-    )
-    def test_bitwise_equal_to_scipy_lsqr(self, rng, case, istop):
+    def _case(self, rng, case):
+        # lsqr's arguments for each case of the parity and product-count tests
         if case == "rectangular":  # the system of test_rectangular_least_squares
             A = random_sparse(rng, 60, 25, density=0.4)
             b = rng.uniform(-1, 1, 60)
             ref = np.linalg.lstsq(A.to_dense(), b, rcond=None)[0]
             target = 0.5 * np.linalg.norm(A.to_dense() @ ref - b)
-            args = (A, b, target, 500)
-        elif case == "identity":
-            args = (identity(3), np.array([1.0, 2.0, -3.0]), 0.0, 10)
-        else:  # example41 m = 24, ngs Omega+M with Omega = hatM
-            scale, budget = {"half": (0.5, 40), "tight": (1e-6, 200),
-                             "zero": (0.0, 60), "budget2": (1e-6, 2)}[case]
-            _, prob, hat = gen_example41(24, 4.0)
-            x0 = np.zeros(prob.n)
-            x0[0::2] = 1.0
-            rhs = -residual(prob, x0)
-            OM = sparse_add(hat, build_splitting(prob.A, "ngs").M)
-            args = (OM, rhs, scale * np.linalg.norm(rhs), budget)
+            return (A, b, target, 500)
+        if case == "identity":
+            return (identity(3), np.array([1.0, 2.0, -3.0]), 0.0, 10)
+        if case == "met-at-itn-1":  # that rectangular system, to a loose target
+            A = random_sparse(rng, 60, 25, density=0.4)
+            b = rng.uniform(-1, 1, 60)
+            return (A, b, 0.9 * np.linalg.norm(b), 500)
+        if case == "beta-zero":  # A v - alfa u cancels exactly at the second step
+            return (diag_matrix([2.0, 3.0]), np.array([3.0, 2.0]), 0.0, 10)
+        # example41 m = 24, ngs Omega+M with Omega = hatM, from the alt10 start
+        scale, budget = {"half": (0.5, 40), "tight": (1e-6, 200),
+                         "zero": (0.0, 60), "budget2": (1e-6, 2),
+                         "met-at-budget": (1e-6, 17)}[case]
+        _, prob, hat = gen_example41(24, 4.0)
+        x0 = np.zeros(prob.n)
+        x0[0::2] = 1.0
+        rhs = -residual(prob, x0)
+        OM = sparse_add(hat, build_splitting(prob.A, "ngs").M)
+        return (OM, rhs, scale * np.linalg.norm(rhs), budget)
+
+    CASES = [
+        ("half", 1),
+        ("tight", 1),
+        ("zero", 4),
+        ("budget2", 7),
+        ("rectangular", 5),
+        ("identity", 1),
+        ("met-at-itn-1", 1),
+        ("beta-zero", 1),
+        ("met-at-budget", 1),
+    ]
+
+    @pytest.mark.parametrize("case, istop", CASES)
+    def test_bitwise_equal_to_scipy_lsqr(self, rng, case, istop):
+        args = self._case(rng, case)
         out = lsqr(*args)
-        x, itn, reason, actual, scipy_istop = self._scipy_lsqr(*args)
+        x, itn, reason, actual, scipy_istop, r1norm = self._scipy_lsqr(*args)
         assert (out.x == x).all()
         assert (out.iterations, out.stop_reason, out.residual_norm) == (itn, reason, actual)
         assert out.iterations > 0
         assert scipy_istop == istop  # the stop test each case reaches
+        # where each new case ends: "tight" first meets its target at itn 17,
+        # and scipy's residual estimate is 0 only after beta = 0
+        ends = {"met-at-itn-1": 1, "beta-zero": 2, "met-at-budget": 17}
+        if case in ends:
+            assert itn == ends[case]
+            assert (r1norm == 0.0) == (case == "beta-zero")
+
+    @pytest.mark.parametrize("case, istop", CASES)
+    def test_target_met_skips_the_last_adjoint_product(self, rng, monkeypatch, case, istop):
+        # scipy's last iteration computes A.T u, which nothing reads once test 1
+        # holds; a run that stops on another test makes every product scipy does
+        args = self._case(rng, case)
+        calls = count_products(monkeypatch)
+        out = lsqr(*args)
+        A = args[0]
+        skipped = 1 if istop == 1 else 0
+        assert calls.count((A, True)) == out.iterations + 1 - skipped
+        assert calls.count((A, False)) == out.iterations + 1  # the loop's, the recompute
+        assert len(calls) == 2 * out.iterations + 2 - skipped
 
     def test_nan_input_raises(self):
         b = np.array([np.nan, 1.0])

@@ -1,5 +1,7 @@
 """Outer iterations: residuals, schedules, exact and inexact solves."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 import scipy.sparse.linalg
@@ -440,6 +442,31 @@ class TestCorrectionForm:
         report = nms_solve(prob, s, OmegaSpec.scaled(1.0, hat))
         assert report.converged and report.iterations > 1
         assert len(calls) == 2 * (report.iterations + 1)
+
+    def test_inexact_step_products(self, monkeypatch):
+        # F(x_k) costs one product with A and one with B per step and at x_0;
+        # a step of i_k LSQR iterations that meets its target costs Omega+M
+        # i_k + 1 products (i_k in the loop, one residual recompute) and its
+        # transpose i_k (one to start, i_k - 1 in the loop)
+        _, prob, hat = gen_example41(8, 4.0)
+        s = build_splitting(prob.A, "ngs")
+        calls = count_products(monkeypatch)
+
+        def counting_spmv(A, x):
+            calls.append(A)
+            return spmv(A, x)
+
+        monkeypatch.setattr(gavekit.solver, "spmv", counting_spmv)
+        report = inms_solve(prob, s, OmegaSpec.scaled(1.0, hat))
+        assert report.converged and report.iterations > 1
+        assert not report.warnings  # every inner solve met its target
+        inner = report.inner_iters
+        assert len(inner) == report.iterations and inner.min() > 0
+        steps = Counter(calls)
+        it = report.iterations
+        assert steps.pop((prob.A, False)) == steps.pop((prob.B, False)) == it + 1
+        (om,) = {matrix for matrix, _ in steps}  # Omega+M alone is left; no spmv
+        assert steps == {(om, False): int(inner.sum()) + it, (om, True): int(inner.sum())}
 
 
 def _bits(y):

@@ -24,7 +24,13 @@ from gavekit import (
 
 from gavekit.sparse import _dia_transpose, _product
 
-from conftest import random_dominant, random_sparse, tridiag, with_explicit_zeros
+from conftest import (
+    random_dominant,
+    random_sparse,
+    tridiag,
+    with_explicit_zeros,
+    with_int64_indices,
+)
 
 
 class TestConstruction:
@@ -339,6 +345,21 @@ class TestAddSubScale:
                 ):
                     np.testing.assert_array_equal(out.to_dense(), dense)
                     assert np.all(out.values != 0.0)
+
+    def test_int64_operands_give_int32_indices(self, rng):
+        # scipy picks a sum's index dtype from its whole index buffer, unused
+        # tail included; a freed buffer of large indices of the buffer's size
+        # is what numpy's allocator hands that sum next, tail and all
+        A = with_int64_indices(random_sparse(rng, 9, 9))
+        for B in (with_int64_indices(sparse_scale(-1.0, A)), random_sparse(rng, 9, 9)):
+            for op, dense in ((sparse_add, A.to_dense() + B.to_dense()),
+                              (sparse_sub, A.to_dense() - B.to_dense())):
+                for _ in range(5):
+                    junk = np.full(A.nnz + B.nnz, 2**40, dtype=np.int64)
+                    del junk
+                    out = op(A, B)
+                    assert out.row_ptr.dtype == out.col_idx.dtype == np.int32
+                    np.testing.assert_array_equal(out.to_dense(), dense)
 
     def test_cancellation_stores_no_zero(self):
         A = SparseMatrix.from_coo(2, 2, [0], [0], [5.0])
