@@ -38,10 +38,8 @@ from .mmio import read_matrix_market, read_vector, write_matrix_market, write_ve
 from .problems import (
     GaveProblem,
     LcpInstance,
-    gave_to_lcp,
     gen_certified,
     gen_example41,
-    lcp_to_gave,
     load_problem,
     save_problem,
 )
@@ -72,7 +70,6 @@ from .splittings import (
     SplittingKind,
     build_splitting,
     resolve_omega,
-    triangular_parts,
 )
 from .bench import (
     ExperimentSpec,

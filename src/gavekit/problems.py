@@ -24,8 +24,6 @@ __all__ = [
     "GaveProblem",
     "LcpInstance",
     "gen_example41",
-    "lcp_to_gave",
-    "gave_to_lcp",
     "gen_certified",
     "save_problem",
     "load_problem",
@@ -138,8 +136,8 @@ def lcp_to_gave(lcp, provenance=_REDUCTION_TAG):
     """Reduce LCP(M, q) to the equivalent absolute-value equation.
 
     Maps to A = M + I, B = M - I, b = q; a known LCP solution z* carries
-    over as x* = (w - z*) / 2 with w = M z* + q, the inverse of
-    :func:`gave_to_lcp`. That equals ((M - I) z* + q) / 2 in exact
+    over as x* = (w - z*) / 2 with w = M z* + q, so that z* = |x*| - x*
+    and w = |x*| + x*. That equals ((M - I) z* + q) / 2 in exact
     arithmetic, and is exact when q = -M z* (w = 0), as for example41.
     """
     n = lcp.M.n_rows
@@ -150,22 +148,6 @@ def lcp_to_gave(lcp, provenance=_REDUCTION_TAG):
     if lcp.known_solution is not None:
         xs = 0.5 * (spmv(lcp.M, lcp.known_solution) + lcp.q - lcp.known_solution)
     return GaveProblem(A=A, B=B, b=lcp.q, known_solution=xs, provenance=provenance)
-
-
-def gave_to_lcp(problem, x):
-    """Invert the LCP reduction at a point x.
-
-    Returns ``(z, w)`` with ``z = |x| - x`` and ``w = |x| + x``; for an x
-    solving the reduced equation these satisfy the complementarity system.
-    Only problems carrying the reduction provenance tag are accepted.
-    """
-    if _REDUCTION_TAG not in problem.provenance:
-        raise ParameterError(
-            "problem does not carry the LCP reduction provenance tag"
-        )
-    x = np.asarray(x, dtype=float)
-    ax = np.abs(x)
-    return ax - x, ax + x
 
 
 def gen_example41(m, mu):

@@ -2,11 +2,11 @@
 
 A :class:`SparseMatrix` is an immutable handle on one canonical scipy CSR
 matrix, whose index dtype scipy chooses; every operation returns a new
-matrix. Within each row the column indices are strictly increasing (scipy's
-checks verify it), so duplicate entries cannot occur. Explicit zeros may be
-stored, but sums and differences run on scipy's compiled CSR kernels and
-never store an entry that is exactly zero, whether it came from one operand
-or from cancellation. Dropping a zero removes only ``0 * x_j`` terms, so
+matrix. Within each row the column indices are strictly increasing, so
+duplicate entries cannot occur. Explicit zeros may be stored, but sums and
+differences run on scipy's compiled CSR kernels and never store an entry
+that is exactly zero, whether it came from one operand or from
+cancellation. Dropping a zero removes only ``0 * x_j`` terms, so
 products with finite vectors are unchanged.
 
 Beside the CSR matrix a handle caches, on first use, one pair of product
@@ -57,61 +57,27 @@ def as_vector(x, n, what="vector"):
 class SparseMatrix:
     """Immutable CSR matrix: a read-only handle on one scipy CSR matrix.
 
-    Parameters
-    ----------
-    n_rows, n_cols : int
-        Matrix dimensions.
-    row_ptr : array of int, length ``n_rows + 1``
-        Offsets into ``col_idx``/``values``; ``row_ptr[0] == 0`` and the
-        entries are nondecreasing.
-    col_idx : array of int
-        Column indices, strictly increasing within each row.
-    values : array of float
-        Stored entries, parallel to ``col_idx``.
-
-    The arrays are checked with scipy's ``check_format(full_check=True)`` and
-    ``has_canonical_format``; a violation raises ``ParameterError``.
+    Outside data becomes a matrix through :meth:`from_coo` (or
+    :func:`~gavekit.mmio.read_matrix_market`, which calls it); the package
+    builds the rest from scipy results it holds without copying.
     ``row_ptr``, ``col_idx`` and ``values`` are the read-only arrays of
-    :meth:`to_scipy`, with the index dtype scipy chose (int32 when it fits).
+    :meth:`to_scipy`, with the index dtype scipy chose (int32 when it fits);
+    within each row the column indices are strictly increasing.
     The handle also caches the product forms of ``A`` and ``A.T``
     (:meth:`product_forms`), built together on first use.
     """
 
     __slots__ = ("_csr", "_forms")
 
-    def __init__(self, n_rows, n_cols, row_ptr, col_idx, values):
-        values = np.ascontiguousarray(values, dtype=np.float64)
-        if n_rows < 0 or n_cols < 0:
-            raise DimensionError("matrix dimensions must be nonnegative")
-        row_ptr, col_idx = np.asarray(row_ptr), np.asarray(col_idx)
-        if row_ptr.shape != (n_rows + 1,):
-            raise ParameterError(f"row_ptr must have length {n_rows + 1}")
-        # scipy silently drops entries beyond row_ptr[-1]
-        if not col_idx.shape == values.shape == (row_ptr[-1],):
-            raise ParameterError("col_idx/values length must equal row_ptr[-1]")
-        try:
-            csr = scipy.sparse.csr_matrix((values, col_idx, row_ptr), shape=(n_rows, n_cols))
-            csr.check_format(full_check=True)
-        except ValueError as exc:
-            raise ParameterError(str(exc)) from exc
-        if not csr.has_canonical_format:
-            raise ParameterError(
-                "column indices must be strictly increasing within each row "
-                "(duplicate entries are forbidden)"
-            )
-        self._hold(csr)
-
-    def _hold(self, csr):
-        for arr in (csr.indptr, csr.indices, csr.data):
-            arr.flags.writeable = False
-        object.__setattr__(self, "_csr", csr)
-        object.__setattr__(self, "_forms", None)
-        return self
-
     @classmethod
     def _wrap(cls, csr):
         """Hold a canonical float64 scipy CSR matrix without copying it."""
-        return object.__new__(cls)._hold(csr)
+        for arr in (csr.indptr, csr.indices, csr.data):
+            arr.flags.writeable = False
+        self = object.__new__(cls)
+        object.__setattr__(self, "_csr", csr)
+        object.__setattr__(self, "_forms", None)
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError("SparseMatrix is immutable")
@@ -120,11 +86,12 @@ class SparseMatrix:
 
     @classmethod
     def from_coo(cls, n_rows, n_cols, rows, cols, vals):
-        """Build from coordinate triples; duplicate (row, col) pairs raise."""
+        """Build from coordinate triples; duplicate (row, col) pairs raise,
+        and so does an index that is not an integer in int64's range."""
         if n_rows < 0 or n_cols < 0:
             raise DimensionError("matrix dimensions must be nonnegative")
-        rows = np.asarray(rows, dtype=np.int64)
-        cols = np.asarray(cols, dtype=np.int64)
+        rows = _index_array(rows, "row")
+        cols = _index_array(cols, "column")
         vals = np.asarray(vals, dtype=np.float64)
         if not (rows.shape == cols.shape == vals.shape) or rows.ndim != 1:
             raise DimensionError("rows, cols, vals must be 1-D of equal length")
@@ -142,21 +109,6 @@ class SparseMatrix:
             counts = scipy.sparse.csr_matrix((ones, (rows, cols)), shape=shape).tocoo()
             i = int(np.argmax(counts.data > 1))
             raise ParameterError(f"duplicate entry at ({counts.row[i]}, {counts.col[i]})")
-        return cls._wrap(csr)
-
-    @classmethod
-    def from_dense(cls, arr):
-        """Build from a dense array, dropping zero entries."""
-        arr = np.asarray(arr, dtype=float)
-        if arr.ndim != 2:
-            raise DimensionError("dense input must be 2-D")
-        return cls._wrap(scipy.sparse.csr_matrix(arr))
-
-    @classmethod
-    def from_scipy(cls, mat):
-        """Copy a scipy sparse matrix, canonicalized: duplicates summed, zeros kept."""
-        csr = scipy.sparse.csr_matrix(mat).astype(np.float64)  # astype copies
-        csr.sum_duplicates()
         return cls._wrap(csr)
 
     # -- basic queries: all read off the one scipy CSR matrix ---------------
@@ -235,6 +187,22 @@ class SparseMatrix:
 
     def __repr__(self):
         return f"SparseMatrix({self.n_rows}x{self.n_cols}, nnz={self.nnz})"
+
+
+def _index_array(idx, what):
+    """``idx`` as an int64 array. An integer array is cast as it is (a uint64
+    entry past int64 wraps negative, which the range check then refuses);
+    anything else must hold only integral values within int64's range."""
+    arr = np.asarray(idx)
+    if arr.dtype.kind in "iu":
+        return arr.astype(np.int64, copy=False)
+    try:
+        f = arr.astype(np.float64)
+    except (TypeError, ValueError) as exc:
+        raise ParameterError(f"{what} indices must be integers") from exc
+    if not np.all((np.floor(f) == f) & (-(2.0**63) <= f) & (f < 2.0**63)):
+        raise ParameterError(f"{what} indices must be integers within int64's range")
+    return f.astype(np.int64)
 
 
 def _banded(csr):

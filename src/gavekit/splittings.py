@@ -31,7 +31,6 @@ __all__ = [
     "SplittingKind",
     "Splitting",
     "OmegaSpec",
-    "triangular_parts",
     "build_splitting",
     "resolve_omega",
 ]
@@ -167,37 +166,21 @@ def resolve_omega(spec, n):
     raise ParameterError(f"unknown omega kind {spec.kind!r}")
 
 
-def triangular_parts(A):
-    """Split A = D - L - U into diagonal and negated strict triangles.
-
-    D holds the stored diagonal entries of A; L and U are the strictly
-    lower and upper triangular parts of -A. The splittings read only D and
-    L, which :func:`_diagonal_and_lower` builds alone.
-    """
-    if not A.is_square:
-        raise DimensionError("triangular_parts requires a square matrix")
-    return _parts(A, (np.equal, 1.0), (np.greater, -1.0), (np.less, -1.0))
-
-
 def _diagonal_and_lower(A):
-    """``triangular_parts(A)[:2]``, the D and L of a square A, without U."""
-    return _parts(A, (np.equal, 1.0), (np.greater, -1.0))
+    """The diagonal D and the negated strict lower triangle L of a square A,
+    ``A = D - L - U``, each as a new n-by-n matrix (no splitting reads U).
 
-
-def _parts(A, *tests):
-    """For each ``(test, sign)``, ``sign`` times the entries of A whose row
-    and column indices pass ``test(row, col)``, as a new n-by-n matrix.
-
-    Each part keeps its entries with one ``flatnonzero`` and one ``take``
-    per array, in A's row-major order, so only the row counts change. Its
-    row pointers are counted in A's index dtype, so scipy's constructor
-    converts no index array of an int32 A.
+    D holds the stored diagonal entries of A. Each part keeps its entries
+    with one ``flatnonzero`` and one ``take`` per array, in A's row-major
+    order, so only the row counts change. Its row pointers are counted in
+    A's index dtype, so scipy's constructor converts no index array of an
+    int32 A.
     """
     n, ptr, cols = A.n_rows, A.row_ptr, A.col_idx
     rows = np.repeat(np.arange(n, dtype=ptr.dtype), np.diff(ptr))
     parts = []
-    for test, sign in tests:
-        keep = np.flatnonzero(test(rows, cols))
+    for mask, sign in ((rows == cols, 1.0), (rows > cols, -1.0)):
+        keep = np.flatnonzero(mask)
         row_ptr = np.zeros(n + 1, dtype=ptr.dtype)
         np.cumsum(np.bincount(rows.take(keep), minlength=n), out=row_ptr[1:])
         csr = (sign * A.values.take(keep), cols.take(keep), row_ptr)

@@ -2,8 +2,14 @@
 
 import numpy as np
 import pytest
+import scipy.sparse
 
 from gavekit import SparseMatrix, diag_matrix
+
+
+def from_dense(arr):
+    """A SparseMatrix holding the nonzero entries of a dense 2-D array."""
+    return SparseMatrix._wrap(scipy.sparse.csr_matrix(np.asarray(arr, dtype=float)))
 
 
 def random_sparse(rng, n_rows, n_cols=None, density=0.3):
@@ -12,7 +18,7 @@ def random_sparse(rng, n_rows, n_cols=None, density=0.3):
         n_cols = n_rows
     dense = rng.uniform(-1.0, 1.0, (n_rows, n_cols))
     dense[rng.random((n_rows, n_cols)) >= density] = 0.0
-    return SparseMatrix.from_dense(dense)
+    return from_dense(dense)
 
 
 def random_dominant(rng, n, shift=4.0, density=0.3):
@@ -20,13 +26,14 @@ def random_dominant(rng, n, shift=4.0, density=0.3):
     dense = rng.uniform(-1.0, 1.0, (n, n))
     dense[rng.random((n, n)) >= density] = 0.0
     np.fill_diagonal(dense, shift + rng.uniform(0.0, 1.0, n))
-    return SparseMatrix.from_dense(dense)
+    return from_dense(dense)
 
 
 def with_explicit_zeros(rng, A, frac=0.3):
     """Copy of A with a random share of its stored values set to 0.0."""
     vals = np.where(rng.random(A.nnz) < frac, 0.0, A.values)
-    return SparseMatrix(A.n_rows, A.n_cols, A.row_ptr, A.col_idx, vals)
+    csr = scipy.sparse.csr_matrix((vals, A.col_idx, A.row_ptr), shape=A.shape)
+    return SparseMatrix._wrap(csr)
 
 
 def with_int64_indices(A):
@@ -76,7 +83,7 @@ def tridiag(lo, mid, hi, n):
     dense = np.diag(np.full(n, float(mid)))
     dense += np.diag(np.full(n - 1, float(lo)), -1)
     dense += np.diag(np.full(n - 1, float(hi)), 1)
-    return SparseMatrix.from_dense(dense)
+    return from_dense(dense)
 
 
 def scaled_identity(n, c=1.0):

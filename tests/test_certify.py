@@ -29,7 +29,14 @@ from gavekit import (
     zeros,
 )
 
-from conftest import count_calls, random_dominant, random_sparse, scaled_identity, tridiag
+from conftest import (
+    count_calls,
+    from_dense,
+    random_dominant,
+    random_sparse,
+    scaled_identity,
+    tridiag,
+)
 
 
 def _dense_norm(X):
@@ -44,7 +51,7 @@ def _pd_with_skew(rng, n, margin=1.0):
     H = H0 + np.diag(np.full(n, shift))
     s = rng.uniform(-1, 1, (n, n))
     S = (s - s.T) / 2
-    return SparseMatrix.from_dense(H + S)
+    return from_dense(H + S)
 
 
 class TestCheckExact:
@@ -291,7 +298,7 @@ class TestCheckScalarOmega:
         assert not cert.holds
 
     def test_requires_positive_definite_symmetric_part(self, rng):
-        A = SparseMatrix.from_dense(np.diag([-1.0, 2.0, 3.0]))
+        A = from_dense(np.diag([-1.0, 2.0, 3.0]))
         with pytest.raises(ParameterError, match="positive definite"):
             evaluate(
                 [Condition.SCALAR_OMEGA], A=A, B=identity(3), omega_scalar=1.0, theta=0.0,
@@ -312,11 +319,11 @@ class TestCheckScalarOmega:
             w = float(rng.uniform(0.2, 4.0))
             lam = np.linalg.eigvalsh(H.to_dense())
             mu_max = np.abs(np.linalg.eigvals(S.to_dense())).max()
-            shifted = SparseMatrix.from_dense(w * np.eye(n) + H.to_dense())
+            shifted = from_dense(w * np.eye(n) + H.to_dense())
             assert 1.0 / min_singular_value(shifted) == pytest.approx(
                 1.0 / (w + lam[0]), rel=1e-10
             )
-            wIS = SparseMatrix.from_dense(w * np.eye(n) - S.to_dense())
+            wIS = from_dense(w * np.eye(n) - S.to_dense())
             assert spectral_norm(wIS, rel_tol=1e-12) == pytest.approx(
                 np.sqrt(w * w + mu_max * mu_max), rel=1e-9
             )

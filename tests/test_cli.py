@@ -26,7 +26,7 @@ from gavekit import (
 )
 from gavekit.cli import main
 
-from conftest import count_calls
+from conftest import count_calls, from_dense
 
 
 def test_gen_and_solve_round_trip(tmp_path, capsys):
@@ -728,7 +728,7 @@ def test_tune_without_converged_alpha_exits_3(capsys):
 
 def test_certify_singular_shift_exits_3(tmp_path, capsys):
     # nj takes M = diag(A), which is empty for this A
-    A = SparseMatrix.from_dense(np.array([[0.0, 1.0], [1.0, 0.0]]))
+    A = from_dense(np.array([[0.0, 1.0], [1.0, 0.0]]))
     save_problem(GaveProblem(A=A, B=zeros(2), b=np.ones(2)), tmp_path / "swap")
     code = main(["certify", "--problem", str(tmp_path / "swap"), "--method", "nj",
                  "--condition", "ExactEq6"])

@@ -1,4 +1,5 @@
-"""The CLI pins on the Lanczos estimators, the alpha search and the solvers.
+"""The CLI pins on the Lanczos estimators, the alpha search, the solvers and
+the input errors.
 
 Each case runs ``gavekit.cli.main`` in-process on one command line and
 asserts what the command must print: the exit code, and either the
@@ -84,3 +85,41 @@ def test_solve_singular_shift_exits_3(capsys):
     # picard's Omega + M is A itself, singular at mu = -3 and m = 5
     assert main(["solve", "--example41", "5", "-3", "--method", "picard"]) == 3
     assert "numerically singular" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        # a misspelled key after a valid method line
+        ("m = 4\nmu = 4\nmethod = nj omega=mhat\nrepeat = 1\n",
+         "error: line 5: unknown key 'repeat'\n"),
+        # a malformed number in a method line names its line
+        ("m = 4\nmu = 4\nmethod = nj omega=identity:abc\n",
+         "error: bad omega value 'abc' (line 4: method = nj omega=identity:abc)\n"),
+        # nmn without a shift
+        ("m = 6\nmu = 4\nmethod = nmn\n", "error: nmn requires an explicit shift matrix\n"),
+    ],
+    ids=["misspelled-key", "bad-number-names-its-line", "nmn-without-a-shift"],
+)
+def test_bad_spec_exits_2(tmp_path, capsys, spec, message):
+    path = tmp_path / "case.spec"
+    path.write_text(f"problem = example41\n{spec}")
+    assert main(["bench", "--spec", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == message
+    assert captured.out == ""
+
+
+def test_non_integer_index_token_exits_2(tmp_path, capsys):
+    # the first entry line of A.mtx (n = 900) reads "1.0 1 ..." for "1 1 ..."
+    directory = tmp_path / "float_index"
+    assert main(["gen", "--kind", "example41", "--m", "30", "--mu", "4",
+                 "--out", str(directory)]) == 0
+    lines = (directory / "A.mtx").read_text().splitlines(keepends=True)
+    row, rest = lines[2].split(" ", 1)
+    lines[2] = f"{row}.0 {rest}"
+    (directory / "A.mtx").write_text("".join(lines))
+    capsys.readouterr()
+    assert main(["solve", "--problem", str(directory), "--method", "ngs"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {directory / 'A.mtx'}: ")

@@ -40,7 +40,14 @@ from gavekit.certify import _NORM_RTOL
 from gavekit.linalg import _check_pivots, _lanczos_top, _top_ritz_pair
 from gavekit.problems import build_hat_m
 
-from conftest import count_calls, count_products, random_dominant, random_sparse, tridiag
+from conftest import (
+    count_calls,
+    count_products,
+    from_dense,
+    random_dominant,
+    random_sparse,
+    tridiag,
+)
 
 
 class TestLu:
@@ -64,14 +71,14 @@ class TestLu:
         # exactly singular after rounding
         dense = np.array([[1.0, 1.0], [1.0, 1.0 + 1e-16]])
         with pytest.raises(SingularMatrixError):
-            lu_factorize(SparseMatrix.from_dense(dense))
+            lu_factorize(from_dense(dense))
         # pivot below 1e-14 * norm_inf trips the threshold check
         dense = np.array([[1.0, 1.0], [1.0, 1.0 + 5e-15]])
         with pytest.raises(SingularMatrixError, match="pivot"):
-            lu_factorize(SparseMatrix.from_dense(dense))
+            lu_factorize(from_dense(dense))
         # just above the threshold still factors
         dense = np.array([[1.0, 1.0], [1.0, 1.0 + 1e-13]])
-        lu_factorize(SparseMatrix.from_dense(dense))
+        lu_factorize(from_dense(dense))
 
     def test_requires_square(self):
         with pytest.raises(DimensionError):
@@ -178,7 +185,7 @@ def _random_column_dominant(rng, n, density, rel_margin):
     np.fill_diagonal(dense, 0.0)
     off = np.abs(dense).sum(axis=0)
     np.fill_diagonal(dense, rng.choice([-1.0, 1.0], n) * (off + rel_margin * (off + 1.0)))
-    return SparseMatrix.from_dense(dense)
+    return from_dense(dense)
 
 
 def _paper_shifts(m):
@@ -216,7 +223,7 @@ class TestPivotMargin:
 
     def test_margin_below_the_pivot_tolerance_reads_u(self):
         # column 0 has margin 0, column 1 a margin of 3: not proven
-        X = SparseMatrix.from_dense(np.array([[1.0, 0.0], [1.0, 3.0]]))
+        X = from_dense(np.array([[1.0, 0.0], [1.0, 3.0]]))
         with pytest.raises(LookupError):
             _check_pivots(_NoU(), abs(X.to_scipy()), X.inf_norm())
         lu_factorize(X)
@@ -484,12 +491,12 @@ class TestSpectralNorm:
 
     def test_rank_one_with_null_start(self):
         # the alternating start vector is in the null space of this matrix
-        A = SparseMatrix.from_dense(np.ones((2, 2)))
+        A = from_dense(np.ones((2, 2)))
         assert spectral_norm(A) == pytest.approx(2.0, rel=1e-8)
 
     def test_single_column_above_cutoff(self):
         # A.T @ A is 1 x 1 here: the recurrence has no second step
-        A = SparseMatrix.from_dense(np.full((600, 1), 0.5))
+        A = from_dense(np.full((600, 1), 0.5))
         assert spectral_norm(A) == pytest.approx(0.5 * np.sqrt(600), rel=1e-12)
 
     def test_budget_exhaustion_raises(self, monkeypatch):
@@ -603,7 +610,7 @@ class TestMinSingularValue:
         assert min_singular_value(A) == pytest.approx(dense, rel=1e-6)
 
     def test_singular_raises(self):
-        A = SparseMatrix.from_dense(np.array([[1.0, 2.0], [2.0, 4.0]]))
+        A = from_dense(np.array([[1.0, 2.0], [2.0, 4.0]]))
         with pytest.raises(SingularMatrixError):
             min_singular_value(A)
 
@@ -631,7 +638,7 @@ class TestMinSingularValue:
         dense = tridiag(-1, 2, -1, 600).to_dense()
         dense[0, 0] = dense[-1, -1] = 1.0
         with pytest.raises(SingularMatrixError):
-            min_singular_value(SparseMatrix.from_dense(dense))
+            min_singular_value(from_dense(dense))
 
     @pytest.mark.parametrize("d", [
         np.linspace(1.0, 2.0, 600),
@@ -652,7 +659,7 @@ class TestMinSingularValue:
             A = random_dominant(rng, n)
             f = lu_factorize(A)
             inv = np.column_stack([f.solve(col) for col in np.eye(n)])
-            inv_norm = spectral_norm(SparseMatrix.from_dense(inv), rel_tol=1e-10)
+            inv_norm = spectral_norm(from_dense(inv), rel_tol=1e-10)
             assert min_singular_value(A) * inv_norm == pytest.approx(1.0, rel=1e-6)
 
 
@@ -678,7 +685,7 @@ class TestSymmetricEigExtremes:
         dense = (r + r.T) / 2 + np.diag(rng.uniform(3, 6, 120))
         eigs = np.linalg.eigvalsh(dense)
         lo_d, hi_d = eigs[0], eigs[-1]
-        lo_i, hi_i = symmetric_eig_extremes(SparseMatrix.from_dense(dense))
+        lo_i, hi_i = symmetric_eig_extremes(from_dense(dense))
         assert lo_i == pytest.approx(lo_d, rel=1e-7)
         assert hi_i == pytest.approx(hi_d, rel=1e-7)
 
@@ -943,13 +950,13 @@ class TestSkewSpectralRadius:
         assert spectral_norm(zeros(4)) == 0.0
 
     def test_rotation_generator(self):
-        S = SparseMatrix.from_dense(np.array([[0.0, 1.0], [-1.0, 0.0]]))
+        S = from_dense(np.array([[0.0, 1.0], [-1.0, 0.0]]))
         assert spectral_norm(S) == pytest.approx(1.0, rel=1e-10)
 
     def test_matches_dense_eig(self, rng):
         for _ in range(10):
             r = rng.uniform(-1, 1, (30, 30))
-            S = SparseMatrix.from_dense((r - r.T) / 2)
+            S = from_dense((r - r.T) / 2)
             want = np.abs(np.linalg.eigvals(S.to_dense())).max()
             got = spectral_norm(S, rel_tol=1e-12)
             assert got == pytest.approx(want, rel=1e-8)

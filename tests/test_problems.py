@@ -14,11 +14,9 @@ from gavekit import (
     SparseMatrix,
     build_splitting,
     evaluate,
-    gave_to_lcp,
     gen_certified,
     gen_example41,
     identity,
-    lcp_to_gave,
     load_problem,
     min_singular_value,
     nms_solve,
@@ -28,7 +26,9 @@ from gavekit import (
     spmv,
     zeros,
 )
-from gavekit.problems import build_hat_m, check_grid_size
+from gavekit.problems import build_hat_m, check_grid_size, lcp_to_gave
+
+from conftest import from_dense
 
 
 def _dense_hat_m(m):
@@ -75,7 +75,7 @@ class TestBlockMatrix:
     @pytest.mark.parametrize("m", [2, 3, 7, 24])
     def test_csr_arrays_match_the_dense_definition(self, m):
         got = build_hat_m(m).to_scipy()
-        want = SparseMatrix.from_dense(_dense_hat_m(m)).to_scipy()
+        want = from_dense(_dense_hat_m(m)).to_scipy()
         assert got.has_canonical_format
         for name in ("indptr", "indices", "data"):
             a, b = getattr(got, name), getattr(want, name)
@@ -154,33 +154,6 @@ class TestLcpReduction:
         np.testing.assert_allclose(prob.known_solution, np.full(n, -0.5), atol=1e-14)
         assert np.linalg.norm(residual(prob, prob.known_solution)) <= 1e-12
 
-    def test_gave_to_lcp_recovers_z(self):
-        _, prob, _ = gen_example41(5, 4.0)
-        z, w = gave_to_lcp(prob, prob.known_solution)
-        np.testing.assert_allclose(z, np.full(25, 1.2), atol=1e-12)
-        np.testing.assert_allclose(w, np.zeros(25), atol=1e-12)
-
-    def test_gave_to_lcp_sign_case(self):
-        _, prob, _ = gen_example41(3, 4.0)
-        x = np.abs(prob.known_solution)  # any nonnegative vector
-        z, w = gave_to_lcp(prob, x)
-        np.testing.assert_array_equal(z, np.zeros(9))
-        np.testing.assert_array_equal(w, 2 * x)
-
-    def test_complementarity_identity(self, rng):
-        _, prob, _ = gen_example41(4, 4.0)
-        for _ in range(20):
-            x = rng.uniform(-3, 3, 16)
-            z, w = gave_to_lcp(prob, x)
-            assert z.min() >= 0.0 and w.min() >= 0.0
-            assert abs(z @ w) <= 1e-10
-
-    def test_requires_provenance(self, rng):
-        A = identity(3)
-        prob = GaveProblem(A=A, B=zeros(3), b=np.ones(3))
-        with pytest.raises(ParameterError, match="provenance"):
-            gave_to_lcp(prob, np.ones(3))
-
 
 class TestGenCertified:
     def test_deterministic(self):
@@ -248,7 +221,7 @@ class TestProblemValidation:
         _, prob, _ = gen_example41(4, 4.0)
         dense = prob.A.to_dense()
         dense[0, 0] = bad
-        A = SparseMatrix.from_dense(dense)
+        A = from_dense(dense)
         with pytest.raises(NumericsError, match="^non-finite known_solution residual"):
             GaveProblem(A=A, B=prob.B, b=prob.b, known_solution=prob.known_solution)
         with pytest.raises(NumericsError, match="^non-finite known_solution residual"):

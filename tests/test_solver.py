@@ -17,7 +17,6 @@ from gavekit import (
     ParameterError,
     SingularMatrixError,
     SolverConfig,
-    SparseMatrix,
     SplittingKind,
     ThetaSchedule,
     build_splitting,
@@ -37,7 +36,7 @@ from gavekit import (
 )
 from gavekit.solver import expand_x0
 
-from conftest import count_products, random_dominant, random_sparse, with_explicit_zeros
+from conftest import count_products, from_dense, random_dominant, random_sparse, with_explicit_zeros
 
 
 def _random_problem(rng, n, b_scale=0.5, with_solution=False):
@@ -178,7 +177,7 @@ class TestNmsSolve:
             nms_solve(prob, s, None, SolverConfig(x0=x0))
 
     def test_singular_shifted_matrix(self):
-        A = SparseMatrix.from_dense(np.array([[0.0, 1.0], [1.0, 0.0]]))
+        A = from_dense(np.array([[0.0, 1.0], [1.0, 0.0]]))
         prob = GaveProblem(A=A, B=zeros(2), b=np.ones(2))
         s = build_splitting(A, "nj")  # M = diag(A) has no entries
         with pytest.raises(SingularMatrixError):

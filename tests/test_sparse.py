@@ -25,6 +25,7 @@ from gavekit import (
 from gavekit.sparse import _dia_transpose, _product
 
 from conftest import (
+    from_dense,
     random_dominant,
     random_sparse,
     tridiag,
@@ -34,31 +35,6 @@ from conftest import (
 
 
 class TestConstruction:
-    def test_validates_row_ptr_start(self):
-        with pytest.raises(ParameterError):
-            SparseMatrix(2, 2, [1, 1, 1], [0], [1.0])
-
-    def test_validates_row_ptr_monotone(self):
-        with pytest.raises(ParameterError):
-            SparseMatrix(2, 2, [0, 2, 1], [0, 1], [1.0, 2.0])
-
-    def test_validates_column_range(self):
-        with pytest.raises(ParameterError):
-            SparseMatrix(2, 2, [0, 1, 1], [5], [1.0])
-
-    def test_rejects_unsorted_columns(self):
-        with pytest.raises(ParameterError):
-            SparseMatrix(1, 3, [0, 2], [2, 0], [1.0, 2.0])
-
-    @pytest.mark.parametrize(
-        "row_ptr, col_idx, values",
-        [([0, 1, 1], [0, 1], [1.0, 2.0]), ([0, 1, 1], [0], [1.0, 2.0])],
-    )
-    def test_rejects_lengths_other_than_row_ptr_end(self, row_ptr, col_idx, values):
-        # scipy alone would keep the first row_ptr[-1] entries and drop the rest
-        with pytest.raises(ParameterError):
-            SparseMatrix(2, 2, row_ptr, col_idx, values)
-
     def test_arrays_are_the_read_only_scipy_arrays(self, rng):
         A = random_sparse(rng, 6, 5)
         S = A.to_scipy()
@@ -75,27 +51,50 @@ class TestConstruction:
         np.testing.assert_array_equal(A.col_idx, S.indices)
         np.testing.assert_array_equal(A.to_dense()[rows, cols - 1], vals / 2.0)
 
-    def test_from_scipy_sums_duplicates(self):
-        dup = scipy.sparse.csr_matrix(
-            (np.array([1.0, 2.0, 0.0]), np.array([1, 1, 0]), np.array([0, 2, 3])),
-            shape=(2, 2),
-        )
-        A = SparseMatrix.from_scipy(dup)
-        assert A.nnz == 2  # the duplicate pair summed, the stored zero kept
-        np.testing.assert_array_equal(A.col_idx, [1, 0])
-        np.testing.assert_array_equal(A.values, [3.0, 0.0])
-        np.testing.assert_array_equal(A.to_dense(), dup.toarray())
-
     def test_constructor_always_validates(self):
-        # no flag lets the constructor hold a duplicate entry
+        # from_coo is the one way in from outside data, and no flag lets it
+        # hold a duplicate entry
         with pytest.raises(TypeError):
-            SparseMatrix(2, 2, [0, 2, 2], [1, 1], [1.0, 2.0], validate=False)
-        with pytest.raises(ParameterError, match="duplicate"):
-            SparseMatrix(2, 2, [0, 2, 2], [1, 1], [1.0, 2.0])
+            SparseMatrix(2, 2, [0, 1, 1], [0], [1.0])
+        with pytest.raises(TypeError):
+            SparseMatrix.from_coo(2, 2, [0, 0], [1, 1], [1.0, 2.0], validate=False)
+
+    def test_validates_column_range(self):
+        # and the row range
+        for rows, cols in (([2], [0]), ([0], [5]), ([-1], [0]), ([0], [-1])):
+            with pytest.raises(ParameterError, match="index out of range"):
+                SparseMatrix.from_coo(2, 2, rows, cols, [1.0])
 
     def test_from_coo_rejects_duplicates(self):
         with pytest.raises(ParameterError, match="duplicate"):
             SparseMatrix.from_coo(2, 2, [0, 0], [1, 1], [1.0, 2.0])
+
+    @pytest.mark.parametrize(
+        "rows, cols",
+        [
+            ([0.5, 1.9], [0, 1]),  # used to become rows 0 and 1
+            ([0, 1], [0.0, 1.5]),
+            ([np.nan, 1], [0, 1]),
+            ([np.inf, 1], [0, 1]),
+            ([2**63, 1], [0, 1]),
+            ([2**64, 1], [0, 1]),
+            (np.array([2**63, 1], dtype=np.uint64), [0, 1]),
+            ([-1.0, 1], [0, 1]),
+            (["a", "b"], [0, 1]),
+        ],
+        ids=["fractional-rows", "fractional-cols", "nan", "inf", "2**63", "2**64",
+             "uint64-2**63", "negative-float", "text"],
+    )
+    def test_from_coo_rejects_indices_that_are_not_int64_integers(self, rows, cols):
+        with pytest.raises(ParameterError):
+            SparseMatrix.from_coo(2, 2, rows, cols, [1.0, 2.0])
+
+    def test_from_coo_takes_integral_floats_and_integer_arrays(self):
+        want = [[0.0, 2.0], [1.0, 0.0]]
+        for rows in ([1.0, 0.0], np.array([1, 0], dtype=np.int32),
+                     np.array([1, 0], dtype=np.uint64)):
+            A = SparseMatrix.from_coo(2, 2, rows, [0, 1], [1.0, 2.0])
+            np.testing.assert_array_equal(A.to_dense(), want)
 
     def test_immutable(self):
         A = identity(3)
@@ -108,7 +107,7 @@ class TestConstruction:
         for _ in range(10):
             A = random_sparse(rng, 7, 9)
             np.testing.assert_array_equal(
-                SparseMatrix.from_dense(A.to_dense()).to_dense(), A.to_dense()
+                from_dense(A.to_dense()).to_dense(), A.to_dense()
             )
 
 
@@ -232,7 +231,7 @@ class TestProductForm:
 
     def test_rectangular_band(self, rng):
         dense = np.triu(np.tril(rng.uniform(1, 2, (30, 40)), 3), -1)
-        A = SparseMatrix.from_dense(dense)
+        A = from_dense(dense)
         form, form_t = A.product_forms()
         assert form.format == "dia" and form_t.shape == (40, 30)
         self._assert_bitwise(rng, A)
@@ -241,8 +240,8 @@ class TestProductForm:
         "make",
         [
             lambda rng: random_dominant(rng, 40),
-            lambda rng: SparseMatrix.from_dense(np.full((600, 1), 0.5)),
-            lambda rng: SparseMatrix.from_dense(np.full((1, 600), 0.5)),
+            lambda rng: from_dense(np.full((600, 1), 0.5)),
+            lambda rng: from_dense(np.full((1, 600), 0.5)),
             lambda rng: zeros(4, 3),
             lambda rng: zeros(0),
         ],
@@ -267,7 +266,7 @@ class TestProduct:
     @staticmethod
     def _matrices(rng):
         _, prob, hat = gen_example41(12, -1.0)
-        band = SparseMatrix.from_dense(np.triu(np.tril(rng.uniform(1, 2, (30, 40)), 3), -1))
+        band = from_dense(np.triu(np.tril(rng.uniform(1, 2, (30, 40)), 3), -1))
         return {
             **_example41_matrices(12, -1.0),
             "hatM": hat,
@@ -391,13 +390,13 @@ class TestHermitianSplit:
         np.testing.assert_array_equal(S.to_dense(), np.zeros((4, 4)))
 
     def test_antisymmetric_input(self):
-        A = SparseMatrix.from_dense(np.array([[0.0, 2.0], [-2.0, 0.0]]))
+        A = from_dense(np.array([[0.0, 2.0], [-2.0, 0.0]]))
         H, S = hermitian_split(A)
         np.testing.assert_array_equal(H.to_dense(), np.zeros((2, 2)))
         np.testing.assert_array_equal(S.to_dense(), A.to_dense())
 
     def test_hand_value(self):
-        A = SparseMatrix.from_dense(np.array([[1.0, 2.0], [0.0, 1.0]]))
+        A = from_dense(np.array([[1.0, 2.0], [0.0, 1.0]]))
         H, S = hermitian_split(A)
         np.testing.assert_array_equal(H.to_dense(), [[1.0, 1.0], [1.0, 1.0]])
         np.testing.assert_array_equal(S.to_dense(), [[0.0, 1.0], [-1.0, 0.0]])

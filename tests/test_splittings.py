@@ -23,12 +23,11 @@ from gavekit import (
     sparse_scale,
     sparse_sub,
     spmv,
-    triangular_parts,
     zeros,
 )
 from gavekit.splittings import KINDS, _diagonal_and_lower
 
-from conftest import random_dominant, tridiag, with_explicit_zeros, with_int64_indices
+from conftest import from_dense, random_dominant, tridiag, with_explicit_zeros, with_int64_indices
 
 # M - N == A bitwise; the other kinds round (hss in H + S, for one)
 EXACT_KINDS = ["picard", "mn", "nj", "ngs", "drs"]
@@ -48,32 +47,6 @@ def _all_kinds():
     ]
 
 
-class TestTriangularParts:
-    def test_hand_value(self):
-        A = SparseMatrix.from_dense(np.array([[4.0, -1.0], [-1.0, 4.0]]))
-        D, L, U = triangular_parts(A)
-        np.testing.assert_array_equal(D.to_dense(), [[4.0, 0.0], [0.0, 4.0]])
-        np.testing.assert_array_equal(L.to_dense(), [[0.0, 0.0], [1.0, 0.0]])
-        np.testing.assert_array_equal(U.to_dense(), [[0.0, 1.0], [0.0, 0.0]])
-
-    def test_diagonal_input(self):
-        # the second input stores a zero diagonal entry, which D keeps
-        for A in (SparseMatrix.from_dense(np.diag([1.0, 2.0, 3.0])),
-                  diag_matrix([1.0, 0.0, 3.0])):
-            D, L, U = triangular_parts(A)
-            np.testing.assert_array_equal(D.to_dense(), A.to_dense())
-            np.testing.assert_array_equal(D.values, A.values)
-            assert L.nnz == 0 and U.nnz == 0
-
-    def test_reassembly_bit_exact(self, rng):
-        for _ in range(10):
-            A = random_dominant(rng, 12)
-            for X in (A, with_explicit_zeros(rng, A)):
-                D, L, U = triangular_parts(X)
-                recombined = sparse_sub(sparse_sub(D, L), U)
-                np.testing.assert_array_equal(recombined.to_dense(), X.to_dense())
-
-
 def _mask_parts(A):
     """The reference D, L, U: boolean masks over A's entries, int64 row counts."""
     n = A.n_rows
@@ -89,17 +62,48 @@ def _mask_parts(A):
     return part(rows == cols, 1.0), part(rows > cols, -1.0), part(rows < cols, -1.0)
 
 
+def _triangular_parts(A):
+    """D and L from the splittings' builder, U from the mask reference."""
+    return (*_diagonal_and_lower(A), _mask_parts(A)[2])
+
+
+class TestTriangularParts:
+    def test_hand_value(self):
+        A = from_dense(np.array([[4.0, -1.0], [-1.0, 4.0]]))
+        D, L, U = _triangular_parts(A)
+        np.testing.assert_array_equal(D.to_dense(), [[4.0, 0.0], [0.0, 4.0]])
+        np.testing.assert_array_equal(L.to_dense(), [[0.0, 0.0], [1.0, 0.0]])
+        np.testing.assert_array_equal(U.to_dense(), [[0.0, 1.0], [0.0, 0.0]])
+
+    def test_diagonal_input(self):
+        # the second input stores a zero diagonal entry, which D keeps
+        for A in (from_dense(np.diag([1.0, 2.0, 3.0])),
+                  diag_matrix([1.0, 0.0, 3.0])):
+            D, L, U = _triangular_parts(A)
+            np.testing.assert_array_equal(D.to_dense(), A.to_dense())
+            np.testing.assert_array_equal(D.values, A.values)
+            assert L.nnz == 0 and U.nnz == 0
+
+    def test_reassembly_bit_exact(self, rng):
+        for _ in range(10):
+            A = random_dominant(rng, 12)
+            for X in (A, with_explicit_zeros(rng, A)):
+                D, L, U = _triangular_parts(X)
+                recombined = sparse_sub(sparse_sub(D, L), U)
+                np.testing.assert_array_equal(recombined.to_dense(), X.to_dense())
+
+
 def _part_cases(rng):
     dense = rng.uniform(-1, 1, (9, 9))
     dense[rng.random((9, 9)) < 0.5] = 0.0
     dense[[1, 4, 7], [1, 4, 7]] = 0.0  # missing diagonal entries
     dense[[2, 5]] = 0.0  # empty rows
-    A = SparseMatrix.from_dense(dense)
+    A = from_dense(dense)
     example = gen_example41(5, -1.0)[1].A
     cases = {
         "missing diagonal, empty rows": A,
         "stored zeros": with_explicit_zeros(rng, random_dominant(rng, 12), frac=0.5),
-        "n = 1": SparseMatrix.from_dense([[2.0]]),
+        "n = 1": from_dense([[2.0]]),
         "n = 1, no entry": zeros(1),
         "order 0": zeros(0),
         "example41": example,
@@ -123,13 +127,12 @@ def _assert_same_matrix(got, want, what):
 class TestPartsAgainstMasks:
     """The flatnonzero part builder against the boolean-mask reference."""
 
-    def test_triangular_parts_and_diagonal_and_lower(self, rng):
+    def test_diagonal_and_lower(self, rng):
         for name, A in _part_cases(rng).items():
-            want = _mask_parts(A)
-            for got, ref, part in zip(triangular_parts(A), want, "DLU"):
-                _assert_same_matrix(got, ref, f"{name} {part}")
-            for got, ref, part in zip(_diagonal_and_lower(A), want[:2], "DL"):
-                _assert_same_matrix(got, ref, f"{name} {part} (D/L builder)")
+            D, L = _diagonal_and_lower(A)
+            want_D, want_L, _ = _mask_parts(A)
+            _assert_same_matrix(D, want_D, f"{name} D")
+            _assert_same_matrix(L, want_L, f"{name} L")
 
     def test_splittings_unchanged(self, rng):
         # M and N of each triangular kind against the formulas on the mask parts
@@ -156,7 +159,7 @@ class TestBuildSplitting:
     def test_splitting_identity_all_kinds(self, rng):
         # random_dominant's entries are multiples of 2**-52, on which every
         # (a +- b) / 2 is exact; the 2x2 matrix's entries are not
-        general = SparseMatrix.from_dense(np.array([[1.0, 0.1], [0.2, 3.0]]))
+        general = from_dense(np.array([[1.0, 0.1], [0.2, 3.0]]))
         for A in [random_dominant(rng, 20) for _ in range(5)] + [general]:
             for kind in _all_kinds():
                 omega = OmegaSpec.scalar(1.0) if kind.name == "nmn" else None
@@ -175,7 +178,7 @@ class TestBuildSplitting:
 
     def test_formulas_match_remarks(self, rng):
         A = random_dominant(rng, 10)
-        D, L, U = triangular_parts(A)
+        D, L, U = _triangular_parts(A)
         nj = build_splitting(A, "nj")
         np.testing.assert_array_equal(nj.M.to_dense(), D.to_dense())
         np.testing.assert_array_equal(nj.N.to_dense(), (L.to_dense() + U.to_dense()))
