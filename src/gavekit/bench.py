@@ -24,7 +24,6 @@ from .errors import (
     ConvergenceFailure,
     DivergenceError,
     NumericsError,
-    ParameterError,
     SingularMatrixError,
     SpecError,
 )

@@ -3,16 +3,16 @@
 Everything here is deterministic, so repeated runs produce identical
 results:
 
-- every LU comes from :func:`lu_factorize`, whose SuperLU call pins the
+- every LU comes from :func:`lu_factorize`, which factors ``A.T`` from
+  A's own CSR arrays, the CSC arrays of ``A.T``, and solves with A by
+  SuperLU's transposed sweep, the faster one. Its SuperLU call pins the
   column ordering to minimum degree on ``A.T + A`` (``MMD_AT_PLUS_A``), the
   pivoting to threshold partial pivoting at 0.1 (the diagonal entry is
   kept while it is at least a tenth of its column's largest) and the
   supernode panels to one column (``relax = panel_size = 1``); its pivot
-  test reads the factor's U only when A's column margins do not prove it,
-  as they do for a strictly column diagonally dominant A. The exact
-  solver factors ``(Omega + M).T``, handed to SuperLU as the CSR arrays of
-  ``Omega + M``, which are the CSC arrays of its transpose, and solves on
-  its transpose, SuperLU's faster sweep; the estimators factor X itself;
+  test reads the factor's U only when the column margins of ``A.T``, A's
+  row margins, do not prove it, as they do for a strictly row diagonally
+  dominant A;
 - :func:`lsqr`, the inexact solver's inner solve, runs scipy's LSQR
   recurrences on reused work vectors, bitwise equal to
   ``scipy.sparse.linalg.lsqr``, and a run that meets its target returns
@@ -104,11 +104,12 @@ _MAX_STEPS = 10000
 class Factorization:
     """Sparse LU decomposition reusable across right-hand sides.
 
-    Wraps a SuperLU factorization with threshold partial pivoting at 0.1
-    and one-column panels; solves with the original matrix or its
-    transpose. ``ordering`` names the pinned column ordering and ``nnz`` is
-    the fill as SuperLU counts it: the entries of its supernodal storage of
-    L and U, which can exceed ``L.nnz + U.nnz``.
+    Wraps SuperLU's factorization of ``A.T`` (see :func:`lu_factorize`)
+    with threshold partial pivoting at 0.1 and one-column panels; solves
+    with A or, given ``transpose=True``, with ``A.T``. ``ordering`` names
+    the pinned column ordering and ``nnz`` is the fill as SuperLU counts it:
+    the entries of its supernodal storage of L and U, which can exceed
+    ``L.nnz + U.nnz``.
     """
 
     __slots__ = ("_splu", "n")
@@ -124,59 +125,62 @@ class Factorization:
 
     def solve(self, rhs, transpose=False):
         rhs = as_vector(rhs, self.n, "rhs")
-        return self._splu.solve(rhs, trans="T" if transpose else "N")
+        # the factor is A.T's: a solve with A is SuperLU's transposed one
+        return self._splu.solve(rhs, trans="N" if transpose else "T")
 
 
-def lu_factorize(A, *, _transpose=False):
+def lu_factorize(A):
     """Factor a square sparse matrix with threshold row partial pivoting.
 
-    The column ordering is pinned to ``MMD_AT_PLUS_A``, the pivot threshold
-    to 0.1 and SuperLU's ``relax`` and ``panel_size`` to 1 (the module's
-    ``_ORDERING``, ``_PIVOT_THRESH``, ``_RELAX`` and ``_PANEL_SIZE``).
+    SuperLU factors ``X = A.T``, handed to it as scipy's CSC view of A
+    (``.T``), whose arrays are A's own CSR arrays, so no transpose or copy
+    is built. :meth:`Factorization.solve` then solves with A by SuperLU's
+    transposed solve, which runs both triangular sweeps as gathers and is
+    the faster one, and with ``A.T`` by its plain solve. The column
+    ordering is pinned to ``MMD_AT_PLUS_A``, the pivot threshold to 0.1 and
+    SuperLU's ``relax`` and ``panel_size`` to 1 (the module's ``_ORDERING``,
+    ``_PIVOT_THRESH``, ``_RELAX`` and ``_PANEL_SIZE``).
 
-    The pivot test (every ``|U_kk| >= 1e-14 * norm_inf(A)``) reads U only
-    when A's column margins ``m_j = |a_jj| - sum_{i != j} |a_ij|`` do not
-    prove it. With every ``m_j > 0`` A is strictly column diagonally
-    dominant, and so is each Schur complement, with no smaller margins:
-    eliminating pivot k drops ``|a_kj|`` from column j's off-diagonal mass
-    and moves its other entries by at most ``|a_kj| * sum_{i != k} |a_ik|
-    / |a_kk| < |a_kj|`` in all. SuperLU prefers the diagonal of the
-    symmetrically permuted matrix, which is then its column's largest
-    entry, so threshold pivoting keeps every diagonal pivot and each one is
-    at least ``min_j m_j`` (Higham, *Accuracy and Stability of Numerical
-    Algorithms*, 2nd ed., section 9.5). Rounding, with ``u`` the unit
-    roundoff and ``gamma_n = n u / (1 - n u)``: the computed factors are
-    the exact ones of ``A + dA`` with ``|dA| <= gamma_n |L||U|`` (Higham,
-    Thm 9.3); L's columns sum to below 2 in magnitude and U's entries are
-    at most twice A's largest (growth factor at most 2, Thm 9.9), so each
-    column of ``|dA|``, and with it each margin's loss, is at most
-    ``4 n gamma_n norm_inf(A)``. The computed margins, sums of terms below
-    ``2 norm_inf(A)`` each, err by less than ``3 gamma_n norm_inf(A)``. So
-    U goes unread when the computed ``min_j m_j - (4 n + 3) gamma_n
-    norm_inf(A)`` is at least ``1e-14 * norm_inf(A)``, as on the paper's
-    shifted splittings, and is read for every other matrix.
-
-    ``_transpose=True`` is the exact solver's private path: it factors
-    ``A.T``, handed to SuperLU as scipy's CSC view of A (``.T``, which
-    shares A's CSR arrays), so no transpose is built, and the test then
-    reads ``|A.T|``. In either storage ``|X| @ ones`` sums each row of
-    ``|X|`` from 0 in ascending column order, so the norm and the margins
-    are bit for bit those of a built ``A.T``.
+    The pivot test (every ``|U_kk| >= 1e-14 * norm_inf(X)``) reads U only
+    when X's column margins ``m_j = |x_jj| - sum_{i != j} |x_ij|``, A's row
+    margins, do not prove it. With every ``m_j > 0`` X is strictly column
+    diagonally dominant, and so is each Schur complement, with no smaller
+    margins: eliminating pivot k drops ``|x_kj|`` from column j's
+    off-diagonal mass and moves its other entries by at most ``|x_kj| *
+    sum_{i != k} |x_ik| / |x_kk| < |x_kj|`` in all. SuperLU prefers the
+    diagonal of the symmetrically permuted matrix, which is then its
+    column's largest entry, so threshold pivoting keeps every diagonal
+    pivot and each one is at least ``min_j m_j`` (Higham, *Accuracy and
+    Stability of Numerical Algorithms*, 2nd ed., section 9.5). Rounding,
+    with ``u`` the unit roundoff and ``gamma_n = n u / (1 - n u)``: the
+    computed factors are the exact ones of ``X + dX`` with ``|dX| <=
+    gamma_n |L||U|`` (Higham, Thm 9.3); L's columns sum to below 2 in
+    magnitude and U's entries are at most twice X's largest (growth factor
+    at most 2, Thm 9.9), so each column of ``|dX|``, and with it each
+    margin's loss, is at most ``4 n gamma_n norm_inf(X)``. The computed
+    margins, sums of terms below ``2 norm_inf(X)`` each, err by less than
+    ``3 gamma_n norm_inf(X)``. So U goes unread when the computed ``min_j
+    m_j - (4 n + 3) gamma_n norm_inf(X)`` is at least ``1e-14 *
+    norm_inf(X)``, as on the paper's shifted splittings, and is read for
+    every other matrix. ``|X| @ ones`` sums each row of ``|X|`` from 0 in
+    ascending column order on the CSC view as on a built ``A.T``, so the
+    norm and the margins are bit for bit those of a built transpose.
 
     Raises
     ------
     SingularMatrixError
         If the matrix has no nonzero entry (an order-0 matrix included),
-        is structurally singular, or has a pivot below
-        ``1e-14 * norm_inf(A)``.
+        is structurally singular, or has a pivot below ``1e-14 *
+        norm_inf(A.T)``. For a symmetric A that is ``norm_inf(A)``; for a
+        nonsymmetric one it is A's largest column sum, ``norm_1(A)``.
     NumericsError
-        If ``norm_inf(A)`` is not finite, as it is when an entry is not.
+        If ``norm_inf(A.T)`` is not finite, as it is when an entry is not.
     """
     if not A.is_square:
         raise DimensionError("lu_factorize requires a square matrix")
-    csc = A.to_scipy().T if _transpose else A.to_scipy().tocsc()
-    # |X| once, for X = A or A.T: its row sums give the norm (bitwise
-    # X.inf_norm()), its column sums the margins of _check_pivots
+    csc = A.to_scipy().T
+    # |A.T| once: its row sums give the norm (bitwise A.T.inf_norm()), its
+    # column sums the margins of _check_pivots
     abs_x = abs(csc)
     norm_inf = float((abs_x @ np.ones(A.n_cols)).max()) if A.nnz else 0.0
     if not np.isfinite(norm_inf):
@@ -195,10 +199,10 @@ def lu_factorize(A, *, _transpose=False):
 
 
 def _check_pivots(lu, abs_a, norm_inf):
-    """Raise SingularMatrixError if a pivot of the SuperLU factor ``lu`` of A
-    lies below ``_PIVOT_TOL * norm_inf``, given ``abs_a = |A|`` as scipy CSC.
+    """Raise SingularMatrixError if a pivot of the SuperLU factor ``lu`` of X
+    lies below ``_PIVOT_TOL * norm_inf``, given ``abs_a = |X|`` as scipy CSC.
 
-    ``lu.U`` is read only when A's column margins do not already prove
+    ``lu.U`` is read only when X's column margins do not already prove
     the test: reading it makes scipy build CSC copies of L and U, which
     the factor then keeps for its lifetime. The argument is in
     :func:`lu_factorize`.
@@ -518,17 +522,18 @@ def min_singular_value(A, rel_tol=1e-10):
     _check_rel_tol(rel_tol)
     if not A.is_square:
         raise DimensionError("min_singular_value requires a square matrix")
-    n = A.n_rows
-    S, ST = A.to_scipy(), A.transpose().to_scipy()
+    At = A.transpose()
+    S, ST = A.to_scipy(), At.to_scipy()
     # a matrix with no entry, of order 0 too, goes to the LU, which calls it singular
     if A.nnz and all(np.array_equal(getattr(S, a), getattr(ST, a))
                      for a in ("indptr", "indices", "data")):
         lo, _, delta = _gershgorin(A)
         if lo >= 0.0:  # A is positive semidefinite
             return _lambda_min_above(A, max(lo - delta, 0.0), rel_tol / 2, "min_singular_value")
-    factor = lu_factorize(A)  # raises SingularMatrixError when singular
-    return _lanczos_top(lambda v: factor.solve(factor.solve(v, transpose=True)), n, rel_tol,
-                        "min_singular_value", lambda rho: 1.0 / np.sqrt(rho))
+    # the factor of A.T solves with A.T and, transposed, with A
+    factor = lu_factorize(At)  # raises SingularMatrixError when singular
+    return _lanczos_top(lambda v: factor.solve(factor.solve(v), transpose=True), A.n_rows,
+                        rel_tol, "min_singular_value", lambda rho: 1.0 / np.sqrt(rho))
 
 
 def _gershgorin(H):

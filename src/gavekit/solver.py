@@ -8,13 +8,12 @@ in the correction form ``x_{k+1} = x_k - (Omega + M)^{-1} F(x_k)`` (the
 same step, as ``M - N = A``): the residual of the stopping rule is the next
 right-hand side, and Omega + N is never assembled. F(x_k) and the step
 update their vectors in place, bit for bit the plain expressions. The
-solvers differ only in the inner step: ``nms_solve`` factors
-``(Omega + M).T`` once and takes each step as a transposed solve on it,
-since SuperLU's transposed triangular sweeps are the faster ones, and
-``inms_solve`` runs LSQR from zero to the per-step residual target
-``theta_k * norm(F(x_k))``. Omega is the splitting's own shift
-(``Splitting.shift``) unless an ``omega`` argument overrides it, which only
-the kinds that do not pin their shift allow.
+solvers differ only in the inner step: ``nms_solve`` factors Omega + M
+once (:func:`~gavekit.linalg.lu_factorize`) and takes each step as a solve
+with that factor, and ``inms_solve`` runs LSQR from zero to the per-step
+residual target ``theta_k * norm(F(x_k))``. Omega is the splitting's own
+shift (``Splitting.shift``) unless an ``omega`` argument overrides it,
+which only the kinds that do not pin their shift allow.
 """
 
 from __future__ import annotations
@@ -115,8 +114,8 @@ class SolveReport:
     """Everything observable about one solve.
 
     ``wall_time_s`` covers the whole call after argument checks: resolution
-    of a supplied shift, assembly of Omega+M, the LU factorization of its
-    transpose (exact variant) and the outer iteration.
+    of a supplied shift, assembly of Omega+M, its LU factorization (exact
+    variant) and the outer iteration.
     """
 
     converged: bool
@@ -168,8 +167,8 @@ def _iterate(problem, splitting, omega, config):
     """The outer iteration of both solvers; ``config.inner`` picks the step.
 
     Each step solves ``(Omega + M) d = -F(x_k)`` and moves to ``x_k + d``:
-    "direct" with the LU of ``(Omega + M).T`` factored once, solving on its
-    transpose, "lsqr" with LSQR from zero to ``theta_k * norm(F(x_k))``.
+    "direct" with the LU of Omega + M factored once, "lsqr" with LSQR from
+    zero to ``theta_k * norm(F(x_k))``.
     """
     t0 = time.perf_counter()
     n = problem.A.n_rows
@@ -179,11 +178,7 @@ def _iterate(problem, splitting, omega, config):
         raise ParameterError("b is zero; the RES stopping rule is undefined")
     direct = config.inner == "direct"
     if direct:
-        # SuperLU's transposed solve runs both triangular sweeps as gathers,
-        # so a step on the factor of (Omega + M).T is the faster solve;
-        # SuperLU reads it from the CSR arrays of Omega + M, which are its
-        # CSC arrays
-        factor = lu_factorize(OM, _transpose=True)
+        factor = lu_factorize(OM)
     max_inner = config.max_inner
     if max_inner is None:
         max_inner = int(math.ceil(10.0 * math.sqrt(n)))
@@ -199,7 +194,7 @@ def _iterate(problem, splitting, omega, config):
     k = 0
     while res > config.tol and k < config.k_max:
         if direct:
-            x -= factor.solve(F, transpose=True)
+            x -= factor.solve(F)
         else:
             target = theta_at(config.theta, k) * f_norm
             out = lsqr(OM, -F, target, max_inner)
@@ -236,12 +231,11 @@ def _iterate(problem, splitting, omega, config):
 def nms_solve(problem, splitting, omega=None, config=None):
     """Exact Newton-based matrix-splitting iteration.
 
-    Factors ``(Omega + M).T`` once, takes every step as a transposed solve
-    on it (a solve with Omega + M) and iterates until the relative residual
-    drops to ``config.tol`` or ``config.k_max`` steps are taken. Omega is
-    ``splitting.omega`` unless ``omega`` overrides it, which the kinds that
-    pin their shift reject (see ``Splitting.shift``). Requires
-    ``config.inner == "direct"``.
+    Factors Omega + M once, takes every step as a solve with that factor
+    and iterates until the relative residual drops to ``config.tol`` or
+    ``config.k_max`` steps are taken. Omega is ``splitting.omega`` unless
+    ``omega`` overrides it, which the kinds that pin their shift reject (see
+    ``Splitting.shift``). Requires ``config.inner == "direct"``.
     """
     config = config or SolverConfig()
     if config.inner != "direct":

@@ -241,17 +241,17 @@ def _product(form, x, out=None):
     column count; written into ``out`` when one is given, which it then
     returns.
 
-    A DIA, CSR or CSC form runs scipy's compiled ``dia_matvec``,
-    ``csr_matvec`` or ``csc_matvec``, the kernel its ``@`` calls, into a
-    zeroed output, as ``@`` does, without ``@``'s dispatch: 2.7 against
-    4.7 us per product with example41's A at n = 576, and within 8% of
-    ``@`` from n = 10000 up. Any other operand runs ``form @ x``.
+    A DIA or CSR form, the two kinds of product form, runs scipy's
+    compiled ``dia_matvec`` or ``csr_matvec``, the kernel its ``@`` calls,
+    into a zeroed output, as ``@`` does, without ``@``'s dispatch: 2.7
+    against 4.7 us per product with example41's A at n = 576, and within 8%
+    of ``@`` from n = 10000 up. Any other operand runs ``form @ x``.
     """
     n_rows, n_cols = form.shape
     if x.shape != (n_cols,):  # the kernels do not check lengths
         raise DimensionError(f"vector has shape {x.shape}, expected ({n_cols},)")
     fmt = getattr(form, "format", None)
-    if fmt not in ("dia", "csr", "csc"):
+    if fmt not in ("dia", "csr"):
         y = form @ x
         if out is None:
             return y
@@ -265,8 +265,7 @@ def _product(form, x, out=None):
         _sparsetools.dia_matvec(n_rows, n_cols, form.offsets.size, form.data.shape[1],
                                 form.offsets, form.data, x, out)
     else:
-        kernel = _sparsetools.csr_matvec if fmt == "csr" else _sparsetools.csc_matvec
-        kernel(n_rows, n_cols, form.indptr, form.indices, form.data, x, out)
+        _sparsetools.csr_matvec(n_rows, n_cols, form.indptr, form.indices, form.data, x, out)
     return out
 
 

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 import scipy.sparse
+import scipy.sparse.linalg
 
 from gavekit import SparseMatrix, diag_matrix
 
@@ -41,6 +42,15 @@ def with_int64_indices(A):
     csr = A.to_scipy().copy()
     csr.indices, csr.indptr = csr.indices.astype(np.int64), csr.indptr.astype(np.int64)
     return SparseMatrix._wrap(csr)
+
+
+def pinned_splu(X):
+    """SuperLU's factor of X itself, from a built CSC copy, with the options
+    ``lu_factorize`` pins: a reference that does not go through it."""
+    return scipy.sparse.linalg.splu(
+        X.to_scipy().tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.1,
+        relax=1, panel_size=1,
+    )
 
 
 def count_calls(monkeypatch, module, names):

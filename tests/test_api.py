@@ -2,9 +2,10 @@
 
 A deletion from the package that breaks ``perfbench`` or README's library
 quickstart fails here, not only when the benchmark or the documented code
-runs.
+runs. Each module also uses every name it imports.
 """
 
+import ast
 import functools
 import pathlib
 import re
@@ -53,3 +54,35 @@ def test_readme_quickstart_runs(capsys):
     out = capsys.readouterr().out.splitlines()
     # the exact solve's count, as the block's comment states it
     assert len(out) == 3 and out[0].startswith("12 ")
+
+
+def _unused_imports(path):
+    """Names ``path`` imports and never reads: no ``Name`` node and no
+    ``__all__`` entry mentions them."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {alias.asname or alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported |= {alias.asname or alias.name for alias in node.names}
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(
+                isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets):
+            used |= {elt.value for elt in node.value.elts}
+    return sorted(imported - used)
+
+
+# __init__.py imports names to export them
+MODULES = sorted(path.name for path in (ROOT / "src" / "gavekit").glob("*.py")
+                 if path.name != "__init__.py")
+
+
+def test_modules_are_found():
+    assert {"bench.py", "linalg.py", "solver.py"} <= set(MODULES)
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_module_uses_every_name_it_imports(module):
+    assert _unused_imports(ROOT / "src" / "gavekit" / module) == []

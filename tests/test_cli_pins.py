@@ -1,17 +1,27 @@
-"""The CLI pins on the Lanczos estimators, the alpha search, the solvers and
-the input errors.
+"""The CLI pins on the certificates, the alpha search, the solvers, the
+problem directories and the input errors.
 
-Each case runs ``gavekit.cli.main`` in-process on one command line and
-asserts what the command must print: the exit code, and either the
-certificate lines, the pinned IT, RES, inner-iteration and alpha lines, or
-the error message.
+Each case runs ``gavekit.cli.main`` in-process on one command line, or a
+few, and asserts what the commands must print or write: the exit code,
+and either the certificate lines, the pinned IT, RES, inner-iteration and
+alpha lines, the saved files' digests, or the error message.
 """
 
+import hashlib
+
+import numpy as np
 import pytest
 
 from gavekit.cli import main
 
 _CERTIFY = ["--condition", "InexactEq15", "--theta-value", "0.5", "--condition", "Cor34"]
+
+_ALL_CONDITIONS = [
+    arg
+    for name in ("ExactEq6", "InexactEq15", "MInverseThm33", "ScalarOmegaThm34", "Cor31",
+                 "Cor32", "Cor33a", "Cor33b", "Cor34", "Cor35a", "Cor35b", "Cor36a", "Cor36b")
+    for arg in ("--condition", name)
+]
 
 
 def _stdout(capsys, argv):
@@ -38,6 +48,82 @@ def test_certify_lanczos_estimators(capsys, problem):
     lines = out.splitlines()
     assert out.count("\n") == len(lines) == 2
     assert all(line.endswith(" holds=false") for line in lines)
+
+
+def test_certify_holds_on_a_certified_problem(tmp_path, capsys):
+    # a generated certified problem (n = 600)
+    directory = str(tmp_path / "gc600")
+    assert main(["gen", "--kind", "certified", "--n", "600", "--seed", "1",
+                 "--out", directory]) == 0
+    capsys.readouterr()
+    out = _stdout(capsys, ["certify", "--problem", directory, "--method", "ngs",
+                           "--condition", "InexactEq15", "--theta-value", "0.3"])
+    [line] = out.splitlines()
+    assert line.startswith("InexactEq15 ") and line.endswith(" holds=true")
+
+
+@pytest.mark.parametrize(
+    "theta, holding",
+    [(["--theta-value", "0.3"], set()), ([], {"Cor35a"})],
+    ids=["theta-0.3", "theta-0"],
+)
+def test_certify_all_thirteen_conditions(capsys, theta, holding):
+    # all 13 share one set of estimates (n = 576); at the default theta = 0
+    # Cor35a holds and the other 12 do not
+    argv = ["certify", "--example41", "24", "4", "--method", "ngs", "--omega", "mhat",
+            "--omega-scalar", "2", "--gamma", "1", *theta, *_ALL_CONDITIONS]
+    lines = _stdout(capsys, argv).splitlines()
+    assert [line.split()[0] for line in lines] == _ALL_CONDITIONS[1::2]
+    assert {line.split()[0] for line in lines if line.endswith(" holds=true")} == holding
+    assert sum(line.endswith(" holds=false") for line in lines) == 13 - len(holding)
+
+
+def test_certify_nmn_with_its_pinned_shift(capsys):
+    argv = ["certify", "--example41", "6", "4", "--method", "nmn", "--omega", "mhat",
+            "--condition", "InexactEq15", "--condition", "Cor35a", "--theta-value", "0.5"]
+    lines = _stdout(capsys, argv).splitlines()
+    assert [line.split()[0] for line in lines] == ["InexactEq15", "Cor35a"]
+
+
+_EX41_DIGESTS = {
+    "A.mtx": "c898407e93e1ac0f78fe935e2c6808d97a0a928fa2c9fd3420ae8add8a684a35",
+    "B.mtx": "bbcb49038d490d55a1b808d82c428462b3b587283aa79f9bc3125db339bfb5e0",
+    "b.txt": "fcf17b7c801b3265f11bc7eac66c904ba39baa70108797989383c6b8df336675",
+    "xstar.txt": "6b68486bd3883979e28f1d7915b2928261d9188db796e4626289b466d37e2c52",
+}
+_SOLVE_DIRECTORY = ["--method", "ngs", "--omega", "identity:1"]
+
+
+def _gen_example41_m30(capsys, directory):
+    assert main(["gen", "--kind", "example41", "--m", "30", "--mu", "4",
+                 "--out", str(directory)]) == 0
+    capsys.readouterr()
+
+
+def test_problem_directory_round_trip(tmp_path, capsys):
+    # gen writes the pinned Matrix Market and vector files, and solve reads them
+    directory, x_path = tmp_path / "ex41", tmp_path / "x.txt"
+    _gen_example41_m30(capsys, directory)
+    for name, digest in _EX41_DIGESTS.items():
+        assert hashlib.sha256((directory / name).read_bytes()).hexdigest() == digest, name
+    _stdout(capsys, ["solve", "--problem", str(directory), *_SOLVE_DIRECTORY,
+                     "--save-x", str(x_path)])
+    assert np.loadtxt(x_path).shape == (900,)
+
+
+def test_crlf_directory_with_a_comment_solves_as_the_lf_copy(tmp_path, capsys):
+    lf, crlf = tmp_path / "lf", tmp_path / "crlf"
+    _gen_example41_m30(capsys, lf)
+    crlf.mkdir()
+    for name in _EX41_DIGESTS:
+        lines = (lf / name).read_bytes().split(b"\n")[:-1]
+        lines.insert(1, b"% a comment line")
+        (crlf / name).write_bytes(b"".join(line + b"\r\n" for line in lines))
+    runs = [_stdout(capsys, ["solve", "--problem", str(d), *_SOLVE_DIRECTORY])
+            for d in (lf, crlf)]
+    it_lf, it_crlf = ([line for line in out.splitlines() if line.startswith("IT ")]
+                      for out in runs)
+    assert it_lf and it_crlf == it_lf
 
 
 @pytest.mark.parametrize(

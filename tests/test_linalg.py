@@ -9,6 +9,7 @@ import scipy.linalg
 import scipy.sparse.linalg
 
 import gavekit.linalg
+import gavekit.solver
 from gavekit import (
     ConvergenceFailure,
     DimensionError,
@@ -44,6 +45,7 @@ from conftest import (
     count_calls,
     count_products,
     from_dense,
+    pinned_splu,
     random_dominant,
     random_sparse,
     tridiag,
@@ -98,6 +100,63 @@ class TestLu:
         b = rng.uniform(-1, 1, 12)
         x = lu_factorize(A).solve(b, transpose=True)
         np.testing.assert_allclose(A.to_dense().T @ x, b, atol=1e-11)
+
+    def test_nonsymmetric_solves_match_numpy(self, rng):
+        # neither A nor A.T is diagonally dominant, so SuperLU pivots off
+        # the diagonal and the pivot test reads U
+        for n in (2, 9, 30):
+            dense = rng.uniform(-1.0, 1.0, (n, n))
+            dense[rng.random((n, n)) >= 0.5] = 0.0
+            np.fill_diagonal(dense, rng.uniform(-0.1, 0.1, n))
+            dense[0, -1] = dense[-1, 0] + 1.0  # nonsymmetric at n = 2 too
+            a = np.abs(dense)
+            assert (2 * a.diagonal() < a.sum(axis=0)).any()
+            assert (2 * a.diagonal() < a.sum(axis=1)).any()
+            f = lu_factorize(from_dense(dense))
+            bound = 1e-13 * np.linalg.cond(dense)
+            for transpose, X in ((False, dense), (True, dense.T)):
+                b = rng.uniform(-1, 1, n)
+                want = np.linalg.solve(X, b)
+                err = np.abs(f.solve(b, transpose=transpose) - want).max()
+                assert err <= bound * np.abs(want).max(), (n, transpose)
+
+    def test_every_caller_hands_superlu_its_matrix_arrays(self, monkeypatch):
+        # the solver, sigma_min's two-solve and shifted paths and the
+        # eigenvalue estimator: SuperLU reads the factored matrix's own CSR
+        # arrays, as the CSC arrays of its transpose, and copies nothing
+        factored, handed = [], []
+        factorize, splu = gavekit.linalg.lu_factorize, scipy.sparse.linalg.splu
+
+        def recording_factorize(X):
+            factored.append(X)
+            return factorize(X)
+
+        def recording_splu(csc, **kwargs):
+            handed.append(csc)
+            return splu(csc, **kwargs)
+
+        for module in (gavekit.linalg, gavekit.solver):
+            monkeypatch.setattr(module, "lu_factorize", recording_factorize)
+        monkeypatch.setattr(scipy.sparse.linalg, "splu", recording_splu)
+        _, prob, hat = gen_example41(8, -1.0)
+        s = build_splitting(prob.A, "ngs")
+        H, _ = hermitian_split(prob.A)
+        calls = {
+            "nms_solve": lambda: nms_solve(prob, s, OmegaSpec.scaled(1.5, hat)),
+            "two-solve sigma_min": lambda: min_singular_value(sparse_add(hat, s.M)),
+            "shifted sigma_min": lambda: min_singular_value(sparse_scale(1.5, hat)),
+            "symmetric_eig_extremes": lambda: symmetric_eig_extremes(H),
+        }
+        for name, call in calls.items():
+            factored.clear()
+            handed.clear()
+            call()
+            assert factored and len(handed) == len(factored), name
+            for X, csc in zip(factored, handed):
+                assert csc.format == "csc" and csc.shape == X.shape[::-1], name
+                for arr, of_x in ((csc.indptr, X.row_ptr), (csc.indices, X.col_idx),
+                                  (csc.data, X.values)):
+                    assert np.shares_memory(arr, of_x), name
 
     def test_pinned_ordering_fill_and_determinism(self, rng):
         # Omega + M for ngs with Omega = hatM on example41, m = 30
@@ -262,7 +321,7 @@ class TestPivotMargin:
         for name, X in cases:
             margin = _column_margins(X).min()
             assert margin > 0.0, name
-            lu = lu_factorize(X)._splu
+            lu = lu_factorize(X.transpose())._splu  # SuperLU's factor of X
             np.testing.assert_array_equal(lu.perm_r, lu.perm_c, err_msg=name)
             assert np.abs(lu.U.diagonal()).min() >= margin * (1.0 - 1e-12), name
 
@@ -737,9 +796,10 @@ def _nj_example41(m, mu):
 
 
 def _two_solve_min_singular_value(X, rel_tol):
-    """Lanczos on (X.T X)^-1 through X's LU, as for a nonsymmetric X."""
-    f = lu_factorize(X)
-    return _lanczos_top(lambda v: f.solve(f.solve(v, transpose=True)), X.n_rows, rel_tol,
+    """Lanczos on (X.T X)^-1 through SuperLU's factor of X, as for a
+    nonsymmetric X: X.T's solve, then X's."""
+    f = pinned_splu(X)
+    return _lanczos_top(lambda v: f.solve(f.solve(v, trans="T")), X.n_rows, rel_tol,
                         "min_singular_value", lambda rho: 1.0 / np.sqrt(rho))
 
 

@@ -36,7 +36,14 @@ from gavekit import (
 )
 from gavekit.solver import expand_x0
 
-from conftest import count_products, from_dense, random_dominant, random_sparse, with_explicit_zeros
+from conftest import (
+    count_products,
+    from_dense,
+    pinned_splu,
+    random_dominant,
+    random_sparse,
+    with_explicit_zeros,
+)
 
 
 def _random_problem(rng, n, b_scale=0.5, with_solution=False):
@@ -483,22 +490,23 @@ class TestTransposedFactor:
             def __init__(self, factor):
                 self.factor = factor
 
-            def solve(self, rhs, transpose=False):
-                solves.append(transpose)
-                return self.factor.solve(rhs, transpose=transpose)
+            def solve(self, *args, **kwargs):
+                solves.append((len(args), kwargs))
+                return self.factor.solve(*args, **kwargs)
 
-        def spy_factorize(X, **kwargs):
-            factored.append((X, kwargs))
-            return Spy(lu_factorize(X, **kwargs))
+        def spy_factorize(*args, **kwargs):
+            factored.append((args, kwargs))
+            return Spy(lu_factorize(*args, **kwargs))
 
         monkeypatch.setattr(gavekit.solver, "lu_factorize", spy_factorize)
         report = nms_solve(prob, s, om)
         assert report.converged and report.iterations > 1
-        # Omega + M itself, factored as its transpose from its own arrays
-        [(X, kwargs)] = factored
+        # Omega + M itself, with no keyword: lu_factorize alone knows it
+        # factors the transpose
+        [((X,), kwargs)] = factored
         np.testing.assert_array_equal(X.to_dense(), sparse_add(s.shift(om), s.M).to_dense())
-        assert kwargs == {"_transpose": True}
-        assert solves == [True] * report.iterations
+        assert kwargs == {}
+        assert solves == [(1, {})] * report.iterations  # solve(F)
 
     def test_factor_of_the_csc_view_is_the_factor_of_the_transpose(self, monkeypatch):
         # a built transpose against the CSC view of OM's own arrays: the
@@ -522,26 +530,28 @@ class TestTransposedFactor:
         for OM in (sparse_add(sparse_scale(1.5, hat), build_splitting(prob.A, "ngs").M),
                    random_dominant(rng, 40), with_explicit_zeros(rng, random_dominant(rng, 40))):
             seen.clear()
-            old = lu_factorize(OM.transpose())
-            new = lu_factorize(OM, _transpose=True)
-            (norm_old, margins_old), (norm_new, margins_new) = seen
+            handed.clear()
+            new = lu_factorize(OM)
+            [(norm_new, margins_new)] = seen
             # SuperLU read OM's own arrays: no transpose was built
-            view = handed.pop()
+            [view] = handed
             assert view.format == "csc"
             for arr, of_om in ((view.indptr, OM.row_ptr), (view.indices, OM.col_idx),
                                (view.data, OM.values)):
                 assert np.shares_memory(arr, of_om)
             # the reference: the norm and margins as computed on a CSR |OM.T|
             abs_t, ones = abs(OM.transpose().to_scipy()), np.ones(OM.n_rows)
-            assert norm_old == norm_new == (abs_t @ ones).max()
-            np.testing.assert_array_equal(_bits(margins_new), _bits(margins_old))
+            assert norm_new == (abs_t @ ones).max()
             want = 2.0 * abs_t.diagonal() - abs_t.T @ ones
             np.testing.assert_array_equal(_bits(margins_new), _bits(want))
+            # and SuperLU's factor of a built OM.T: OM's solve is its
+            # transposed one, OM.T's its plain one
+            old = pinned_splu(OM.transpose())
             assert old.nnz == new.nnz
             rhs = rng.uniform(-1, 1, OM.n_rows)
-            for transpose in (False, True):
+            for transpose, trans in ((False, "T"), (True, "N")):
                 np.testing.assert_array_equal(
-                    _bits(new.solve(rhs, transpose)), _bits(old.solve(rhs, transpose))
+                    _bits(new.solve(rhs, transpose)), _bits(old.solve(rhs, trans=trans))
                 )
 
 
@@ -575,14 +585,14 @@ class TestInPlaceArithmetic:
             config = SolverConfig(inner=inner, k_max=6, tol=1e-300)
             report = (nms_solve if inner == "direct" else inms_solve)(prob, s, om, config)
             OM = sparse_add(s.shift(om), s.M)
-            factor = lu_factorize(OM.transpose())
+            factor = pinned_splu(OM.transpose())  # the solver's factor of OM.T
             max_inner = int(np.ceil(10.0 * np.sqrt(prob.n)))
             x = expand_x0("alt10", prob.n)
             F = _old_residual(prob, x)
             history = [np.linalg.norm(F) / np.linalg.norm(prob.b)]
             for k in range(6):
                 if inner == "direct":
-                    x = x - factor.solve(F, transpose=True)
+                    x = x - factor.solve(F, trans="T")
                 else:
                     target = theta_at(config.theta, k) * float(np.linalg.norm(F))
                     x = x + lsqr(OM, -F, target, max_inner).x

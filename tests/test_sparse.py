@@ -279,7 +279,8 @@ class TestProduct:
 
     @staticmethod
     def _forms(A):
-        """Both product forms, and scipy's CSC views of A.T and of A."""
+        """Both product forms, and scipy's CSC views of A.T and of A, which
+        take the ``form @ x`` fallback."""
         S, ST = A.product_forms()
         return [S, ST, A.to_scipy().T, A.transpose().to_scipy().T]
 
