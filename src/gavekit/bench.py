@@ -35,8 +35,6 @@ from .splittings import (
     KINDS,
     OmegaSpec,
     SplittingKind,
-    _diagonal_and_lower,
-    _triangular_splitting,
     build_splitting,
     resolve_omega,
 )
@@ -375,16 +373,15 @@ def tune_alpha(problem, omega, grid, tol=SolverConfig.tol, k_max=SolverConfig.k_
     (the start residual does not depend on alpha). The result is the same
     as running every point to ``k_max``.
 
-    Only ``M = D / alpha - L`` changes with alpha, so ``A`` is split into
-    its diagonal and lower part and the shift resolved once per search; each
-    point's splitting is ``build_splitting``'s, bit for bit.
+    Each point's splitting is built by ``build_splitting``, one read of
+    ``A``'s arrays; the shift, which does not change with alpha, is
+    resolved once per search.
     """
     grid = [float(a) for a in grid]
     if not grid:
         raise SpecError("alpha grid must be nonempty")
     if any(not 0.0 < a < 2.0 for a in grid):
         raise SpecError("alpha grid values must lie in (0, 2)")
-    D, L = _diagonal_and_lower(problem.A)
     omega = resolve_omega(omega, problem.A.n_rows)  # nsor does not pin its shift
     best = None
     for alpha in sorted(grid):
@@ -393,7 +390,7 @@ def tune_alpha(problem, omega, grid, tol=SolverConfig.tol, k_max=SolverConfig.k_
             break
         config = SolverConfig(tol=tol, k_max=cap, inner="direct")
         try:
-            splitting = _triangular_splitting(problem.A, SplittingKind("nsor", alpha=alpha), D, L)
+            splitting = build_splitting(problem.A, SplittingKind("nsor", alpha=alpha))
             report = nms_solve(problem, splitting, omega, config)
         except (DivergenceError, SingularMatrixError):
             continue

@@ -7,6 +7,15 @@ whose N is ``-S`` from :func:`~gavekit.sparse.hermitian_split`. So ``M - N
 == A`` holds bitwise for picard, mn, drs, nj and ngs, and up to rounding for
 the others: for nsor, naor and nmn ``M - A`` is rounded (nsor with alpha =
 0.3, for one), and for hss ``H + S`` is.
+
+The triangular kinds share one rule. With D the diagonal and L the negated
+strict lower triangle of A, ``M = c_d D - c_l L``, where ``(c_d, c_l)`` is
+(1, 0) for nj, (1, 1) for ngs, (1/alpha, 1) for nsor and (1/alpha,
+beta/alpha) for naor; writing naor's ``(1/alpha)(D - beta L)`` this way
+makes beta == alpha the nsor matrices bit for bit. M and N hold the
+entries of A's pattern that are not exactly zero, as a sparse difference
+would keep them, except that nj's M is D itself and keeps any zero A
+stores on its diagonal.
 """
 
 from __future__ import annotations
@@ -166,28 +175,6 @@ def resolve_omega(spec, n):
     raise ParameterError(f"unknown omega kind {spec.kind!r}")
 
 
-def _diagonal_and_lower(A):
-    """The diagonal D and the negated strict lower triangle L of a square A,
-    ``A = D - L - U``, each as a new n-by-n matrix (no splitting reads U).
-
-    D holds the stored diagonal entries of A. Each part keeps its entries
-    with one ``flatnonzero`` and one ``take`` per array, in A's row-major
-    order, so only the row counts change. Its row pointers are counted in
-    A's index dtype, so scipy's constructor converts no index array of an
-    int32 A.
-    """
-    n, ptr, cols = A.n_rows, A.row_ptr, A.col_idx
-    rows = np.repeat(np.arange(n, dtype=ptr.dtype), np.diff(ptr))
-    parts = []
-    for mask, sign in ((rows == cols, 1.0), (rows > cols, -1.0)):
-        keep = np.flatnonzero(mask)
-        row_ptr = np.zeros(n + 1, dtype=ptr.dtype)
-        np.cumsum(np.bincount(rows.take(keep), minlength=n), out=row_ptr[1:])
-        csr = (sign * A.values.take(keep), cols.take(keep), row_ptr)
-        parts.append(SparseMatrix._wrap(scipy.sparse.csr_matrix(csr, shape=(n, n))))
-    return tuple(parts)
-
-
 def build_splitting(A, kind, omega=None):
     """Construct the (M, N) pair for a named splitting of A and its shift.
 
@@ -210,8 +197,7 @@ def build_splitting(A, kind, omega=None):
         return Splitting(kind, M=M, N=sparse_sub(M, A), omega=om)
 
     if name in ("nj", "ngs", "nsor", "naor"):
-        D, L = _diagonal_and_lower(A)
-        splitting = _triangular_splitting(A, kind, D, L)
+        splitting = _triangular_splitting(A, kind)
     else:
         if name == "hss":
             H, S = hermitian_split(A)
@@ -223,28 +209,42 @@ def build_splitting(A, kind, omega=None):
     return splitting if omega is None else replace(splitting, omega=splitting.shift(omega))
 
 
-def _triangular_splitting(A, kind, D, L):
-    """``build_splitting(A, kind)`` for nj, ngs, nsor and naor, from the
-    diagonal ``D`` and negated strict lower triangle ``L`` of
-    :func:`_diagonal_and_lower` (no splitting reads the upper part), so
-    that a caller that builds many such splittings of one ``A`` splits it
-    once."""
+def _triangular_splitting(A, kind):
+    """``build_splitting(A, kind)`` for nj, ngs, nsor and naor: M's and N's
+    values over A's pattern, from one read of A's CSR arrays (the rule is in
+    the module docstring)."""
     name = kind.name
-    if name == "nj":
-        M = D
-    elif name == "ngs":
-        M = sparse_sub(D, L)
-    elif name == "nsor":
-        M = sparse_sub(sparse_scale(1.0 / kind.alpha, D), L)
-    else:  # naor
-        # (1/alpha) * (D - beta L) written as (1/alpha) D - (beta/alpha) L so
-        # that beta == alpha collapses to the nsor matrices bit for bit
-        M = sparse_sub(
-            sparse_scale(1.0 / kind.alpha, D),
-            sparse_scale(kind.beta / kind.alpha, L),
-        )
+    if name in ("nj", "ngs"):
+        c_d, c_l = 1.0, float(name == "ngs")
+    else:
+        c_d = 1.0 / kind.alpha
+        c_l = 1.0 if name == "nsor" else kind.beta / kind.alpha
+    n, ptr, cols, a = A.n_rows, A.row_ptr, A.col_idx, A.values
+    rows = np.repeat(np.arange(n, dtype=ptr.dtype), np.diff(ptr))
+    diag = rows == cols
+    m = np.zeros_like(a)
+    m[diag] = c_d * a[diag]
+    if c_l:
+        lower = rows > cols
+        m[lower] = c_l * a[lower]
+    N = _on_pattern(A, m - a)
+    if name == "nj":  # D itself, stored zeros included; one entry per row at most
+        d = rows[diag]
+        csr = (a[diag], d, np.searchsorted(d, np.arange(n + 1)))
+        M = SparseMatrix._wrap(scipy.sparse.csr_matrix(csr, shape=A.shape))
+    else:
+        M = _on_pattern(A, m)
     warnings = (
         f"naor parameters alpha={kind.alpha:g}, beta={kind.beta:g} are "
         "outside the conventional ranges alpha in (0,2), beta in [0,alpha]",
     ) if kind.wide_parameters else ()
-    return Splitting(kind, M=M, N=sparse_sub(M, A), omega=zeros(A.n_rows), warnings=warnings)
+    return Splitting(kind, M=M, N=N, omega=zeros(n), warnings=warnings)
+
+
+def _on_pattern(A, values):
+    """The matrix holding ``values`` (which it takes over) at A's stored
+    positions, less the entries that are exactly zero."""
+    # scipy drops the zeros in place, so it gets copies of A's read-only indices
+    csr = scipy.sparse.csr_matrix((values, A.col_idx.copy(), A.row_ptr.copy()), shape=A.shape)
+    csr.eliminate_zeros()
+    return SparseMatrix._wrap(csr)

@@ -416,3 +416,38 @@ def test_criterion_10_single_step_equivalences():
         ok,
         ", ".join(f"{k}: {v:.2e}" for k, v in worst.items()),
     )
+
+
+# the exact methods of Tables 1, 3 and 4 at m = 24: (mu, multiple of hatM as the shift,
+# method, alpha)
+_THEORY_SETTINGS = [
+    (4.0, 1.0, "nj", None), (4.0, 1.0, "ngs", None), (4.0, 1.0, "nsor", 0.9),
+    (-1.0, 1.0, "nj", None), (-1.0, 1.0, "ngs", None), (-1.0, 1.0, "nsor", 1.3),
+    (-1.0, 1.5, "nj", None), (-1.0, 1.5, "ngs", None), (-1.0, 1.5, "nsor", 1.3),
+]
+
+
+@pytest.mark.parametrize("mu, scale, kind, alpha", _THEORY_SETTINGS)
+def test_rate_is_the_spectral_radius_where_no_certificate_holds(mu, scale, kind, alpha):
+    """On example41 the exact iteration converges at rho(J*) although ExactEq6 fails.
+
+    J* = (Omega+M)^-1 (Omega+N + B diag(sign x*)) is the Jacobian of the exact
+    step map at the computed solution, which has no zero entry, so by
+    Ostrowski's theorem the local linear rate is rho(J*). ExactEq6 bounds the
+    rate by a product of norms, which overshoots 1 on every setting.
+    """
+    _, prob, hat = gen_example41(24, mu)
+    s = build_splitting(prob.A, SplittingKind(kind, alpha=alpha))
+    omega = sparse_scale(scale, hat)
+    report = nms_solve(prob, s, omega, SolverConfig(tol=1e-12))
+    assert report.converged and np.abs(report.x).min() > 0.0
+    r = report.res_history
+    rate = (r[-1] / r[-11]) ** 0.1  # geometric mean of the last 10 residual ratios
+    Od = omega.to_dense()
+    J = np.linalg.solve(Od + s.M.to_dense(),
+                        Od + s.N.to_dense() + prob.B.to_dense() * np.sign(report.x))
+    rho = np.abs(np.linalg.eigvals(J)).max()
+    assert rho < 1.0
+    assert abs(rate - rho) <= 0.03
+    exact = evaluate([Condition.EXACT], B=prob.B, M=s.M, N=s.N, omega=omega)[0]
+    assert not exact.holds and exact.lhs > 1.0

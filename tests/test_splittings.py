@@ -25,7 +25,7 @@ from gavekit import (
     spmv,
     zeros,
 )
-from gavekit.splittings import KINDS, _diagonal_and_lower
+from gavekit.splittings import KINDS
 
 from conftest import from_dense, random_dominant, tridiag, with_explicit_zeros, with_int64_indices
 
@@ -62,15 +62,10 @@ def _mask_parts(A):
     return part(rows == cols, 1.0), part(rows > cols, -1.0), part(rows < cols, -1.0)
 
 
-def _triangular_parts(A):
-    """D and L from the splittings' builder, U from the mask reference."""
-    return (*_diagonal_and_lower(A), _mask_parts(A)[2])
-
-
 class TestTriangularParts:
     def test_hand_value(self):
         A = from_dense(np.array([[4.0, -1.0], [-1.0, 4.0]]))
-        D, L, U = _triangular_parts(A)
+        D, L, U = _mask_parts(A)
         np.testing.assert_array_equal(D.to_dense(), [[4.0, 0.0], [0.0, 4.0]])
         np.testing.assert_array_equal(L.to_dense(), [[0.0, 0.0], [1.0, 0.0]])
         np.testing.assert_array_equal(U.to_dense(), [[0.0, 1.0], [0.0, 0.0]])
@@ -79,7 +74,7 @@ class TestTriangularParts:
         # the second input stores a zero diagonal entry, which D keeps
         for A in (from_dense(np.diag([1.0, 2.0, 3.0])),
                   diag_matrix([1.0, 0.0, 3.0])):
-            D, L, U = _triangular_parts(A)
+            D, L, U = _mask_parts(A)
             np.testing.assert_array_equal(D.to_dense(), A.to_dense())
             np.testing.assert_array_equal(D.values, A.values)
             assert L.nnz == 0 and U.nnz == 0
@@ -88,7 +83,7 @@ class TestTriangularParts:
         for _ in range(10):
             A = random_dominant(rng, 12)
             for X in (A, with_explicit_zeros(rng, A)):
-                D, L, U = _triangular_parts(X)
+                D, L, U = _mask_parts(X)
                 recombined = sparse_sub(sparse_sub(D, L), U)
                 np.testing.assert_array_equal(recombined.to_dense(), X.to_dense())
 
@@ -125,14 +120,7 @@ def _assert_same_matrix(got, want, what):
 
 
 class TestPartsAgainstMasks:
-    """The flatnonzero part builder against the boolean-mask reference."""
-
-    def test_diagonal_and_lower(self, rng):
-        for name, A in _part_cases(rng).items():
-            D, L = _diagonal_and_lower(A)
-            want_D, want_L, _ = _mask_parts(A)
-            _assert_same_matrix(D, want_D, f"{name} D")
-            _assert_same_matrix(L, want_L, f"{name} L")
+    """The one-pass triangular builder against formulas on the mask parts."""
 
     def test_splittings_unchanged(self, rng):
         # M and N of each triangular kind against the formulas on the mask parts
@@ -178,7 +166,7 @@ class TestBuildSplitting:
 
     def test_formulas_match_remarks(self, rng):
         A = random_dominant(rng, 10)
-        D, L, U = _triangular_parts(A)
+        D, L, U = _mask_parts(A)
         nj = build_splitting(A, "nj")
         np.testing.assert_array_equal(nj.M.to_dense(), D.to_dense())
         np.testing.assert_array_equal(nj.N.to_dense(), (L.to_dense() + U.to_dense()))
