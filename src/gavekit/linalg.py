@@ -57,6 +57,7 @@ from .errors import (
     SingularMatrixError,
 )
 from .sparse import (
+    _abs_sums,
     _product,
     as_vector,
     diag_matrix,
@@ -157,14 +158,14 @@ def lu_factorize(A):
     gamma_n |L||U|`` (Higham, Thm 9.3); L's columns sum to below 2 in
     magnitude and U's entries are at most twice X's largest (growth factor
     at most 2, Thm 9.9), so each column of ``|dX|``, and with it each
-    margin's loss, is at most ``4 n gamma_n norm_inf(X)``. The computed
-    margins, sums of terms below ``2 norm_inf(X)`` each, err by less than
-    ``3 gamma_n norm_inf(X)``. So U goes unread when the computed ``min_j
-    m_j - (4 n + 3) gamma_n norm_inf(X)`` is at least ``1e-14 *
-    norm_inf(X)``, as on the paper's shifted splittings, and is read for
-    every other matrix. ``|X| @ ones`` sums each row of ``|X|`` from 0 in
-    ascending column order on the CSC view as on a built ``A.T``, so the
-    norm and the margins are bit for bit those of a built transpose.
+    margin's loss, is at most ``4 n gamma_n norm_inf(X)``. A computed
+    margin is one sum and one subtraction; where it is positive the sum is
+    below ``|x_jj| <= norm_inf(X)``, so it errs by less than ``2 gamma_n
+    norm_inf(X)``. So U goes unread when the computed ``min_j m_j - (4 n +
+    3) gamma_n norm_inf(X)`` is at least ``1e-14 * norm_inf(X)``, as on the
+    paper's shifted splittings, and is read for every other matrix. X's
+    column sums are A's off-diagonal row sums, and ``norm_inf(X)`` is the
+    largest off-diagonal column sum of A plus its ``|a_jj|`` (``_abs_sums``).
 
     Raises
     ------
@@ -179,10 +180,9 @@ def lu_factorize(A):
     if not A.is_square:
         raise DimensionError("lu_factorize requires a square matrix")
     csc = A.to_scipy().T
-    # |A.T| once: its row sums give the norm (bitwise A.T.inf_norm()), its
-    # column sums the margins of _check_pivots
-    abs_x = abs(csc)
-    norm_inf = float((abs_x @ np.ones(A.n_cols)).max()) if A.nnz else 0.0
+    rows, cols, diag = _abs_sums(A)
+    abs_diag = np.abs(diag)
+    norm_inf = float((cols + abs_diag).max()) if A.nnz else 0.0
     if not np.isfinite(norm_inf):
         raise NumericsError(f"non-finite infinity norm {norm_inf} in lu_factorize")
     if norm_inf == 0.0:
@@ -194,21 +194,20 @@ def lu_factorize(A):
         )
     except RuntimeError as exc:
         raise SingularMatrixError(f"LU factorization failed: {exc}") from exc
-    _check_pivots(lu, abs_x, norm_inf)
+    _check_pivots(lu, abs_diag - rows, norm_inf)
     return Factorization(lu, A.n_rows)
 
 
-def _check_pivots(lu, abs_a, norm_inf):
+def _check_pivots(lu, margins, norm_inf):
     """Raise SingularMatrixError if a pivot of the SuperLU factor ``lu`` of X
-    lies below ``_PIVOT_TOL * norm_inf``, given ``abs_a = |X|`` as scipy CSC.
+    lies below ``_PIVOT_TOL * norm_inf``, given X's column ``margins``.
 
-    ``lu.U`` is read only when X's column margins do not already prove
-    the test: reading it makes scipy build CSC copies of L and U, which
-    the factor then keeps for its lifetime. The argument is in
-    :func:`lu_factorize`.
+    ``lu.U`` is read only when the margins, ``|x_jj| - sum_{i != j} |x_ij|``
+    (one sum and one subtraction each), do not already prove the test:
+    reading it makes scipy build CSC copies of L and U, which the factor
+    then keeps for its lifetime. The argument is in :func:`lu_factorize`.
     """
-    n = abs_a.shape[0]
-    margins = 2.0 * abs_a.diagonal() - abs_a.T @ np.ones(n)
+    n = margins.shape[0]
     n_u = n * (np.finfo(np.float64).eps / 2)
     allowance = (4 * n + 3) * n_u / (1 - n_u) * norm_inf  # (4n + 3) gamma_n ||A||_inf
     if margins.min() - allowance >= _PIVOT_TOL * norm_inf:
@@ -540,9 +539,8 @@ def _gershgorin(H):
     """``(lo, hi, delta)``: the per-row Gershgorin interval [lo, hi] of a
     square matrix, which holds every eigenvalue of a symmetric one, and the
     margin ``delta`` by which a shift steps outside it. The radius is the
-    row sums of ``|H - diag(H)|``, left to right."""
-    diag = H.diagonal()
-    radius = abs(sparse_sub(H, diag_matrix(diag)).to_scipy()) @ np.ones(H.n_rows)
+    row sums of ``|H - diag(H)|``, left to right (``sparse._abs_sums``)."""
+    radius, _, diag = _abs_sums(H)
     hi = float(np.max(diag + radius))
     lo = float(np.min(diag - radius))
     return lo, hi, 1e-9 * max(hi - lo, abs(hi), abs(lo)) + 1e-300

@@ -18,7 +18,7 @@ import scipy.sparse
 from .errors import DimensionError, FormatError, NumericsError, ParameterError
 from .linalg import min_singular_value, spectral_norm
 from .mmio import _open_text, read_matrix_market, read_vector, write_matrix_market, write_vector
-from .sparse import SparseMatrix, identity, sparse_add, sparse_scale, sparse_sub, spmv
+from .sparse import SparseMatrix, _abs_sums, identity, sparse_add, sparse_scale, sparse_sub, spmv
 
 __all__ = [
     "GaveProblem",
@@ -200,7 +200,7 @@ def gen_certified(n, seed, b_norm_scale=1.0, dominance=10.0):
         return SparseMatrix.from_coo(n, n, rows, cols, vals)
 
     R = random_offdiag()
-    radius = max(R.inf_norm(), R.transpose().inf_norm())
+    radius = max(sums.max() for sums in _abs_sums(R)[:2])  # R stores no diagonal entry
     if radius > 1.0:
         R = sparse_scale(1.0 / radius, R)
     A = sparse_add(sparse_scale(dominance, identity(n)), R)

@@ -174,14 +174,6 @@ class SparseMatrix:
         coo = self._csr.tocoo()  # its row array is new; col and data may be shared
         return coo.row, coo.col.copy(), coo.data.copy()
 
-    def inf_norm(self):
-        """Maximum absolute row sum."""
-        if self.nnz == 0:
-            return 0.0
-        # a product with ones sums each row left to right; scipy's
-        # sum(axis=1) sums rows of 8 or more entries pairwise
-        return float((abs(self._csr) @ np.ones(self.n_cols)).max())
-
     def max_abs(self):
         return float(np.abs(self.values).max()) if self.nnz else 0.0
 
@@ -203,6 +195,16 @@ def _index_array(idx, what):
     if not np.all((np.floor(f) == f) & (-(2.0**63) <= f) & (f < 2.0**63)):
         raise ParameterError(f"{what} indices must be integers within int64's range")
     return f.astype(np.int64)
+
+
+def _abs_sums(A):
+    """``(rows, cols, diag)``: the sums of ``|A|``'s off-diagonal entries along
+    each row, left to right, and each column, top to bottom, and A's diagonal.
+    One ``abs`` of A's CSR, its diagonal slots set to +0.0 (which changes no
+    sum), times ones: ``csr_matvec`` on it and ``csc_matvec`` on its ``.T``."""
+    off = abs(A.to_scipy())
+    off.data[np.repeat(np.arange(A.n_rows), np.diff(off.indptr)) == off.indices] = 0.0
+    return off @ np.ones(A.n_cols), off.T @ np.ones(A.n_rows), A.diagonal()
 
 
 def _banded(csr):

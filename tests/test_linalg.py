@@ -38,8 +38,9 @@ from gavekit import (
     zeros,
 )
 from gavekit.certify import _NORM_RTOL
-from gavekit.linalg import _check_pivots, _lanczos_top, _top_ritz_pair
+from gavekit.linalg import _check_pivots, _gershgorin, _lanczos_top, _top_ritz_pair
 from gavekit.problems import build_hat_m
+from gavekit.sparse import _abs_sums
 
 from conftest import (
     count_calls,
@@ -49,6 +50,8 @@ from conftest import (
     random_dominant,
     random_sparse,
     tridiag,
+    with_explicit_zeros,
+    with_int64_indices,
 )
 
 
@@ -194,9 +197,8 @@ class TestLu:
         assert f.nnz <= 0.6 * strict.nnz
         b = rng.uniform(-1, 1, prob.B.n_rows)
         x = f.solve(b)
-        backward = np.abs(spmv(prob.B, x) - b).max() / (
-            prob.B.inf_norm() * np.abs(x).max() + np.abs(b).max()
-        )
+        norm_b = np.abs(prob.B.to_dense()).sum(axis=1).max()
+        backward = np.abs(spmv(prob.B, x) - b).max() / (norm_b * np.abs(x).max() + np.abs(b).max())
         assert backward < 1e-13
 
     def test_threshold_pivoting_keeps_the_strict_pivots_on_the_paper_family(self):
@@ -228,6 +230,13 @@ class _NoU:
     @property
     def U(self):
         raise LookupError("U was read")
+
+
+def _pivot_inputs(X):
+    """X's column margins and infinity norm as ``lu_factorize(X.T)`` hands
+    them to ``_check_pivots``."""
+    rows, cols, diag = _abs_sums(X.transpose())
+    return np.abs(diag) - rows, float((cols + np.abs(diag)).max())
 
 
 def _column_margins(X):
@@ -270,12 +279,12 @@ class TestPivotMargin:
         cases = [Y for _, X in _paper_shifts(6) for Y in (X, X.transpose())]
         cases += [_random_column_dominant(rng, n, 0.3, 1e-3) for n in (1, 2, 7, 40)]
         for X in cases:
-            _check_pivots(_NoU(), abs(X.to_scipy()), X.inf_norm())
+            _check_pivots(_NoU(), *_pivot_inputs(X))
 
     def test_indefinite_shift_reads_u_and_keeps_its_message(self):
         X = sparse_sub(build_hat_m(5), diag_matrix(np.full(25, 2.0)))  # singular
         with pytest.raises(LookupError, match="U was read"):
-            _check_pivots(_NoU(), abs(X.to_scipy()), X.inf_norm())
+            _check_pivots(_NoU(), *_pivot_inputs(X))
         message = r"^numerically singular: pivot \d\.\d{3}e-\d+ below 1e-14 \* 6\.000e\+00$"
         with pytest.raises(SingularMatrixError, match=message):
             lu_factorize(X)
@@ -284,7 +293,7 @@ class TestPivotMargin:
         # column 0 has margin 0, column 1 a margin of 3: not proven
         X = from_dense(np.array([[1.0, 0.0], [1.0, 3.0]]))
         with pytest.raises(LookupError):
-            _check_pivots(_NoU(), abs(X.to_scipy()), X.inf_norm())
+            _check_pivots(_NoU(), *_pivot_inputs(X))
         lu_factorize(X)
 
     def test_the_solver_never_reads_u_on_the_paper_shifts(self, monkeypatch):
@@ -722,6 +731,25 @@ class TestMinSingularValue:
             assert min_singular_value(A) * inv_norm == pytest.approx(1.0, rel=1e-6)
 
 
+def _old_gershgorin(H):
+    """``_gershgorin`` with its radius taken from an assembled ``H - diag(H)``."""
+    diag = H.diagonal()
+    radius = abs(sparse_sub(H, diag_matrix(diag)).to_scipy()) @ np.ones(H.n_rows)
+    hi, lo = float(np.max(diag + radius)), float(np.min(diag - radius))
+    return lo, hi, 1e-9 * max(hi - lo, abs(hi), abs(lo)) + 1e-300
+
+
+def test_gershgorin_is_the_assembled_formula_bit_for_bit(rng):
+    cases = [X for _, X in _paper_shifts(6)]
+    for n in (1, 5, 40, 200):
+        X = random_dominant(rng, n)
+        cases += [X, hermitian_split(X)[0], with_explicit_zeros(rng, X),
+                  with_int64_indices(with_explicit_zeros(rng, X))]
+    assert len(cases) == 84
+    for X in cases:
+        assert [v.hex() for v in _gershgorin(X)] == [v.hex() for v in _old_gershgorin(X)]
+
+
 class TestSymmetricEigExtremes:
     def test_diagonal(self):
         lo, hi = symmetric_eig_extremes(diag_matrix([1.0, 2.0, 5.0]))
@@ -1047,6 +1075,23 @@ def test_non_finite_entry_raises_numerics_error(name, n, bad):
         X = SparseMatrix.from_coo(n, n, [0, 1], [1, 0], [bad, -bad])
     with pytest.raises(NumericsError, match="non-finite"):
         _ESTIMATORS.get(name, lu_factorize)(X)
+
+
+@pytest.mark.parametrize("where", ["diagonal", "off-diagonal"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("name", ["lu_factorize", "min_singular_value",
+                                  "symmetric_eig_extremes", "spectral_norm"])
+def test_non_finite_entry_on_or_off_the_diagonal_raises_numerics_error(name, bad, where):
+    # tridiag(-1, 4, -1) with a non-finite (2, 2) entry or (1, 2), (2, 1)
+    # pair; the pair's symmetry defect is 0 or NaN, which the symmetry check
+    # passes, so each call reaches the sums and the products
+    dense = tridiag(-1, 4, -1, 6).to_dense()
+    if where == "diagonal":
+        dense[2, 2] = bad
+    else:
+        dense[1, 2] = dense[2, 1] = bad
+    with pytest.raises(NumericsError, match="non-finite"):
+        {**_ESTIMATORS, "lu_factorize": lu_factorize}[name](from_dense(dense))
 
 
 @pytest.mark.parametrize("rel_tol", [np.nan, np.inf, 0.0, -1e-8])

@@ -5,6 +5,7 @@ import pathlib
 import numpy as np
 import pytest
 
+import gavekit.problems
 from gavekit import (
     Condition,
     GaveProblem,
@@ -182,6 +183,22 @@ class TestGenCertified:
         report = nms_solve(prob, build_splitting(prob.A, "picard"))
         assert report.converged
         assert np.linalg.norm(report.x - prob.known_solution) <= 1e-5
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_scale_of_r_is_its_largest_row_or_column_sum(self, monkeypatch, seed):
+        # R is scaled by 1 / max(row sums of |R|, row sums of a built |R.T|),
+        # bit for bit: each a product with ones, summed left to right
+        scaled, scale = [], gavekit.problems.sparse_scale
+        monkeypatch.setattr(gavekit.problems, "sparse_scale",
+                            lambda c, M: scaled.append((c, M)) or scale(c, M))
+        gen_certified(300, seed)
+        c, R = scaled[0]
+        r, col, _ = R.coo_arrays()
+        assert not np.any(r == col)  # strictly off-diagonal
+        ones = np.ones(300)
+        radius = max((abs(R.to_scipy()) @ ones).max(), (abs(R.transpose().to_scipy()) @ ones).max())
+        assert radius > 1.0
+        assert c.hex() == (1.0 / radius).hex()
 
     def test_nan_size_and_seed_rejected(self):
         # n < 2 and seed < 0 let NaN through to numpy

@@ -514,10 +514,9 @@ class TestTransposedFactor:
         _, prob, hat = gen_example41(12, -1.0)
         seen = []
 
-        def recording(lu, abs_a, norm_inf):
-            n = abs_a.shape[0]
-            seen.append((norm_inf, 2.0 * abs_a.diagonal() - abs_a.T @ np.ones(n)))
-            return check(lu, abs_a, norm_inf)
+        def recording(lu, margins, norm_inf):
+            seen.append((norm_inf, margins))
+            return check(lu, margins, norm_inf)
 
         def recording_splu(csc, **kwargs):
             handed.append(csc)
@@ -539,11 +538,13 @@ class TestTransposedFactor:
             for arr, of_om in ((view.indptr, OM.row_ptr), (view.indices, OM.col_idx),
                                (view.data, OM.values)):
                 assert np.shares_memory(arr, of_om)
-            # the reference: the norm and margins as computed on a CSR |OM.T|
+            # the reference: on a CSR |OM.T| less its diagonal, the largest
+            # row sum plus |x_ii| and each |x_jj| less its column's sum
             abs_t, ones = abs(OM.transpose().to_scipy()), np.ones(OM.n_rows)
-            assert norm_new == (abs_t @ ones).max()
-            want = 2.0 * abs_t.diagonal() - abs_t.T @ ones
-            np.testing.assert_array_equal(_bits(margins_new), _bits(want))
+            d = abs_t.diagonal()
+            off = abs_t - scipy.sparse.diags(d)
+            assert norm_new == ((off @ ones) + d).max()
+            np.testing.assert_array_equal(_bits(margins_new), _bits(d - off.T @ ones))
             # and SuperLU's factor of a built OM.T: OM's solve is its
             # transposed one, OM.T's its plain one
             old = pinned_splu(OM.transpose())

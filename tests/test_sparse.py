@@ -1,5 +1,7 @@
 """CSR construction, kernels, sum arithmetic, and the symmetric split."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 import scipy.sparse
@@ -22,7 +24,7 @@ from gavekit import (
     zeros,
 )
 
-from gavekit.sparse import _dia_transpose, _product
+from gavekit.sparse import _abs_sums, _dia_transpose, _product
 
 from conftest import (
     from_dense,
@@ -417,3 +419,69 @@ class TestHermitianSplit:
     def test_requires_square(self):
         with pytest.raises(DimensionError):
             hermitian_split(zeros(2, 3))
+
+
+def _abs_sums_cases(rng):
+    """(name, matrix): small matrices on which a summation order shows."""
+    def binades(shape):
+        mag = rng.uniform(1.0, 2.0, shape) * 2.0 ** rng.integers(-60, 61, shape)
+        return mag * rng.choice([-1.0, 1.0], shape) * (rng.random(shape) < 0.6)
+
+    wide = rng.uniform(-1.0, 1.0, (60, 60)) * (rng.random((60, 60)) < 0.1)
+    wide[[3, 17]] = rng.uniform(-1.0, 1.0, (2, 60))
+    wide[:, 41] = rng.uniform(-1.0, 1.0, 60)
+    yield "wide rows and a wide column", from_dense(wide)
+    yield "entries spanning 120 binades", from_dense(binades((40, 40)))
+    missing = binades((30, 30))
+    missing[np.arange(0, 30, 3), np.arange(0, 30, 3)] = 0.0
+    yield "missing diagonal entries", from_dense(missing)
+    full = from_dense(binades((30, 30)) + np.diag(rng.uniform(1.0, 2.0, 30)))
+    vals = full.values.copy()
+    on_diag = np.repeat(np.arange(30), np.diff(full.row_ptr)) == full.col_idx
+    vals[np.flatnonzero(on_diag)[::4]] = 0.0
+    vals[np.flatnonzero(~on_diag)[::5]] = 0.0
+    zeros_csr = scipy.sparse.csr_matrix((vals, full.col_idx, full.row_ptr), shape=full.shape)
+    yield "stored zeros on and off the diagonal", SparseMatrix._wrap(zeros_csr)
+    yield "int64 indices", with_int64_indices(from_dense(binades((40, 40))))
+    yield "rectangular 12 x 70", from_dense(binades((12, 70)))
+
+
+class TestAbsSums:
+    """``_abs_sums`` against sequential float sums and exact ones."""
+
+    def test_each_sum_is_the_sequential_sum_within_gamma_of_the_exact_one(self, rng):
+        inexact = unlike_pairwise = 0
+        for name, X in _abs_sums_cases(rng):
+            rows, cols, diag = _abs_sums(X)
+            np.testing.assert_array_equal(diag, X.to_dense().diagonal(), err_msg=name)
+            r, c, v = X.coo_arrays()  # row-major, ascending columns in a row
+            k = max(np.bincount(r).max(), np.bincount(c).max())  # widest row or column
+            u = Fraction(2) ** -53
+            gamma = (k - 1) * u / (1 - (k - 1) * u)
+            assert (rows.size, cols.size) == X.shape
+            row_major, col_major = np.arange(r.size), np.lexsort((r, c))
+            for sums, order, line in ((rows, row_major, r), (cols, col_major, c)):
+                keep = order[r[order] != c[order]]  # off-diagonal, in summation order
+                for i, got in enumerate(sums.tolist()):
+                    terms = np.abs(v[keep[line[keep] == i]]).tolist()
+                    seq = 0.0
+                    for t in terms:
+                        seq += t
+                    assert got.hex() == seq.hex(), (name, i)
+                    exact = sum(map(Fraction, terms), Fraction(0))
+                    assert abs(Fraction(got) - exact) <= gamma * exact, (name, i)
+                    inexact += Fraction(got) != exact
+                    unlike_pairwise += got != float(np.sum(terms))
+        # the sequential sums are not the exact ones, nor numpy's pairwise ones
+        assert inexact > 0 and unlike_pairwise > 0
+
+    def test_case_matrices_have_what_their_names_say(self, rng):
+        cases = dict(_abs_sums_cases(rng))
+        zeros_case = cases["stored zeros on and off the diagonal"]
+        r, c, v = zeros_case.coo_arrays()
+        assert np.any((v == 0.0) & (r == c)) and np.any((v == 0.0) & (r != c))
+        r, c, _ = cases["missing diagonal entries"].coo_arrays()
+        assert np.unique(r[r == c]).size < 30
+        assert cases["int64 indices"].col_idx.dtype == np.int64
+        assert cases["rectangular 12 x 70"].shape == (12, 70)
+        assert np.diff(cases["wide rows and a wide column"].row_ptr).max() == 60
