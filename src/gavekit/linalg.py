@@ -250,6 +250,12 @@ def lsqr(A, rhs, target_residual, max_iter):
     product of its last iteration, which scipy computes and never reads,
     so it makes ``iterations`` products with ``A.T`` where scipy makes
     ``iterations + 1``.
+
+    Raises
+    ------
+    NumericsError
+        If ``rhs``, a norm of the recurrence or the returned iterate is
+        non-finite. A non-finite entry of ``A`` raises at iteration 0.
     """
     if not target_residual >= 0:
         raise ParameterError("target_residual must be nonnegative")
@@ -321,6 +327,8 @@ def _lsqr_run(S, ST, b, bnorm, btol, iter_lim):
     u = b * (1 / bnorm)
     v = _product(ST, u)
     alfa = sqrt(v @ v)
+    if not isfinite(alfa):  # NaN would fail every stop test for the whole budget
+        raise NumericsError("non-finite value in lsqr at iteration 0")
     if alfa > 0:
         v *= 1 / alfa
     x = np.zeros(S.shape[1])
@@ -334,6 +342,8 @@ def _lsqr_run(S, ST, b, bnorm, btol, iter_lim):
         u *= alfa  # u = S v - alfa u
         np.subtract(_product(S, v, sv), u, out=u)
         beta = sqrt(u @ u)
+        if not isfinite(beta):
+            raise NumericsError(f"non-finite value in lsqr at iteration {itn}")
         cs, sn, rho = _sym_ortho(rhobar, beta)
         phi, phibar = cs * phibar, sn * phibar
         rnorm = sqrt(phibar**2)  # not abs(phibar): they differ on underflow
@@ -348,6 +358,8 @@ def _lsqr_run(S, ST, b, bnorm, btol, iter_lim):
             v *= beta  # v = S.T u - beta v
             np.subtract(_product(ST, u, tmp), v, out=v)
             alfa = sqrt(v @ v)
+            if not isfinite(alfa):
+                raise NumericsError(f"non-finite value in lsqr at iteration {itn}")
             if alfa > 0:
                 v *= 1 / alfa
         theta = sn * alfa
@@ -412,6 +424,8 @@ def _top_ritz_pair(alphas, betas):
     return w[0], z[-1, 0]
 
 
+# a non-finite w makes beta non-finite, which is tested; the arithmetic before runs silently
+@np.errstate(invalid="ignore", over="ignore")
 def _lanczos_top(apply, n, rel_tol, what, finish):
     """``finish`` of the largest eigenvalue of a symmetric PSD operator.
 
@@ -444,10 +458,6 @@ def _lanczos_top(apply, n, rel_tol, what, finish):
         w = apply(v)
         w -= np.multiply(beta, v_prev, out=work)
         alpha = float(w @ v)
-        # a non-finite entry of w makes w @ v non-finite; the test comes
-        # before w -= alpha * v, where inf - inf would warn
-        if not isfinite(alpha):
-            raise NumericsError(f"non-finite value in {what}")
         w -= np.multiply(alpha, v, out=work)
         beta = sqrt(float(w @ w))  # what np.linalg.norm computes for a 1-D float array
         if not isfinite(beta):

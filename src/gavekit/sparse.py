@@ -159,9 +159,6 @@ class SparseMatrix:
             object.__setattr__(self, "_forms", forms)
         return self._forms
 
-    def to_dense(self):
-        return self._csr.toarray()
-
     def diagonal(self):
         return self._csr.diagonal()
 

@@ -14,8 +14,7 @@ strict lower triangle of A, ``M = c_d D - c_l L``, where ``(c_d, c_l)`` is
 beta/alpha) for naor; writing naor's ``(1/alpha)(D - beta L)`` this way
 makes beta == alpha the nsor matrices bit for bit. M and N hold the
 entries of A's pattern that are not exactly zero, as a sparse difference
-would keep them, except that nj's M is D itself and keeps any zero A
-stores on its diagonal.
+would keep them.
 """
 
 from __future__ import annotations
@@ -227,13 +226,7 @@ def _triangular_splitting(A, kind):
     if c_l:
         lower = rows > cols
         m[lower] = c_l * a[lower]
-    N = _on_pattern(A, m - a)
-    if name == "nj":  # D itself, stored zeros included; one entry per row at most
-        d = rows[diag]
-        csr = (a[diag], d, np.searchsorted(d, np.arange(n + 1)))
-        M = SparseMatrix._wrap(scipy.sparse.csr_matrix(csr, shape=A.shape))
-    else:
-        M = _on_pattern(A, m)
+    N, M = _on_pattern(A, m - a), _on_pattern(A, m)  # M takes m over, so last
     warnings = (
         f"naor parameters alpha={kind.alpha:g}, beta={kind.beta:g} are "
         "outside the conventional ranges alpha in (0,2), beta in [0,alpha]",

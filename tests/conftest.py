@@ -13,6 +13,11 @@ def from_dense(arr):
     return SparseMatrix._wrap(scipy.sparse.csr_matrix(np.asarray(arr, dtype=float)))
 
 
+def dense(A):
+    """The dense 2-D array of a SparseMatrix."""
+    return A.to_scipy().toarray()
+
+
 def random_sparse(rng, n_rows, n_cols=None, density=0.3):
     """Random sparse matrix with uniform[-1, 1] entries."""
     if n_cols is None:

@@ -35,7 +35,7 @@ from gavekit import (
 )
 from gavekit.solver import expand_x0
 
-from conftest import from_dense, random_dominant, random_sparse
+from conftest import dense, from_dense, random_dominant, random_sparse
 
 
 def _report(name, ok, detail=""):
@@ -272,22 +272,22 @@ def test_criterion_8_certificate_oracle_suite():
         om = sparse_scale(w, identity(n))
         theta = float(rng.uniform(0.0, 0.8))
         cert = check_inexact(A, B, splitting.M, splitting.N, om, theta)
-        dense = {
+        reference = {
             "norm(Omega+M)": np.linalg.svd(
-                om.to_dense() + splitting.M.to_dense(), compute_uv=False
+                dense(om) + dense(splitting.M), compute_uv=False
             )[0],
             "norm(Omega+N)": np.linalg.svd(
-                om.to_dense() + splitting.N.to_dense(), compute_uv=False
+                dense(om) + dense(splitting.N), compute_uv=False
             )[0],
-            "norm(B)": np.linalg.svd(B.to_dense(), compute_uv=False)[0],
+            "norm(B)": np.linalg.svd(dense(B), compute_uv=False)[0],
             "norm((Omega+M)^-1)": 1.0
             / np.linalg.svd(
-                om.to_dense() + splitting.M.to_dense(), compute_uv=False
+                dense(om) + dense(splitting.M), compute_uv=False
             )[-1],
         }
         for label, value, _ in cert.norm_details:
-            if label in dense:
-                worst_norm = max(worst_norm, abs(value - dense[label]) / dense[label])
+            if label in reference:
+                worst_norm = max(worst_norm, abs(value - reference[label]) / reference[label])
 
         # --- closed-form identities for the scalar shift
         r = rng.uniform(-1, 1, (n, n))
@@ -386,7 +386,7 @@ def test_criterion_10_single_step_equivalences():
         b = rng.uniform(-1, 1, n)
         x0 = rng.uniform(-1, 1, n)
         prob = GaveProblem(A=A, B=B, b=b)
-        Ad, Bd = A.to_dense(), B.to_dense()
+        Ad, Bd = dense(A), dense(B)
 
         got = one_step(prob, build_splitting(A, "picard"), None, x0)
         want = np.linalg.solve(Ad, Bd @ np.abs(x0) + b)
@@ -443,9 +443,9 @@ def test_rate_is_the_spectral_radius_where_no_certificate_holds(mu, scale, kind,
     assert report.converged and np.abs(report.x).min() > 0.0
     r = report.res_history
     rate = (r[-1] / r[-11]) ** 0.1  # geometric mean of the last 10 residual ratios
-    Od = omega.to_dense()
-    J = np.linalg.solve(Od + s.M.to_dense(),
-                        Od + s.N.to_dense() + prob.B.to_dense() * np.sign(report.x))
+    Od = dense(omega)
+    J = np.linalg.solve(Od + dense(s.M),
+                        Od + dense(s.N) + dense(prob.B) * np.sign(report.x))
     rho = np.abs(np.linalg.eigvals(J)).max()
     assert rho < 1.0
     assert abs(rate - rho) <= 0.03

@@ -34,7 +34,7 @@ from gavekit import (
 from gavekit import bench as bench_module
 from gavekit.bench import ExperimentSpec, MethodSpec, build_method, method_spec, run_method
 
-from conftest import count_calls
+from conftest import count_calls, dense
 
 SPEC_TEXT = """
 # exercise the example41 generator
@@ -346,7 +346,7 @@ class TestResolveOmegaToken:
         write_matrix_market(tmp_path / "omega.mtx", sparse_scale(2.0, identity(3)))
         method = method_spec("nj", {"omega": f"file:{tmp_path / 'omega.mtx'}"})
         assert isinstance(method.omega, SparseMatrix)
-        np.testing.assert_array_equal(method.omega.to_dense(), 2.0 * np.eye(3))
+        np.testing.assert_array_equal(dense(method.omega), 2.0 * np.eye(3))
         assert method.omega_tag == f"file:{tmp_path / 'omega.mtx'}"
 
     def test_file_shift_is_read_once(self, tmp_path, monkeypatch):

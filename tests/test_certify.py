@@ -31,6 +31,7 @@ from gavekit import (
 
 from conftest import (
     count_calls,
+    dense,
     from_dense,
     random_dominant,
     random_sparse,
@@ -40,7 +41,7 @@ from conftest import (
 
 
 def _dense_norm(X):
-    return np.linalg.svd(X.to_dense(), compute_uv=False)[0]
+    return np.linalg.svd(dense(X), compute_uv=False)[0]
 
 
 def _pd_with_skew(rng, n, margin=1.0):
@@ -317,13 +318,13 @@ class TestCheckScalarOmega:
             A = _pd_with_skew(rng, n)
             H, S = hermitian_split(A)
             w = float(rng.uniform(0.2, 4.0))
-            lam = np.linalg.eigvalsh(H.to_dense())
-            mu_max = np.abs(np.linalg.eigvals(S.to_dense())).max()
-            shifted = from_dense(w * np.eye(n) + H.to_dense())
+            lam = np.linalg.eigvalsh(dense(H))
+            mu_max = np.abs(np.linalg.eigvals(dense(S))).max()
+            shifted = from_dense(w * np.eye(n) + dense(H))
             assert 1.0 / min_singular_value(shifted) == pytest.approx(
                 1.0 / (w + lam[0]), rel=1e-10
             )
-            wIS = from_dense(w * np.eye(n) - S.to_dense())
+            wIS = from_dense(w * np.eye(n) - dense(S))
             assert spectral_norm(wIS, rel_tol=1e-12) == pytest.approx(
                 np.sqrt(w * w + mu_max * mu_max), rel=1e-9
             )
@@ -536,7 +537,7 @@ class TestNormOracles:
         cert = evaluate([condition], A=A, B=B, M=s.M, N=s.N, omega=om, theta=0.3,
                         gamma=1.2, omega_scalar=1.5)[0]
         lhs, rhs = _dense_sides(
-            condition, *(X.to_dense() for X in (A, B, s.M, s.N, om)), 0.3, 1.2, 1.5
+            condition, *(dense(X) for X in (A, B, s.M, s.N, om)), 0.3, 1.2, 1.5
         )
         assert cert.lhs == pytest.approx(lhs, rel=1e-9)
         assert cert.rhs == pytest.approx(rhs, rel=1e-9)
@@ -551,7 +552,7 @@ class TestNormOracles:
             om = scaled_identity(n, float(rng.uniform(0.0, 1.0)))
             cert = check_inexact(A, B, s.M, s.N, om, 0.3)
             dense_lhs = 1.0 / np.linalg.svd(
-                (om.to_dense() + s.M.to_dense()), compute_uv=False
+                (dense(om) + dense(s.M)), compute_uv=False
             ).min()
             assert cert.lhs == pytest.approx(dense_lhs, rel=1e-6)
             labels = {d[0]: d[1] for d in cert.norm_details}
@@ -569,11 +570,11 @@ class TestNormOracles:
             om = scaled_identity(n, float(rng.uniform(0.0, 1.0)))
             theta = float(rng.uniform(0.0, 0.7))
             cert = check_inexact(A, B, s.M, s.N, om, theta)
-            om_d = om.to_dense()
-            n_om = np.linalg.svd(om_d + s.M.to_dense(), compute_uv=False)[0]
-            n_on = np.linalg.svd(om_d + s.N.to_dense(), compute_uv=False)[0]
+            om_d = dense(om)
+            n_om = np.linalg.svd(om_d + dense(s.M), compute_uv=False)[0]
+            n_on = np.linalg.svd(om_d + dense(s.N), compute_uv=False)[0]
             n_b = _dense_norm(B)
-            lhs = 1.0 / np.linalg.svd(om_d + s.M.to_dense(), compute_uv=False)[-1]
+            lhs = 1.0 / np.linalg.svd(om_d + dense(s.M), compute_uv=False)[-1]
             rhs = 1.0 / (theta * (n_om + n_on + n_b) + n_on + n_b)
             if abs(lhs - rhs) > 1e-4 * (abs(lhs) + abs(rhs)):
                 assert cert.holds == (lhs < rhs)
@@ -592,7 +593,7 @@ def _example41_case(m, mu, scale):
     s = build_splitting(p.A, "ngs")
     om = sparse_scale(scale, hat)
     svals = {
-        label: np.linalg.svd(X.to_dense(), compute_uv=False)
+        label: np.linalg.svd(dense(X), compute_uv=False)
         for label, X in (("Omega+M", sparse_add(om, s.M)), ("Omega+N", sparse_add(om, s.N)),
                          ("A", p.A), ("B", p.B))
     }

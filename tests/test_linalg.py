@@ -2,6 +2,7 @@
 
 import functools
 import inspect
+import warnings
 
 import numpy as np
 import pytest
@@ -45,6 +46,7 @@ from gavekit.sparse import _abs_sums
 from conftest import (
     count_calls,
     count_products,
+    dense,
     from_dense,
     pinned_splu,
     random_dominant,
@@ -102,7 +104,7 @@ class TestLu:
         A = random_dominant(rng, 12)
         b = rng.uniform(-1, 1, 12)
         x = lu_factorize(A).solve(b, transpose=True)
-        np.testing.assert_allclose(A.to_dense().T @ x, b, atol=1e-11)
+        np.testing.assert_allclose(dense(A).T @ x, b, atol=1e-11)
 
     def test_nonsymmetric_solves_match_numpy(self, rng):
         # neither A nor A.T is diagonally dominant, so SuperLU pivots off
@@ -197,7 +199,7 @@ class TestLu:
         assert f.nnz <= 0.6 * strict.nnz
         b = rng.uniform(-1, 1, prob.B.n_rows)
         x = f.solve(b)
-        norm_b = np.abs(prob.B.to_dense()).sum(axis=1).max()
+        norm_b = np.abs(dense(prob.B)).sum(axis=1).max()
         backward = np.abs(spmv(prob.B, x) - b).max() / (norm_b * np.abs(x).max() + np.abs(b).max())
         assert backward < 1e-13
 
@@ -389,8 +391,8 @@ class TestLsqr:
         # residual, so the solve must end at the minimizer and say it stalled
         A = random_sparse(rng, 60, 25, density=0.4)
         b = rng.uniform(-1, 1, 60)
-        ref = np.linalg.lstsq(A.to_dense(), b, rcond=None)[0]
-        floor = np.linalg.norm(A.to_dense() @ ref - b)
+        ref = np.linalg.lstsq(dense(A), b, rcond=None)[0]
+        floor = np.linalg.norm(dense(A) @ ref - b)
         out = lsqr(A, b, 0.5 * floor, 500)
         np.testing.assert_allclose(out.x, ref, rtol=0, atol=1e-8)
         assert out.stop_reason == "stagnation"
@@ -408,6 +410,19 @@ class TestLsqr:
         assert calls.count((A, False)) - out.iterations == 1
         assert not np.shares_memory(out.x, b)
         np.testing.assert_array_equal(b, b_before)
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_matrix_raises_at_iteration_zero(self, monkeypatch, bad):
+        full = dense(tridiag(-1, 4, -1, 100))
+        full[3, 3] = bad
+        A = from_dense(full)
+        b = np.linspace(-1.0, 1.0, 100)
+        calls = count_products(monkeypatch)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericsError, match="non-finite value in lsqr at iteration 0"):
+                lsqr(A, b, 1e-10, 1000)
+        assert len(calls) <= 2
 
     def test_adjoint_on_cached_transpose_is_bit_identical(self, monkeypatch):
         # products on the cached forms, DIA here, against the CSR matrix and
@@ -453,8 +468,8 @@ class TestLsqr:
         if case == "rectangular":  # the system of test_rectangular_least_squares
             A = random_sparse(rng, 60, 25, density=0.4)
             b = rng.uniform(-1, 1, 60)
-            ref = np.linalg.lstsq(A.to_dense(), b, rcond=None)[0]
-            target = 0.5 * np.linalg.norm(A.to_dense() @ ref - b)
+            ref = np.linalg.lstsq(dense(A), b, rcond=None)[0]
+            target = 0.5 * np.linalg.norm(dense(A) @ ref - b)
             return (A, b, target, 500)
         if case == "identity":
             return (identity(3), np.array([1.0, 2.0, -3.0]), 0.0, 10)
@@ -546,7 +561,7 @@ class TestSpectralNorm:
     def test_matches_dense_svd(self, rng):
         for _ in range(15):
             A = random_sparse(rng, 30, 30, density=0.6)
-            want = np.linalg.svd(A.to_dense(), compute_uv=False)[0]
+            want = np.linalg.svd(dense(A), compute_uv=False)[0]
             assert spectral_norm(A, rel_tol=1e-10) == pytest.approx(want, rel=1e-7)
 
     def test_dominates_rayleigh_quotients(self, rng):
@@ -674,8 +689,8 @@ class TestMinSingularValue:
 
     def test_dense_and_iterative_paths_agree(self, rng):
         A = random_dominant(rng, 100)
-        dense = np.linalg.svd(A.to_dense(), compute_uv=False)[-1]
-        assert min_singular_value(A) == pytest.approx(dense, rel=1e-6)
+        want = np.linalg.svd(dense(A), compute_uv=False)[-1]
+        assert min_singular_value(A) == pytest.approx(want, rel=1e-6)
 
     def test_singular_raises(self):
         A = from_dense(np.array([[1.0, 2.0], [2.0, 4.0]]))
@@ -703,10 +718,10 @@ class TestMinSingularValue:
 
     def test_singular_symmetric_psd_above_cutoff_raises(self):
         # the path-graph Laplacian: Gershgorin lo = 0, so the shift is 0
-        dense = tridiag(-1, 2, -1, 600).to_dense()
-        dense[0, 0] = dense[-1, -1] = 1.0
+        full = dense(tridiag(-1, 2, -1, 600))
+        full[0, 0] = full[-1, -1] = 1.0
         with pytest.raises(SingularMatrixError):
-            min_singular_value(from_dense(dense))
+            min_singular_value(from_dense(full))
 
     @pytest.mark.parametrize("d", [
         np.linspace(1.0, 2.0, 600),
@@ -819,7 +834,7 @@ def _nj_example41(m, mu):
     for scale in (1.0, 1.5):
         s = build_splitting(p.A, "nj", OmegaSpec.scaled(scale, hat))
         mats[f"Omega+M ({scale} hatM)"] = sparse_add(s.omega, s.M)
-    return {name: (X, np.linalg.svd(X.to_dense(), compute_uv=False)[-1])
+    return {name: (X, np.linalg.svd(dense(X), compute_uv=False)[-1])
             for name, X in mats.items()}
 
 
@@ -882,7 +897,7 @@ def _certified_example41(m, mu):
     s = build_splitting(p.A, "ngs", OmegaSpec.scaled(1.0, hat))
     mats = {"A": p.A, "B": p.B, "Omega+M": sparse_add(s.omega, s.M),
             "Omega+N": sparse_add(s.omega, s.N)}
-    return {name: (X, np.linalg.svd(X.to_dense(), compute_uv=False))
+    return {name: (X, np.linalg.svd(dense(X), compute_uv=False))
             for name, X in mats.items()}
 
 
@@ -901,7 +916,7 @@ class TestEstimatorsOnExample41:
 
     def test_symmetric_eig_extremes(self, m, mu):
         H, _ = hermitian_split(gen_example41(m, mu)[1].A)
-        eigs = np.linalg.eigvalsh(H.to_dense())
+        eigs = np.linalg.eigvalsh(dense(H))
         lo, hi = symmetric_eig_extremes(H)
         assert lo == pytest.approx(eigs[0], rel=1e-8)
         assert hi == pytest.approx(eigs[-1], rel=1e-8)
@@ -944,9 +959,9 @@ def _small_order_case(case):
     out = []
     for X in mats:
         H, S = hermitian_split(X)
-        out.append((X, np.linalg.svd(X.to_dense(), compute_uv=False),
-                    np.linalg.eigvalsh(H.to_dense()),
-                    np.linalg.svd(S.to_dense(), compute_uv=False), H, S))
+        out.append((X, np.linalg.svd(dense(X), compute_uv=False),
+                    np.linalg.eigvalsh(dense(H)),
+                    np.linalg.svd(dense(S), compute_uv=False), H, S))
     return out
 
 
@@ -1045,7 +1060,7 @@ class TestSkewSpectralRadius:
         for _ in range(10):
             r = rng.uniform(-1, 1, (30, 30))
             S = from_dense((r - r.T) / 2)
-            want = np.abs(np.linalg.eigvals(S.to_dense())).max()
+            want = np.abs(np.linalg.eigvals(dense(S))).max()
             got = spectral_norm(S, rel_tol=1e-12)
             assert got == pytest.approx(want, rel=1e-8)
 
@@ -1085,13 +1100,13 @@ def test_non_finite_entry_on_or_off_the_diagonal_raises_numerics_error(name, bad
     # tridiag(-1, 4, -1) with a non-finite (2, 2) entry or (1, 2), (2, 1)
     # pair; the pair's symmetry defect is 0 or NaN, which the symmetry check
     # passes, so each call reaches the sums and the products
-    dense = tridiag(-1, 4, -1, 6).to_dense()
+    full = dense(tridiag(-1, 4, -1, 6))
     if where == "diagonal":
-        dense[2, 2] = bad
+        full[2, 2] = bad
     else:
-        dense[1, 2] = dense[2, 1] = bad
+        full[1, 2] = full[2, 1] = bad
     with pytest.raises(NumericsError, match="non-finite"):
-        {**_ESTIMATORS, "lu_factorize": lu_factorize}[name](from_dense(dense))
+        {**_ESTIMATORS, "lu_factorize": lu_factorize}[name](from_dense(full))
 
 
 @pytest.mark.parametrize("rel_tol", [np.nan, np.inf, 0.0, -1e-8])

@@ -20,7 +20,7 @@ from gavekit import (
 from gavekit.mmio import _CHUNK
 from gavekit.problems import gen_certified, gen_example41, load_problem, save_problem
 
-from conftest import random_sparse
+from conftest import dense, random_sparse
 
 _HEAD = "%%MatrixMarket matrix coordinate real general\n"
 _MM = _HEAD + "2 2 1\n"
@@ -98,7 +98,7 @@ def test_reads_comments_and_blank_lines(tmp_path):
         "2 1 -4.0\n"
     )
     A = read_matrix_market(path)
-    assert A.to_dense()[1, 0] == -4.0
+    assert dense(A)[1, 0] == -4.0
 
 
 def test_vector_round_trip_bit_exact(tmp_path, rng):
@@ -300,7 +300,7 @@ def test_one_entry_bodies_read_as_one_entry(tmp_path):
     path = tmp_path / "a.mtx"
     path.write_text(_MM + "2 1 -4.0\n")
     A = read_matrix_market(path)
-    assert A.nnz == 1 and A.to_dense()[1, 0] == -4.0
+    assert A.nnz == 1 and dense(A)[1, 0] == -4.0
     (tmp_path / "v.txt").write_text("-4.0\n")
     np.testing.assert_array_equal(read_vector(tmp_path / "v.txt"), [-4.0])
 

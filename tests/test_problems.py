@@ -29,7 +29,7 @@ from gavekit import (
 )
 from gavekit.problems import build_hat_m, check_grid_size, lcp_to_gave
 
-from conftest import from_dense
+from conftest import dense, from_dense
 
 
 def _dense_hat_m(m):
@@ -49,14 +49,14 @@ class TestBlockMatrix:
                 [0.0, -1.0, -1.0, 4.0],
             ]
         )
-        np.testing.assert_array_equal(hat.to_dense(), want)
+        np.testing.assert_array_equal(dense(hat), want)
 
     def test_structure(self):
         m = 7
         _, _, hat = gen_example41(m, 4.0)
-        dense = hat.to_dense()
-        np.testing.assert_array_equal(dense, dense.T)
-        assert dense.sum(axis=1).min() >= 0.0
+        full = dense(hat)
+        np.testing.assert_array_equal(full, full.T)
+        assert full.sum(axis=1).min() >= 0.0
         rows, cols, _ = hat.coo_arrays()
         offsets = np.unique(np.abs(rows - cols))
         np.testing.assert_array_equal(offsets, [0, 1, m])
@@ -64,9 +64,9 @@ class TestBlockMatrix:
     def test_interior_row_dominance_margin(self):
         m, mu = 6, 4.0
         lcp, _, _ = gen_example41(m, mu)
-        dense = lcp.M.to_dense()
+        full = dense(lcp.M)
         interior = m * (m // 2) + m // 2  # a row with all four neighbors
-        row = dense[interior]
+        row = full[interior]
         assert row[interior] - np.abs(np.delete(row, interior)).sum() == pytest.approx(mu)
 
     def test_m_too_small(self):
@@ -96,10 +96,10 @@ class TestExample41:
         lcp, prob, hat = gen_example41(3, 4.0)
         n = 9
         np.testing.assert_array_equal(
-            prob.A.to_dense(), lcp.M.to_dense() + np.eye(n)
+            dense(prob.A), dense(lcp.M) + np.eye(n)
         )
         np.testing.assert_array_equal(
-            prob.B.to_dense(), lcp.M.to_dense() - np.eye(n)
+            dense(prob.B), dense(lcp.M) - np.eye(n)
         )
         np.testing.assert_array_equal(prob.b, lcp.q)
 
@@ -236,9 +236,9 @@ class TestProblemValidation:
     def test_non_finite_data_with_known_solution(self, bad):
         # defect > bound is False for a NaN defect, which let such data through
         _, prob, _ = gen_example41(4, 4.0)
-        dense = prob.A.to_dense()
-        dense[0, 0] = bad
-        A = from_dense(dense)
+        full = dense(prob.A)
+        full[0, 0] = bad
+        A = from_dense(full)
         with pytest.raises(NumericsError, match="^non-finite known_solution residual"):
             GaveProblem(A=A, B=prob.B, b=prob.b, known_solution=prob.known_solution)
         with pytest.raises(NumericsError, match="^non-finite known_solution residual"):

@@ -1,5 +1,6 @@
 """Outer iterations: residuals, schedules, exact and inexact solves."""
 
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -20,6 +21,7 @@ from gavekit import (
     SplittingKind,
     ThetaSchedule,
     build_splitting,
+    diag_matrix,
     gen_example41,
     identity,
     inms_solve,
@@ -38,6 +40,7 @@ from gavekit.solver import expand_x0
 
 from conftest import (
     count_products,
+    dense,
     from_dense,
     pinned_splu,
     random_dominant,
@@ -398,10 +401,10 @@ class TestCorrectionForm:
         cases = _paper_step_cases(rng)
         assert len({c[1].kind.name for c in cases}) == 9
         for prob, s, om, x0 in cases:
-            omega = s.shift(om).to_dense()
-            OM = omega + s.M.to_dense()
-            ON = omega + s.N.to_dense()
-            c = ON @ x0 + prob.B.to_dense() @ np.abs(x0) + prob.b
+            omega = dense(s.shift(om))
+            OM = omega + dense(s.M)
+            ON = omega + dense(s.N)
+            c = ON @ x0 + dense(prob.B) @ np.abs(x0) + prob.b
             want = np.linalg.solve(OM, c)
             config = SolverConfig(
                 inner=inner,
@@ -474,6 +477,22 @@ class TestCorrectionForm:
         (om,) = {matrix for matrix, _ in steps}  # Omega+M alone is left; no spmv
         assert steps == {(om, False): int(inner.sum()) + it, (om, True): int(inner.sum())}
 
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_shift_stops_lsqr_at_once(self, monkeypatch, bad):
+        # every LSQR stop test compares against NaN here, so without the
+        # norms' finiteness test the step would spend all max_inner iterations
+        _, prob, _ = gen_example41(24, 4.0)
+        s = build_splitting(prob.A, "ngs")
+        d = np.ones(prob.n)
+        d[3] = bad
+        calls = count_products(monkeypatch)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericsError, match="non-finite value in lsqr"):
+                inms_solve(prob, s, diag_matrix(d), SolverConfig(inner="lsqr", max_inner=1000))
+        om = [key for key in calls if key[0] is not prob.A and key[0] is not prob.B]
+        assert len(om) <= 2  # F(x_0) costs one product each with A and B
+
 
 def _bits(y):
     return y.view(np.uint64)
@@ -504,7 +523,7 @@ class TestTransposedFactor:
         # Omega + M itself, with no keyword: lu_factorize alone knows it
         # factors the transpose
         [((X,), kwargs)] = factored
-        np.testing.assert_array_equal(X.to_dense(), sparse_add(s.shift(om), s.M).to_dense())
+        np.testing.assert_array_equal(dense(X), dense(sparse_add(s.shift(om), s.M)))
         assert kwargs == {}
         assert solves == [(1, {})] * report.iterations  # solve(F)
 
@@ -663,7 +682,7 @@ class TestSingleStepEquivalences:
         b = rng.uniform(-1, 1, n)
         x0 = rng.uniform(-1, 1, n)
         prob = GaveProblem(A=A, B=B, b=b)
-        return prob, A.to_dense(), B.to_dense(), b, x0
+        return prob, dense(A), dense(B), b, x0
 
     def _one_step(self, prob, splitting, omega, x0):
         config = SolverConfig(x0=x0, k_max=1, tol=1e-300)
@@ -715,6 +734,6 @@ class TestSingleStepEquivalences:
                 prob, build_splitting(A, SplittingKind("drs", gamma=gamma)), None, x0
             )
             want = (1 - gamma / 2) * x0 + (gamma / 2) * np.linalg.solve(
-                A.to_dense(), np.abs(x0) + b
+                dense(A), np.abs(x0) + b
             )
             np.testing.assert_allclose(got, want, atol=1e-10)

@@ -27,6 +27,7 @@ from gavekit import (
 from gavekit.sparse import _abs_sums, _dia_transpose, _product
 
 from conftest import (
+    dense,
     from_dense,
     random_dominant,
     random_sparse,
@@ -51,7 +52,7 @@ class TestConstruction:
         cols += 1
         vals *= 2.0
         np.testing.assert_array_equal(A.col_idx, S.indices)
-        np.testing.assert_array_equal(A.to_dense()[rows, cols - 1], vals / 2.0)
+        np.testing.assert_array_equal(dense(A)[rows, cols - 1], vals / 2.0)
 
     def test_constructor_always_validates(self):
         # from_coo is the one way in from outside data, and no flag lets it
@@ -96,7 +97,7 @@ class TestConstruction:
         for rows in ([1.0, 0.0], np.array([1, 0], dtype=np.int32),
                      np.array([1, 0], dtype=np.uint64)):
             A = SparseMatrix.from_coo(2, 2, rows, [0, 1], [1.0, 2.0])
-            np.testing.assert_array_equal(A.to_dense(), want)
+            np.testing.assert_array_equal(dense(A), want)
 
     def test_immutable(self):
         A = identity(3)
@@ -109,7 +110,7 @@ class TestConstruction:
         for _ in range(10):
             A = random_sparse(rng, 7, 9)
             np.testing.assert_array_equal(
-                from_dense(A.to_dense()).to_dense(), A.to_dense()
+                dense(from_dense(dense(A))), dense(A)
             )
 
 
@@ -134,7 +135,7 @@ class TestSpmv:
         for _ in range(20):
             A = random_sparse(rng, 12, 8)
             x = rng.uniform(-1, 1, 8)
-            np.testing.assert_allclose(spmv(A, x), A.to_dense() @ x, rtol=1e-13)
+            np.testing.assert_allclose(spmv(A, x), dense(A) @ x, rtol=1e-13)
 
 
 class TestSpmvTranspose:
@@ -167,7 +168,7 @@ class TestSpmvTranspose:
         # products on the CSR transpose equal the CSC view's bit for bit
         A = random_sparse(rng, 30, 17)
         AT = A.transpose().to_scipy()
-        np.testing.assert_array_equal(AT.toarray(), A.to_dense().T)
+        np.testing.assert_array_equal(AT.toarray(), dense(A).T)
         for y in (rng.uniform(-1, 1, 30), rng.standard_normal(30) * 1e3):
             np.testing.assert_array_equal(_bits(AT @ y), _bits(A.to_scipy().T @ y))
 
@@ -215,8 +216,8 @@ class TestProductForm:
             assert form.format == form_t.format == "dia", name
             for f in (form, form_t):  # ascending offsets give CSR's summation order
                 assert (np.diff(f.offsets) > 0).all(), name
-            np.testing.assert_array_equal(form.toarray(), A.to_dense())
-            np.testing.assert_array_equal(form_t.toarray(), A.to_dense().T)
+            np.testing.assert_array_equal(form.toarray(), dense(A))
+            np.testing.assert_array_equal(form_t.toarray(), dense(A).T)
             self._assert_bitwise(rng, A)
 
     def test_padded_and_stored_zeros(self, rng):
@@ -253,7 +254,7 @@ class TestProductForm:
         A = make(rng)
         form, form_t = A.product_forms()
         assert form is A.to_scipy() and form_t.format == "csr"
-        np.testing.assert_array_equal(form_t.toarray(), A.to_dense().T)
+        np.testing.assert_array_equal(form_t.toarray(), dense(A).T)
         if A.nnz:
             self._assert_bitwise(rng, A)
 
@@ -329,7 +330,7 @@ class TestProduct:
             assert (ST is S) == equal, name
             if equal:
                 shared.add(name)
-            np.testing.assert_array_equal(ST.toarray(), A.to_dense().T, err_msg=name)
+            np.testing.assert_array_equal(ST.toarray(), dense(A).T, err_msg=name)
         assert shared == {"A", "B", "hatM", "nj Omega+M", "nj Omega+N"}
 
 
@@ -341,11 +342,11 @@ class TestAddSubScale:
             # stored zeros in one operand, exact cancellation against -A
             Z = with_explicit_zeros(rng, A)
             for X, Y in ((A, B), (Z, sparse_scale(-1.0, A))):
-                for out, dense in (
-                    (sparse_add(X, Y), X.to_dense() + Y.to_dense()),
-                    (sparse_sub(X, Y), X.to_dense() - Y.to_dense()),
+                for out, want in (
+                    (sparse_add(X, Y), dense(X) + dense(Y)),
+                    (sparse_sub(X, Y), dense(X) - dense(Y)),
                 ):
-                    np.testing.assert_array_equal(out.to_dense(), dense)
+                    np.testing.assert_array_equal(dense(out), want)
                     assert np.all(out.values != 0.0)
 
     def test_int64_operands_give_int32_indices(self, rng):
@@ -354,14 +355,14 @@ class TestAddSubScale:
         # is what numpy's allocator hands that sum next, tail and all
         A = with_int64_indices(random_sparse(rng, 9, 9))
         for B in (with_int64_indices(sparse_scale(-1.0, A)), random_sparse(rng, 9, 9)):
-            for op, dense in ((sparse_add, A.to_dense() + B.to_dense()),
-                              (sparse_sub, A.to_dense() - B.to_dense())):
+            for op, want in ((sparse_add, dense(A) + dense(B)),
+                              (sparse_sub, dense(A) - dense(B))):
                 for _ in range(5):
                     junk = np.full(A.nnz + B.nnz, 2**40, dtype=np.int64)
                     del junk
                     out = op(A, B)
                     assert out.row_ptr.dtype == out.col_idx.dtype == np.int32
-                    np.testing.assert_array_equal(out.to_dense(), dense)
+                    np.testing.assert_array_equal(dense(out), want)
 
     def test_cancellation_stores_no_zero(self):
         A = SparseMatrix.from_coo(2, 2, [0], [0], [5.0])
@@ -389,20 +390,20 @@ class TestHermitianSplit:
     def test_symmetric_input(self):
         A = tridiag(-1, 4, -1, 4)
         H, S = hermitian_split(A)
-        np.testing.assert_array_equal(H.to_dense(), A.to_dense())
-        np.testing.assert_array_equal(S.to_dense(), np.zeros((4, 4)))
+        np.testing.assert_array_equal(dense(H), dense(A))
+        np.testing.assert_array_equal(dense(S), np.zeros((4, 4)))
 
     def test_antisymmetric_input(self):
         A = from_dense(np.array([[0.0, 2.0], [-2.0, 0.0]]))
         H, S = hermitian_split(A)
-        np.testing.assert_array_equal(H.to_dense(), np.zeros((2, 2)))
-        np.testing.assert_array_equal(S.to_dense(), A.to_dense())
+        np.testing.assert_array_equal(dense(H), np.zeros((2, 2)))
+        np.testing.assert_array_equal(dense(S), dense(A))
 
     def test_hand_value(self):
         A = from_dense(np.array([[1.0, 2.0], [0.0, 1.0]]))
         H, S = hermitian_split(A)
-        np.testing.assert_array_equal(H.to_dense(), [[1.0, 1.0], [1.0, 1.0]])
-        np.testing.assert_array_equal(S.to_dense(), [[0.0, 1.0], [-1.0, 0.0]])
+        np.testing.assert_array_equal(dense(H), [[1.0, 1.0], [1.0, 1.0]])
+        np.testing.assert_array_equal(dense(S), [[0.0, 1.0], [-1.0, 0.0]])
 
     def test_recombination_is_exact(self, rng):
         # uniform(-1, 1) draws are multiples of 2**-52, so every sum, difference
@@ -411,10 +412,10 @@ class TestHermitianSplit:
             A = random_sparse(rng, 15, 15)
             H, S = hermitian_split(A)
             np.testing.assert_array_equal(
-                sparse_add(H, S).to_dense(), A.to_dense()
+                dense(sparse_add(H, S)), dense(A)
             )
-            np.testing.assert_array_equal(H.to_dense(), H.to_dense().T)
-            np.testing.assert_array_equal(S.to_dense(), -S.to_dense().T)
+            np.testing.assert_array_equal(dense(H), dense(H).T)
+            np.testing.assert_array_equal(dense(S), -dense(S).T)
 
     def test_requires_square(self):
         with pytest.raises(DimensionError):
@@ -453,7 +454,7 @@ class TestAbsSums:
         inexact = unlike_pairwise = 0
         for name, X in _abs_sums_cases(rng):
             rows, cols, diag = _abs_sums(X)
-            np.testing.assert_array_equal(diag, X.to_dense().diagonal(), err_msg=name)
+            np.testing.assert_array_equal(diag, dense(X).diagonal(), err_msg=name)
             r, c, v = X.coo_arrays()  # row-major, ascending columns in a row
             k = max(np.bincount(r).max(), np.bincount(c).max())  # widest row or column
             u = Fraction(2) ** -53

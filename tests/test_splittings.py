@@ -27,7 +27,14 @@ from gavekit import (
 )
 from gavekit.splittings import KINDS
 
-from conftest import from_dense, random_dominant, tridiag, with_explicit_zeros, with_int64_indices
+from conftest import (
+    dense,
+    from_dense,
+    random_dominant,
+    tridiag,
+    with_explicit_zeros,
+    with_int64_indices,
+)
 
 # M - N == A bitwise; the other kinds round (hss in H + S, for one)
 EXACT_KINDS = ["picard", "mn", "nj", "ngs", "drs"]
@@ -66,16 +73,16 @@ class TestTriangularParts:
     def test_hand_value(self):
         A = from_dense(np.array([[4.0, -1.0], [-1.0, 4.0]]))
         D, L, U = _mask_parts(A)
-        np.testing.assert_array_equal(D.to_dense(), [[4.0, 0.0], [0.0, 4.0]])
-        np.testing.assert_array_equal(L.to_dense(), [[0.0, 0.0], [1.0, 0.0]])
-        np.testing.assert_array_equal(U.to_dense(), [[0.0, 1.0], [0.0, 0.0]])
+        np.testing.assert_array_equal(dense(D), [[4.0, 0.0], [0.0, 4.0]])
+        np.testing.assert_array_equal(dense(L), [[0.0, 0.0], [1.0, 0.0]])
+        np.testing.assert_array_equal(dense(U), [[0.0, 1.0], [0.0, 0.0]])
 
     def test_diagonal_input(self):
         # the second input stores a zero diagonal entry, which D keeps
         for A in (from_dense(np.diag([1.0, 2.0, 3.0])),
                   diag_matrix([1.0, 0.0, 3.0])):
             D, L, U = _mask_parts(A)
-            np.testing.assert_array_equal(D.to_dense(), A.to_dense())
+            np.testing.assert_array_equal(dense(D), dense(A))
             np.testing.assert_array_equal(D.values, A.values)
             assert L.nnz == 0 and U.nnz == 0
 
@@ -85,7 +92,7 @@ class TestTriangularParts:
             for X in (A, with_explicit_zeros(rng, A)):
                 D, L, U = _mask_parts(X)
                 recombined = sparse_sub(sparse_sub(D, L), U)
-                np.testing.assert_array_equal(recombined.to_dense(), X.to_dense())
+                np.testing.assert_array_equal(dense(recombined), dense(X))
 
 
 def _part_cases(rng):
@@ -132,7 +139,7 @@ class TestPartsAgainstMasks:
             for kind in kinds:
                 a = kind.alpha
                 M = {
-                    "nj": lambda: D,
+                    "nj": lambda: sparse_sub(D, zeros(A.n_rows)),  # D less its stored zeros
                     "ngs": lambda: sparse_sub(D, L),
                     "nsor": lambda: sparse_sub(sparse_scale(1.0 / a, D), L),
                     "naor": lambda: sparse_sub(sparse_scale(1.0 / a, D),
@@ -141,6 +148,15 @@ class TestPartsAgainstMasks:
                 s = build_splitting(A, kind)
                 _assert_same_matrix(s.M, M, f"{name} {kind.name} M")
                 _assert_same_matrix(s.N, sparse_sub(M, A), f"{name} {kind.name} N")
+
+    def test_triangular_parts_store_no_zero(self, rng):
+        kinds = ["nj", "ngs", SplittingKind("nsor", alpha=0.3),
+                 SplittingKind("naor", alpha=1.2, beta=0.7)]
+        for name, A in _part_cases(rng).items():
+            for kind in kinds:
+                s = build_splitting(A, kind)
+                for part in ("M", "N"):
+                    assert np.all(getattr(s, part).values != 0.0), f"{name} {kind} {part}"
 
 
 class TestBuildSplitting:
@@ -154,10 +170,10 @@ class TestBuildSplitting:
                 s = build_splitting(A, kind, omega)
                 diff = sparse_sub(s.M, s.N)
                 if kind.name in EXACT_KINDS:
-                    np.testing.assert_array_equal(diff.to_dense(), A.to_dense())
+                    np.testing.assert_array_equal(dense(diff), dense(A))
                 else:
                     np.testing.assert_allclose(
-                        diff.to_dense(), A.to_dense(), atol=1e-13
+                        dense(diff), dense(A), atol=1e-13
                     )
                 x = rng.uniform(-1, 1, A.n_rows)
                 lhs = spmv(s.M, x) - spmv(s.N, x)
@@ -168,19 +184,19 @@ class TestBuildSplitting:
         A = random_dominant(rng, 10)
         D, L, U = _mask_parts(A)
         nj = build_splitting(A, "nj")
-        np.testing.assert_array_equal(nj.M.to_dense(), D.to_dense())
-        np.testing.assert_array_equal(nj.N.to_dense(), (L.to_dense() + U.to_dense()))
+        np.testing.assert_array_equal(dense(nj.M), dense(D))
+        np.testing.assert_array_equal(dense(nj.N), (dense(L) + dense(U)))
         ngs = build_splitting(A, "ngs")
-        np.testing.assert_array_equal(ngs.M.to_dense(), D.to_dense() - L.to_dense())
-        np.testing.assert_array_equal(ngs.N.to_dense(), U.to_dense())
+        np.testing.assert_array_equal(dense(ngs.M), dense(D) - dense(L))
+        np.testing.assert_array_equal(dense(ngs.N), dense(U))
         alpha = 0.8
         nsor = build_splitting(A, SplittingKind("nsor", alpha=alpha))
         np.testing.assert_allclose(
-            nsor.M.to_dense(), D.to_dense() / alpha - L.to_dense(), rtol=1e-15
+            dense(nsor.M), dense(D) / alpha - dense(L), rtol=1e-15
         )
         np.testing.assert_allclose(
-            nsor.N.to_dense(),
-            (1 / alpha - 1) * D.to_dense() + U.to_dense(),
+            dense(nsor.N),
+            (1 / alpha - 1) * dense(D) + dense(U),
             atol=1e-13,
         )
 
@@ -211,25 +227,25 @@ class TestBuildSplitting:
     def test_hss_parts(self, rng):
         A = random_dominant(rng, 9)
         s = build_splitting(A, "hss")
-        np.testing.assert_array_equal(s.M.to_dense(), s.M.to_dense().T)
+        np.testing.assert_array_equal(dense(s.M), dense(s.M).T)
         # N = -S must be antisymmetric
-        np.testing.assert_array_equal(s.N.to_dense(), -s.N.to_dense().T)
+        np.testing.assert_array_equal(dense(s.N), -dense(s.N).T)
 
     def test_nmn_matrices(self, rng):
         A = random_dominant(rng, 8)
         om = OmegaSpec.scalar(2.0)
         s = build_splitting(A, "nmn", om)
-        omega = resolve_omega(om, 8).to_dense()
-        np.testing.assert_allclose(s.M.to_dense(), (A.to_dense() - omega) / 2, rtol=1e-15)
-        np.testing.assert_allclose(s.N.to_dense(), -(A.to_dense() + omega) / 2, atol=1e-14)
-        np.testing.assert_array_equal(s.omega.to_dense(), omega)
+        omega = dense(resolve_omega(om, 8))
+        np.testing.assert_allclose(dense(s.M), (dense(A) - omega) / 2, rtol=1e-15)
+        np.testing.assert_allclose(dense(s.N), -(dense(A) + omega) / 2, atol=1e-14)
+        np.testing.assert_array_equal(dense(s.omega), omega)
 
     def test_drs_pins_omega(self, rng):
         A = random_dominant(rng, 8)
         gamma = 0.6
         s = build_splitting(A, SplittingKind("drs", gamma=gamma))
         np.testing.assert_allclose(
-            s.omega.to_dense(), (2 / gamma - 1) * A.to_dense(), rtol=1e-15
+            dense(s.omega), (2 / gamma - 1) * dense(A), rtol=1e-15
         )
         with pytest.raises(ConfigurationError):
             build_splitting(A, SplittingKind("drs", gamma=gamma), OmegaSpec.scalar(1.0))
@@ -239,7 +255,7 @@ class TestBuildSplitting:
         kind = SplittingKind("drs", gamma=0.6)
         s = build_splitting(A, kind, OmegaSpec.zero())
         np.testing.assert_array_equal(
-            s.omega.to_dense(), build_splitting(A, kind).omega.to_dense()
+            dense(s.omega), dense(build_splitting(A, kind).omega)
         )
 
     def test_picard_pins_zero_omega(self, rng):
@@ -310,12 +326,12 @@ class TestResolveOmega:
 
     def test_scalar_identity(self):
         om = resolve_omega(OmegaSpec.scalar(2.0), 3)
-        np.testing.assert_array_equal(om.to_dense(), 2.0 * np.eye(3))
+        np.testing.assert_array_equal(dense(om), 2.0 * np.eye(3))
 
     def test_scaled_matrix(self):
         base = tridiag(-1, 4, -1, 4)
         om = resolve_omega(OmegaSpec.scaled(1.5, base), 4)
-        np.testing.assert_array_equal(om.to_dense(), 1.5 * base.to_dense())
+        np.testing.assert_array_equal(dense(om), 1.5 * dense(base))
 
     def test_explicit_passthrough(self):
         m = identity(4)
