@@ -20,6 +20,8 @@ import math
 import statistics
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .errors import (
     ConvergenceFailure,
     DivergenceError,
@@ -29,15 +31,9 @@ from .errors import (
 )
 from .mmio import read_matrix_market
 from .problems import check_grid_size, gen_example41, load_problem
-from .sparse import SparseMatrix
+from .sparse import SparseMatrix, diag_matrix, sparse_scale, zeros
 from .solver import SolverConfig, ThetaSchedule, inms_solve, nms_solve
-from .splittings import (
-    KINDS,
-    OmegaSpec,
-    SplittingKind,
-    build_splitting,
-    resolve_omega,
-)
+from .splittings import KINDS, SplittingKind, build_splitting, resolve_omega
 
 __all__ = [
     "MethodSpec",
@@ -54,14 +50,14 @@ __all__ = [
 class MethodSpec:
     """One method of a spec line or of ``gavekit solve``, as it runs.
 
-    ``kind`` names the splitting, ``omega`` its shift as :func:`resolve_omega_token`
-    types it (None: the kind's own) and ``omega_tag`` that token as written, the
-    table's ``omega`` cell. ``config`` holds the solve's settings: inner solver,
-    theta schedule, inner budget and the spec's stopping rule.
+    ``kind`` names the splitting, ``omega`` its omega token as :func:`resolve_omega_token`
+    types it (None: the kind's own shift; :func:`shift_matrix` makes the matrix) and
+    ``omega_tag`` that token as written, the table's ``omega`` cell. ``config`` holds the
+    solve's settings: inner solver, theta schedule, inner budget and the stopping rule.
     """
 
     kind: SplittingKind
-    omega: OmegaSpec | SparseMatrix | None = None
+    omega: tuple | SparseMatrix | None = None
     config: SolverConfig = field(default_factory=SolverConfig)
     label: str = ""
     omega_tag: str | None = None  # zero | identity:<w> | mhat | mhat:<c> | file:<path>
@@ -106,7 +102,7 @@ class ExperimentSpec:
                 check_grid_size(m)  # before anything is allocated
                 for method in self.methods:
                     if isinstance(method.omega, SparseMatrix):  # a file: shift
-                        resolve_omega(method.omega, m * m)  # DimensionError on a size mismatch
+                        shift_matrix(method.omega, m * m)  # DimensionError on a size mismatch
         elif self.problem_kind == "dir":
             if not self.directory:
                 raise SpecError("directory problems need a path")
@@ -249,8 +245,8 @@ def parse_spec(text):
         try:
             kind, opts = _method_tokens(value)
             methods.append(method_spec(kind, {**opts, **stopping}))
-            if problem != "example41":
-                _with_hat_m(methods[-1].omega, None)  # mhat scales example41's hatM
+            if problem != "example41" and isinstance(methods[-1].omega, tuple):
+                shift_matrix(methods[-1].omega, 0)  # mhat scales example41's hatM
         except (ValueError, OSError) as exc:  # any validation error; a file: shift not read
             raise SpecError(f"{exc} (line {lineno}: method = {value})") from None
     return ExperimentSpec(
@@ -262,32 +258,41 @@ def parse_spec(text):
 
 
 def resolve_omega_token(token):
-    """The typed shift an omega token names: an OmegaSpec, the matrix a ``file:`` names, or None.
-
-    ``mhat:<c>`` is ``OmegaSpec.scaled(c, None)``, whose base :func:`build_method` fills.
-    """
+    """An omega token typed: ``(name, value)`` for ``zero``, ``identity:<w>`` and
+    ``mhat[:<c>]``, the matrix a ``file:`` names, or None (no token)."""
     if token is None:
         return None
     token = token.strip()
     name, colon, value = token.partition(":")
     if token == "zero":
-        return OmegaSpec.zero()
+        return ("zero", None)
     if name == "identity" and colon:
-        return OmegaSpec.scalar(parse_number(value, "omega"))
+        return ("identity", parse_number(value, "omega"))
     if name == "mhat":
-        return OmegaSpec.scaled(parse_number(value, "omega") if colon else 1.0, None)
+        return ("mhat", parse_number(value, "omega") if colon else 1.0)
     if name == "file" and colon:
         return read_matrix_market(value)
     raise SpecError(f"unknown omega token {token!r}")
 
 
-def _with_hat_m(omega, hat_m):
-    """``omega`` with ``hat_m`` as the base of an ``mhat`` shift; SpecError without one."""
-    if not (isinstance(omega, OmegaSpec) and omega.kind == "scaled"):
-        return omega
-    if hat_m is None:
-        raise SpecError("omega 'mhat' is only available for example41 problems")
-    return OmegaSpec.scaled(omega.scale, hat_m)
+def shift_matrix(omega, n, hat_m=None):
+    """The n-by-n shift matrix of an omega token :func:`resolve_omega_token` typed.
+
+    None, the kind's own shift, stays None. ``mhat:<c>`` is ``c * hat_m``, the
+    example41 block matrix, and a SpecError without one; a ``file:`` matrix of
+    another size raises DimensionError.
+    """
+    if isinstance(omega, tuple):
+        name, value = omega
+        if name == "zero":
+            omega = zeros(n)
+        elif name == "identity":
+            omega = diag_matrix(np.full(n, value))
+        elif hat_m is None:
+            raise SpecError("omega 'mhat' is only available for example41 problems")
+        else:
+            omega = sparse_scale(value, hat_m)
+    return None if omega is None else resolve_omega(omega, n)
 
 
 def build_method(problem, method, hat_m=None):
@@ -297,7 +302,7 @@ def build_method(problem, method, hat_m=None):
     (None for directory problems). :func:`~gavekit.splittings.build_splitting`
     checks the shift against the kinds that pin their own.
     """
-    return build_splitting(problem.A, method.kind, _with_hat_m(method.omega, hat_m))
+    return build_splitting(problem.A, method.kind, shift_matrix(method.omega, problem.n, hat_m))
 
 
 def run_method(problem, method, splitting, repeats=1):

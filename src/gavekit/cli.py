@@ -154,7 +154,7 @@ def _parse_grid(token):
 
 def _cmd_tune(args):
     problem, hat = _load_problem_args(args)
-    omega = bench_mod._with_hat_m(bench_mod.resolve_omega_token(args.omega), hat)
+    omega = bench_mod.shift_matrix(bench_mod.resolve_omega_token(args.omega), problem.n, hat)
     grid = _parse_grid(args.grid)
     # an option not given is not passed, so tune_alpha's default applies
     stopping = {key: value for key, value in dict(tol=args.tol, k_max=args.kmax).items()
@@ -240,7 +240,9 @@ def build_parser():
 
     p_tune = sub.add_parser("tune", help="grid-search the nsor relaxation parameter")
     _add_problem_args(p_tune)
-    p_tune.add_argument("--omega")
+    p_tune.add_argument("--omega",
+                        help="zero | identity:<w> | mhat | mhat:<c> | file:<path>; "
+                        "not given: zero (nsor's own shift)")
     p_tune.add_argument("--grid", default="0.5:1.5:0.01", help="lo:hi:step")
     p_tune.add_argument("--tol")
     p_tune.add_argument("--kmax")

@@ -254,7 +254,8 @@ def lsqr(A, rhs, target_residual, max_iter):
     Raises
     ------
     NumericsError
-        If ``rhs``, a norm of the recurrence or the returned iterate is
+        If ``rhs`` or its norm (which overflows for large finite
+        entries), a norm of the recurrence or the returned iterate is
         non-finite. A non-finite entry of ``A`` raises at iteration 0.
     """
     if not target_residual >= 0:
@@ -263,10 +264,12 @@ def lsqr(A, rhs, target_residual, max_iter):
         raise ParameterError("max_iter must be nonnegative")
     # contiguous, so that rhs @ rhs is the unit-stride dot np.linalg.norm takes
     rhs = np.ascontiguousarray(as_vector(rhs, A.n_rows, "rhs"))
-    beta = sqrt(rhs @ rhs)  # np.linalg.norm(rhs), bit for bit
+    with np.errstate(over="ignore"):  # an overflowing norm raises below, not warns
+        beta = sqrt(rhs @ rhs)  # np.linalg.norm(rhs), bit for bit
     # a non-finite entry makes the norm non-finite; only then is the scan due
-    if not isfinite(beta) and not np.all(np.isfinite(rhs)):
-        raise NumericsError("non-finite values in lsqr inputs")
+    if not isfinite(beta):
+        raise NumericsError("norm(rhs) overflowed: its entries are finite, its norm is not"
+                            if np.all(np.isfinite(rhs)) else "non-finite values in lsqr inputs")
     if beta <= target_residual:
         return LsqrOutcome(np.zeros(A.n_cols), beta, 0, "target_met")
     if max_iter == 0:

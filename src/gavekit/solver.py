@@ -173,7 +173,15 @@ def _iterate(problem, splitting, omega, config):
     t0 = time.perf_counter()
     n = problem.A.n_rows
     OM = sparse_add(splitting.shift(omega), splitting.M)
-    nb = float(np.linalg.norm(problem.b))
+    x = expand_x0(config.x0, n)
+    # F(x_k) serves both the stopping rule and the next step
+    with np.errstate(over="ignore"):  # a norm that overflows raises below, not warns
+        nb = float(np.linalg.norm(problem.b))
+        F = residual(problem, x)
+        f_norm = math.sqrt(F @ F)
+    for norm, v, what in ((nb, problem.b, "b"), (f_norm, F, "F(x_0)")):
+        if math.isinf(norm) and np.all(np.isfinite(v)):
+            raise NumericsError(f"norm({what}) overflowed: its entries are finite, its norm is not")
     if nb == 0.0:
         raise ParameterError("b is zero; the RES stopping rule is undefined")
     direct = config.inner == "direct"
@@ -183,10 +191,6 @@ def _iterate(problem, splitting, omega, config):
     if max_inner is None:
         max_inner = int(math.ceil(10.0 * math.sqrt(n)))
 
-    x = expand_x0(config.x0, n)
-    # F(x_k) serves both the stopping rule and the next step
-    F = residual(problem, x)
-    f_norm = math.sqrt(F @ F)
     res = _guard(f_norm / nb, 0)
     history = [res]
     inner_iters = []

@@ -1,4 +1,4 @@
-"""Matrix splittings A = M - N and the shift matrix specifications.
+"""Matrix splittings A = M - N, their shift matrices and the scaled shift recipe.
 
 Each named splitting pins an (M, N) pair and carries the shift matrix Omega
 the outer iteration runs with; picard, drs and nmn pin theirs. M follows
@@ -27,7 +27,6 @@ import scipy.sparse
 from .errors import ConfigurationError, DimensionError, ParameterError
 from .sparse import (
     SparseMatrix,
-    diag_matrix,
     hermitian_split,
     sparse_scale,
     sparse_sub,
@@ -108,8 +107,8 @@ class Splitting:
     def shift(self, omega=None):
         """The shift Omega one iteration runs with: the one statement of the pin rule.
 
-        A supplied ``omega`` (an OmegaSpec or a SparseMatrix) replaces the
-        splitting's own shift for the kinds that do not pin it. picard and
+        A supplied ``omega`` (a SparseMatrix or an OmegaSpec recipe) replaces
+        the splitting's own shift for the kinds that do not pin it. picard and
         drs accept only a zero one, which changes nothing; nmn rejects any.
         """
         name = self.kind.name
@@ -131,47 +130,28 @@ class Splitting:
 
 @dataclass(frozen=True)
 class OmegaSpec:
-    """Recipe for the shift matrix.
+    """The shift ``scale * base``, scaled when resolved; any other shift is a SparseMatrix."""
 
-    kind is one of "zero", "scalar" (omega * I) or "scaled" (c * base). A
-    given matrix needs no recipe: a SparseMatrix is its own shift.
-    """
+    scale: float
+    base: SparseMatrix
 
-    kind: str
-    omega: float | None = None
-    scale: float | None = None
-    base: SparseMatrix | None = None
-
-    @classmethod
-    def zero(cls):
-        return cls("zero")
-
-    @classmethod
-    def scalar(cls, omega):
-        return cls("scalar", omega=float(omega))
+    def __post_init__(self):
+        if self.base is None:
+            raise ConfigurationError("scaled shift has no base matrix")
 
     @classmethod
     def scaled(cls, c, base):
-        return cls("scaled", scale=float(c), base=base)
+        return cls(float(c), base)
 
 
 def resolve_omega(spec, n):
-    """Materialize an OmegaSpec as an n-by-n SparseMatrix; None is zero, a matrix itself."""
-    if isinstance(spec, SparseMatrix):
-        if spec.shape != (n, n):
-            raise DimensionError(f"omega matrix has shape {spec.shape}, expected {(n, n)}")
-        return spec
-    if spec is None or spec.kind == "zero":
+    """The n-by-n shift matrix: None is zero, an OmegaSpec its ``scale * base``, a matrix itself."""
+    if spec is None:
         return zeros(n)
-    if spec.kind == "scalar":
-        return diag_matrix(np.full(n, spec.omega))
-    if spec.kind == "scaled":
-        if spec.base is None:
-            raise ConfigurationError("scaled shift has no base matrix")
-        if spec.base.shape != (n, n):
-            raise DimensionError(f"omega base has shape {spec.base.shape}, expected {(n, n)}")
-        return sparse_scale(spec.scale, spec.base)
-    raise ParameterError(f"unknown omega kind {spec.kind!r}")
+    omega = sparse_scale(spec.scale, spec.base) if isinstance(spec, OmegaSpec) else spec
+    if omega.shape != (n, n):
+        raise DimensionError(f"omega matrix has shape {omega.shape}, expected {(n, n)}")
+    return omega
 
 
 def build_splitting(A, kind, omega=None):

@@ -19,6 +19,7 @@ from gavekit import (
     ThetaSchedule,
     build_splitting,
     check_inexact,
+    diag_matrix,
     evaluate,
     gen_certified,
     gen_example41,
@@ -393,11 +394,11 @@ def test_criterion_10_single_step_equivalences():
         worst["picard"] = max(worst["picard"], np.abs(got - want).max())
 
         w = float(rng.uniform(0.5, 3.0))
-        got = one_step(prob, build_splitting(A, "mn"), OmegaSpec.scalar(w), x0)
+        got = one_step(prob, build_splitting(A, "mn"), diag_matrix(np.full(n, w)), x0)
         want = np.linalg.solve(w * np.eye(n) + Ad, w * x0 + Bd @ np.abs(x0) + b)
         worst["mn"] = max(worst["mn"], np.abs(got - want).max())
 
-        om = OmegaSpec.scalar(w)
+        om = diag_matrix(np.full(n, w))
         got = one_step(prob, build_splitting(A, "nmn", om), None, x0)
         want = np.linalg.solve(
             w * np.eye(n) + Ad, (w * np.eye(n) - Ad) @ x0 + 2 * (Bd @ np.abs(x0) + b)

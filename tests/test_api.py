@@ -148,3 +148,25 @@ def _exports_without_users():
 def test_every_export_has_a_user():
     # an allowlisted name that gains a user leaves the list too
     assert sorted(_exports_without_users()) == sorted(EXPORTS_WITHOUT_USERS)
+
+
+def _names(path):
+    """Every name ``path``'s code reads, imports or takes as an attribute."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.asname or node.name)
+            names.add(node.name)
+    return names
+
+
+def test_only_splittings_names_the_shift_recipe():
+    # an omega token becomes a matrix in bench; OmegaSpec is splittings' recipe
+    # for perfbench's scaled shifts, and the package exports it
+    src = ROOT / "src" / "gavekit"
+    naming = sorted(path.name for path in src.glob("*.py") if "OmegaSpec" in _names(path))
+    assert naming == ["__init__.py", "splittings.py"]

@@ -20,16 +20,20 @@ from gavekit import (
     SpecError,
     SplittingKind,
     build_splitting,
+    diag_matrix,
     emit_table,
     gen_example41,
     identity,
     inms_solve,
+    load_problem,
     nms_solve,
     parse_spec,
     run_experiment,
+    save_problem,
     sparse_scale,
     tune_alpha,
     write_matrix_market,
+    zeros,
 )
 from gavekit import bench as bench_module
 from gavekit.bench import ExperimentSpec, MethodSpec, build_method, method_spec, run_method
@@ -168,7 +172,7 @@ class TestParseMethodLine:
     def test_options(self):
         m = parse_method_line("nsor alpha=0.9 omega=mhat:1.5 inner=lsqr theta=0.3 maxinner=40")
         assert m.kind.alpha == 0.9
-        assert m.omega == OmegaSpec.scaled(1.5, None) and m.omega_tag == "mhat:1.5"
+        assert m.omega == ("mhat", 1.5) and m.omega_tag == "mhat:1.5"
         assert m.config.theta.kind == "constant" and m.config.theta.theta == 0.3
         assert m.config.max_inner == 40
 
@@ -340,7 +344,7 @@ class TestResolveOmegaToken:
             parse_method_line(f"nj omega={token}")
 
     def test_zero(self):
-        assert method_spec("nj", {"omega": " zero "}).omega == OmegaSpec.zero()
+        assert method_spec("nj", {"omega": " zero "}).omega == ("zero", None)
 
     def test_file_token_is_the_matrix_it_reads(self, tmp_path):
         write_matrix_market(tmp_path / "omega.mtx", sparse_scale(2.0, identity(3)))
@@ -358,6 +362,51 @@ class TestResolveOmegaToken:
             f"method = nj omega=file:{tmp_path / 'omega.mtx'}\n"))
         assert calls == {"read_matrix_market": 1}
         assert [row.n for row in rows] == [16]
+    # each token's matrix, built directly from hatM and n = m * m, for example41 m = 6
+    DIRECT = {
+        "zero": lambda hat, n: zeros(n),
+        "identity:0": lambda hat, n: diag_matrix(np.full(n, 0.0)),
+        "identity:1.5": lambda hat, n: diag_matrix(np.full(n, 1.5)),
+        "mhat": lambda hat, n: sparse_scale(1.0, hat),
+        "mhat:0": lambda hat, n: sparse_scale(0.0, hat),
+        "mhat:1.5": lambda hat, n: sparse_scale(1.5, hat),
+        "file:": lambda hat, n: sparse_scale(0.75, hat),
+    }
+
+    @pytest.mark.parametrize("token", list(DIRECT))
+    @pytest.mark.parametrize("line", ["nj", "nmn", "drs gamma=0.8"])
+    def test_token_is_the_matrix_built_directly(self, tmp_path, line, token):
+        # the shift build_method runs with is the token's matrix, or for drs its
+        # own shift when that matrix is zero
+        _, prob, hat = gen_example41(6, 4.0)
+        direct = self.DIRECT[token](hat, prob.n)
+        if token == "file:":
+            write_matrix_market(tmp_path / "omega.mtx", direct)
+            token = f"file:{tmp_path / 'omega.mtx'}"
+        spec = parse_spec(f"problem = example41\nm = 6\nmu = 4\nmethod = {line} omega={token}\n")
+        method = spec.methods[0]
+        if method.kind.name == "drs":
+            if direct.max_abs() != 0.0:
+                with pytest.raises(ConfigurationError,
+                                   match="^drs pins its own shift matrix; a supplied one must be zero$"):
+                    build_method(prob, method, hat)
+                return
+            direct = build_splitting(prob.A, method.kind).omega
+        got = build_method(prob, method, hat).omega
+        assert _bits(got) == _bits(direct)
+
+    def test_mhat_on_a_directory_problem(self, tmp_path):
+        _, prob, hat = gen_example41(6, 4.0)
+        save_problem(prob, tmp_path / "p")
+        method = parse_method_line("nj omega=mhat")
+        with pytest.raises(SpecError) as info:
+            build_method(load_problem(tmp_path / "p"), method)
+        assert str(info.value) == "omega 'mhat' is only available for example41 problems"
+
+
+def _bits(X):
+    """A matrix's shape, index arrays and value bits, to compare bit for bit."""
+    return X.shape, X.row_ptr.tolist(), X.col_idx.tolist(), X.values.tobytes()
 
 
 class TestTuneAlpha:

@@ -424,6 +424,13 @@ class TestLsqr:
                 lsqr(A, b, 1e-10, 1000)
         assert len(calls) <= 2
 
+    def test_overflowing_rhs_norm_raises(self):
+        # finite entries whose norm overflows used to warn, then divide by zero
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericsError, match=r"^norm\(rhs\) overflowed"):
+                lsqr(identity(5), np.full(5, 1e160), 1e-8, 50)
+
     def test_adjoint_on_cached_transpose_is_bit_identical(self, monkeypatch):
         # products on the cached forms, DIA here, against the CSR matrix and
         # scipy's CSC view of its transpose

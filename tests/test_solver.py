@@ -1,5 +1,6 @@
 """Outer iterations: residuals, schedules, exact and inexact solves."""
 
+import re
 import warnings
 from collections import Counter
 
@@ -305,11 +306,25 @@ class TestInmsSolve:
 
 
 @pytest.mark.parametrize("solve, inner", [(nms_solve, "direct"), (inms_solve, "lsqr")])
+@pytest.mark.parametrize("scale, b, what", [
+    (1.0, np.full(5, 1e160), "b"),
+    (1e160, np.ones(5), "F(x_0)"),
+], ids=["b", "F0"])
+def test_overflowing_norm_raises(solve, inner, scale, b, what):
+    # finite entries whose norm overflows used to warn twice, then report a NaN residual
+    prob = GaveProblem(A=sparse_scale(scale, identity(5)), B=zeros(5), b=b)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericsError, match=f"^norm\\({re.escape(what)}\\) overflowed"):
+            solve(prob, build_splitting(prob.A, "nj"), config=SolverConfig(inner=inner))
+
+
+@pytest.mark.parametrize("solve, inner", [(nms_solve, "direct"), (inms_solve, "lsqr")])
 def test_picard_rejects_nonzero_omega(rng, solve, inner):
     prob = _random_problem(rng, 6)
     s = build_splitting(prob.A, "picard")
     with pytest.raises(ConfigurationError):
-        solve(prob, s, OmegaSpec.scalar(1.0), SolverConfig(inner=inner))
+        solve(prob, s, diag_matrix(np.full(6, 1.0)), SolverConfig(inner=inner))
 
 
 @pytest.mark.parametrize("solve, inner", [(nms_solve, "direct"), (inms_solve, "lsqr")])
@@ -319,7 +334,7 @@ def test_zero_shift_is_the_pinned_shift(rng, solve, inner, kind):
     prob = _random_problem(rng, 8)
     s = build_splitting(prob.A, kind)
     want = solve(prob, s, None, SolverConfig(inner=inner))
-    for zero in (OmegaSpec.zero(), OmegaSpec.scalar(0.0), zeros(8)):
+    for zero in (zeros(8), diag_matrix(np.full(8, 0.0))):
         got = solve(prob, s, zero, SolverConfig(inner=inner))
         assert got.iterations == want.iterations
         assert got.final_res == want.final_res
@@ -329,9 +344,9 @@ def test_zero_shift_is_the_pinned_shift(rng, solve, inner, kind):
 @pytest.mark.parametrize("solve, inner", [(nms_solve, "direct"), (inms_solve, "lsqr")])
 def test_nmn_rejects_any_supplied_shift(rng, solve, inner):
     prob = _random_problem(rng, 6)
-    s = build_splitting(prob.A, "nmn", OmegaSpec.scalar(1.0))
+    s = build_splitting(prob.A, "nmn", diag_matrix(np.full(6, 1.0)))
     with pytest.raises(ConfigurationError):
-        solve(prob, s, OmegaSpec.zero(), SolverConfig(inner=inner))
+        solve(prob, s, zeros(6), SolverConfig(inner=inner))
 
 
 def test_splitting_runs_with_the_shift_it_was_built_with():
@@ -370,7 +385,7 @@ def _paper_step_cases(rng):
     x_alt = expand_x0("alt10", ex41.n)
     cases = []
     for prob, om, x0 in (
-        (rand, OmegaSpec.scalar(2.0), rng.uniform(-1, 1, rand.n)),
+        (rand, diag_matrix(np.full(rand.n, 2.0)), rng.uniform(-1, 1, rand.n)),
         (ex41, OmegaSpec.scaled(1.0, hat), x_alt),
     ):
         for kind in (
@@ -587,7 +602,7 @@ def _bitwise_cases(rng):
         _, prob, hat = gen_example41(24, mu)
         cases.append((prob, build_splitting(prob.A, "ngs"), OmegaSpec.scaled(c, hat)))
     rand = _random_problem(rng, 40)
-    cases.append((rand, build_splitting(rand.A, "nj"), OmegaSpec.scalar(2.0)))
+    cases.append((rand, build_splitting(rand.A, "nj"), diag_matrix(np.full(rand.n, 2.0))))
     return cases
 
 
@@ -702,7 +717,7 @@ class TestSingleStepEquivalences:
             prob, Ad, Bd, b, x0 = self._setup(rng, n)
             w = float(rng.uniform(0.5, 3.0))
             got = self._one_step(
-                prob, build_splitting(prob.A, "mn"), OmegaSpec.scalar(w), x0
+                prob, build_splitting(prob.A, "mn"), diag_matrix(np.full(n, w)), x0
             )
             want = np.linalg.solve(
                 w * np.eye(n) + Ad, w * x0 + Bd @ np.abs(x0) + b
@@ -714,7 +729,7 @@ class TestSingleStepEquivalences:
             n = int(rng.integers(4, 16))
             prob, Ad, Bd, b, x0 = self._setup(rng, n)
             w = float(rng.uniform(0.5, 3.0))
-            om = OmegaSpec.scalar(w)
+            om = diag_matrix(np.full(n, w))
             got = self._one_step(prob, build_splitting(prob.A, "nmn", om), None, x0)
             omega = w * np.eye(n)
             want = np.linalg.solve(

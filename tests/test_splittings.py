@@ -166,7 +166,7 @@ class TestBuildSplitting:
         general = from_dense(np.array([[1.0, 0.1], [0.2, 3.0]]))
         for A in [random_dominant(rng, 20) for _ in range(5)] + [general]:
             for kind in _all_kinds():
-                omega = OmegaSpec.scalar(1.0) if kind.name == "nmn" else None
+                omega = diag_matrix(np.full(A.n_rows, 1.0)) if kind.name == "nmn" else None
                 s = build_splitting(A, kind, omega)
                 diff = sparse_sub(s.M, s.N)
                 if kind.name in EXACT_KINDS:
@@ -233,7 +233,7 @@ class TestBuildSplitting:
 
     def test_nmn_matrices(self, rng):
         A = random_dominant(rng, 8)
-        om = OmegaSpec.scalar(2.0)
+        om = diag_matrix(np.full(8, 2.0))
         s = build_splitting(A, "nmn", om)
         omega = dense(resolve_omega(om, 8))
         np.testing.assert_allclose(dense(s.M), (dense(A) - omega) / 2, rtol=1e-15)
@@ -248,12 +248,12 @@ class TestBuildSplitting:
             dense(s.omega), (2 / gamma - 1) * dense(A), rtol=1e-15
         )
         with pytest.raises(ConfigurationError):
-            build_splitting(A, SplittingKind("drs", gamma=gamma), OmegaSpec.scalar(1.0))
+            build_splitting(A, SplittingKind("drs", gamma=gamma), diag_matrix(np.full(8, 1.0)))
 
     def test_drs_accepts_zero_omega(self, rng):
         A = random_dominant(rng, 8)
         kind = SplittingKind("drs", gamma=0.6)
-        s = build_splitting(A, kind, OmegaSpec.zero())
+        s = build_splitting(A, kind, zeros(8))
         np.testing.assert_array_equal(
             dense(s.omega), dense(build_splitting(A, kind).omega)
         )
@@ -265,9 +265,9 @@ class TestBuildSplitting:
 
     def test_picard_rejects_nonzero_omega(self, rng):
         A = random_dominant(rng, 6)
-        build_splitting(A, "picard", OmegaSpec.zero())  # fine
+        build_splitting(A, "picard", zeros(6))  # fine
         with pytest.raises(ConfigurationError):
-            build_splitting(A, "picard", OmegaSpec.scalar(1.0))
+            build_splitting(A, "picard", diag_matrix(np.full(6, 1.0)))
 
     def test_nmn_needs_omega(self, rng):
         A = random_dominant(rng, 6)
@@ -321,11 +321,11 @@ class TestBuildSplitting:
 
 class TestResolveOmega:
     def test_zero(self):
-        om = resolve_omega(OmegaSpec.zero(), 5)
+        om = resolve_omega(zeros(5), 5)
         assert om.shape == (5, 5) and om.nnz == 0
 
     def test_scalar_identity(self):
-        om = resolve_omega(OmegaSpec.scalar(2.0), 3)
+        om = resolve_omega(diag_matrix(np.full(3, 2.0)), 3)
         np.testing.assert_array_equal(dense(om), 2.0 * np.eye(3))
 
     def test_scaled_matrix(self):
@@ -347,20 +347,19 @@ class TestResolveOmega:
         assert resolve_omega(None, 3).nnz == 0
 
     def test_scaled_without_base_is_a_configuration_error(self):
-        # bench's mhat placeholder before its base is filled in
-        spec = OmegaSpec.scaled(1.5, None)
+        # refused when the recipe is made, before anything resolves it
         with pytest.raises(ConfigurationError, match="no base matrix"):
-            resolve_omega(spec, 4)
+            resolve_omega(OmegaSpec.scaled(1.5, None), 4)
         with pytest.raises(ConfigurationError, match="no base matrix"):
-            build_splitting(tridiag(-1, 4, -1, 4), "nj", spec)
+            build_splitting(tridiag(-1, 4, -1, 4), "nj", OmegaSpec.scaled(1.5, None))
 
 
 # the shift spellings a caller may pass, as (hatM, n) -> shift
 SHIFT_SPELLINGS = {
     "none": lambda hat, n: None,
-    "zero": lambda hat, n: OmegaSpec.zero(),
-    "scalar0": lambda hat, n: OmegaSpec.scalar(0.0),
-    "scalar1.5": lambda hat, n: OmegaSpec.scalar(1.5),
+    "zero": lambda hat, n: zeros(n),
+    "scalar0": lambda hat, n: diag_matrix(np.full(n, 0.0)),
+    "scalar1.5": lambda hat, n: diag_matrix(np.full(n, 1.5)),
     "hatM": lambda hat, n: OmegaSpec.scaled(1.0, hat),
     "0hatM": lambda hat, n: OmegaSpec.scaled(0.0, hat),
     "matrix": lambda hat, n: sparse_scale(0.5, hat),
